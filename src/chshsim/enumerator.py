@@ -1,9 +1,11 @@
 """Exact computations by exhaustive enumeration.
 
-Plays deterministic strategies against every possible setting sequence
+Averages deterministic strategies over every possible setting sequence
 (4^n of them, all equally likely) to get exact expectations and
-distributions, evaluates the special-case models in closed form, and
-checks no-signaling by brute force.  Everything returns exact rationals;
+distributions: by playing each sequence out, or, for count-driven
+strategies, by summing over pair-count vectors.  Also evaluates the
+special-case models in closed form and checks no-signaling by brute
+force.  Everything returns exact rationals;
 Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
 enumeration cap.
 """
@@ -37,6 +39,7 @@ from .core import (
 from .stats import chsh_value, round_score, x_statistic
 from .strategies import (
     CollectiveStrategy,
+    CountDriven,
     DeterministicAssignment,
     Model101,
     SequentialStrategy,
@@ -145,11 +148,15 @@ def exact_expectations(
     cap: int = DEFAULT_ENUM_CAP,
     collect_distribution: bool = False,
 ) -> ExactResult:
-    """Enumerate all 4^n setting sequences for a deterministic strategy.
+    """Exact expectations over all 4^n setting sequences for a deterministic strategy.
 
     Returns exact E(Y_N), E(X_N | X_N defined), P(X_N undefined), and
     optionally the full joint distribution of (Y_N, X_N) as a sorted
     tuple of (y, x, probability) entries with x None when undefined.
+    Count-driven strategies are summed over pair-count vectors
+    (:func:`exact_by_counts`); the distribution, and every other
+    strategy, is enumerated sequence by sequence
+    (:func:`exact_by_sequences`).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -157,7 +164,28 @@ def exact_expectations(
         raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap} (4^n sequences)")
     if strategy.stochastic:
         raise ValueError("exact enumeration requires a deterministic strategy")
+    if isinstance(strategy, CountDriven) and not collect_distribution:
+        return exact_by_counts(strategy, n)
+    return exact_by_sequences(strategy, n, collect_distribution)
 
+
+def _exact_result(n, score_sum, defined, x_sum, distribution=None) -> ExactResult:
+    """Expectations from totals over all 4^n sequences: scoring rounds,
+    sequences with X_N defined, and the sum of X_N over those."""
+    total_sequences = 4 ** n
+    return ExactResult(
+        n=n,
+        e_y=Fraction(4 * score_sum, n * total_sequences),
+        e_x_conditional=(x_sum / defined) if defined else None,
+        p_undefined=Fraction(total_sequences - defined, total_sequences),
+        distribution=distribution,
+    )
+
+
+def exact_by_sequences(
+    strategy: SequentialStrategy, n: int, collect_distribution: bool = False
+) -> ExactResult:
+    """:func:`exact_expectations` by playing out every one of the 4^n sequences."""
     total_sequences = 4 ** n
     score_sum = 0
     defined = 0
@@ -204,13 +232,49 @@ def exact_expectations(
                 key=lambda item: (item[0][0], item[0][1] is not None, item[0][1] or 0),
             )
         )
-    return ExactResult(
-        n=n,
-        e_y=Fraction(4 * score_sum, n * total_sequences),
-        e_x_conditional=(x_sum / defined) if defined else None,
-        p_undefined=Fraction(total_sequences - defined, total_sequences),
-        distribution=distribution,
-    )
+    return _exact_result(n, score_sum, defined, x_sum, distribution)
+
+
+def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
+    """:func:`exact_expectations` by dynamic programming over pair-count vectors.
+
+    A count-driven strategy plays the same assignment on every path to
+    a count vector, so round k needs one state per vector of k counts
+    (C(k+3, 3) of them), not one per sequence.  Each state carries the
+    number of sequences reaching it and, per pair, the scoring rounds
+    summed over those sequences.  At the end a state with all counts
+    positive contributes score mass / count to the sum of X_N for each
+    pair.  Integers throughout; rationals only in the last step.
+    """
+    # count vector -> [paths, score mass on ALL_PAIRS[0..3]]
+    layer = {(0, 0, 0, 0): [1, 0, 0, 0, 0]}
+    for k in range(n):
+        following: dict[tuple[int, ...], list[int]] = {}
+        for counts, (paths, *mass) in layer.items():
+            assignment = strategy.assignment(counts, k)
+            for j, pair in enumerate(ALL_PAIRS):
+                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                state = following.get(key)
+                if state is None:
+                    state = following[key] = [0, 0, 0, 0, 0]
+                state[0] += paths
+                for i in range(4):
+                    state[i + 1] += mass[i]
+                if assignment.satisfies(pair):
+                    state[j + 1] += paths
+        layer = following
+
+    score_sum = 0
+    defined = 0
+    mass_by_count: Counter = Counter()  # pair count -> score mass, defined states only
+    for counts, (paths, *mass) in layer.items():
+        score_sum += sum(mass)
+        if 0 not in counts:
+            defined += paths
+            for count, pair_mass in zip(counts, mass):
+                mass_by_count[count] += pair_mass
+    x_sum = sum((Fraction(m, c) for c, m in mass_by_count.items()), Fraction(0))
+    return _exact_result(n, score_sum, defined, x_sum)
 
 
 @dataclass(frozen=True)

@@ -307,7 +307,9 @@ def estimate(
     batch order (e.g. to stream a per-batch CSV).
     """
     n, r = plan.n, plan.batches
-    delta = Fraction(plan.delta)
+    # The decimal delta, not the binary float: Fraction(0.3) < 3/10 would
+    # count a batch with Y_N = 3.3 exactly as Y_N > 3.3.
+    delta = Fraction(str(plan.delta))
     # Y_N > 3 + delta  <=>  scoring rounds > n (3 + delta) / 4, exactly.
     y_cut = n * (3 + delta) / 4
     x_cut = (3 + delta) / (1 - delta)

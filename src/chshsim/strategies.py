@@ -64,11 +64,13 @@ class DeterministicAssignment:
             if value not in (PLUS, MINUS):
                 raise ValueError(f"{label}={value!r} must be +1 or -1")
 
+    # Settings compare with the plain values of A1 and B1: an enum member
+    # lookup per call would dominate every playout's responses.
     def alice_outcome(self, setting: AliceSetting) -> int:
-        return self.a1 if setting == AliceSetting.A1 else self.a2
+        return self.a1 if setting == 0 else self.a2
 
     def bob_outcome(self, setting: BobSetting) -> int:
-        return self.b1 if setting == BobSetting.B1 else self.b2
+        return self.b1 if setting == 0 else self.b2
 
     def satisfies(self, pair: SettingPair) -> bool:
         """Whether this assignment meets the pair's CHSH target.
@@ -188,19 +190,61 @@ class CollectiveStrategy(ABC):
         """Bob-side outcomes for the whole run, one per round."""
 
 
-class ConstantPlus(SequentialStrategy):
+class CountDriven(SequentialStrategy):
+    """A deterministic strategy that reads nothing of the history but its pair counts.
+
+    After k completed rounds, in which ``ALL_PAIRS[i]`` occurred
+    ``counts[i]`` times, both wings answer from ``assignment(counts, k)``.
+    The exact enumerator relies on this to sum over count vectors instead
+    of setting sequences.  Subclasses whose assignment reads the counts
+    declare FULL memory; one with memory class NONE sees an empty history
+    in play, so its assignment must ignore both arguments.
+    """
+
+    memory_class = MemoryClass.FULL
+
+    def __init__(self):
+        self.begin_playout(0)
+
+    def begin_playout(self, n, rng=None):
+        self._counts = [0, 0, 0, 0]
+        self._round = 0
+        self._assignment = self.assignment((0, 0, 0, 0), 0)
+
+    @abstractmethod
+    def assignment(self, counts: Sequence[int], k: int) -> DeterministicAssignment:
+        """The assignment played after k rounds with these pair counts."""
+
+    def _advance(self, view) -> None:
+        """Count the rounds completed since the last call and pick the next assignment."""
+        k = len(view)
+        counts = self._counts
+        for i in range(self._round, k):
+            counts[view[i].pair.index] += 1
+        self._round = k
+        self._assignment = self.assignment(tuple(counts), k)
+
+    def respond_alice(self, setting, view):
+        if len(view) != self._round:
+            self._advance(view)
+        return self._assignment.alice_outcome(setting)
+
+    def respond_bob(self, setting, view):
+        if len(view) != self._round:
+            self._advance(view)
+        return self._assignment.bob_outcome(setting)
+
+
+class ConstantPlus(CountDriven):
     """Answers +1 to every measurement on either side."""
 
     memory_class = MemoryClass.NONE
 
-    def respond_alice(self, setting, view):
-        return PLUS
-
-    def respond_bob(self, setting, view):
-        return PLUS
+    def assignment(self, counts, k):
+        return CONSTANT_PLUS_ASSIGNMENT
 
 
-class GuessingModel(SequentialStrategy):
+class GuessingModel(CountDriven):
     """Sabotages the pair that has been measured most so far.
 
     Round 1 answers +1 to everything.  From round 2 on, the model finds
@@ -210,40 +254,17 @@ class GuessingModel(SequentialStrategy):
     unless a different ``tie_break`` rule is supplied.
     """
 
-    memory_class = MemoryClass.FULL
-
     def __init__(self, tie_break: Callable[[Sequence[SettingPair]], SettingPair] | None = None):
         self.tie_break = tie_break
-        self._counts = [0, 0, 0, 0]
-        self._seen = 0
-        self._assignment = CONSTANT_PLUS_ASSIGNMENT
+        super().__init__()
 
-    def begin_playout(self, n, rng=None):
-        self._counts = [0, 0, 0, 0]
-        self._seen = 0
-        self._assignment = CONSTANT_PLUS_ASSIGNMENT
-
-    def _ingest(self, view):
-        counts = self._counts
-        seen = self._seen
-        if seen == len(view):
-            return
-        while seen < len(view):
-            counts[view[seen].pair.index] += 1
-            seen += 1
-        self._seen = seen
+    def assignment(self, counts, k):
+        if k == 0:
+            return CONSTANT_PLUS_ASSIGNMENT
         top = max(counts)
         tied = [ALL_PAIRS[i] for i in range(4) if counts[i] == top]
         target = tied[0] if self.tie_break is None else self.tie_break(tied)
-        self._assignment = solve_sabotage_assignment(target)
-
-    def respond_alice(self, setting, view):
-        self._ingest(view)
-        return self._assignment.alice_outcome(setting)
-
-    def respond_bob(self, setting, view):
-        self._ingest(view)
-        return self._assignment.bob_outcome(setting)
+        return solve_sabotage_assignment(target)
 
 
 #: Assignment Model101 plays on its trigger round: +1 on Alice's side
@@ -254,7 +275,7 @@ MODEL_101_TRIGGER_ASSIGNMENT = DeterministicAssignment(PLUS, PLUS, PLUS, MINUS)
 MODEL_101_TRIGGER_COUNTS = (33, 33, 33, 1)
 
 
-class Model101(SequentialStrategy):
+class Model101(CountDriven):
     """Constant +1 except for one rigged 101st round.
 
     When the first 100 rounds used (A1,B1), (A1,B2), (A2,B1) exactly 33
@@ -263,32 +284,10 @@ class Model101(SequentialStrategy):
     indistinguishable from :class:`ConstantPlus`.
     """
 
-    memory_class = MemoryClass.FULL
-
-    def __init__(self):
-        self._counts = [0, 0, 0, 0]
-        self._seen = 0
-
-    def begin_playout(self, n, rng=None):
-        self._counts = [0, 0, 0, 0]
-        self._seen = 0
-
-    def _current_assignment(self, view):
-        counts = self._counts
-        seen = self._seen
-        while seen < len(view):
-            counts[view[seen].pair.index] += 1
-            seen += 1
-        self._seen = seen
-        if len(view) == 100 and tuple(counts) == MODEL_101_TRIGGER_COUNTS:
+    def assignment(self, counts, k):
+        if k == 100 and tuple(counts) == MODEL_101_TRIGGER_COUNTS:
             return MODEL_101_TRIGGER_ASSIGNMENT
         return CONSTANT_PLUS_ASSIGNMENT
-
-    def respond_alice(self, setting, view):
-        return self._current_assignment(view).alice_outcome(setting)
-
-    def respond_bob(self, setting, view):
-        return self._current_assignment(view).bob_outcome(setting)
 
 
 #: Probability that one round's outcomes meet the CHSH target under the

@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from chshsim import enumerator
+from chshsim.bounds import x_mean_bound
 from chshsim.core import ALL_PAIRS, MemoryClass, SettingPair, Side
 from chshsim.enumerator import (
     INDEPENDENT_ROUNDS_CEILING,
     EnumerationCapError,
     chsh_exhaustive_max,
     collective_playout,
+    exact_by_counts,
+    exact_by_sequences,
     exact_collective_n2,
     exact_expectations,
     model101_exact,
@@ -73,7 +77,7 @@ def test_exact_constant_n4():
 
 
 def test_exact_constant_matches_oracle():
-    for n in (1, 2, 3, 5):
+    for n in range(1, 8):
         result = exact_expectations(constant_plus(), n)
         e_y, e_x, p_undef = oracles.exact_over_sequences(oracles.constant_outcomes, n)
         assert result.e_y == e_y
@@ -88,12 +92,77 @@ def test_exact_guessing_n4_value():
 
 
 def test_exact_guessing_matches_oracle():
-    for n in (2, 4, 5):
+    for n in range(1, 8):
         result = exact_expectations(guessing_model(), n)
         e_y, e_x, p_undef = oracles.exact_over_sequences(oracles.guessing_outcomes, n)
         assert result.e_y == e_y
         assert result.e_x_conditional == e_x
         assert result.p_undefined == p_undef
+
+
+COUNT_DRIVEN = {
+    "constant-plus": constant_plus,
+    "guessing": guessing_model,
+    "model101": model_101,
+    "guessing-last-tie": lambda: guessing_model(tie_break=lambda tied: tied[-1]),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_DRIVEN)
+def test_counts_engine_equals_brute_force(name):
+    factory = COUNT_DRIVEN[name]
+    for n in range(1, 8):
+        by_counts = exact_by_counts(factory(), n)
+        brute = exact_by_sequences(factory(), n, collect_distribution=True)
+        assert (by_counts.e_y, by_counts.e_x_conditional, by_counts.p_undefined) == (
+            brute.e_y,
+            brute.e_x_conditional,
+            brute.p_undefined,
+        ), f"n={n}"
+        assert exact_expectations(factory(), n) == by_counts
+
+
+class EchoesLastRound(SequentialStrategy):
+    """Full memory, not count-driven: each wing repeats the other's last outcome."""
+
+    memory_class = MemoryClass.FULL
+
+    def respond_alice(self, setting, view):
+        return view[-1].b if len(view) else 1
+
+    def respond_bob(self, setting, view):
+        return -view[-1].a if len(view) else 1
+
+
+def test_engine_follows_strategy_type_and_request(monkeypatch):
+    played = []
+    real_playout = enumerator.playout
+
+    def counted_playout(strategy, settings, rng=None):
+        played.append(strategy)
+        return real_playout(strategy, settings, rng)
+
+    monkeypatch.setattr(enumerator, "playout", counted_playout)
+    exact_expectations(guessing_model(tie_break=lambda tied: tied[-1]), 5)
+    assert played == []
+    echo = EchoesLastRound()
+    assert exact_expectations(echo, 3) == exact_by_sequences(echo, 3)
+    assert len(played) == 2 * 4 ** 3
+    guessing = guessing_model()
+    exact_expectations(guessing, 3, collect_distribution=True)
+    assert played[2 * 4 ** 3 :] == [guessing] * 4 ** 3
+
+
+def test_guessing_beats_three_in_x_beyond_brute_force_reach():
+    # E(X_N | defined) stays above 3, inside the memory-model bound, and
+    # its excess shrinks as N grows.
+    previous = None
+    for n in (12, 16, 20, 24, 32):
+        result = exact_expectations(guessing_model(), n, cap=n)
+        assert result.e_y == 3, f"n={n}"
+        assert 3 < result.e_x_conditional <= x_mean_bound(n, 0.25), f"n={n}"
+        assert previous is None or result.e_x_conditional < previous, f"n={n}"
+        previous = result.e_x_conditional
 
 
 def test_exact_x_undefined_below_four_rounds():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
 from chshsim.enumerator import exact_expectations, playout
 from chshsim.montecarlo import (
@@ -159,6 +160,26 @@ def test_estimate_undefined_x_handling():
     assert report.mean_x is None
     assert report.se_x is None
     assert report.tail_freq_x == 0
+
+
+@pytest.mark.parametrize(
+    "n, delta, score_counts, y_tail, x_tail",
+    [
+        # Y_N = 4 * 33 / 40 = 3.3 = 3 + delta: on the threshold, not beyond it.
+        (40, 0.3, (10, 10, 10, 3), 0, 0),
+        (40, 0.3, (10, 10, 10, 4), 1, 0),
+        # X_N = 3 + 6/11 = 39/11 = (3 + delta) / (1 - delta).
+        (44, 0.12, (11, 11, 11, 6), 1, 0),
+        (44, 0.12, (11, 11, 11, 7), 1, 1),
+    ],
+)
+def test_estimate_tail_thresholds_exact_at_boundary(monkeypatch, n, delta, score_counts, y_tail, x_tail):
+    # 0.3 and 0.12 both exceed their nearest binary floats, so cuts built
+    # from Fraction(delta) would count the on-threshold batches as beyond.
+    record = BatchCounts(0, score_counts, (n // 4,) * 4)
+    monkeypatch.setattr(montecarlo, "iter_batch_counts", lambda plan, force_general=False: iter([record]))
+    report = estimate(SimulationPlan(factory=constant_plus, n=n, batches=1, delta=delta))
+    assert (report.tail_freq_y, report.tail_freq_x) == (y_tail, x_tail)
 
 
 def test_estimate_quantum_matches_known_mean():
