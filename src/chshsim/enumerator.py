@@ -404,13 +404,17 @@ def _outcome_function(subject, seed) -> PlayoutFunction:
     raise TypeError(f"cannot check {subject!r} for signaling")
 
 
-def _toggled(pairs: tuple[SettingPair, ...], k: int, side: Side) -> tuple[SettingPair, ...]:
-    pair = pairs[k]
-    if side is Side.ALICE:
-        flipped = SettingPair(AliceSetting(1 - pair.alice), pair.bob)
-    else:
-        flipped = SettingPair(pair.alice, BobSetting(1 - pair.bob))
-    return pairs[:k] + (flipped,) + pairs[k + 1 :]
+def _outcome_mask(outcomes, n: int) -> int:
+    """One wing's run as an n-bit mask: bit k is set where round k gave -1."""
+    if len(outcomes) != n:
+        raise InvariantViolation(f"subject returned {len(outcomes)} outcomes for {n} rounds")
+    mask = 0
+    for k, outcome in enumerate(outcomes):
+        if outcome == -1:
+            mask |= 1 << k
+        elif outcome != 1:
+            raise InvariantViolation(f"subject produced non-outcome {outcome!r}")
+    return mask
 
 
 def no_signaling_check(
@@ -422,7 +426,12 @@ def no_signaling_check(
     leave the other wing's round-k outcome unchanged (later rounds may
     legitimately change through memory).  For collective subjects the
     whole watched wing must be unchanged.  Returns the first violation
-    found, if any.
+    in sequence order (then round, then Bob's toggle before Alice's),
+    if any.
+
+    The subject is a pure function of its settings, and every toggled
+    sequence is itself one of the 4^n, so each sequence is played once
+    and its two wings stored as outcome masks (16 bytes per sequence).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -431,35 +440,47 @@ def no_signaling_check(
     run = _outcome_function(subject, seed)
     collective = isinstance(subject, CollectiveStrategy)
 
-    checked = 0
-    for seq in itertools.product(range(4), repeat=n):
-        pairs = tuple(ALL_PAIRS[i] for i in seq)
-        base_a, base_b = run(pairs)
-        checked += 1
-        for k in range(n):
-            for toggled_side, watched_base, pick in (
-                (Side.BOB, base_a, 0),
-                (Side.ALICE, base_b, 1),
-            ):
-                alt = run(_toggled(pairs, k, toggled_side))[pick]
-                watched_side = Side.ALICE if toggled_side is Side.BOB else Side.BOB
-                if collective:
-                    bad = next(
-                        (j for j in range(n) if alt[j] != watched_base[j]), None
-                    )
-                else:
-                    bad = k if alt[k] != watched_base[k] else None
-                if bad is not None:
-                    return NoSignalingReport(
-                        passed=False,
-                        sequences_checked=checked,
-                        counterexample=SignalingCounterexample(
-                            settings=pairs,
-                            round_index=bad + 1,
-                            toggled_side=toggled_side,
-                            watched_side=watched_side,
-                            before=watched_base[bad],
-                            after=alt[bad],
-                        ),
-                    )
-    return NoSignalingReport(passed=True, sequences_checked=checked)
+    # Sequence i in product order plays pair index (i >> 2 (n-1-k)) & 3 in
+    # round k; Bob's setting is bit 0 of that digit and Alice's bit 1.
+    total = 4 ** n
+    masks = np.empty((2, total), dtype=np.int64)  # Alice's row, Bob's row
+    for i, pairs in enumerate(itertools.product(ALL_PAIRS, repeat=n)):
+        a, b = run(pairs)
+        masks[0, i] = _outcome_mask(a, n)
+        masks[1, i] = _outcome_mask(b, n)
+
+    # (toggled side, watched side, watched row, bit of the digit toggled)
+    toggles = ((Side.BOB, Side.ALICE, masks[0], 1), (Side.ALICE, Side.BOB, masks[1], 2))
+    # (sequence, round, toggle, rounds moved) of the earliest violation
+    first = None
+    for k in range(n):
+        for t, (_, _, watched, bit) in enumerate(toggles):
+            # Axis 1 is round k's pair index: reindexed by index ^ bit it
+            # lines each sequence up with its toggled partner.
+            grid = watched.reshape(4 ** k, 4, 4 ** (n - 1 - k))
+            moved = grid[:, np.arange(4) ^ bit, :].reshape(total)
+            moved ^= watched  # the watched rounds whose outcome changed
+            if not collective:
+                moved &= 1 << k
+            i = int(np.argmax(moved != 0))
+            if moved[i] and (first is None or (i, k, t) < first[:3]):
+                first = (i, k, t, int(moved[i]))
+    if first is None:
+        return NoSignalingReport(passed=True, sequences_checked=total)
+
+    i, _, t, moved = first
+    toggled_side, watched_side, watched, _ = toggles[t]
+    bad = (moved & -moved).bit_length() - 1
+    before = -1 if (int(watched[i]) >> bad) & 1 else 1
+    return NoSignalingReport(
+        passed=False,
+        sequences_checked=i + 1,
+        counterexample=SignalingCounterexample(
+            settings=tuple(ALL_PAIRS[(i >> 2 * (n - 1 - j)) & 3] for j in range(n)),
+            round_index=bad + 1,
+            toggled_side=toggled_side,
+            watched_side=watched_side,
+            before=before,
+            after=-before,
+        ),
+    )

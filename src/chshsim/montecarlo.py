@@ -296,6 +296,18 @@ class EstimateReport:
     wilson_x: tuple[float, float]
 
 
+def _se_y(n: int, r: int, k_sum: int, k_sqsum: int) -> float | None:
+    """Standard error of mean Y_N from r batches' scoring-round sums Σk and Σk².
+
+    r·Σk² − (Σk)² is exact in integers (it is r (r−1) times the sample
+    variance of k), so the only roundings are one division and one
+    square root; Σk² − (Σk)²/r in floats cancels once (Σk)² > 2^53.
+    """
+    if r < 2:
+        return None
+    return math.sqrt(16 * (r * k_sqsum - k_sum * k_sum) / (n * n * r * r * (r - 1)))
+
+
 def estimate(
     plan: SimulationPlan,
     batch_sink: Callable[[BatchCounts], None] | None = None,
@@ -340,10 +352,7 @@ def estimate(
                 x_tail += 1
 
     mean_y = Fraction(4 * k_sum, r * n)
-    se_y = None
-    if r > 1:
-        var_k = max(0.0, (k_sqsum - k_sum * k_sum / r) / (r - 1))
-        se_y = 4.0 / n * math.sqrt(var_k / r)
+    se_y = _se_y(n, r, k_sum, k_sqsum)
     mean_x = x_sum / defined if defined else None
     se_x = None
     if defined > 1:

@@ -149,3 +149,33 @@ def model101_branch_x_values():
 def log10_trigger_probability_via_lgamma():
     log_ways = math.lgamma(101) - 3 * math.lgamma(34) - math.lgamma(2)
     return (log_ways - 100 * math.log(4)) / math.log(10)
+
+
+def no_signaling_by_toggling(run, n, whole_run=False):
+    """Toggle-and-replay no-signaling check over all 4^n sequences.
+
+    ``run`` maps a tuple of pair indices to (Alice's outcomes, Bob's
+    outcomes).  Every sequence is replayed once per round and wing with
+    that wing's round-k setting flipped: bit 0 of a pair index is Bob's
+    setting, bit 1 Alice's.  The other wing's round-k outcome must not
+    move; with ``whole_run`` (collective subjects) none of its outcomes
+    may.  Returns (passed, sequences checked, first violation or None),
+    a violation being (pair indices, 1-based round, toggled wing,
+    watched wing, outcome before, outcome after).
+    """
+    checked = 0
+    for pairs in itertools.product(PAIRS, repeat=n):
+        base = run(pairs)
+        checked += 1
+        for k in range(n):
+            for toggled, flip, watched, watched_name in (
+                ("bob", 1, 0, "alice"),
+                ("alice", 2, 1, "bob"),
+            ):
+                toggled_pairs = pairs[:k] + (pairs[k] ^ flip,) + pairs[k + 1 :]
+                alt = run(toggled_pairs)[watched]
+                for j in range(n) if whole_run else (k,):
+                    if alt[j] != base[watched][j]:
+                        violation = (pairs, j + 1, toggled, watched_name, base[watched][j], alt[j])
+                        return False, checked, violation
+    return True, checked, None

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from chshsim import enumerator
 from chshsim.bounds import x_mean_bound
-from chshsim.core import ALL_PAIRS, MemoryClass, SettingPair, Side
+from chshsim.core import ALL_PAIRS, InvariantViolation, MemoryClass, SettingPair, Side
 from chshsim.enumerator import (
     INDEPENDENT_ROUNDS_CEILING,
     EnumerationCapError,
@@ -26,6 +26,7 @@ from chshsim.strategies import (
     DeterministicAssignment,
     SequentialStrategy,
     StochasticLHV,
+    all_assignments,
     collective_n2,
     constant_plus,
     from_stochastic,
@@ -337,3 +338,137 @@ def test_no_signaling_cap_and_domain():
         no_signaling_check(constant_plus(), 0)
     with pytest.raises(TypeError):
         no_signaling_check(object(), 2)
+
+
+class SignalsInLastRound(SequentialStrategy):
+    """Full memory; in the last round only, Bob reads Alice's current setting."""
+
+    memory_class = MemoryClass.FULL
+
+    def begin_playout(self, n, rng=None):
+        self._n = n
+
+    def respond_alice(self, setting, view):
+        self._alice = setting
+        return 1 if len(view) % 2 == 0 else -1
+
+    def respond_bob(self, setting, view):
+        if len(view) == self._n - 1:
+            return 1 if self._alice == 0 else -1
+        return view[-1].a if len(view) else 1
+
+
+def signals_late(pairs):
+    """Alice's last outcome follows Bob's last setting once Alice opened with A2."""
+    a = [1] * len(pairs)
+    if pairs[0].alice == 1 and pairs[-1].bob == 1:
+        a[-1] = -1
+    return tuple(a), tuple(1 for _ in pairs)
+
+
+def wings_copy_each_other(pairs):
+    """Each wing's outcome copies the other wing's current setting."""
+    return tuple(1 - 2 * p.bob for p in pairs), tuple(1 - 2 * p.alice for p in pairs)
+
+
+class CollectiveBobReadsAlice(CollectiveStrategy):
+    """Collective backchannel: Bob's whole run flips once Alice ever measures A2."""
+
+    def respond_alice(self, settings, rng=None):
+        self._alice = tuple(settings)
+        return tuple(1 for _ in settings)
+
+    def respond_bob(self, settings, rng=None):
+        outcome = -1 if 1 in self._alice else 1
+        return tuple(outcome for _ in settings)
+
+
+# subject factory, tape seed; every subject runs at n = 1..4 but collective-n2
+NOSIG_SUBJECTS = {
+    "constant-plus": (constant_plus, None),
+    "guessing": (guessing_model, None),
+    "model101": (model_101, None),
+    "guessing-last-tie": (COUNT_DRIVEN["guessing-last-tie"], None),
+    "uniform-mixture": (
+        lambda: from_stochastic(StochasticLHV.uniform(all_assignments())), 9
+    ),
+    "collective-n2": (collective_n2, None),
+    "quantum": (quantum_singlet_sampler, 5),
+    "bob-reads-alice": (BobReadsAlice, None),
+    "signals-in-last-round": (SignalsInLastRound, None),
+    "alice-copies-bob": (lambda: alice_copies_bob, None),
+    "signals-late": (lambda: signals_late, None),
+    "wings-copy-each-other": (lambda: wings_copy_each_other, None),
+    "collective-bob-reads-alice": (CollectiveBobReadsAlice, None),
+}
+
+
+@pytest.mark.parametrize("name", NOSIG_SUBJECTS)
+def test_no_signaling_check_equals_toggle_and_replay_oracle(name):
+    factory, seed = NOSIG_SUBJECTS[name]
+    for n in (2,) if name == "collective-n2" else range(1, 5):
+        subject = factory()
+        run = enumerator._outcome_function(subject, seed)
+        expected = oracles.no_signaling_by_toggling(
+            lambda indices: run(tuple(ALL_PAIRS[i] for i in indices)),
+            n,
+            whole_run=isinstance(subject, CollectiveStrategy),
+        )
+        report = no_signaling_check(subject, n, seed=seed)
+        ce = report.counterexample
+        got = (
+            report.passed,
+            report.sequences_checked,
+            None
+            if ce is None
+            else (
+                tuple(p.index for p in ce.settings),
+                ce.round_index,
+                ce.toggled_side.value,
+                ce.watched_side.value,
+                ce.before,
+                ce.after,
+            ),
+        )
+        assert got == expected, f"n={n}"
+
+
+def test_no_signaling_reports_late_first_violation():
+    for n, first_failure in zip(range(1, 5), (3, 9, 33, 129)):
+        report = no_signaling_check(signals_late, n)
+        assert report.sequences_checked == first_failure
+        assert report.counterexample.round_index == n
+        assert report.counterexample.toggled_side is Side.BOB
+    report = no_signaling_check(SignalsInLastRound(), 3)
+    assert not report.passed
+    assert report.counterexample.round_index == 3
+
+
+def test_no_signaling_plays_each_sequence_once(monkeypatch):
+    played = []
+    real_playout = enumerator.playout
+
+    def counted_playout(strategy, settings, rng=None):
+        played.append(tuple(settings))
+        return real_playout(strategy, settings, rng)
+
+    monkeypatch.setattr(enumerator, "playout", counted_playout)
+    assert no_signaling_check(guessing_model(), 3).passed
+    assert len(played) == 4 ** 3
+    assert len(set(played)) == 4 ** 3
+
+    calls = []
+
+    def counted_subject(pairs):
+        calls.append(pairs)
+        return alice_copies_bob(pairs)
+
+    assert not no_signaling_check(counted_subject, 4).passed
+    assert len(calls) == 4 ** 4
+
+
+def test_no_signaling_rejects_malformed_callable_runs():
+    with pytest.raises(InvariantViolation):
+        no_signaling_check(lambda pairs: ((1,) * len(pairs), (0,) * len(pairs)), 2)
+    with pytest.raises(InvariantViolation):
+        no_signaling_check(lambda pairs: ((1,), (1,)), 2)

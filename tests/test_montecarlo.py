@@ -23,7 +23,7 @@ from chshsim.montecarlo import (
     tail_compare,
     wilson_interval,
 )
-from chshsim.montecarlo import _kernel_model101
+from chshsim.montecarlo import _kernel_model101, _se_y
 from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
     DeterministicAssignment,
@@ -216,6 +216,24 @@ def test_estimate_single_batch_has_no_se():
     plan = SimulationPlan(factory=constant_plus, n=8, batches=1, seed=0)
     report = estimate(plan)
     assert report.se_y is None
+
+
+def test_se_y_exact_when_float_variance_would_cancel():
+    # k = (10^8, 10^8 + 1): (Σk)² > 2^53, sample variance 1/2, so the
+    # standard error of mean k is 1/2 and of mean Y_N it is 4/n * 1/2.
+    k = (10 ** 8, 10 ** 8 + 1)
+    assert _se_y(1, 2, sum(k), sum(v * v for v in k)) == 2.0
+    assert _se_y(4, 2, sum(k), sum(v * v for v in k)) == 0.5
+    big = 3 * 10 ** 9
+    assert _se_y(2, 3, 3 * big, 3 * big * big) == 0.0
+    assert _se_y(8, 1, 5, 25) is None
+    # A small case against the textbook formula.
+    k = (1, 4, 4, 7)
+    mean = sum(k) / 4
+    var = sum((v - mean) ** 2 for v in k) / 3
+    assert _se_y(6, 4, sum(k), sum(v * v for v in k)) == pytest.approx(
+        4 / 6 * math.sqrt(var / 4), rel=1e-15
+    )
 
 
 def test_batch_helpers():
