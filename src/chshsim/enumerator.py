@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -417,6 +418,17 @@ def _outcome_mask(outcomes, n: int) -> int:
     return mask
 
 
+def _run_table(n: int) -> array:
+    """One entry per setting sequence, -1 until that sequence is played.
+
+    A played entry holds both wings' outcome masks in 2n bits, so the
+    narrowest signed type that fits is used: 2 bytes per sequence up to
+    n = 7, 4 bytes up to n = 15 (4 MB at n = 10).
+    """
+    typecode = "h" if n <= 7 else "i" if n <= 15 else "q"
+    return array(typecode, [-1]) * 4 ** n
+
+
 def no_signaling_check(
     subject, n: int, cap: int = DEFAULT_ENUM_CAP, seed=None
 ) -> NoSignalingReport:
@@ -430,8 +442,10 @@ def no_signaling_check(
     if any.
 
     The subject is a pure function of its settings, and every toggled
-    sequence is itself one of the 4^n, so each sequence is played once
-    and its two wings stored as outcome masks (16 bytes per sequence).
+    sequence is itself one of the 4^n, so each sequence is played at
+    most once, when the scan first needs it, and its two wings kept as
+    outcome masks.  A passing subject is played 4^n times; a failing
+    one stops at its first violation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -440,47 +454,50 @@ def no_signaling_check(
     run = _outcome_function(subject, seed)
     collective = isinstance(subject, CollectiveStrategy)
 
-    # Sequence i in product order plays pair index (i >> 2 (n-1-k)) & 3 in
-    # round k; Bob's setting is bit 0 of that digit and Alice's bit 1.
-    total = 4 ** n
-    masks = np.empty((2, total), dtype=np.int64)  # Alice's row, Bob's row
-    for i, pairs in enumerate(itertools.product(ALL_PAIRS, repeat=n)):
+    def play(pairs) -> int:
         a, b = run(pairs)
-        masks[0, i] = _outcome_mask(a, n)
-        masks[1, i] = _outcome_mask(b, n)
+        return _outcome_mask(a, n) << n | _outcome_mask(b, n)
 
-    # (toggled side, watched side, watched row, bit of the digit toggled)
-    toggles = ((Side.BOB, Side.ALICE, masks[0], 1), (Side.ALICE, Side.BOB, masks[1], 2))
-    # (sequence, round, toggle, rounds moved) of the earliest violation
-    first = None
+    # Sequence i in product order plays pair index (i >> 2 * (n-1-k)) & 3
+    # in round k; Bob's setting is bit 0 of that digit and Alice's bit 1,
+    # so adding `step` to i toggles one wing's round-k setting.  A table
+    # entry holds Alice's mask above Bob's.
+    table = _run_table(n)
+    toggles = []  # in scan order: by round, Bob's toggle before Alice's
     for k in range(n):
-        for t, (_, _, watched, bit) in enumerate(toggles):
-            # Axis 1 is round k's pair index: reindexed by index ^ bit it
-            # lines each sequence up with its toggled partner.
-            grid = watched.reshape(4 ** k, 4, 4 ** (n - 1 - k))
-            moved = grid[:, np.arange(4) ^ bit, :].reshape(total)
-            moved ^= watched  # the watched rounds whose outcome changed
-            if not collective:
-                moved &= 1 << k
-            i = int(np.argmax(moved != 0))
-            if moved[i] and (first is None or (i, k, t) < first[:3]):
-                first = (i, k, t, int(moved[i]))
-    if first is None:
-        return NoSignalingReport(passed=True, sequences_checked=total)
-
-    i, _, t, moved = first
-    toggled_side, watched_side, watched, _ = toggles[t]
-    bad = (moved & -moved).bit_length() - 1
-    before = -1 if (int(watched[i]) >> bad) & 1 else 1
-    return NoSignalingReport(
-        passed=False,
-        sequences_checked=i + 1,
-        counterexample=SignalingCounterexample(
-            settings=tuple(ALL_PAIRS[(i >> 2 * (n - 1 - j)) & 3] for j in range(n)),
-            round_index=bad + 1,
-            toggled_side=toggled_side,
-            watched_side=watched_side,
-            before=before,
-            after=-before,
-        ),
-    )
+        watched = (1 << n) - 1 if collective else 1 << k
+        for toggled_side, bit, watched_bits in (
+            (Side.BOB, 1, watched << n),
+            (Side.ALICE, 2, watched),
+        ):
+            toggles.append((k, toggled_side, bit, bit << 2 * (n - 1 - k), watched_bits))
+    for i, pairs in enumerate(itertools.product(ALL_PAIRS, repeat=n)):
+        here = table[i]
+        if here < 0:
+            here = table[i] = play(pairs)
+        for k, toggled_side, bit, step, watched_bits in toggles:
+            if i & step:
+                # The partner comes earlier in sequence order, and the
+                # scan already compared the two when it passed it.
+                continue
+            there = table[i + step]
+            if there < 0:
+                toggled = pairs[:k] + (ALL_PAIRS[pairs[k].index + bit],) + pairs[k + 1 :]
+                there = table[i + step] = play(toggled)
+            moved = (here ^ there) & watched_bits
+            if moved:
+                lowest = (moved & -moved).bit_length() - 1
+                before = -1 if (here >> lowest) & 1 else 1
+                return NoSignalingReport(
+                    passed=False,
+                    sequences_checked=i + 1,
+                    counterexample=SignalingCounterexample(
+                        settings=pairs,
+                        round_index=lowest % n + 1,
+                        toggled_side=toggled_side,
+                        watched_side=Side.ALICE if toggled_side is Side.BOB else Side.BOB,
+                        before=before,
+                        after=-before,
+                    ),
+                )
+    return NoSignalingReport(passed=True, sequences_checked=4 ** n)

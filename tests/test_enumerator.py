@@ -404,16 +404,37 @@ NOSIG_SUBJECTS = {
 
 
 @pytest.mark.parametrize("name", NOSIG_SUBJECTS)
-def test_no_signaling_check_equals_toggle_and_replay_oracle(name):
+def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
+    # Same report as the oracle, with each sequence played at most once:
+    # all 4^n for a passing subject, no more than the oracle's replays
+    # for a failing one.
     factory, seed = NOSIG_SUBJECTS[name]
+    real_outcome_function = enumerator._outcome_function
+    played = []
+
+    def counted_outcome_function(subject, seed):
+        run = real_outcome_function(subject, seed)
+
+        def counted_run(pairs):
+            played.append(tuple(p.index for p in pairs))
+            return run(pairs)
+
+        return counted_run
+
+    monkeypatch.setattr(enumerator, "_outcome_function", counted_outcome_function)
     for n in (2,) if name == "collective-n2" else range(1, 5):
         subject = factory()
-        run = enumerator._outcome_function(subject, seed)
+        run = real_outcome_function(subject, seed)
+        replays = []
+
+        def replay(indices):
+            replays.append(indices)
+            return run(tuple(ALL_PAIRS[i] for i in indices))
+
         expected = oracles.no_signaling_by_toggling(
-            lambda indices: run(tuple(ALL_PAIRS[i] for i in indices)),
-            n,
-            whole_run=isinstance(subject, CollectiveStrategy),
+            replay, n, whole_run=isinstance(subject, CollectiveStrategy)
         )
+        played.clear()
         report = no_signaling_check(subject, n, seed=seed)
         ce = report.counterexample
         got = (
@@ -431,6 +452,11 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name):
             ),
         )
         assert got == expected, f"n={n}"
+        assert len(set(played)) == len(played), f"n={n}"
+        if report.passed:
+            assert len(played) == 4 ** n, f"n={n}"
+        else:
+            assert len(played) <= len(replays), f"n={n}"
 
 
 def test_no_signaling_reports_late_first_violation():
@@ -463,8 +489,12 @@ def test_no_signaling_plays_each_sequence_once(monkeypatch):
         calls.append(pairs)
         return alice_copies_bob(pairs)
 
-    assert not no_signaling_check(counted_subject, 4).passed
-    assert len(calls) == 4 ** 4
+    # A signaler stops at its first violation: sequence 1 and its
+    # round-1 Bob toggle are all it plays.
+    report = no_signaling_check(counted_subject, 4)
+    assert not report.passed
+    assert report.sequences_checked == 1
+    assert len(calls) == 2
 
 
 def test_no_signaling_rejects_malformed_callable_runs():
