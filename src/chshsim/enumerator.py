@@ -380,29 +380,30 @@ def _outcome_function(subject, seed) -> PlayoutFunction:
     """Normalize a check subject to a settings -> (a_outcomes, b_outcomes) map.
 
     Stochastic subjects replay the same fixed random tape on every call,
-    so toggles compare like with like.
+    so toggles compare like with like: one generator is built from the
+    seed and its saved state restored before each call.
     """
     if isinstance(subject, SequentialStrategy):
         if subject.stochastic and seed is None:
             raise ValueError("stochastic strategies need a seed for the exact check")
-
-        def run(pairs):
-            rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
-            t = playout(subject, pairs, rng)
-            return tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)
-
-        return run
-    if isinstance(subject, CollectiveStrategy):
-
-        def run(pairs):
-            rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
-            t = collective_playout(subject, pairs, rng)
-            return tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)
-
-        return run
-    if callable(subject):
+        engine = playout
+    elif isinstance(subject, CollectiveStrategy):
+        engine = collective_playout
+    elif callable(subject):
         return subject
-    raise TypeError(f"cannot check {subject!r} for signaling")
+    else:
+        raise TypeError(f"cannot check {subject!r} for signaling")
+
+    rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
+    tape = None if rng is None else rng.bit_generator.state
+
+    def run(pairs):
+        if rng is not None:
+            rng.bit_generator.state = tape
+        t = engine(subject, pairs, rng)
+        return tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)
+
+    return run
 
 
 def _outcome_mask(outcomes, n: int) -> int:

@@ -1,20 +1,27 @@
 """Seeded Monte Carlo simulation of strategies at scale.
 
 Each batch is one n-round experiment with independently uniform setting
-pairs.  Batch i draws everything from a dedicated stream derived as
-``SeedSequence(master_seed, spawn_key=(i,))``, so results do not depend
-on execution order or on how batches are partitioned, and any single
-batch can be replayed in isolation.  Within a batch the draw order is
-fixed: the n setting pairs first, then whatever tape the strategy needs.
+pairs.  Batch i draws everything from a dedicated stream,
+``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, so results
+do not depend on execution order or on how batches are partitioned, and
+any single batch can be replayed in isolation.  Within a batch the draw
+order is fixed: the n setting pairs first, then whatever tape the
+strategy needs.
 
 For the built-in strategies a vectorized scoring kernel reproduces the
-general round-by-round engine exactly (same streams, same draws); the
-engine remains the fallback for everything else.
+general round-by-round engine exactly; the engine remains the fallback
+for everything else.  The kernels seed a whole chunk of batches at once:
+they recompute each batch's PCG64 state in numpy, without building a
+``SeedSequence`` or ``Generator`` per batch, and let one reused PCG64
+draw each batch's words natively.  The draws are bit-identical to the
+per-batch generators, which the general engine still builds and which
+the tests use as the reference.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple
@@ -35,8 +42,6 @@ from .strategies import (
     SequentialStrategy,
     StochasticSequential,
 )
-
-_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -64,18 +69,14 @@ def batch_seed_sequence(seed: int, batch_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
 
 
-def _play(strategy, n: int, seed_seq) -> Transcript:
-    rng = np.random.default_rng(seed_seq)
+def run_batch(strategy, n: int, seed: int, batch_index: int = 0) -> Transcript:
+    """Simulate one batch; identical arguments give identical transcripts."""
+    rng = np.random.default_rng(batch_seed_sequence(seed, batch_index))
     idx = rng.integers(0, 4, size=n, dtype=np.uint8)
     pairs = [ALL_PAIRS[i] for i in idx]
     if isinstance(strategy, CollectiveStrategy):
         return collective_playout(strategy, pairs, rng)
     return playout(strategy, pairs, rng)
-
-
-def run_batch(strategy, n: int, seed: int, batch_index: int = 0) -> Transcript:
-    """Simulate one batch; identical arguments give identical transcripts."""
-    return _play(strategy, n, batch_seed_sequence(seed, batch_index))
 
 
 class BatchCounts(NamedTuple):
@@ -134,20 +135,170 @@ def _counts_from_transcript(batch: int, transcript: Transcript) -> BatchCounts:
     return BatchCounts(batch, tuple(score_counts), tuple(pair_counts))
 
 
+# --- per-batch streams, a chunk at a time --------------------------------
+#
+# Batch i's stream is a PCG64 seeded from
+# SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64).  Only the
+# spawn-key words differ between batches, and SeedSequence's sequence of
+# hash constants does not depend on the data, so the pool is mixed once
+# for the seed and then for all of a chunk's indices together in uint32
+# arithmetic.  The constants are numpy's (SeedSequence and PCG64).
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """SeedSequence's hash of a uint32 word (int or uint32 array), and the next constant."""
+    value = value ^ const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _mix_in(pool: list, word, const: int):
+    """Mix one entropy word beyond the pool size into every pool word."""
+    out = []
+    for p in pool:
+        h, const = _hashmix(word, const)
+        out.append(_mix(p, h))
+    return out, const
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence(seed, spawn_key=(i,))'s pool before the spawn key is mixed in,
+    and the hash constant reached there; neither depends on i."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _M32]
+    while seed := seed >> 32:
+        words.append(seed & _M32)
+    words += [0] * (4 - len(words))  # a spawn key pads the entropy to the pool size
+    const = _INIT_A
+    pool = []
+    for word in words[:4]:
+        h, const = _hashmix(word, const)
+        pool.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], h)
+    for word in words[4:]:
+        pool, const = _mix_in(pool, word, const)
+    return pool, const
+
+
+def _mulhi64(a, b: int):
+    """High 64 bits of the 128-bit products a * b for a uint64 array a."""
+    a0, a1 = a & _M32, a >> 32
+    b0, b1 = b & _M32, b >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """PCG64 states and increments of batches lo..hi-1, as
+    ``default_rng(batch_seed_sequence(seed, i))`` sets them."""
+    pool, const = _seed_pool(seed)
+    index = np.arange(lo, hi, dtype=np.uint64)
+    pool = [np.full(hi - lo, p, dtype=np.uint32) for p in pool]
+    mixed, const = _mix_in(pool, (index & _M32).astype(np.uint32), const)
+    wide = index >> 32  # indices >= 2^32 take a second spawn-key word
+    if wide.any():
+        two_words, _ = _mix_in(mixed, wide.astype(np.uint32), const)
+        mixed = [np.where(wide > 0, b, a) for a, b in zip(mixed, two_words)]
+    # generate_state(4, uint64): eight uint32 words, low word first in each uint64.
+    const = _INIT_B
+    words = []
+    for k in range(8):
+        h, const = _hashmix(mixed[k % 4], const, _MULT_B)
+        words.append(h.astype(np.uint64))
+    init_hi, init_lo, seq_hi, seq_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+    # PCG64's seeding in (hi, lo) uint64 halves: inc = 2 seq + 1,
+    # state = ((inc + init) * MULT + inc) mod 2^128.
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    s_lo = inc_lo + init_lo
+    s_hi = inc_hi + init_hi + (s_lo < inc_lo)
+    t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
+    t_lo = s_lo * _PCG_MULT_LO + inc_lo
+    t_hi += inc_hi + (t_lo < inc_lo)
+    return (
+        [h << 64 | l for h, l in zip(t_hi.tolist(), t_lo.tolist())],
+        [h << 64 | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())],
+    )
+
+
+def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
+    """Where a batch's uniforms start in its uint64 words, and how many words it draws.
+
+    integers(0, 4, n, uint8) takes ceil(n/4) uint32 words, as does the
+    coin tape; a uint64 gives two uint32 words, and random() takes whole
+    uint64 words after them.
+    """
+    uint32_words = -(-n // 4) * (2 if coins else 1)
+    start = -(-uint32_words // 2)
+    return start, start + (n if uniforms else 0)
+
+
+def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, uniforms: bool = False):
+    """Setting pairs and uniforms of batches lo..hi-1, one row per batch.
+
+    Equal to what ``default_rng(batch_seed_sequence(seed, i))`` gives
+    batch i: ``integers(0, 4, n, uint8)``, then (if ``coins``) an
+    ``integers(0, 2, n, uint8)`` tape, which is skipped, then (if
+    ``uniforms``) ``random(n)``; the uniforms are None otherwise.
+    Numpy's buffered Lemire method never rejects for ranges 4 and 2, so
+    a pair is the top two bits of one byte of a uint32 word, low byte
+    first.  Bytes are taken with shifts, independent of byte order.
+    """
+    start, m = _raw_words(n, coins, uniforms)
+    states, incs = _pcg64_states(seed, lo, hi)
+    bitgen = np.random.PCG64(0)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    block = np.empty((hi - lo, m), dtype=np.uint64)
+    for row, (s, inc) in enumerate(zip(states, incs)):
+        state["state"] = {"state": s, "inc": inc}
+        bitgen.state = state
+        block[row] = bitgen.random_raw(m)
+
+    words = block[:, : -(-n // 8)]  # the words holding the n pair bytes
+    pairs = np.empty((hi - lo, words.shape[1], 8), dtype=np.uint8)
+    for b in range(8):
+        pairs[:, :, b] = words >> (8 * b + 6)  # the cast keeps the low byte
+    pairs &= 3
+    pairs = pairs.reshape(hi - lo, -1)[:, :n]
+    if not uniforms:
+        return pairs, None
+    tape = block[:, start:]
+    tape >>= 11
+    return pairs, tape * 2.0 ** -53
+
+
 # --- vectorized scoring kernels -------------------------------------------
 #
-# A kernel maps a (batches, n) matrix of pair indices to a boolean matrix
-# of round scores, consuming each batch's generator exactly as the
-# strategy's begin_playout would.  Kernels are registered per concrete
-# strategy type and must reproduce the general engine bit for bit; the
-# test suite asserts this equivalence.
+# A kernel maps a (batches, n) matrix of pair indices, and the uniforms
+# its strategy draws, to a boolean matrix of round scores.  Kernels are
+# registered per concrete strategy type and must reproduce the general
+# engine bit for bit; the test suite asserts this equivalence.
 
 
-def _kernel_constant(strategy, pairs, rngs):
+def _kernel_constant(strategy, pairs, uniforms):
     return pairs != 3
 
 
-def _kernel_guessing(strategy, pairs, rngs):
+def _kernel_guessing(strategy, pairs, uniforms):
     n_batches, n = pairs.shape
     counts = np.zeros((n_batches, 4), dtype=np.int64)
     scores = np.empty((n_batches, n), dtype=bool)
@@ -164,7 +315,7 @@ def _kernel_guessing(strategy, pairs, rngs):
     return scores
 
 
-def _kernel_model101(strategy, pairs, rngs):
+def _kernel_model101(strategy, pairs, uniforms):
     scores = pairs != 3
     n = pairs.shape[1]
     if n >= 101:
@@ -181,45 +332,52 @@ def _kernel_model101(strategy, pairs, rngs):
     return scores
 
 
-def _kernel_quantum(strategy, pairs, rngs):
-    n_batches, n = pairs.shape
-    scores = np.empty((n_batches, n), dtype=bool)
-    for b, rng in enumerate(rngs):
-        rng.integers(0, 2, size=n, dtype=np.uint8)  # Alice's coin tape; scores don't use it
-        scores[b] = rng.random(n) < QUANTUM_SCORE_PROBABILITY
-    return scores
+def _kernel_quantum(strategy, pairs, uniforms):
+    # Alice's coin tape comes before the uniforms; scores don't use it.
+    return uniforms < QUANTUM_SCORE_PROBABILITY
 
 
-def _kernel_stochastic(strategy, pairs, rngs):
+def _kernel_stochastic(strategy, pairs, uniforms):
     support = strategy.lhv.support
     cumulative = np.cumsum([float(w) for w, _ in support])
     score_table = np.array(
         [[assignment.satisfies(p) for p in ALL_PAIRS] for _, assignment in support],
         dtype=bool,
     )
-    n_batches, n = pairs.shape
-    scores = np.empty((n_batches, n), dtype=bool)
-    for b, rng in enumerate(rngs):
-        picks = np.minimum(
-            np.searchsorted(cumulative, rng.random(n), side="right"),
-            len(support) - 1,
-        )
-        scores[b] = score_table[picks, pairs[b]]
-    return scores
+    picks = np.searchsorted(cumulative, uniforms, side="right")
+    np.minimum(picks, len(support) - 1, out=picks)
+    return score_table[picks, pairs]
+
+
+class _Kernel(NamedTuple):
+    score: Callable
+    coins: bool = False  # the strategy draws an n-coin tape after the pairs
+    uniforms: bool = False  # ... and then n uniforms, which it scores with
 
 
 _KERNELS = {
-    ConstantPlus: _kernel_constant,
-    GuessingModel: _kernel_guessing,
-    Model101: _kernel_model101,
-    QuantumSingletSampler: _kernel_quantum,
-    StochasticSequential: _kernel_stochastic,
+    ConstantPlus: _Kernel(_kernel_constant),
+    GuessingModel: _Kernel(_kernel_guessing),
+    Model101: _Kernel(_kernel_model101),
+    QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True),
+    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True),
 }
+
+#: Bytes of working arrays one kernel chunk may take; it holds at least
+#: one batch whatever n is.
+_CHUNK_BYTES = 16 << 20
+
+
+def _row_bytes(n: int, kernel: _Kernel) -> int:
+    """One batch's share of a chunk: its raw words, pairs, scores and two
+    tally masks, and for a uniform tape the floats and the int64 picks."""
+    _, m = _raw_words(n, kernel.coins, kernel.uniforms)
+    return 8 * m + 4 * n + (16 * n if kernel.uniforms else 0)
 
 
 def _find_kernel(strategy):
     kernel = _KERNELS.get(type(strategy))
-    if kernel is _kernel_guessing and strategy.tie_break is not None:
+    if type(strategy) is GuessingModel and strategy.tie_break is not None:
         return None  # only the canonical tie-break is vectorized
     return kernel
 
@@ -228,21 +386,21 @@ def iter_batch_counts(plan: SimulationPlan, force_general: bool = False) -> Iter
     """Per-batch tallies in batch order, via kernel or general engine."""
     strategy = plan.factory()
     n, batches = plan.n, plan.batches
-    children = np.random.SeedSequence(plan.seed).spawn(batches)
     kernel = None
     if not force_general and not isinstance(strategy, CollectiveStrategy):
         kernel = _find_kernel(strategy)
 
     if kernel is None:
         for i in range(batches):
-            yield _counts_from_transcript(i, _play(strategy, n, children[i]))
+            yield _counts_from_transcript(i, run_batch(strategy, n, plan.seed, i))
         return
 
-    for lo in range(0, batches, _CHUNK):
-        hi = min(lo + _CHUNK, batches)
-        rngs = [np.random.default_rng(children[i]) for i in range(lo, hi)]
-        pairs = np.stack([rng.integers(0, 4, size=n, dtype=np.uint8) for rng in rngs])
-        scores = kernel(strategy, pairs, rngs)
+    rows = max(1, _CHUNK_BYTES // _row_bytes(n, kernel))
+    for lo in range(0, batches, rows):
+        hi = min(lo + rows, batches)
+        pairs, uniforms = _chunk_draws(plan.seed, lo, hi, n, kernel.coins, kernel.uniforms)
+        scores = kernel.score(strategy, pairs, uniforms)
+        del uniforms  # the tally needs only pairs and scores
         score_counts = np.empty((hi - lo, 4), dtype=np.int64)
         pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
         for p in range(4):

@@ -195,6 +195,13 @@ def test_simulate_bad_weights_sum_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("strategy", ["quantum", "collective-n2"])
+def test_simulate_negative_seed_is_input_error(strategy, capsys):
+    # quantum runs on a kernel, collective-n2 on the general engine.
+    assert run_cli("simulate", "--strategy", strategy, "--n", "2", "--seed", "-1") == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+
+
 def test_nosig_passes_for_local_strategy(tmp_path):
     out = tmp_path / "nosig.json"
     assert run_cli("nosig", "--strategy", "guessing", "--n", "3", "--out", str(out)) == 0

@@ -1,7 +1,9 @@
 """Tests for the exact enumeration oracles."""
 
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -278,6 +280,27 @@ def test_no_signaling_stochastic_with_fixed_tape():
     assert no_signaling_check(from_stochastic(lhv), 2, seed=11).passed
     with pytest.raises(ValueError):
         no_signaling_check(from_stochastic(lhv), 2)
+
+
+@pytest.mark.parametrize(
+    "subject",
+    [from_stochastic(StochasticLHV.uniform(all_assignments())), quantum_singlet_sampler()],
+    ids=["uniform-mixture", "quantum"],
+)
+def test_stochastic_tape_is_restored_not_rebuilt(subject, monkeypatch):
+    # Every call must replay the tape a fresh Generator from the seed
+    # would draw, from one Generator built per check.
+    sequences = list(itertools.product(ALL_PAIRS, repeat=3))
+    fresh = []
+    for pairs in sequences:
+        t = playout(subject, pairs, np.random.default_rng(np.random.SeedSequence(7)))
+        fresh.append((tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)))
+    built = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+    run = enumerator._outcome_function(subject, 7)
+    assert [run(pairs) for pairs in sequences] == fresh
+    assert len(built) == 1
 
 
 def test_no_signaling_quantum_sampler_fails():

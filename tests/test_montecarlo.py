@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
@@ -23,7 +24,7 @@ from chshsim.montecarlo import (
     tail_compare,
     wilson_interval,
 )
-from chshsim.montecarlo import _kernel_model101, _se_y
+from chshsim.montecarlo import _chunk_draws, _find_kernel, _kernel_model101, _row_bytes, _se_y
 from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
     DeterministicAssignment,
@@ -92,6 +93,87 @@ def test_kernel_matches_general_engine(name):
     fast = list(iter_batch_counts(plan))
     slow = list(iter_batch_counts(plan, force_general=True))
     assert fast == slow
+
+
+def numpy_batch_draws(seed, index, n, coins):
+    """Batch ``index``'s pairs, coin tape (if ``coins``) and uniforms, from numpy's own Generator."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    pairs = rng.integers(0, 4, n, np.uint8)
+    coin_tape = rng.integers(0, 2, n, np.uint8) if coins else None
+    return pairs, coin_tape, rng.random(n)
+
+
+# Windows of batch indices: (base, offset, width); indices from 2^32 on
+# take a second spawn-key word, and one window straddles 2^32.
+INDEX_WINDOWS = hs.tuples(
+    hs.sampled_from((0, 2 ** 32 - 3, 2 ** 32, 2 ** 40 + 7, 2 ** 63)),
+    hs.integers(0, 50),
+    hs.integers(1, 4),
+)
+
+
+# Seeds from 2^128 on have more than four uint32 words, which SeedSequence
+# mixes in after its pool; Hypothesis rarely draws them from [0, 2^200).
+SEEDS = hs.one_of(hs.integers(0, 2 ** 128 - 1), hs.integers(2 ** 128, 2 ** 200 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=SEEDS, n=hs.integers(1, 70), window=INDEX_WINDOWS)
+def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window):
+    base, offset, width = window
+    lo = base + offset
+    hi = lo + width
+    pairs, none = _chunk_draws(seed, lo, hi, n)
+    quantum_pairs, after_coins = _chunk_draws(seed, lo, hi, n, coins=True, uniforms=True)
+    stochastic_pairs, after_pairs = _chunk_draws(seed, lo, hi, n, uniforms=True)
+    # The coin tape is skipped, not returned.  Its bytes are the ceil(n/4)
+    # uint32 words after the pairs' and a coin is a byte's top bit, so
+    # reading pairs at a longer n exposes the coins as pair >> 1.
+    pad = 4 * -(-n // 4)
+    longer, _ = _chunk_draws(seed, lo, hi, pad + n)
+    assert none is None
+    for row, index in enumerate(range(lo, hi)):
+        want_pairs, want_coins, want_uniforms = numpy_batch_draws(seed, index, n, coins=True)
+        _, _, want_uniforms_after_pairs = numpy_batch_draws(seed, index, n, coins=False)
+        assert np.array_equal(pairs[row], want_pairs)
+        assert np.array_equal(quantum_pairs[row], want_pairs)
+        assert np.array_equal(stochastic_pairs[row], want_pairs)
+        assert np.array_equal(longer[row, pad:] >> 1, want_coins)
+        assert np.array_equal(after_coins[row], want_uniforms)
+        assert np.array_equal(after_pairs[row], want_uniforms_after_pairs)
+
+
+def test_negative_seed_is_rejected_on_both_engines():
+    plan = SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=-1)
+    for force_general in (False, True):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            list(iter_batch_counts(plan, force_general=force_general))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=hs.sampled_from(sorted(FACTORIES)),
+    n=hs.integers(1, 120),
+    seed=hs.integers(0, 2 ** 70),
+    batches=hs.integers(2, 12),
+    data=hs.data(),
+)
+def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, data):
+    factory = FACTORIES[name]
+    plan = SimulationPlan(factory=factory, n=n, batches=batches, seed=seed)
+    rows = data.draw(hs.integers(1, batches - 1), label="rows per chunk")
+    chunks = []
+
+    def recording_draws(seed, lo, hi, *args):
+        chunks.append((lo, hi))
+        return _chunk_draws(seed, lo, hi, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(n, _find_kernel(factory())))
+        mp.setattr(montecarlo, "_chunk_draws", recording_draws)
+        fast = list(iter_batch_counts(plan))
+    assert chunks == [(lo, min(lo + rows, batches)) for lo in range(0, batches, rows)]
+    assert fast == list(iter_batch_counts(plan, force_general=True))
 
 
 def test_kernel_matches_general_engine_past_trigger_length():
