@@ -31,7 +31,7 @@ from .enumerator import (
 from .montecarlo import (
     BATCH_CSV_HEADER,
     SimulationPlan,
-    batch_csv_row,
+    batch_csv_rows,
     compare_tails,
     estimate,
 )
@@ -147,10 +147,12 @@ def _cmd_simulate(args) -> int:
         with open(args.batches_out, "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp, lineterminator="\n")
             writer.writerow(BATCH_CSV_HEADER)
-            report = estimate(
-                plan,
-                batch_sink=lambda rec: writer.writerow(batch_csv_row(rec, plan.n, plan.seed)),
-            )
+
+            def write_rows(tally):
+                for rows in batch_csv_rows(tally, plan.n, plan.seed):
+                    writer.writerows(rows)
+
+            report = estimate(plan, batch_sink=write_rows)
     else:
         report = estimate(plan)
     tails = compare_tails(report)

@@ -8,32 +8,37 @@ any single batch can be replayed in isolation.  Within a batch the draw
 order is fixed: the n setting pairs first, then whatever tape the
 strategy needs.
 
-For the built-in strategies a vectorized scoring kernel reproduces the
-general round-by-round engine exactly; the engine remains the fallback
-for everything else.  The kernels seed a whole chunk of batches at once:
-they recompute each batch's PCG64 state in numpy, without building a
-``SeedSequence`` or ``Generator`` per batch, and let one reused PCG64
+Batches run in chunks, and everything after the draws works on a whole
+chunk at once: a :class:`Tally` of per-pair counts, one row per batch,
+feeds both the aggregation in :func:`estimate` and the per-batch CSV
+rows.  For every strategy of the CLI catalogue a vectorized scoring
+kernel reproduces the general round-by-round engine exactly; the engine
+remains the fallback for every other strategy and the reference the
+tests hold the kernels to.  The kernels seed a whole chunk of batches at
+once: they recompute each batch's PCG64 state in numpy, without building
+a ``SeedSequence`` or ``Generator`` per batch, and let one reused PCG64
 draw each batch's words natively.  The draws are bit-identical to the
-per-batch generators, which the general engine still builds and which
-the tests use as the reference.
+per-batch generators, which the general engine still builds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import ALL_PAIRS, Transcript
+from .core import ALL_PAIRS, Round, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, playout
-from .stats import batch_statistics
+from .stats import batch_statistics, round_score
 from .strategies import (
     QUANTUM_SCORE_PROBABILITY,
+    CollectiveN2,
     CollectiveStrategy,
     ConstantPlus,
     GuessingModel,
@@ -122,6 +127,97 @@ def batch_csv_row(record: BatchCounts, n: int, seed: int) -> tuple:
         *record.score_counts,
         *record.pair_counts,
     )
+
+
+def _ratio(scores, totals):
+    """X_N of a batch as num / den, with den the product of its four pair totals.
+
+    Works alike on Python ints (one batch, exact) and on int64 arrays
+    (one batch per column); num <= 4 den since each score is at most its
+    total.
+    """
+    t01, t23 = totals[0] * totals[1], totals[2] * totals[3]
+    num01 = scores[0] * totals[1] + totals[0] * scores[1]
+    num23 = scores[2] * totals[3] + totals[2] * scores[3]
+    return num01 * t23 + num23 * t01, t01 * t23
+
+
+#: Below this X_N's denominator, it and the numerator (at most four times
+#: it) are exact float64 values, so one division rounds num / den
+#: correctly, to what ``float(Fraction(num, den))`` gives.
+_FLOAT_EXACT_DEN = 2 ** 51
+
+
+class Tally(NamedTuple):
+    """Per-pair counts of consecutive batches, one row per batch.
+
+    Row b is batch ``first + b``.  ``score_counts[b, i]`` counts its
+    rounds on ``ALL_PAIRS[i]`` that met their target, ``pair_counts[b, i]``
+    all its rounds on that pair; both are (B, 4) int64 arrays.
+    """
+
+    first: int
+    score_counts: np.ndarray
+    pair_counts: np.ndarray
+
+    def y(self, n: int) -> np.ndarray:
+        """Y_N of every batch, each the float of the exact 4k/n.
+
+        4k and n are exact float64 values, so the division rounds once.
+        """
+        return 4 * self.score_counts.sum(axis=1) / n
+
+    def x(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which batches have X_N defined, and X_N of those in batch order.
+
+        Each value is the float of the exact rational.  A batch whose
+        denominator may reach 2^51 (by a float estimate of it, good to
+        three roundings) is worked out in Python ints.
+        """
+        has_x = self.pair_counts.all(axis=1)
+        scores = self.score_counts[has_x].T
+        totals = self.pair_counts[has_x].T
+        small = np.prod(totals, axis=0, dtype=np.float64) < _FLOAT_EXACT_DEN / 2
+        if small.all():
+            num, den = _ratio(scores, totals)
+            return has_x, num / den
+        x = np.empty(totals.shape[1])
+        num, den = _ratio(scores[:, small], totals[:, small])
+        x[small] = num / den
+        big = ~small
+        x[big] = [
+            num / den
+            for num, den in itertools.starmap(_ratio, zip(scores[:, big].T.tolist(), totals[:, big].T.tolist()))
+        ]
+        return has_x, x
+
+
+#: Rows of per-batch CSV built at once, to bound the Python objects alive.
+_CSV_SLICE_ROWS = 1024
+
+
+def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[Iterable[tuple]]:
+    """The tally's per-batch CSV rows, laid out as :func:`batch_csv_row` lays
+    one out, in slices of at most ``_CSV_SLICE_ROWS`` rows for ``writerows``."""
+    y = tally.y(n)
+    has_x, x_defined = tally.x()
+    x = np.zeros(len(y))
+    x[has_x] = x_defined
+    for lo in range(0, len(y), _CSV_SLICE_ROWS):
+        hi = min(lo + _CSV_SLICE_ROWS, len(y))
+        x_col = list(map(repr, x[lo:hi].tolist()))
+        for i in np.flatnonzero(~has_x[lo:hi]).tolist():
+            x_col[i] = ""
+        yield zip(
+            range(tally.first + lo, tally.first + hi),
+            itertools.repeat(seed),
+            itertools.repeat(n),
+            map(repr, y[lo:hi].tolist()),
+            has_x[lo:hi].view(np.uint8).tolist(),
+            x_col,
+            *tally.score_counts[lo:hi].T.tolist(),
+            *tally.pair_counts[lo:hi].T.tolist(),
+        )
 
 
 def _counts_from_transcript(batch: int, transcript: Transcript) -> BatchCounts:
@@ -252,6 +348,10 @@ def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
     return start, start + (n if uniforms else 0)
 
 
+#: Raw words one ``random_raw`` call returns at most.
+_RAW_PIECE = 1 << 16
+
+
 def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, uniforms: bool = False):
     """Setting pairs and uniforms of batches lo..hi-1, one row per batch.
 
@@ -259,6 +359,9 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
     batch i: ``integers(0, 4, n, uint8)``, then (if ``coins``) an
     ``integers(0, 2, n, uint8)`` tape, which is skipped, then (if
     ``uniforms``) ``random(n)``; the uniforms are None otherwise.
+    A uniform comes as the uint64 word ``x >> 11`` whose ``random()`` is
+    ``(x >> 11) * 2**-53``, so kernels compare it with integer cut points
+    and no float copy of the tape is made.
     Numpy's buffered Lemire method never rejects for ranges 4 and 2, so
     a pair is the top two bits of one byte of a uint32 word, low byte
     first.  Bytes are taken with shifts, independent of byte order.
@@ -271,7 +374,12 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
     for row, (s, inc) in enumerate(zip(states, incs)):
         state["state"] = {"state": s, "inc": inc}
         bitgen.state = state
-        block[row] = bitgen.random_raw(m)
+        if m <= _RAW_PIECE:
+            block[row] = bitgen.random_raw(m)
+            continue
+        # The stream continues across calls; pieces bound the copy's temporary.
+        for a in range(0, m, _RAW_PIECE):
+            block[row, a : a + _RAW_PIECE] = bitgen.random_raw(min(_RAW_PIECE, m - a))
 
     words = block[:, : -(-n // 8)]  # the words holding the n pair bytes
     pairs = np.empty((hi - lo, words.shape[1], 8), dtype=np.uint8)
@@ -283,15 +391,17 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
         return pairs, None
     tape = block[:, start:]
     tape >>= 11
-    return pairs, tape * 2.0 ** -53
+    return pairs, tape
 
 
 # --- vectorized scoring kernels -------------------------------------------
 #
 # A kernel maps a (batches, n) matrix of pair indices, and the uniforms
-# its strategy draws, to a boolean matrix of round scores.  Kernels are
-# registered per concrete strategy type and must reproduce the general
-# engine bit for bit; the test suite asserts this equivalence.
+# its strategy draws (as 53-bit integers), to a boolean matrix of round
+# scores.  It receives the strategy, or what its ``prepare`` built from
+# the strategy once per plan.  Kernels are registered per concrete
+# strategy type and must reproduce the general engine bit for bit; the
+# test suite asserts this equivalence.
 
 
 def _kernel_constant(strategy, pairs, uniforms):
@@ -332,27 +442,71 @@ def _kernel_model101(strategy, pairs, uniforms):
     return scores
 
 
+#: A uniform u = (x >> 11) 2^-53 is below p iff x >> 11 is below p 2^53,
+#: an integer: p lies in [1/2, 1), where float64 steps are 2^-53.
+_QUANTUM_CUT = int(QUANTUM_SCORE_PROBABILITY * 2 ** 53)
+
+
 def _kernel_quantum(strategy, pairs, uniforms):
     # Alice's coin tape comes before the uniforms; scores don't use it.
-    return uniforms < QUANTUM_SCORE_PROBABILITY
+    return uniforms < _QUANTUM_CUT
 
 
-def _kernel_stochastic(strategy, pairs, uniforms):
+def _stochastic_tables(strategy):
+    """A mixture's integer cut points and its (assignment, pair) score table.
+
+    The general engine picks the first assignment whose float cumulative
+    weight c exceeds u; u >= c iff x >> 11 >= ceil(c 2^53), and c 2^53 is
+    exact.  The table is flattened for one index per round.
+    """
     support = strategy.lhv.support
     cumulative = np.cumsum([float(w) for w, _ in support])
-    score_table = np.array(
+    cuts = np.array([math.ceil(c * 2 ** 53) for c in cumulative.tolist()], dtype=np.uint64)
+    table = np.array(
         [[assignment.satisfies(p) for p in ALL_PAIRS] for _, assignment in support],
         dtype=bool,
     )
-    picks = np.searchsorted(cumulative, uniforms, side="right")
-    np.minimum(picks, len(support) - 1, out=picks)
-    return score_table[picks, pairs]
+    return cuts, table.ravel()
+
+
+def _kernel_stochastic(tables, pairs, uniforms):
+    cuts, table = tables
+    picks = np.searchsorted(cuts, uniforms, side="right")
+    np.minimum(picks, len(cuts) - 1, out=picks)
+    picks *= 4
+    picks += pairs
+    return table[picks]
+
+
+def _collective_table(strategy):
+    """Round scores of a two-round collective strategy by (pair 1, pair 2, round).
+
+    Built from the strategy's own responders, called as
+    :func:`~chshsim.enumerator.collective_playout` calls them.
+    """
+    table = np.empty((4, 4, 2), dtype=bool)
+    for first, second in itertools.product(ALL_PAIRS, repeat=2):
+        a = strategy.respond_alice((first.alice, second.alice))
+        b = strategy.respond_bob((first.bob, second.bob))
+        table[first.index, second.index] = [
+            round_score(Round(k + 1, pair, a[k], b[k])) for k, pair in enumerate((first, second))
+        ]
+    return table
+
+
+def _kernel_collective(table, pairs, uniforms):
+    # The general engine draws two side seeds after the pairs, which
+    # collective-n2 ignores.
+    return table[pairs[:, 0], pairs[:, 1]]
 
 
 class _Kernel(NamedTuple):
     score: Callable
     coins: bool = False  # the strategy draws an n-coin tape after the pairs
     uniforms: bool = False  # ... and then n uniforms, which it scores with
+    round_bytes: int = 0  # bytes per round the score takes beyond its result
+    prepare: Callable | None = None  # strategy -> what ``score`` receives instead
+    rounds: int | None = None  # the only n the kernel serves, if one
 
 
 _KERNELS = {
@@ -360,19 +514,32 @@ _KERNELS = {
     GuessingModel: _Kernel(_kernel_guessing),
     Model101: _Kernel(_kernel_model101),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True),
-    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True),
+    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=16, prepare=_stochastic_tables),
+    CollectiveN2: _Kernel(_kernel_collective, prepare=_collective_table, rounds=2),
 }
 
-#: Bytes of working arrays one kernel chunk may take; it holds at least
-#: one batch whatever n is.
+#: Bytes of working arrays one chunk may take; it holds at least one
+#: batch whatever n is.
 _CHUNK_BYTES = 16 << 20
+
+#: A batch's bytes in its chunk's tally and in the aggregation's and CSV
+#: sink's per-batch arrays, which a general-engine chunk holds alone.
+_TALLY_ROW_BYTES = 256
+
+#: What a kernel chunk's PCG64 seeding takes per batch beyond the tally's
+#: share.  Seeding ends before the tally exists and peaks, under
+#: tracemalloc, at about 450 B per batch: numpy words, then a state and
+#: an increment as 128-bit Python ints in lists.
+_SEED_ROW_BYTES = 256
 
 
 def _row_bytes(n: int, kernel: _Kernel) -> int:
-    """One batch's share of a chunk: its raw words, pairs, scores and two
-    tally masks, and for a uniform tape the floats and the int64 picks."""
+    """One batch's share of a kernel chunk: the per-batch arrays, and per
+    round its raw words, its pair bytes with one shifted word plane, its
+    scores, a tally mask and what the score takes besides."""
     _, m = _raw_words(n, kernel.coins, kernel.uniforms)
-    return 8 * m + 4 * n + (16 * n if kernel.uniforms else 0)
+    pair_bytes = 8 * -(-n // 8)
+    return _SEED_ROW_BYTES + _TALLY_ROW_BYTES + 8 * m + 2 * pair_bytes + (2 + kernel.round_bytes) * n
 
 
 def _find_kernel(strategy):
@@ -382,37 +549,57 @@ def _find_kernel(strategy):
     return kernel
 
 
-def iter_batch_counts(plan: SimulationPlan, force_general: bool = False) -> Iterable[BatchCounts]:
-    """Per-batch tallies in batch order, via kernel or general engine."""
+def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int) -> Tally:
+    pairs, uniforms = _chunk_draws(seed, lo, hi, n, kernel.coins, kernel.uniforms)
+    scores = kernel.score(scorer, pairs, uniforms)
+    del uniforms  # the tally needs only pairs and scores
+    score_counts = np.empty((hi - lo, 4), dtype=np.int64)
+    pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
+    for p in range(4):
+        mask = pairs == p
+        pair_counts[:, p] = mask.sum(axis=1)
+        mask &= scores
+        score_counts[:, p] = mask.sum(axis=1)
+    return Tally(lo, score_counts, pair_counts)
+
+
+def _general_tally(strategy, n: int, seed: int, lo: int, hi: int) -> Tally:
+    score_counts = np.empty((hi - lo, 4), dtype=np.int64)
+    pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
+    for row, i in enumerate(range(lo, hi)):
+        record = _counts_from_transcript(i, run_batch(strategy, n, seed, i))
+        score_counts[row] = record.score_counts
+        pair_counts[row] = record.pair_counts
+    return Tally(lo, score_counts, pair_counts)
+
+
+def _iter_tallies(plan: SimulationPlan, force_general: bool = False) -> Iterator[Tally]:
+    """Tallies of all batches in batch order, one per chunk, via kernel or general engine."""
     strategy = plan.factory()
-    n, batches = plan.n, plan.batches
-    kernel = None
-    if not force_general and not isinstance(strategy, CollectiveStrategy):
-        kernel = _find_kernel(strategy)
+    n, batches, seed = plan.n, plan.batches, plan.seed
+    kernel = None if force_general else _find_kernel(strategy)
+    if kernel is not None and kernel.rounds not in (None, n):
+        kernel = None  # the general engine reports what the strategy makes of n
 
     if kernel is None:
-        for i in range(batches):
-            yield _counts_from_transcript(i, run_batch(strategy, n, plan.seed, i))
+        rows = max(1, _CHUNK_BYTES // _TALLY_ROW_BYTES)
+        for lo in range(0, batches, rows):
+            yield _general_tally(strategy, n, seed, lo, min(lo + rows, batches))
         return
 
+    scorer = strategy if kernel.prepare is None else kernel.prepare(strategy)
     rows = max(1, _CHUNK_BYTES // _row_bytes(n, kernel))
     for lo in range(0, batches, rows):
-        hi = min(lo + rows, batches)
-        pairs, uniforms = _chunk_draws(plan.seed, lo, hi, n, kernel.coins, kernel.uniforms)
-        scores = kernel.score(strategy, pairs, uniforms)
-        del uniforms  # the tally needs only pairs and scores
-        score_counts = np.empty((hi - lo, 4), dtype=np.int64)
-        pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
-        for p in range(4):
-            mask = pairs == p
-            pair_counts[:, p] = mask.sum(axis=1)
-            score_counts[:, p] = (mask & scores).sum(axis=1)
-        for b in range(hi - lo):
-            yield BatchCounts(
-                lo + b,
-                tuple(score_counts[b].tolist()),
-                tuple(pair_counts[b].tolist()),
-            )
+        yield _kernel_tally(kernel, scorer, n, seed, lo, min(lo + rows, batches))
+
+
+def iter_batch_counts(plan: SimulationPlan, force_general: bool = False) -> Iterable[BatchCounts]:
+    """Per-batch tallies in batch order, via kernel or general engine: the
+    chunk tallies one batch at a time."""
+    for tally in _iter_tallies(plan, force_general):
+        counts = zip(tally.score_counts.tolist(), tally.pair_counts.tolist())
+        for b, (scores, totals) in enumerate(counts, start=tally.first):
+            yield BatchCounts(b, tuple(scores), tuple(totals))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -466,23 +653,46 @@ def _se_y(n: int, r: int, k_sum: int, k_sqsum: int) -> float | None:
     return math.sqrt(16 * (r * k_sqsum - k_sum * k_sum) / (n * n * r * r * (r - 1)))
 
 
+def _k_sums(k: np.ndarray) -> tuple[int, int]:
+    """Σk and Σk² of a chunk's scoring-round counts, exactly."""
+    top = int(k.max())
+    if top * top * len(k) < 2 ** 63:
+        return int(k.sum()), int(k @ k)
+    values = k.tolist()
+    return sum(values), sum(v * v for v in values)
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """``total`` plus each value in turn, rounding after every addition as
+    a Python loop does; ``np.sum`` adds pairwise and rounds differently."""
+    terms = np.empty(len(values) + 1)
+    terms[0] = total
+    terms[1:] = values
+    return float(np.add.accumulate(terms, out=terms)[-1])
+
+
 def estimate(
     plan: SimulationPlan,
-    batch_sink: Callable[[BatchCounts], None] | None = None,
+    batch_sink: Callable[[Tally], None] | None = None,
     force_general: bool = False,
 ) -> EstimateReport:
     """Run all batches and aggregate; identical plans give identical reports.
 
-    ``batch_sink``, if given, receives every :class:`BatchCounts` in
-    batch order (e.g. to stream a per-batch CSV).
+    Batches are folded one chunk at a time, with the same roundings, in
+    the same batch order, as one batch at a time.  ``batch_sink``, if
+    given, receives every chunk's :class:`Tally` in batch order (e.g. to
+    stream a per-batch CSV).
     """
     n, r = plan.n, plan.batches
     # The decimal delta, not the binary float: Fraction(0.3) < 3/10 would
     # count a batch with Y_N = 3.3 exactly as Y_N > 3.3.
     delta = Fraction(str(plan.delta))
-    # Y_N > 3 + delta  <=>  scoring rounds > n (3 + delta) / 4, exactly.
-    y_cut = n * (3 + delta) / 4
+    # Y_N > 3 + delta  <=>  scoring rounds k > n (3 + delta) / 4  <=>  k > its floor.
+    k_cut = math.floor(n * (3 + delta) / 4)
     x_cut = (3 + delta) / (1 - delta)
+    # Rounding is monotone, so a float X_N above (below) the rounded cut
+    # is above (below) the cut; only equal floats need the exact compare.
+    x_cut_float = float(x_cut)
 
     k_sum = 0
     k_sqsum = 0
@@ -492,22 +702,27 @@ def estimate(
     x_sqsum = 0.0
     x_tail = 0
 
-    for record in iter_batch_counts(plan, force_general=force_general):
+    for tally in _iter_tallies(plan, force_general):
         if batch_sink is not None:
-            batch_sink(record)
-        k = sum(record.score_counts)
-        k_sum += k
-        k_sqsum += k * k
-        if k > y_cut:
-            y_tail += 1
-        x = batch_x(record)
-        if x is not None:
-            defined += 1
-            xf = float(x)
-            x_sum += xf
-            x_sqsum += xf * xf
-            if x > x_cut:
-                x_tail += 1
+            batch_sink(tally)
+        k = tally.score_counts.sum(axis=1)
+        k_chunk, k_sq_chunk = _k_sums(k)
+        k_sum += k_chunk
+        k_sqsum += k_sq_chunk
+        y_tail += int(np.count_nonzero(k > k_cut))
+        has_x, x = tally.x()
+        if not len(x):
+            continue
+        defined += len(x)
+        x_sum = _add_in_order(x_sum, x)
+        x_sqsum = _add_in_order(x_sqsum, x * x)
+        x_tail += int(np.count_nonzero(x > x_cut_float))
+        tied = np.flatnonzero(x == x_cut_float)
+        if len(tied):
+            rows = np.flatnonzero(has_x)[tied]
+            for scores, totals in zip(tally.score_counts[rows].tolist(), tally.pair_counts[rows].tolist()):
+                num, den = _ratio(scores, totals)
+                x_tail += num * x_cut.denominator > x_cut.numerator * den
 
     mean_y = Fraction(4 * k_sum, r * n)
     se_y = _se_y(n, r, k_sum, k_sqsum)
@@ -537,13 +752,27 @@ def estimate(
 
 @dataclass(frozen=True)
 class TailComparison:
-    """Empirical tail frequencies next to their analytic bounds."""
+    """Empirical tail frequencies next to their analytic bounds.
+
+    A ratio is 0 when its tail was never seen, and ``None`` (undefined)
+    when it was but the bound is so small (it underflows to 0 from about
+    N = 445,000 at delta = 0.1) that the ratio is no finite float.
+    """
 
     report: EstimateReport
     y_bound: float
-    y_ratio: float
+    y_ratio: float | None
     x_bound: float
-    x_ratio: float
+    x_ratio: float | None
+
+
+def _tail_ratio(freq: Fraction, bound: float) -> float | None:
+    if freq == 0:
+        return 0.0
+    if bound == 0.0:
+        return None
+    ratio = float(freq) / bound
+    return ratio if math.isfinite(ratio) else None
 
 
 def compare_tails(report: EstimateReport) -> TailComparison:
@@ -552,9 +781,9 @@ def compare_tails(report: EstimateReport) -> TailComparison:
     return TailComparison(
         report=report,
         y_bound=y_bound,
-        y_ratio=float(report.tail_freq_y) / y_bound,
+        y_ratio=_tail_ratio(report.tail_freq_y, y_bound),
         x_bound=x_bound,
-        x_ratio=float(report.tail_freq_x) / x_bound,
+        x_ratio=_tail_ratio(report.tail_freq_x, x_bound),
     )
 
 

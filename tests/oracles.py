@@ -179,3 +179,50 @@ def no_signaling_by_toggling(run, n, whole_run=False):
                         violation = (pairs, j + 1, toggled, watched_name, base[watched][j], alt[j])
                         return False, checked, violation
     return True, checked, None
+
+
+def fold_batches(batches, n, delta_text):
+    """Aggregate per-batch counts one batch at a time, in exact rationals.
+
+    ``batches`` holds (scoring counts, pair totals) per batch, four each
+    in pair order; ``delta_text`` is the decimal tail threshold.  Y_N and
+    X_N are exact; the ratio statistic is summed in floats in batch order,
+    which is how the simulator defines its mean and standard error.
+    Returns the report fields (mean_y, se_y, mean_x, se_x,
+    undefined_count, tail_freq_y, tail_freq_x).
+    """
+    delta = Fraction(delta_text)
+    y_cut = 3 + delta
+    x_cut = (3 + delta) / (1 - delta)
+    ys = []
+    y_tail = x_tail = defined = 0
+    x_sum = x_sqsum = 0.0
+    for scores, totals in batches:
+        y = Fraction(4 * sum(scores), n)
+        ys.append(y)
+        y_tail += y > y_cut
+        if all(totals):
+            x = sum(Fraction(s, t) for s, t in zip(scores, totals))
+            defined += 1
+            xf = float(x)
+            x_sum += xf
+            x_sqsum += xf * xf
+            x_tail += x > x_cut
+    r = len(ys)
+    mean_y = sum(ys) / r
+    se_y = None
+    if r > 1:
+        variance = sum((y - mean_y) ** 2 for y in ys) / (r - 1)
+        se_y = math.sqrt(variance / r)
+    se_x = None
+    if defined > 1:
+        se_x = math.sqrt(max(0.0, (x_sqsum - x_sum * x_sum / defined) / (defined - 1)) / defined)
+    return {
+        "mean_y": mean_y,
+        "se_y": se_y,
+        "mean_x": x_sum / defined if defined else None,
+        "se_x": se_x,
+        "undefined_count": r - defined,
+        "tail_freq_y": Fraction(y_tail, r),
+        "tail_freq_x": Fraction(x_tail, r),
+    }

@@ -197,9 +197,42 @@ def test_simulate_bad_weights_sum_is_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("strategy", ["quantum", "collective-n2"])
 def test_simulate_negative_seed_is_input_error(strategy, capsys):
-    # quantum runs on a kernel, collective-n2 on the general engine.
+    # Both run on kernels, which seed a whole chunk of batches at once.
     assert run_cli("simulate", "--strategy", strategy, "--n", "2", "--seed", "-1") == 2
     assert "expected non-negative integer" in capsys.readouterr().err
+
+
+def test_simulate_collective_beyond_two_rounds_is_input_error(capsys):
+    assert run_cli("simulate", "--strategy", "collective-n2", "--n", "3") == 2
+    assert capsys.readouterr().err == "error: collective-n2 is defined for exactly 2 rounds, got 3\n"
+
+
+# From about N = 445,000 at delta = 0.1 the f bound underflows to 0.0.
+UNDERFLOW_N = "450000"
+
+
+def test_simulate_tail_ratio_is_zero_for_an_unseen_tail_when_f_underflows(tmp_path):
+    out = tmp_path / "out.json"
+    argv = ("simulate", "--strategy", "constant-plus", "--n", UNDERFLOW_N, "--batches", "1")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    payload = read_json(out)
+    assert payload["y_tail_bound"] == payload["x_tail_bound"] == 0.0
+    assert payload["tail_freq_y"]["fraction"] == payload["tail_freq_x"]["fraction"] == "0"
+    assert payload["y_tail_ratio"] == payload["x_tail_ratio"] == 0.0
+
+
+def test_simulate_tail_ratio_is_null_for_a_seen_tail_when_f_underflows(tmp_path):
+    # The quantum sampler's Y_N sits near 3.41, above 3 + delta, in every batch.
+    out, csv_out = tmp_path / "out.json", tmp_path / "out.csv"
+    argv = ("simulate", "--strategy", "quantum", "--n", UNDERFLOW_N, "--batches", "1")
+    assert run_cli(*argv, "--out", str(out)) == 0
+    text = out.read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    payload = json.loads(text)
+    assert payload["y_tail_bound"] == 0.0 and payload["tail_freq_y"]["fraction"] == "1"
+    assert payload["y_tail_ratio"] is None
+    assert run_cli(*argv, "--out", str(csv_out), "--format", "csv") == 0
+    assert read_kv_csv(csv_out)["y_tail_ratio"] == ""
 
 
 def test_nosig_passes_for_local_strategy(tmp_path):

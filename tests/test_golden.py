@@ -1,0 +1,96 @@
+"""Golden outputs: SHA-256 digests of seeded ``simulate`` runs.
+
+Criterion 9 compares reruns of one version with each other; these digests
+pin the bytes of the JSON summary and the per-batch CSV across versions,
+so a refactor of the engines, the tally or the aggregation cannot change
+a seeded result unnoticed.  The chunk budget is shrunk so that every run
+crosses several chunk boundaries.  A digest may change only with a
+deliberate change of the output format or of the stream derivation,
+recorded as such.
+"""
+
+import hashlib
+
+import pytest
+
+from chshsim import cli, montecarlo
+
+SEED = 7
+
+#: Batches per run by rounds per batch.
+BATCHES = {2: 3001, 4: 3001, 1000: 301}
+
+#: A chunk budget small enough that each run spans several chunks.
+CHUNK_BYTES = 64 << 10
+
+#: Non-dyadic weights, so the mixture's float cut points are rounded.
+WEIGHTS = "weight,a1,a2,b1,b2\n1/10,+1,+1,+1,+1\n7/30,+1,-1,-1,+1\n2/3,-1,-1,-1,-1\n"
+
+#: (strategy, n) -> (digest of the JSON summary, digest of --batches-out).
+GOLDEN = {
+    ("constant-plus", 4): (
+        "5d92db99b8720d30bd1ea5dc3b6d16539c03344bcecf7e61802e888c7e8abfe5",
+        "27505c96111399dadee075e179e27eba5a0ad4a5fc915b71bf0716bcb5933423",
+    ),
+    ("constant-plus", 1000): (
+        "7436c5bea1f1d93d2e23b7ae3e7c5c54bdd21bdfc3a2c7973fef785a0152995e",
+        "62da67ec3cdc9db1403a820795b4e47b39f64c901290482a5cf5b62af540b238",
+    ),
+    ("guessing", 4): (
+        "a8bff063f0c9cfe9ed37094705cec9b363c8e57d3c7b2a2fb5ded3990ceb5d92",
+        "597b5442f8fee7e6f08dcf78c67a1bb71a274d5184ca224fbdf0123c03c93b2e",
+    ),
+    ("guessing", 1000): (
+        "e3dcefec35945fda3653066597d2a5bcf606c1b8514e58e6888f151944b8bb3f",
+        "1af62a459a270295aa80b21a990c0bea63abc522fe1d130a64bb34a7184ecdc6",
+    ),
+    ("model101", 4): (
+        "535c0fe00f0013177ddb8f4322103a20391b24880f4d7d5d09368d45f4d0dc5d",
+        "27505c96111399dadee075e179e27eba5a0ad4a5fc915b71bf0716bcb5933423",
+    ),
+    ("model101", 1000): (
+        "27c900b573e5ccc7f46fcd31a3b061caef425b18c71b2c26886a9ea1106fd18f",
+        "62da67ec3cdc9db1403a820795b4e47b39f64c901290482a5cf5b62af540b238",
+    ),
+    ("quantum", 4): (
+        "4c77df5707beb12789f6111981433a2bbab3093246f26126c151b320e25cd2c2",
+        "fd894c3e848d944edb8b2f177d1656627a9a7d22257c55c5115d799b1e5b9d64",
+    ),
+    ("quantum", 1000): (
+        "7ac4ca4ac491a4ee64f8d3342cdea7c21158e1ae1c9005f641fe03f04d6812b5",
+        "b97bba06cbe28b186302934dfd5e62f986e3874f3673d7b56a5924d758cbfcae",
+    ),
+    ("stochastic-lhv", 4): (
+        "58b142e9f29ccc712c87db27dcdef4c1fba37c37c6507cdc2a0a890a7dacb4e7",
+        "1f691db9461f312243c2d89b8bee54fd0be41ff5644a409e0bf5bcf58c20f443",
+    ),
+    ("stochastic-lhv", 1000): (
+        "9ab334fd93dff2ddb286d3b6d51c0e0802374193a53a9871988ad1d60308fa90",
+        "7b3bbe5440f35154355b81ef0b113c524930a7c700c3012dc5c6a6e5e4074c35",
+    ),
+    # The collective model is defined for two rounds only.
+    ("collective-n2", 2): (
+        "4be87c2170fcd3b18f64607a556b1bee4f1c61bd56b0ccc07ee0bb9471cad94d",
+        "54646bbc057c5ecb240bc9af3f20a59143aa3e47aa0d56dcad1d439c1401d1c2",
+    ),
+}
+
+
+def simulate_digests(strategy, n, tmp_path):
+    weights = tmp_path / "weights.csv"
+    weights.write_text(WEIGHTS)
+    out, batches_out = tmp_path / "summary.json", tmp_path / "batches.csv"
+    argv = [
+        "simulate", "--strategy", strategy, "--n", str(n), "--batches", str(BATCHES[n]),
+        "--seed", str(SEED), "--out", str(out), "--batches-out", str(batches_out),
+    ]
+    if strategy == "stochastic-lhv":
+        argv += ["--strategy-file", str(weights)]
+    assert cli.main(argv) == 0
+    return tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, batches_out))
+
+
+@pytest.mark.parametrize("strategy, n", sorted(GOLDEN))
+def test_simulate_outputs_match_golden_digests(strategy, n, tmp_path, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", CHUNK_BYTES)
+    assert simulate_digests(strategy, n, tmp_path) == GOLDEN[(strategy, n)]

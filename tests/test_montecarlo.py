@@ -1,12 +1,16 @@
 """Tests for the Monte Carlo machinery: streams, kernels, aggregation."""
 
+import csv
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
+import oracles
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
 from chshsim.enumerator import exact_expectations, playout
@@ -14,7 +18,9 @@ from chshsim.montecarlo import (
     BATCH_CSV_HEADER,
     BatchCounts,
     SimulationPlan,
+    Tally,
     batch_csv_row,
+    batch_csv_rows,
     batch_x,
     batch_y,
     compare_tails,
@@ -27,6 +33,8 @@ from chshsim.montecarlo import (
 from chshsim.montecarlo import _chunk_draws, _find_kernel, _kernel_model101, _row_bytes, _se_y
 from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
+    QUANTUM_SCORE_PROBABILITY,
+    REGISTRY,
     DeterministicAssignment,
     Model101,
     StochasticLHV,
@@ -139,8 +147,9 @@ def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window):
         assert np.array_equal(quantum_pairs[row], want_pairs)
         assert np.array_equal(stochastic_pairs[row], want_pairs)
         assert np.array_equal(longer[row, pad:] >> 1, want_coins)
-        assert np.array_equal(after_coins[row], want_uniforms)
-        assert np.array_equal(after_pairs[row], want_uniforms_after_pairs)
+        # Uniforms come as the 53-bit integers that random() scales by 2^-53.
+        assert np.array_equal(after_coins[row] * 2.0 ** -53, want_uniforms)
+        assert np.array_equal(after_pairs[row] * 2.0 ** -53, want_uniforms_after_pairs)
 
 
 def test_negative_seed_is_rejected_on_both_engines():
@@ -174,6 +183,62 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, dat
         fast = list(iter_batch_counts(plan))
     assert chunks == [(lo, min(lo + rows, batches)) for lo in range(0, batches, rows)]
     assert fast == list(iter_batch_counts(plan, force_general=True))
+
+
+def test_raw_words_drawn_in_pieces_equal_numpy_per_batch_generators(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_RAW_PIECE", 5)
+    n = 61
+    pairs, uniforms = _chunk_draws(11, 4, 7, n, coins=True, uniforms=True)
+    for row, index in enumerate(range(4, 7)):
+        want_pairs, _, want_uniforms = numpy_batch_draws(11, index, n, coins=True)
+        assert np.array_equal(pairs[row], want_pairs)
+        assert np.array_equal(uniforms[row] * 2.0 ** -53, want_uniforms)
+
+
+def test_integer_uniform_cuts_equal_float_compares():
+    # The quantum cut is p 2^53 exactly, so x < cut iff x 2^-53 < p.
+    cut = montecarlo._QUANTUM_CUT
+    assert cut * 2.0 ** -53 == QUANTUM_SCORE_PROBABILITY
+    words = np.array([0, cut - 1, cut, cut + 1, 2 ** 53 - 1], dtype=np.uint64)
+    assert np.array_equal(words < cut, words * 2.0 ** -53 < QUANTUM_SCORE_PROBABILITY)
+    # A mixture's integer cut points pick what its float cumulative weights
+    # pick, also for the words on either side of every cut point.
+    assignments = (
+        DeterministicAssignment(1, 1, 1, 1),
+        DeterministicAssignment(1, -1, -1, 1),
+        DeterministicAssignment(-1, 1, 1, -1),
+        DeterministicAssignment(-1, -1, -1, -1),
+    )
+    mixture = StochasticLHV(tuple((Fraction(w, 30), a) for w, a in zip((3, 7, 0, 20), assignments)))
+    strategy = from_stochastic(mixture)
+    cuts, _ = montecarlo._stochastic_tables(strategy)
+    edges = np.concatenate([cuts - 1, cuts, cuts + 1, [0, 2 ** 53 - 1]]).astype(np.uint64)
+    words = np.concatenate([edges, np.random.default_rng(3).integers(0, 2 ** 53, 10 ** 4, dtype=np.uint64)])
+    cumulative = np.cumsum([float(w) for w, _ in mixture.support])
+    assert np.array_equal(
+        np.searchsorted(cuts, words, side="right"),
+        np.searchsorted(cumulative, words * 2.0 ** -53, side="right"),
+    )
+
+
+def test_collective_kernel_matches_general_engine_across_chunks(monkeypatch):
+    plan = SimulationPlan(factory=collective_n2, n=2, batches=50, seed=2 ** 80 + 5)
+    kernel = _find_kernel(collective_n2())
+    assert kernel is not None and kernel.rounds == 2
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 7 * _row_bytes(2, kernel))
+    assert list(iter_batch_counts(plan)) == list(iter_batch_counts(plan, force_general=True))
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + ["stochastic-lhv"])
+def test_no_cli_strategy_reaches_the_general_engine(name, monkeypatch):
+    factory = FACTORIES.get(name, REGISTRY.get(name))
+    n = 2 if name == "collective-n2" else 5
+
+    def general_engine(*args):
+        raise AssertionError("general engine reached")
+
+    monkeypatch.setattr(montecarlo, "run_batch", general_engine)
+    assert estimate(SimulationPlan(factory=factory, n=n, batches=20, seed=4)).batches == 20
 
 
 def test_kernel_matches_general_engine_past_trigger_length():
@@ -258,10 +323,149 @@ def test_estimate_undefined_x_handling():
 def test_estimate_tail_thresholds_exact_at_boundary(monkeypatch, n, delta, score_counts, y_tail, x_tail):
     # 0.3 and 0.12 both exceed their nearest binary floats, so cuts built
     # from Fraction(delta) would count the on-threshold batches as beyond.
-    record = BatchCounts(0, score_counts, (n // 4,) * 4)
-    monkeypatch.setattr(montecarlo, "iter_batch_counts", lambda plan, force_general=False: iter([record]))
+    tally = Tally(0, np.array([score_counts]), np.array([(n // 4,) * 4]))
+    monkeypatch.setattr(montecarlo, "_iter_tallies", lambda plan, force_general=False: iter([tally]))
     report = estimate(SimulationPlan(factory=constant_plus, n=n, batches=1, delta=delta))
     assert (report.tail_freq_y, report.tail_freq_x) == (y_tail, x_tail)
+
+
+@hs.composite
+def synthetic_runs(draw):
+    """(n, decimal delta, per-batch (scores, totals), chunk starts) of a made-up run.
+
+    Balanced splits of n = 30,000 put X_N's denominator at or above 2^51,
+    of n = 300,000 above 2^63; near-full scores reach the tails.
+    """
+    n = draw(hs.sampled_from((3, 4, 7, 40, 44, 30_000, 300_000)), label="n")
+    delta = draw(
+        hs.one_of(
+            hs.sampled_from(("0.1", "0.12", "0.3")),
+            hs.integers(1, 10 ** 15 - 1).map(lambda m: f"0.{m:015d}"),
+        ),
+        label="delta",
+    )
+    batches = []
+    for _ in range(draw(hs.integers(1, 12), label="batches")):
+        if draw(hs.booleans()):
+            jitter = [draw(hs.integers(-3, 3)) for _ in range(3)]
+            totals = [n // 4 + j for j in jitter]
+            totals.append(n - sum(totals))
+            if min(totals) < 0:
+                totals = [0, 0, 0, n]
+        else:
+            cuts = sorted(draw(hs.integers(0, n)) for _ in range(3))
+            totals = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], n - cuts[2]]
+        if draw(hs.booleans()):
+            scores = [max(0, t - draw(hs.integers(0, 2))) for t in totals]
+        else:
+            scores = [draw(hs.integers(0, t)) for t in totals]
+        batches.append((tuple(scores), tuple(totals)))
+    starts = sorted(set(draw(hs.lists(hs.integers(1, len(batches) - 1), max_size=4)))) if len(batches) > 1 else []
+    return n, delta, batches, [0, *starts]
+
+
+def as_tallies(batches, starts):
+    bounds = [*starts, len(batches)]
+    return [
+        Tally(
+            lo,
+            np.array([s for s, _ in batches[lo:hi]], dtype=np.int64),
+            np.array([t for _, t in batches[lo:hi]], dtype=np.int64),
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+# X_N on the cut (3 + delta) / (1 - delta) = 39/11 and just above it.
+TIED_RUN = (44, "0.12", [((11, 11, 11, 6), (11,) * 4), ((11, 11, 11, 7), (11,) * 4)], [0, 1])
+
+
+def batch_just_above_x_cut(delta):
+    """Counts whose X_N exceeds (3 + delta) / (1 - delta) by less than half
+    a float step, so X_N and the cut round to the same float.
+
+    Pairs 1 and 2 occur and score once; pairs 3 and 4 occur t3 and t4
+    times, coprime, so s3/t3 + s4/t4 takes every multiple of 1/(t3 t4)
+    that the ranges allow.
+    """
+    cut = (3 + Fraction(delta)) / (1 - Fraction(delta))
+    t3, t4 = 2 ** 31 - 1, 2 ** 31 + 11
+    m = math.floor((cut - 2) * t3 * t4) + 1
+    while True:
+        s3 = m * pow(t4, -1, t3) % t3
+        s4 = (m - s3 * t4) // t3
+        if 0 <= s4 <= t4:
+            return (1, 1, s3, s4), (1, 1, t3, t4)
+        m += 1
+
+
+def test_batch_just_above_x_cut_rounds_onto_the_cut():
+    scores, totals = batch_just_above_x_cut("0.1")
+    x = sum(Fraction(s, t) for s, t in zip(scores, totals))
+    assert x > Fraction(31, 9) and float(x) == float(Fraction(31, 9))
+
+
+ABOVE_CUT = batch_just_above_x_cut("0.1")
+ABOVE_CUT_RUN = (sum(ABOVE_CUT[1]), "0.1", [ABOVE_CUT, ABOVE_CUT], [0, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=synthetic_runs())
+@example(run=TIED_RUN)
+@example(run=ABOVE_CUT_RUN)
+def test_estimate_equals_per_batch_fraction_fold(run):
+    n, delta, batches, starts = run
+    tallies = as_tallies(batches, starts)
+    plan = SimulationPlan(factory=constant_plus, n=n, batches=len(batches), delta=float(delta))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_iter_tallies", lambda plan, force_general=False: iter(tallies))
+        report = estimate(plan)
+    for field, value in oracles.fold_batches(batches, n, delta).items():
+        assert getattr(report, field) == value, field
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=synthetic_runs(), seed=hs.sampled_from((0, 2 ** 80 + 5)))
+@example(run=TIED_RUN, seed=3)
+def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
+    n, _, batches, starts = run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_CSV_SLICE_ROWS", 3)
+        for tally in as_tallies(batches, starts):
+            slices = [list(rows) for rows in batch_csv_rows(tally, n, seed)]
+            assert all(len(rows) <= 3 for rows in slices)
+            expected = [
+                batch_csv_row(BatchCounts(tally.first + b, *batches[tally.first + b]), n, seed)
+                for b in range(len(tally.score_counts))
+            ]
+            assert list(itertools.chain.from_iterable(slices)) == expected
+
+
+@pytest.mark.parametrize("name, n", [("guessing", 4), ("quantum", 1000), ("stochastic-lhv", 300)])
+def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatch):
+    budget = 2 << 20
+    factory = FACTORIES[name]
+    rows = budget // _row_bytes(n, _find_kernel(factory()))
+    plan = SimulationPlan(factory=factory, n=n, batches=3 * rows + 1, seed=9)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+    chunks = 0
+    with open(tmp_path / "batches.csv", "w", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+
+        def sink(tally):
+            nonlocal chunks
+            chunks += 1
+            for slice_rows in batch_csv_rows(tally, n, plan.seed):
+                writer.writerows(slice_rows)
+
+        tracemalloc.start()
+        try:
+            estimate(plan, batch_sink=sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert chunks == 4
+    assert peak <= 2 * budget
 
 
 def test_estimate_quantum_matches_known_mean():
