@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .core import ALL_PAIRS, Round, Transcript
+from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, playout
 from .stats import batch_statistics, round_score
@@ -178,9 +178,6 @@ class Tally(NamedTuple):
         scores = self.score_counts[has_x].T
         totals = self.pair_counts[has_x].T
         small = np.prod(totals, axis=0, dtype=np.float64) < _FLOAT_EXACT_DEN / 2
-        if small.all():
-            num, den = _ratio(scores, totals)
-            return has_x, num / den
         x = np.empty(totals.shape[1])
         num, den = _ratio(scores[:, small], totals[:, small])
         x[small] = num / den
@@ -374,9 +371,6 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
     for row, (s, inc) in enumerate(zip(states, incs)):
         state["state"] = {"state": s, "inc": inc}
         bitgen.state = state
-        if m <= _RAW_PIECE:
-            block[row] = bitgen.random_raw(m)
-            continue
         # The stream continues across calls; pieces bound the copy's temporary.
         for a in range(0, m, _RAW_PIECE):
             block[row, a : a + _RAW_PIECE] = bitgen.random_raw(min(_RAW_PIECE, m - a))
@@ -481,16 +475,12 @@ def _kernel_stochastic(tables, pairs, uniforms):
 def _collective_table(strategy):
     """Round scores of a two-round collective strategy by (pair 1, pair 2, round).
 
-    Built from the strategy's own responders, called as
-    :func:`~chshsim.enumerator.collective_playout` calls them.
+    Built from the strategy's own playouts of the 16 setting sequences.
     """
     table = np.empty((4, 4, 2), dtype=bool)
     for first, second in itertools.product(ALL_PAIRS, repeat=2):
-        a = strategy.respond_alice((first.alice, second.alice))
-        b = strategy.respond_bob((first.bob, second.bob))
-        table[first.index, second.index] = [
-            round_score(Round(k + 1, pair, a[k], b[k])) for k, pair in enumerate((first, second))
-        ]
+        rounds = collective_playout(strategy, (first, second)).rounds
+        table[first.index, second.index] = [round_score(r) for r in rounds]
     return table
 
 
