@@ -18,9 +18,7 @@ from .core import (
     SettingPair,
     Side,
     Transcript,
-    counts,
     memory_view,
-    record_round,
 )
 from .strategies import (
     DeterministicAssignment,

@@ -9,6 +9,7 @@ known proof covers are reported as ``None`` and rendered as "unknown".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +35,24 @@ def normal_tail_approx(z: float) -> float:
     return math.exp(-0.5 * z * z) / (z * _SQRT_2PI)
 
 
+def _finite(bound):
+    """Make ``bound`` raise ``ValueError`` where it overflows or is not finite:
+    such a bound has no float value to report."""
+
+    @functools.wraps(bound)
+    def checked(*args, **kwargs):
+        try:
+            value = bound(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"{bound.__name__} is not a finite float for these inputs")
+        return value
+
+    return checked
+
+
+@_finite
 def f_delta(n: int, delta: float) -> float:
     """Tail bound on P(Y_N > 3 + delta) under any memory model.
 
@@ -46,6 +65,7 @@ def f_delta(n: int, delta: float) -> float:
     return (_SQRT_3 / (delta * math.sqrt(n) * _SQRT_2PI)) * math.exp(-delta * delta * n / 6.0)
 
 
+@_finite
 def x_tail_bound(n: int, delta: float) -> float:
     """Tail bound on P(X_N > (3 + delta) / (1 - delta)): five times f_delta."""
     if not 0 < delta < 1:
@@ -53,6 +73,7 @@ def x_tail_bound(n: int, delta: float) -> float:
     return 5.0 * f_delta(n, delta)
 
 
+@_finite
 def x_mean_bound(n: int, epsilon: float) -> float:
     """Upper bound on E(X_N) for memory models, any epsilon > 0.
 

@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import MODEL_CLASSES, bound_report, bounds_table
+from .bounds import MODEL_CLASSES, bound_report, bounds_table, x_tail_bound
 from .core import InvariantViolation
 from .enumerator import (
     DEFAULT_ENUM_CAP,
@@ -143,6 +143,7 @@ def _cmd_simulate(args) -> int:
         delta=args.delta,
         strategy_name=args.strategy,
     )
+    x_tail_bound(plan.n, plan.delta)  # refuse a bound with no float value before any batch runs
     if args.batches_out is not None:
         with open(args.batches_out, "w", encoding="utf-8", newline="") as fp:
             writer = csv.writer(fp, lineterminator="\n")

@@ -147,16 +147,6 @@ class Transcript:
         }
 
 
-def record_round(transcript: Transcript, pair, a, b) -> Transcript:
-    """Append one round; see :meth:`Transcript.record`."""
-    return transcript.record(pair, a, b)
-
-
-def counts(transcript: Transcript) -> dict[SettingPair, PairCounts]:
-    """Per-pair tallies; see :meth:`Transcript.counts`."""
-    return transcript.counts()
-
-
 class MemoryClass(enum.Enum):
     NONE = "none"
     OWN_SIDE = "own-side"

@@ -1,13 +1,15 @@
 """Exact computations by exhaustive enumeration.
 
-Averages deterministic strategies over every possible setting sequence
-(4^n of them, all equally likely) to get exact expectations and
-distributions: by playing each sequence out, or, for count-driven
-strategies, by summing over pair-count vectors.  Also evaluates the
+Averages deterministic count-driven strategies over every possible
+setting sequence (4^n of them, all equally likely) to get exact
+expectations and distributions, without playing a single sequence: a
+count-driven strategy's play depends only on the pair counts so far,
+so the expectations are summed over pair-count vectors and the joint
+law of (Y_N, X_N) over (pair counts, per-pair scores) states.  Any
+other strategy is refused with ``TypeError``.  Also evaluates the
 special-case models in closed form and checks no-signaling by brute
-force.  Everything returns exact rationals;
-Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
-enumeration cap.
+force.  Everything returns exact rationals; Monte Carlo
+(:mod:`chshsim.montecarlo`) takes over beyond the enumeration cap.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .core import (
     Transcript,
     _check_pair,
 )
-from .stats import chsh_value, round_score, x_statistic
+from .stats import chsh_value, round_score, x_from_counts, x_statistic
 from .strategies import (
     CollectiveStrategy,
     CountDriven,
@@ -144,20 +146,22 @@ class ExactResult:
 
 
 def exact_expectations(
-    strategy: SequentialStrategy,
+    strategy: CountDriven,
     n: int,
     cap: int = DEFAULT_ENUM_CAP,
     collect_distribution: bool = False,
 ) -> ExactResult:
-    """Exact expectations over all 4^n setting sequences for a deterministic strategy.
+    """Exact expectations over all 4^n setting sequences for a count-driven strategy.
 
     Returns exact E(Y_N), E(X_N | X_N defined), P(X_N undefined), and
     optionally the full joint distribution of (Y_N, X_N) as a sorted
     tuple of (y, x, probability) entries with x None when undefined.
-    Count-driven strategies are summed over pair-count vectors
-    (:func:`exact_by_counts`); the distribution, and every other
-    strategy, is enumerated sequence by sequence
-    (:func:`exact_by_sequences`).
+    The expectations are summed over pair-count vectors
+    (:func:`exact_by_counts`), the distribution over (pair counts,
+    per-pair scores) states (:func:`exact_distribution`); no sequence is
+    played out.  Raises ``ValueError`` for n < 1, n above the cap or a
+    stochastic strategy, and then ``TypeError`` for a strategy that is
+    not :class:`CountDriven`.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -165,9 +169,11 @@ def exact_expectations(
         raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap} (4^n sequences)")
     if strategy.stochastic:
         raise ValueError("exact enumeration requires a deterministic strategy")
-    if isinstance(strategy, CountDriven) and not collect_distribution:
-        return exact_by_counts(strategy, n)
-    return exact_by_sequences(strategy, n, collect_distribution)
+    if not isinstance(strategy, CountDriven):
+        raise TypeError(f"exact enumeration requires a count-driven strategy, got {strategy!r}")
+    if collect_distribution:
+        return exact_distribution(strategy, n)
+    return exact_by_counts(strategy, n)
 
 
 def _exact_result(n, score_sum, defined, x_sum, distribution=None) -> ExactResult:
@@ -183,56 +189,47 @@ def _exact_result(n, score_sum, defined, x_sum, distribution=None) -> ExactResul
     )
 
 
-def exact_by_sequences(
-    strategy: SequentialStrategy, n: int, collect_distribution: bool = False
-) -> ExactResult:
-    """:func:`exact_expectations` by playing out every one of the 4^n sequences."""
-    total_sequences = 4 ** n
+def exact_distribution(strategy: CountDriven, n: int) -> ExactResult:
+    """:func:`exact_expectations` with the joint law of (Y_N, X_N).
+
+    A forward sweep whose state is (pair counts, per-pair scores) and
+    whose value is the number of sequences reaching it; the assignment
+    played from a state depends only on its counts.  A final state fixes
+    Y_N and X_N, so each adds its sequences to one (Y_N, X_N) cell.
+    """
+    zero = (0, 0, 0, 0)
+    layer = {(zero, zero): 1}
+    for k in range(n):
+        following: Counter = Counter()
+        for (counts, scores), paths in layer.items():
+            assignment = strategy.assignment(counts, k)
+            for j, pair in enumerate(ALL_PAIRS):
+                after = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
+                if assignment.satisfies(pair):
+                    following[after, scores[:j] + (scores[j] + 1,) + scores[j + 1 :]] += paths
+                else:
+                    following[after, scores] += paths
+        layer = following
+
     score_sum = 0
     defined = 0
-    x_sum = Fraction(0)
-    x_cache: dict[tuple, Fraction] = {}
-    dist: Counter = Counter()
-
-    for seq in itertools.product(range(4), repeat=n):
-        pairs = tuple(ALL_PAIRS[i] for i in seq)
-        transcript = playout(strategy, pairs)
-        totals = [0, 0, 0, 0]
-        scores = [0, 0, 0, 0]
-        for i, rnd in zip(seq, transcript.rounds):
-            totals[i] += 1
-            if i < 3:
-                scores[i] += rnd.a == rnd.b
-            else:
-                scores[i] += rnd.a != rnd.b
-        seq_score = scores[0] + scores[1] + scores[2] + scores[3]
-        score_sum += seq_score
-        x: Fraction | None = None
-        if 0 not in totals:
-            defined += 1
-            key = (*totals, *scores)
-            x = x_cache.get(key)
-            if x is None:
-                x = (
-                    Fraction(scores[0], totals[0])
-                    + Fraction(scores[1], totals[1])
-                    + Fraction(scores[2], totals[2])
-                    + Fraction(scores[3], totals[3])
-                )
-                x_cache[key] = x
-            x_sum += x
-        if collect_distribution:
-            dist[(Fraction(4 * seq_score, n), x)] += 1
-
-    distribution = None
-    if collect_distribution:
-        distribution = tuple(
-            (y, x, Fraction(count, total_sequences))
-            for (y, x), count in sorted(
-                dist.items(),
-                key=lambda item: (item[0][0], item[0][1] is not None, item[0][1] or 0),
-            )
+    cells: Counter = Counter()
+    for (counts, scores), paths in layer.items():
+        score = sum(scores)
+        score_sum += paths * score
+        x = x_from_counts(scores, counts)
+        if x is not None:
+            defined += paths
+        cells[Fraction(4 * score, n), x] += paths
+    x_sum = sum((x * paths for (_, x), paths in cells.items() if x is not None), Fraction(0))
+    total_sequences = 4 ** n
+    distribution = tuple(
+        (y, x, Fraction(paths, total_sequences))
+        for (y, x), paths in sorted(
+            cells.items(),
+            key=lambda cell: (cell[0][0], cell[0][1] is not None, cell[0][1] or 0),
         )
+    )
     return _exact_result(n, score_sum, defined, x_sum, distribution)
 
 

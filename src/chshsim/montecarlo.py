@@ -35,7 +35,7 @@ import numpy as np
 from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, playout
-from .stats import batch_statistics, round_score
+from .stats import pair_tallies, round_score, x_from_counts, x_ratio
 from .strategies import (
     QUANTUM_SCORE_PROBABILITY,
     CollectiveN2,
@@ -92,17 +92,8 @@ class BatchCounts(NamedTuple):
     pair_counts: tuple[int, int, int, int]
 
 
-def batch_y(record: BatchCounts, n: int) -> Fraction:
-    return Fraction(4 * sum(record.score_counts), n)
-
-
 def batch_x(record: BatchCounts) -> Fraction | None:
-    if 0 in record.pair_counts:
-        return None
-    return sum(
-        (Fraction(s, t) for s, t in zip(record.score_counts, record.pair_counts)),
-        Fraction(0),
-    )
+    return x_from_counts(record.score_counts, record.pair_counts)
 
 
 #: Per-batch CSV row layout (c11/c12/c21 are correlated counts for the
@@ -112,34 +103,6 @@ BATCH_CSV_HEADER = (
     "batch", "seed", "n", "y_value", "x_defined", "x_value",
     "c11", "c12", "c21", "a22", "n11", "n12", "n21", "n22",
 )
-
-
-def batch_csv_row(record: BatchCounts, n: int, seed: int) -> tuple:
-    y = batch_y(record, n)
-    x = batch_x(record)
-    return (
-        record.batch,
-        seed,
-        n,
-        repr(float(y)),
-        int(x is not None),
-        "" if x is None else repr(float(x)),
-        *record.score_counts,
-        *record.pair_counts,
-    )
-
-
-def _ratio(scores, totals):
-    """X_N of a batch as num / den, with den the product of its four pair totals.
-
-    Works alike on Python ints (one batch, exact) and on int64 arrays
-    (one batch per column); num <= 4 den since each score is at most its
-    total.
-    """
-    t01, t23 = totals[0] * totals[1], totals[2] * totals[3]
-    num01 = scores[0] * totals[1] + totals[0] * scores[1]
-    num23 = scores[2] * totals[3] + totals[2] * scores[3]
-    return num01 * t23 + num23 * t01, t01 * t23
 
 
 #: Below this X_N's denominator, it and the numerator (at most four times
@@ -179,12 +142,12 @@ class Tally(NamedTuple):
         totals = self.pair_counts[has_x].T
         small = np.prod(totals, axis=0, dtype=np.float64) < _FLOAT_EXACT_DEN / 2
         x = np.empty(totals.shape[1])
-        num, den = _ratio(scores[:, small], totals[:, small])
+        num, den = x_ratio(scores[:, small], totals[:, small])
         x[small] = num / den
         big = ~small
         x[big] = [
             num / den
-            for num, den in itertools.starmap(_ratio, zip(scores[:, big].T.tolist(), totals[:, big].T.tolist()))
+            for num, den in itertools.starmap(x_ratio, zip(scores[:, big].T.tolist(), totals[:, big].T.tolist()))
         ]
         return has_x, x
 
@@ -194,8 +157,8 @@ _CSV_SLICE_ROWS = 1024
 
 
 def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[Iterable[tuple]]:
-    """The tally's per-batch CSV rows, laid out as :func:`batch_csv_row` lays
-    one out, in slices of at most ``_CSV_SLICE_ROWS`` rows for ``writerows``."""
+    """The tally's per-batch CSV rows, laid out as ``BATCH_CSV_HEADER``
+    names them, in slices of at most ``_CSV_SLICE_ROWS`` rows for ``writerows``."""
     y = tally.y(n)
     has_x, x_defined = tally.x()
     x = np.zeros(len(y))
@@ -215,17 +178,6 @@ def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[Iterable[tuple]]
             *tally.score_counts[lo:hi].T.tolist(),
             *tally.pair_counts[lo:hi].T.tolist(),
         )
-
-
-def _counts_from_transcript(batch: int, transcript: Transcript) -> BatchCounts:
-    stats = batch_statistics(transcript)
-    score_counts = []
-    pair_counts = []
-    for i, pair in enumerate(ALL_PAIRS):
-        cell = stats.counts[pair]
-        pair_counts.append(cell.total)
-        score_counts.append(cell.correlated if i < 3 else cell.anticorrelated)
-    return BatchCounts(batch, tuple(score_counts), tuple(pair_counts))
 
 
 # --- per-batch streams, a chunk at a time --------------------------------
@@ -557,9 +509,7 @@ def _general_tally(strategy, n: int, seed: int, lo: int, hi: int) -> Tally:
     score_counts = np.empty((hi - lo, 4), dtype=np.int64)
     pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
     for row, i in enumerate(range(lo, hi)):
-        record = _counts_from_transcript(i, run_batch(strategy, n, seed, i))
-        score_counts[row] = record.score_counts
-        pair_counts[row] = record.pair_counts
+        score_counts[row], pair_counts[row] = pair_tallies(run_batch(strategy, n, seed, i))
     return Tally(lo, score_counts, pair_counts)
 
 
@@ -711,7 +661,7 @@ def estimate(
         if len(tied):
             rows = np.flatnonzero(has_x)[tied]
             for scores, totals in zip(tally.score_counts[rows].tolist(), tally.pair_counts[rows].tolist()):
-                num, den = _ratio(scores, totals)
+                num, den = x_ratio(scores, totals)
                 x_tail += num * x_cut.denominator > x_cut.numerator * den
 
     mean_y = Fraction(4 * k_sum, r * n)

@@ -3,7 +3,9 @@
 Everything here is exact rational arithmetic; callers convert to float
 only when presenting results.  The ratio statistic ``x_statistic`` is
 ``None`` (undefined) whenever some setting pair never occurred; it is
-never conflated with a numeric sentinel.
+never conflated with a numeric sentinel.  Every X_N in the package,
+exact or float, per transcript, per batch or per enumeration state, is
+formed from per-pair scores and totals by :func:`x_ratio`.
 """
 
 from __future__ import annotations
@@ -27,13 +29,31 @@ def round_score(rnd: Round) -> int:
     return int(rnd.a != rnd.b)
 
 
-def _scoring_counts(table: Mapping[SettingPair, PairCounts]) -> list[int]:
-    """Per-pair counts of target-meeting rounds, canonical order."""
-    out = []
-    for i, pair in enumerate(ALL_PAIRS):
-        counts = table[pair]
-        out.append(counts.correlated if i < 3 else counts.anticorrelated)
-    return out
+def pair_tallies(transcript: Transcript) -> tuple[list[int], list[int]]:
+    """Per-pair scoring rounds and total rounds, canonical order."""
+    table = transcript.counts()
+    scores = [table[p].correlated if p.index < 3 else table[p].anticorrelated for p in ALL_PAIRS]
+    return scores, [table[p].total for p in ALL_PAIRS]
+
+
+def x_ratio(scores, totals):
+    """X_N as num / den, with den the product of the four pair totals.
+
+    The one place X_N is formed.  Works alike on Python ints (one run,
+    exact) and on int64 arrays (one run per column); num <= 4 den since
+    each score is at most its total.
+    """
+    t01, t23 = totals[0] * totals[1], totals[2] * totals[3]
+    num01 = scores[0] * totals[1] + totals[0] * scores[1]
+    num23 = scores[2] * totals[3] + totals[2] * scores[3]
+    return num01 * t23 + num23 * t01, t01 * t23
+
+
+def x_from_counts(scores, totals) -> Fraction | None:
+    """Exact X_N from per-pair scores and totals; ``None`` if a pair never occurred."""
+    if not all(totals):
+        return None
+    return Fraction(*x_ratio(scores, totals))
 
 
 def y_statistic(transcript: Transcript) -> Fraction:
@@ -41,22 +61,14 @@ def y_statistic(transcript: Transcript) -> Fraction:
     n = transcript.n_total
     if n == 0:
         raise ValueError("y statistic needs at least one round")
-    return Fraction(4 * sum(_scoring_counts(transcript.counts())), n)
+    return Fraction(4 * sum(pair_tallies(transcript)[0]), n)
 
 
 def x_statistic(transcript: Transcript) -> Fraction | None:
     """The ratio-form CHSH statistic; ``None`` if any pair was never measured."""
     if transcript.n_total == 0:
         raise ValueError("x statistic needs at least one round")
-    table = transcript.counts()
-    scoring = _scoring_counts(table)
-    total = Fraction(0)
-    for i, pair in enumerate(ALL_PAIRS):
-        denom = table[pair].total
-        if denom == 0:
-            return None
-        total += Fraction(scoring[i], denom)
-    return total
+    return x_from_counts(*pair_tallies(transcript))
 
 
 def assignment_chsh(assignment) -> int:
@@ -94,17 +106,11 @@ class BatchStatistics:
 
 def batch_statistics(transcript: Transcript) -> BatchStatistics:
     """Compute :class:`BatchStatistics` for a non-empty transcript."""
-    n = transcript.n_total
-    if n == 0:
+    if transcript.n_total == 0:
         raise ValueError("batch statistics need at least one round")
-    table = transcript.counts()
-    scoring = _scoring_counts(table)
-    y = Fraction(4 * sum(scoring), n)
-    x: Fraction | None = Fraction(0)
-    for i, pair in enumerate(ALL_PAIRS):
-        denom = table[pair].total
-        if denom == 0:
-            x = None
-            break
-        x += Fraction(scoring[i], denom)
-    return BatchStatistics(n=n, y_value=y, x_value=x, counts=table)
+    return BatchStatistics(
+        n=transcript.n_total,
+        y_value=y_statistic(transcript),
+        x_value=x_statistic(transcript),
+        counts=transcript.counts(),
+    )

@@ -6,8 +6,10 @@ index 0..3 in the order (A1,B1), (A1,B2), (A2,B1), (A2,B2); outcomes
 under test.
 """
 
+import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 PAIRS = (0, 1, 2, 3)
@@ -36,6 +38,7 @@ def all_assignments():
     return list(itertools.product((1, -1), repeat=4))
 
 
+@functools.cache
 def sabotage_assignment(target):
     """The unique a1=+1 assignment violating exactly the target's term."""
     hits = [
@@ -48,11 +51,12 @@ def sabotage_assignment(target):
     return hits[0]
 
 
-def guessing_outcomes(pairs):
+def guessing_outcomes(pairs, last_of_tied=False):
     """Round outcomes of the most-measured-pair sabotage rule.
 
     Round 1 answers +1 everywhere; afterwards the target is the pair
-    with the highest count so far, earliest pair winning ties.
+    with the highest count so far, the earliest of tied pairs winning,
+    or the last with ``last_of_tied``.
     """
     counts = [0, 0, 0, 0]
     outcomes = []
@@ -60,7 +64,8 @@ def guessing_outcomes(pairs):
         if k == 0:
             assignment = (1, 1, 1, 1)
         else:
-            target = counts.index(max(counts))
+            tied = [p for p in PAIRS if counts[p] == max(counts)]
+            target = tied[-1] if last_of_tied else tied[0]
             assignment = sabotage_assignment(target)
         outcomes.append(assignment_outcomes(assignment, pair))
         counts[pair] += 1
@@ -71,12 +76,25 @@ def constant_outcomes(pairs):
     return [(1, 1) for _ in pairs]
 
 
+def y_and_x(scores, totals, n):
+    """(Y, X) of one run from per-pair scores and totals; X None if a pair is missing."""
+    y = Fraction(4 * sum(scores), n)
+    if not all(totals):
+        return y, None
+    return y, sum(Fraction(s, t) for s, t in zip(scores, totals))
+
+
 def exact_over_sequences(outcome_rule, n):
-    """(E(Y), E(X | defined), P(undefined)) over all 4^n uniform sequences."""
+    """(E(Y), E(X | defined), P(undefined), table) over all 4^n uniform sequences.
+
+    ``table`` maps each (Y, X) value, X None when undefined, to the
+    number of sequences giving it.
+    """
     y_sum = Fraction(0)
     x_sum = Fraction(0)
     defined = 0
     total = 0
+    table = Counter()
     for pairs in itertools.product(PAIRS, repeat=n):
         outcomes = outcome_rule(pairs)
         totals = [0, 0, 0, 0]
@@ -84,14 +102,33 @@ def exact_over_sequences(outcome_rule, n):
         for pair, (a, b) in zip(pairs, outcomes):
             totals[pair] += 1
             scores[pair] += score(pair, a, b)
-        y_sum += Fraction(4 * sum(scores), n)
-        if all(totals):
+        y, x = y_and_x(scores, totals, n)
+        y_sum += y
+        if x is not None:
             defined += 1
-            x_sum += sum(Fraction(s, t) for s, t in zip(scores, totals))
+            x_sum += x
+        table[y, x] += 1
         total += 1
     e_y = y_sum / total
     e_x = x_sum / defined if defined else None
-    return e_y, e_x, Fraction(total - defined, total)
+    return e_y, e_x, Fraction(total - defined, total), dict(table)
+
+
+def batch_csv_row(batch, seed, n, scores, totals):
+    """One per-batch CSV row: batch, seed, n, Y, X defined (0/1), X (empty
+    when undefined; Y and X as the repr of the float of the exact
+    rational), then the four scores and the four totals."""
+    y, x = y_and_x(scores, totals, n)
+    return (
+        batch,
+        seed,
+        n,
+        repr(float(y)),
+        int(x is not None),
+        "" if x is None else repr(float(x)),
+        *scores,
+        *totals,
+    )
 
 
 def collective_n2_outcomes(alice_settings, bob_settings):
@@ -198,11 +235,10 @@ def fold_batches(batches, n, delta_text):
     y_tail = x_tail = defined = 0
     x_sum = x_sqsum = 0.0
     for scores, totals in batches:
-        y = Fraction(4 * sum(scores), n)
+        y, x = y_and_x(scores, totals, n)
         ys.append(y)
         y_tail += y > y_cut
-        if all(totals):
-            x = sum(Fraction(s, t) for s, t in zip(scores, totals))
+        if x is not None:
             defined += 1
             xf = float(x)
             x_sum += xf

@@ -45,6 +45,27 @@ def test_bounds_with_epsilon(tmp_path):
     assert read_json(out)["x_mean_bound"] == x_mean_bound(1000, 0.25)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # NaN and infinite bounds have no JSON form; overflow is no invariant violation.
+        ("bounds", "--n", "10", "--delta", "0.1", "--epsilon", "nan"),
+        ("bounds", "--n", "10", "--delta", "0.1", "--epsilon", "inf"),
+        ("bounds", "--n", "10", "--delta", "1e-320"),
+        ("table", "--n", "10", "--delta", "0.1", "--epsilon", "nan"),
+        ("bounds", "--n", "10", "--delta", "0.1", "--epsilon", "1e308"),
+        ("bounds", "--n", str(10 ** 400), "--delta", "0.1"),
+        ("simulate", "--strategy", "guessing", "--n", "4", "--batches", "2", "--delta", "1e-320"),
+    ],
+)
+def test_non_finite_bound_is_input_error(argv, fmt, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--format", fmt, "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -130,6 +151,11 @@ def test_enumerate_distribution_flag(tmp_path):
 def test_enumerate_over_cap_is_input_error(capsys):
     assert run_cli("enumerate", "--strategy", "guessing", "--n", "12") == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_enumerate_stochastic_is_input_error(capsys):
+    assert run_cli("enumerate", "--strategy", "quantum", "--n", "3") == 2
+    assert capsys.readouterr().err == "error: exact enumeration requires a deterministic strategy\n"
 
 
 def test_unknown_strategy_rejected_with_choices(capsys):

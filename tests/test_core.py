@@ -16,10 +16,8 @@ from chshsim.core import (
     SettingPair,
     Side,
     Transcript,
-    counts,
     memory_view,
     read_transcript_csv,
-    record_round,
     write_transcript_csv,
 )
 
@@ -29,7 +27,7 @@ P11, P12, P21, P22 = ALL_PAIRS
 def build(rows):
     t = Transcript()
     for pair, a, b in rows:
-        t = record_round(t, pair, a, b)
+        t = t.record(pair, a, b)
     return t
 
 
@@ -47,9 +45,9 @@ def test_canonical_pair_order():
 
 
 def test_record_round_first_round():
-    t = record_round(Transcript(), P11, 1, 1)
+    t = Transcript().record(P11, 1, 1)
     assert t.n_total == 1
-    table = counts(t)
+    table = t.counts()
     assert table[P11] == (1, 1, 0)
     assert all(table[p] == (0, 0, 0) for p in ALL_PAIRS[1:])
 
@@ -58,36 +56,36 @@ def test_record_round_appends_anticorrelated():
     t = build([(P11, 1, 1), (P22, 1, -1)])
     assert t.n_total == 2
     assert t.rounds[1].index == 2
-    assert counts(t)[P22].anticorrelated == 1
+    assert t.counts()[P22].anticorrelated == 1
 
 
 def test_record_round_count_conservation_one_per_pair():
     t = build([(p, 1, -1) for p in ALL_PAIRS])
-    assert sum(c.total for c in counts(t).values()) == 4
+    assert sum(c.total for c in t.counts().values()) == 4
 
 
 def test_record_round_leaves_original_untouched():
     t1 = build([(P11, 1, 1)])
-    t2 = record_round(t1, P21, -1, -1)
+    t2 = t1.record(P21, -1, -1)
     assert t1.n_total == 1
     assert t2.n_total == 2
 
 
 def test_record_round_rejects_bad_outcome():
     with pytest.raises(ValueError):
-        record_round(Transcript(), P11, 0, 1)
+        Transcript().record(P11, 0, 1)
     with pytest.raises(ValueError):
-        record_round(Transcript(), P11, 1, 2)
+        Transcript().record(P11, 1, 2)
 
 
 def test_counts_mixed_pair():
     t = build([(P22, 1, -1), (P22, -1, -1)])
-    assert counts(t)[P22] == (2, 1, 1)
+    assert t.counts()[P22] == (2, 1, 1)
 
 
 def test_counts_all_plus_two_per_pair():
     t = build([(p, 1, 1) for p in ALL_PAIRS for _ in range(2)])
-    assert all(counts(t)[p] == (2, 2, 0) for p in ALL_PAIRS)
+    assert all(t.counts()[p] == (2, 2, 0) for p in ALL_PAIRS)
 
 
 def test_transcript_index_validation():
@@ -101,7 +99,7 @@ def test_transcript_index_validation():
 @given(transcript_rows)
 def test_count_conservation(rows):
     t = build(rows)
-    table = counts(t)
+    table = t.counts()
     assert sum(c.total for c in table.values()) == t.n_total
     for c in table.values():
         assert c.correlated + c.anticorrelated == c.total

@@ -1,6 +1,8 @@
 """Tests for the exact enumeration oracles."""
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,6 @@ from chshsim.enumerator import (
     chsh_exhaustive_max,
     collective_playout,
     exact_by_counts,
-    exact_by_sequences,
     exact_collective_n2,
     exact_expectations,
     model101_exact,
@@ -82,7 +83,7 @@ def test_exact_constant_n4():
 def test_exact_constant_matches_oracle():
     for n in range(1, 8):
         result = exact_expectations(constant_plus(), n)
-        e_y, e_x, p_undef = oracles.exact_over_sequences(oracles.constant_outcomes, n)
+        e_y, e_x, p_undef, _ = oracles.exact_over_sequences(oracles.constant_outcomes, n)
         assert result.e_y == e_y
         assert result.e_x_conditional == e_x
         assert result.p_undefined == p_undef
@@ -97,7 +98,7 @@ def test_exact_guessing_n4_value():
 def test_exact_guessing_matches_oracle():
     for n in range(1, 8):
         result = exact_expectations(guessing_model(), n)
-        e_y, e_x, p_undef = oracles.exact_over_sequences(oracles.guessing_outcomes, n)
+        e_y, e_x, p_undef, _ = oracles.exact_over_sequences(oracles.guessing_outcomes, n)
         assert result.e_y == e_y
         assert result.e_x_conditional == e_x
         assert result.p_undefined == p_undef
@@ -110,19 +111,52 @@ COUNT_DRIVEN = {
     "guessing-last-tie": lambda: guessing_model(tie_break=lambda tied: tied[-1]),
 }
 
+#: The oracle's outcome rule for each count-driven strategy.  Model101
+#: plays constant +1 until its 101st round, beyond every n tested here.
+ORACLE_RULES = {
+    "constant-plus": oracles.constant_outcomes,
+    "guessing": oracles.guessing_outcomes,
+    "model101": oracles.constant_outcomes,
+    "guessing-last-tie": lambda pairs: oracles.guessing_outcomes(pairs, last_of_tied=True),
+}
+
+
+def sequence_counts(distribution, n):
+    """The distribution as (Y, X) -> number of sequences, as the oracle tables it."""
+    return {(y, x): p * 4 ** n for y, x, p in distribution}
+
 
 @pytest.mark.parametrize("name", COUNT_DRIVEN)
 def test_counts_engine_equals_brute_force(name):
     factory = COUNT_DRIVEN[name]
     for n in range(1, 8):
         by_counts = exact_by_counts(factory(), n)
-        brute = exact_by_sequences(factory(), n, collect_distribution=True)
+        e_y, e_x, p_undef, table = oracles.exact_over_sequences(ORACLE_RULES[name], n)
         assert (by_counts.e_y, by_counts.e_x_conditional, by_counts.p_undefined) == (
-            brute.e_y,
-            brute.e_x_conditional,
-            brute.p_undefined,
+            e_y,
+            e_x,
+            p_undef,
         ), f"n={n}"
         assert exact_expectations(factory(), n) == by_counts
+        swept = exact_expectations(factory(), n, collect_distribution=True)
+        assert (swept.e_y, swept.e_x_conditional, swept.p_undefined) == (e_y, e_x, p_undef), f"n={n}"
+        assert sequence_counts(swept.distribution, n) == table, f"n={n}"
+
+
+@pytest.mark.parametrize("name", COUNT_DRIVEN)
+def test_y_is_four_over_n_times_binomial_three_quarters(name):
+    # Each round's assignment meets three of the four targets against a
+    # fresh uniform pair, so the scoring rounds are Binomial(N, 3/4).
+    for n in range(1, 11):
+        result = exact_expectations(COUNT_DRIVEN[name](), n, collect_distribution=True)
+        y_law = Counter()
+        for y, _, p in result.distribution:
+            y_law[y] += p
+        binomial = {
+            Fraction(4 * k, n): math.comb(n, k) * Fraction(3, 4) ** k * Fraction(1, 4) ** (n - k)
+            for k in range(n + 1)
+        }
+        assert y_law == binomial, f"n={n}"
 
 
 class EchoesLastRound(SequentialStrategy):
@@ -148,12 +182,14 @@ def test_engine_follows_strategy_type_and_request(monkeypatch):
     monkeypatch.setattr(enumerator, "playout", counted_playout)
     exact_expectations(guessing_model(tie_break=lambda tied: tied[-1]), 5)
     assert played == []
-    echo = EchoesLastRound()
-    assert exact_expectations(echo, 3) == exact_by_sequences(echo, 3)
-    assert len(played) == 2 * 4 ** 3
-    guessing = guessing_model()
-    exact_expectations(guessing, 3, collect_distribution=True)
-    assert played[2 * 4 ** 3 :] == [guessing] * 4 ** 3
+    with pytest.raises(EnumerationCapError):
+        exact_expectations(EchoesLastRound(), 12)
+    with pytest.raises(TypeError, match="count-driven"):
+        exact_expectations(EchoesLastRound(), 3)
+    with pytest.raises(TypeError, match="count-driven"):
+        exact_expectations(EchoesLastRound(), 3, collect_distribution=True)
+    exact_expectations(guessing_model(), 3, collect_distribution=True)
+    assert played == []
 
 
 def test_guessing_beats_three_in_x_beyond_brute_force_reach():

@@ -1,10 +1,12 @@
-"""Golden outputs: SHA-256 digests of seeded ``simulate`` runs.
+"""Golden outputs: SHA-256 digests of seeded ``simulate`` runs and of ``enumerate``.
 
 Criterion 9 compares reruns of one version with each other; these digests
 pin the bytes of the JSON summary and the per-batch CSV across versions,
 so a refactor of the engines, the tally or the aggregation cannot change
 a seeded result unnoticed.  The chunk budget is shrunk so that every run
-crosses several chunk boundaries.  A digest may change only with a
+crosses several chunk boundaries.  The ``enumerate`` digests pin the
+exact expectations and the full (Y, X) distribution, in JSON and CSV,
+across changes of the exact engines.  A digest may change only with a
 deliberate change of the output format or of the stream derivation,
 recorded as such.
 """
@@ -94,3 +96,49 @@ def simulate_digests(strategy, n, tmp_path):
 def test_simulate_outputs_match_golden_digests(strategy, n, tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", CHUNK_BYTES)
     assert simulate_digests(strategy, n, tmp_path) == GOLDEN[(strategy, n)]
+
+
+#: (strategy, n, --distribution) -> (digest of the JSON output, digest of the CSV output).
+ENUMERATE_GOLDEN = {
+    ("constant-plus", 4, True): (
+        "4579c1a9564544ab2254f005de13b5d607183e6ba5889ec298c5ee76cc449a0d",
+        "858360b5ecf4d49abe61c078762e1201442746830f017ae9aa37fe4c2ad1bf33",
+    ),
+    ("constant-plus", 8, True): (
+        "6c1b33742487bbd32752e15e2ab68c1424f7a54b1ec657a82e5f16846ed03c51",
+        "6cda9aecf0b77be8bdafecd4e480d9a55fa300e0bbdea2559d870db0b4eea197",
+    ),
+    ("guessing", 4, True): (
+        "dcf00f0d93e7086f54351a24a36703f2ec8b96d0e40aad57c85b2e37454abc7e",
+        "215a058f91f87156c239a0f95dccf1e7d7d517a6f835d235d673e040a32eb6d9",
+    ),
+    ("guessing", 8, True): (
+        "e0c79f9090cc3e937cc487f687668d0a1c49d646226290a075da6739273a83ba",
+        "5bb4346b548c98761797141b6208f3e3139d75f0d1236c9b37f14f404c5b8e5d",
+    ),
+    ("model101", 4, True): (
+        "24accc7208ae117be104126376295c26a8011a8eb4b462d86f6569163e22d09e",
+        "923c563e8e6153098d2be8dba162b377dd54a63c71afed89d1b1a2b66d3f2354",
+    ),
+    ("model101", 8, True): (
+        "e5c69eb9a2eafac812da265203376f0304d625a4ba016cdff069927300d667a7",
+        "d2a2ee15fa0056718d6623578b9810d904d2a1603119ab13a91cb9218cd38858",
+    ),
+    ("guessing", 7, False): (
+        "c65c88a347a88e9818426e7b037a2151c5c5dc0ec023d2d684cd20f2407f40a9",
+        "78dfa03c785fdf4d73f2100a5238171951d3ef98a836c60f6b3f9f61243aade5",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, n, distribution", sorted(ENUMERATE_GOLDEN))
+def test_enumerate_outputs_match_golden_digests(strategy, n, distribution, tmp_path):
+    digests = []
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"enumerate.{fmt}"
+        argv = ["enumerate", "--strategy", strategy, "--n", str(n), "--format", fmt, "--out", str(out)]
+        if distribution:
+            argv.append("--distribution")
+        assert cli.main(argv) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == ENUMERATE_GOLDEN[(strategy, n, distribution)]

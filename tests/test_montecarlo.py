@@ -19,10 +19,8 @@ from chshsim.montecarlo import (
     BatchCounts,
     SimulationPlan,
     Tally,
-    batch_csv_row,
     batch_csv_rows,
     batch_x,
-    batch_y,
     compare_tails,
     estimate,
     iter_batch_counts,
@@ -294,7 +292,7 @@ def test_estimate_mean_y_is_exact_rational():
     plan = SimulationPlan(factory=constant_plus, n=10, batches=16, seed=2)
     report = estimate(plan)
     records = list(iter_batch_counts(plan))
-    expected = sum(batch_y(r, 10) for r in records) / 16
+    expected = oracles.fold_batches([(r.score_counts, r.pair_counts) for r in records], 10, "0.1")["mean_y"]
     assert report.mean_y == expected
     assert isinstance(report.mean_y, Fraction)
 
@@ -435,7 +433,7 @@ def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
             slices = [list(rows) for rows in batch_csv_rows(tally, n, seed)]
             assert all(len(rows) <= 3 for rows in slices)
             expected = [
-                batch_csv_row(BatchCounts(tally.first + b, *batches[tally.first + b]), n, seed)
+                oracles.batch_csv_row(tally.first + b, seed, n, *batches[tally.first + b])
                 for b in range(len(tally.score_counts))
             ]
             assert list(itertools.chain.from_iterable(slices)) == expected
@@ -524,21 +522,22 @@ def test_se_y_exact_when_float_variance_would_cancel():
 
 def test_batch_helpers():
     record = BatchCounts(0, (2, 1, 1, 0), (2, 2, 1, 1))
-    assert batch_y(record, 6) == Fraction(8, 3)
+    tally = Tally(0, np.array([record.score_counts]), np.array([record.pair_counts]))
+    assert tally.y(6)[0] == float(Fraction(8, 3))
     assert batch_x(record) == Fraction(1) + Fraction(1, 2) + Fraction(1) + Fraction(0)
     undefined = BatchCounts(1, (1, 0, 0, 0), (6, 0, 0, 0))
     assert batch_x(undefined) is None
 
 
 def test_batch_csv_row_layout():
-    record = BatchCounts(3, (2, 1, 1, 0), (2, 2, 1, 1))
-    row = batch_csv_row(record, 6, 42)
+    tally = Tally(3, np.array([(2, 1, 1, 0), (1, 0, 0, 0)]), np.array([(2, 2, 1, 1), (6, 0, 0, 0)]))
+    row, undefined = itertools.chain.from_iterable(batch_csv_rows(tally, 6, 42))
+    assert row == oracles.batch_csv_row(3, 42, 6, (2, 1, 1, 0), (2, 2, 1, 1))
     assert len(row) == len(BATCH_CSV_HEADER)
     assert row[:3] == (3, 42, 6)
     assert row[4] == 1
-    undefined = BatchCounts(4, (1, 0, 0, 0), (6, 0, 0, 0))
-    row = batch_csv_row(undefined, 6, 42)
-    assert row[4] == 0 and row[5] == ""
+    assert undefined == oracles.batch_csv_row(4, 42, 6, (1, 0, 0, 0), (6, 0, 0, 0))
+    assert undefined[4] == 0 and undefined[5] == ""
 
 
 def test_wilson_interval_basics():
