@@ -16,9 +16,11 @@ kernel reproduces the general round-by-round engine exactly; the engine
 remains the fallback for every other strategy and the reference the
 tests hold the kernels to.  The kernels seed a whole chunk of batches at
 once: they recompute each batch's PCG64 state in numpy, without building
-a ``SeedSequence`` or ``Generator`` per batch, and let one reused PCG64
-draw each batch's words natively.  The draws are bit-identical to the
-per-batch generators, which the general engine still builds.
+a ``SeedSequence`` or ``Generator`` per batch.  A batch that needs at
+most ``_STEP_WORDS`` raw words has all of them stepped in numpy too, a
+word of every batch at a time; a longer stream is drawn natively by one
+reused PCG64 per chunk.  The draws are bit-identical to the per-batch
+generators, which the general engine still builds.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class SimulationPlan:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.batches < 1:
             raise ValueError(f"batches must be >= 1, got {self.batches}")
+        if self.seed < 0:
+            raise ValueError(f"seed: expected non-negative integer, got {self.seed}")
         if not 0 < self.delta < 1:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
@@ -252,9 +256,19 @@ def _mulhi64(a, b: int):
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
-def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
+def _pcg64_step(s_hi, s_lo, inc_hi, inc_lo):
+    """One PCG64 step, state * MULT + inc mod 2^128, on (hi, lo) uint64 halves."""
+    t_lo = s_lo * _PCG_MULT_LO
+    t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
+    t_lo += inc_lo
+    t_hi += inc_hi + (t_lo < inc_lo)
+    return t_hi, t_lo
+
+
+def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """PCG64 states and increments of batches lo..hi-1, as
-    ``default_rng(batch_seed_sequence(seed, i))`` sets them."""
+    ``default_rng(batch_seed_sequence(seed, i))`` sets them: the (hi, lo)
+    uint64 halves of the states, then of the increments."""
     pool, const = _seed_pool(seed)
     index = np.arange(lo, hi, dtype=np.uint64)
     pool = [np.full(hi - lo, p, dtype=np.uint32) for p in pool]
@@ -270,19 +284,12 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
         h, const = _hashmix(mixed[k % 4], const, _MULT_B)
         words.append(h.astype(np.uint64))
     init_hi, init_lo, seq_hi, seq_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
-    # PCG64's seeding in (hi, lo) uint64 halves: inc = 2 seq + 1,
-    # state = ((inc + init) * MULT + inc) mod 2^128.
+    # PCG64's seeding: inc = 2 seq + 1, state = (inc + init) * MULT + inc.
     inc_hi = seq_hi << 1 | seq_lo >> 63
     inc_lo = seq_lo << 1 | 1
     s_lo = inc_lo + init_lo
     s_hi = inc_hi + init_hi + (s_lo < inc_lo)
-    t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
-    t_lo = s_lo * _PCG_MULT_LO + inc_lo
-    t_hi += inc_hi + (t_lo < inc_lo)
-    return (
-        [h << 64 | l for h, l in zip(t_hi.tolist(), t_lo.tolist())],
-        [h << 64 | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())],
-    )
+    return *_pcg64_step(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo
 
 
 def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
@@ -297,8 +304,39 @@ def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
     return start, start + (n if uniforms else 0)
 
 
+#: Most raw words per batch that are stepped in numpy.  Emulated 128-bit
+#: arithmetic costs 14-17 ns a word of every batch; a native PCG64 draws
+#: a word in about 3 ns but takes about 2.2 us to set each batch's state.
+#: The two break even at 150-190 words, on a 2-core x86 machine.
+_STEP_WORDS = 128
+
 #: Raw words one ``random_raw`` call returns at most.
 _RAW_PIECE = 1 << 16
+
+
+def _raw_block(seed: int, lo: int, hi: int, m: int) -> np.ndarray:
+    """The first m raw uint64 words of batches lo..hi-1, one row per batch."""
+    s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed, lo, hi)
+    block = np.empty((hi - lo, m), dtype=np.uint64)
+    if m <= _STEP_WORDS:
+        # Numpy steps the state, then outputs it by XSL-RR: the xor of its
+        # halves rotated right by its top six bits.
+        for col in range(m):
+            s_hi, s_lo = _pcg64_step(s_hi, s_lo, inc_hi, inc_lo)
+            x = s_hi ^ s_lo
+            rot = s_hi >> 58
+            block[:, col] = x >> rot | x << (-rot & 63)
+        return block
+    bitgen = np.random.PCG64(0)
+    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    halves = zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    for row, (sh, sl, ih, il) in enumerate(halves):
+        state["state"] = {"state": sh << 64 | sl, "inc": ih << 64 | il}
+        bitgen.state = state
+        # The stream continues across calls; pieces bound the copy's temporary.
+        for a in range(0, m, _RAW_PIECE):
+            block[row, a : a + _RAW_PIECE] = bitgen.random_raw(min(_RAW_PIECE, m - a))
+    return block
 
 
 def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, uniforms: bool = False):
@@ -308,6 +346,8 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
     batch i: ``integers(0, 4, n, uint8)``, then (if ``coins``) an
     ``integers(0, 2, n, uint8)`` tape, which is skipped, then (if
     ``uniforms``) ``random(n)``; the uniforms are None otherwise.
+    A batch's raw words are stepped in numpy for the whole chunk at once
+    up to ``_STEP_WORDS`` words, and drawn by a native PCG64 beyond.
     A uniform comes as the uint64 word ``x >> 11`` whose ``random()`` is
     ``(x >> 11) * 2**-53``, so kernels compare it with integer cut points
     and no float copy of the tape is made.
@@ -316,16 +356,7 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
     first.  Bytes are taken with shifts, independent of byte order.
     """
     start, m = _raw_words(n, coins, uniforms)
-    states, incs = _pcg64_states(seed, lo, hi)
-    bitgen = np.random.PCG64(0)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    block = np.empty((hi - lo, m), dtype=np.uint64)
-    for row, (s, inc) in enumerate(zip(states, incs)):
-        state["state"] = {"state": s, "inc": inc}
-        bitgen.state = state
-        # The stream continues across calls; pieces bound the copy's temporary.
-        for a in range(0, m, _RAW_PIECE):
-            block[row, a : a + _RAW_PIECE] = bitgen.random_raw(min(_RAW_PIECE, m - a))
+    block = _raw_block(seed, lo, hi, m)
 
     words = block[:, : -(-n // 8)]  # the words holding the n pair bytes
     pairs = np.empty((hi - lo, words.shape[1], 8), dtype=np.uint8)
@@ -470,8 +501,9 @@ _TALLY_ROW_BYTES = 256
 
 #: What a kernel chunk's PCG64 seeding takes per batch beyond the tally's
 #: share.  Seeding ends before the tally exists and peaks, under
-#: tracemalloc, at about 450 B per batch: numpy words, then a state and
-#: an increment as 128-bit Python ints in lists.
+#: tracemalloc, at about 250 B per batch of numpy words.  Beyond the raw
+#: words, stepping the states in numpy then takes about 120 B per batch,
+#: and handing them to a native PCG64 as 128-bit Python ints about 210 B.
 _SEED_ROW_BYTES = 256
 
 

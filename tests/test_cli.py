@@ -228,6 +228,17 @@ def test_simulate_negative_seed_is_input_error(strategy, capsys):
     assert "expected non-negative integer" in capsys.readouterr().err
 
 
+def test_simulate_negative_seed_opens_no_batches_file(tmp_path, capsys):
+    batches_out = tmp_path / "b.csv"
+    code = run_cli(
+        "simulate", "--strategy", "guessing", "--n", "4", "--batches", "3", "--seed", "-1",
+        "--batches-out", str(batches_out),
+    )
+    assert code == 2
+    assert "expected non-negative integer" in capsys.readouterr().err
+    assert not batches_out.exists()
+
+
 def test_simulate_collective_beyond_two_rounds_is_input_error(capsys):
     assert run_cli("simulate", "--strategy", "collective-n2", "--n", "3") == 2
     assert capsys.readouterr().err == "error: collective-n2 is defined for exactly 2 rounds, got 3\n"

@@ -151,9 +151,9 @@ def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window):
 
 
 def test_negative_seed_is_rejected_on_both_engines():
-    plan = SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=-1)
     for force_general in (False, True):
         with pytest.raises(ValueError, match="expected non-negative integer"):
+            plan = SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=-1)
             list(iter_batch_counts(plan, force_general=force_general))
 
 
@@ -185,12 +185,32 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, dat
 
 def test_raw_words_drawn_in_pieces_equal_numpy_per_batch_generators(monkeypatch):
     monkeypatch.setattr(montecarlo, "_RAW_PIECE", 5)
-    n = 61
+    n = 150
+    assert montecarlo._raw_words(n, True, True)[1] > montecarlo._STEP_WORDS  # the native path
     pairs, uniforms = _chunk_draws(11, 4, 7, n, coins=True, uniforms=True)
     for row, index in enumerate(range(4, 7)):
         want_pairs, _, want_uniforms = numpy_batch_draws(11, index, n, coins=True)
         assert np.array_equal(pairs[row], want_pairs)
         assert np.array_equal(uniforms[row] * 2.0 ** -53, want_uniforms)
+
+
+@pytest.mark.parametrize("coins, uniforms", [(False, False), (True, True), (False, True)])
+def test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold(coins, uniforms):
+    # Every n whose batch draws _STEP_WORDS - 1, _STEP_WORDS or _STEP_WORDS + 1
+    # raw words: those up to _STEP_WORDS are stepped in numpy, the rest native.
+    step = montecarlo._STEP_WORDS
+    words = {n: montecarlo._raw_words(n, coins, uniforms)[1] for n in range(1, 8 * step + 9)}
+    ns = [n for n, m in words.items() if step - 1 <= m <= step + 1]
+    assert {words[n] for n in ns} >= {step, step + 1}
+    seed, lo, hi = 2 ** 100 + 7, 2 ** 32 - 2, 2 ** 32 + 1
+    for n in ns:
+        pairs, tape = _chunk_draws(seed, lo, hi, n, coins, uniforms)
+        assert (tape is None) == (not uniforms)
+        for row, index in enumerate(range(lo, hi)):
+            want_pairs, _, want_uniforms = numpy_batch_draws(seed, index, n, coins)
+            assert np.array_equal(pairs[row], want_pairs)
+            if uniforms:
+                assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
 
 
 def test_integer_uniform_cuts_equal_float_compares():
@@ -439,7 +459,9 @@ def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
             assert list(itertools.chain.from_iterable(slices)) == expected
 
 
-@pytest.mark.parametrize("name, n", [("guessing", 4), ("quantum", 1000), ("stochastic-lhv", 300)])
+@pytest.mark.parametrize(
+    "name, n", [("guessing", 4), ("guessing", 1000), ("quantum", 1000), ("stochastic-lhv", 300)]
+)
 def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatch):
     budget = 2 << 20
     factory = FACTORIES[name]
