@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -146,12 +147,10 @@ def _cmd_simulate(args) -> int:
     x_tail_bound(plan.n, plan.delta)  # refuse a bound with no float value before any batch runs
     if args.batches_out is not None:
         with open(args.batches_out, "w", encoding="utf-8", newline="") as fp:
-            writer = csv.writer(fp, lineterminator="\n")
-            writer.writerow(BATCH_CSV_HEADER)
+            fp.write(",".join(BATCH_CSV_HEADER) + "\n")
 
             def write_rows(tally):
-                for rows in batch_csv_rows(tally, plan.n, plan.seed):
-                    writer.writerows(rows)
+                fp.writelines(batch_csv_rows(tally, plan.n, plan.seed))
 
             report = estimate(plan, batch_sink=write_rows)
     else:
@@ -355,8 +354,14 @@ def dispatch(args) -> int:
     return _HANDLERS[args.command](args)
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return dispatch(args)
     except (ValueError, OSError) as exc:

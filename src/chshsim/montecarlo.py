@@ -11,15 +11,16 @@ strategy needs.
 Batches run in chunks, and everything after the draws works on a whole
 chunk at once: a :class:`Tally` of per-pair counts, one row per batch,
 feeds both the aggregation in :func:`estimate` and the per-batch CSV
-rows.  For every strategy of the CLI catalogue a vectorized scoring
-kernel reproduces the general round-by-round engine exactly; the engine
-remains the fallback for every other strategy and the reference the
-tests hold the kernels to.  The kernels seed a whole chunk of batches at
-once: they recompute each batch's PCG64 state in numpy, without building
-a ``SeedSequence`` or ``Generator`` per batch.  A batch that needs at
-most ``_STEP_WORDS`` raw words has all of them stepped in numpy too, a
-word of every batch at a time; a longer stream is drawn natively by one
-reused PCG64 per chunk.  The draws are bit-identical to the per-batch
+text, which :func:`batch_csv_rows` formats once per distinct count row
+of each slice of batches.  For every strategy of the CLI catalogue a
+vectorized scoring kernel reproduces the general round-by-round engine
+exactly; the engine remains the fallback for every other strategy and
+the reference the tests hold the kernels to.  The kernels seed a whole
+chunk of batches at once: they recompute each batch's PCG64 state in
+numpy, without building a ``SeedSequence`` or ``Generator`` per batch.
+A batch that needs at most ``_STEP_WORDS`` raw words has all of them
+stepped in numpy too, a word of every batch at a time; a longer stream
+is drawn natively by one reused PCG64 per chunk.  The draws are bit-identical to the per-batch
 generators, which the general engine still builds.
 """
 
@@ -156,32 +157,44 @@ class Tally(NamedTuple):
         return has_x, x
 
 
-#: Rows of per-batch CSV built at once, to bound the Python objects alive.
+#: Rows of per-batch CSV text built at once, to bound the Python objects alive.
 _CSV_SLICE_ROWS = 1024
 
+#: A batch's CSV line after ``batch,seed,n,``: Y, X defined, X (empty
+#: when undefined), then the four scores and the four totals.
+_CSV_TAIL_X = "%r,1,%r," + ",".join(["%d"] * 8) + "\n"
+_CSV_TAIL_NO_X = "%r,0,," + ",".join(["%d"] * 8) + "\n"
 
-def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[Iterable[tuple]]:
-    """The tally's per-batch CSV rows, laid out as ``BATCH_CSV_HEADER``
-    names them, in slices of at most ``_CSV_SLICE_ROWS`` rows for ``writerows``."""
-    y = tally.y(n)
-    has_x, x_defined = tally.x()
-    x = np.zeros(len(y))
-    x[has_x] = x_defined
-    for lo in range(0, len(y), _CSV_SLICE_ROWS):
-        hi = min(lo + _CSV_SLICE_ROWS, len(y))
-        x_col = list(map(repr, x[lo:hi].tolist()))
-        for i in np.flatnonzero(~has_x[lo:hi]).tolist():
-            x_col[i] = ""
-        yield zip(
-            range(tally.first + lo, tally.first + hi),
-            itertools.repeat(seed),
-            itertools.repeat(n),
-            map(repr, y[lo:hi].tolist()),
-            has_x[lo:hi].view(np.uint8).tolist(),
-            x_col,
-            *tally.score_counts[lo:hi].T.tolist(),
-            *tally.pair_counts[lo:hi].T.tolist(),
-        )
+
+def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[str]:
+    """The tally's per-batch CSV lines, laid out as ``BATCH_CSV_HEADER``
+    names them, as text slices of at most ``_CSV_SLICE_ROWS`` lines.
+
+    Everything after ``batch,seed,n,`` depends only on a batch's eight
+    counts, so each slice formats that tail once per distinct count row
+    and reuses it for the equal rows.  The distinct rows go through
+    :meth:`Tally.y` and :meth:`Tally.x` as one tally, so every float is
+    the one the whole tally would give; it is written as its ``repr``.
+    """
+    prefix = f",{seed},{n},"
+    for lo in range(0, len(tally.score_counts), _CSV_SLICE_ROWS):
+        hi = min(lo + _CSV_SLICE_ROWS, len(tally.score_counts))
+        counts = np.concatenate((tally.score_counts[lo:hi], tally.pair_counts[lo:hi]), axis=1)
+        # Each row as one opaque bytes key: sorting those is far cheaper
+        # than np.unique(axis=0), and unlike a key packed into one integer
+        # it cannot overflow.
+        keys = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = counts[first]
+        rows = Tally(0, distinct[:, :4], distinct[:, 4:])
+        has_x, x = rows.x()
+        x_cells = iter(x.tolist())
+        tails = [
+            _CSV_TAIL_X % (y, next(x_cells), *row) if defined else _CSV_TAIL_NO_X % (y, *row)
+            for y, defined, row in zip(rows.y(n).tolist(), has_x.tolist(), distinct.tolist())
+        ]
+        batches = range(tally.first + lo, tally.first + hi)
+        yield "".join([f"{b}{prefix}{tails[i]}" for b, i in zip(batches, inverse.tolist())])
 
 
 # --- per-batch streams, a chunk at a time --------------------------------
@@ -495,8 +508,9 @@ _KERNELS = {
 #: batch whatever n is.
 _CHUNK_BYTES = 16 << 20
 
-#: A batch's bytes in its chunk's tally and in the aggregation's and CSV
-#: sink's per-batch arrays, which a general-engine chunk holds alone.
+#: A batch's bytes in its chunk's tally and in the aggregation's
+#: per-batch arrays, which a general-engine chunk holds alone.  The CSV
+#: sink's arrays span one slice of ``_CSV_SLICE_ROWS`` rows, not the chunk.
 _TALLY_ROW_BYTES = 256
 
 #: What a kernel chunk's PCG64 seeding takes per batch beyond the tally's

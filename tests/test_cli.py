@@ -300,6 +300,44 @@ def test_nosig_signaling_double_exits_one(tmp_path, monkeypatch):
     assert payload["counterexample"]["before"] != payload["counterexample"]["after"]
 
 
+def assert_same_outputs_as_a_fresh_parser(argv, tmp_path):
+    """``main`` on ``argv`` writes what a parser built for this call alone gives."""
+    reused, fresh = tmp_path / "reused.out", tmp_path / "fresh.out"
+    assert run_cli(*argv, "--out", str(reused)) == 0
+    assert cli.dispatch(cli.build_parser().parse_args([*argv, "--out", str(fresh)])) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_main_carries_no_arguments_over_to_the_next_call(tmp_path, capsys):
+    assert cli.build_parser() is not cli.build_parser()
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight,a1,a2,b1,b2\n1/2,+1,+1,+1,+1\n1/2,-1,-1,-1,-1\n")
+    assert run_cli(
+        "simulate", "--strategy", "stochastic-lhv", "--strategy-file", str(weights), "--n", "6",
+        "--batches", "20", "--format", "csv", "--out", str(tmp_path / "first.out"),
+        "--batches-out", str(tmp_path / "first.csv"),
+    ) == 0
+    assert_same_outputs_as_a_fresh_parser(
+        ["simulate", "--strategy", "quantum", "--n", "6", "--batches", "20", "--seed", "5"], tmp_path
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "first.csv", "first.out", "fresh.out", "reused.out", "weights.csv",
+    ]
+    assert run_cli("simulate", "--strategy", "stochastic-lhv", "--n", "6") == 2
+    assert "requires a weights file" in capsys.readouterr().err
+
+
+def test_rejected_arguments_leave_the_next_call_unaffected(tmp_path):
+    stray = tmp_path / "stray.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", "--strategy", "quantum", "--n", "6", "--batches-out", str(stray), "--seed", "x")
+    assert exc.value.code == 2
+    assert_same_outputs_as_a_fresh_parser(
+        ["simulate", "--strategy", "constant-plus", "--n", "6", "--batches", "20"], tmp_path
+    )
+    assert not stray.exists()
+
+
 def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         run_cli()

@@ -1,7 +1,7 @@
 """Tests for the Monte Carlo machinery: streams, kernels, aggregation."""
 
 import csv
-import itertools
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -442,27 +442,63 @@ def test_estimate_equals_per_batch_fraction_fold(run):
         assert getattr(report, field) == value, field
 
 
+def csv_text(rows):
+    """The reference serialization of per-batch rows: ``csv.writer`` lines."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+# Seven batches, so three slices of at most three rows: all rows equal,
+# all rows distinct, and rows whose X_N denominator reaches 2^51 (one of
+# them just above the cut) beside rows that stay below it or lack X_N.
+EQUAL_RUN = (6, "0.1", [((2, 1, 1, 0), (2, 2, 1, 1))] * 7, [0])
+DISTINCT_RUN = (6, "0.1", [((k % 4, k // 4, 1, 0), (3, 1, 1, 1)) for k in range(7)], [0])
+BIG_DEN_RUN = (
+    sum(ABOVE_CUT[1]),
+    "0.1",
+    [
+        ABOVE_CUT,
+        ((1, 0, 5, 9), ABOVE_CUT[1]),
+        ((7, 0, 0, 0), (sum(ABOVE_CUT[1]), 0, 0, 0)),
+        ABOVE_CUT,
+        ((9, 1, 1, 0), (sum(ABOVE_CUT[1]) - 3, 1, 1, 1)),
+        ((1, 0, 5, 9), ABOVE_CUT[1]),
+        ABOVE_CUT,
+    ],
+    [0],
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(run=synthetic_runs(), seed=hs.sampled_from((0, 2 ** 80 + 5)))
 @example(run=TIED_RUN, seed=3)
+@example(run=EQUAL_RUN, seed=2 ** 80 + 5)
+@example(run=DISTINCT_RUN, seed=0)
+@example(run=BIG_DEN_RUN, seed=0)
 def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
     n, _, batches, starts = run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_CSV_SLICE_ROWS", 3)
         for tally in as_tallies(batches, starts):
-            slices = [list(rows) for rows in batch_csv_rows(tally, n, seed)]
-            assert all(len(rows) <= 3 for rows in slices)
-            expected = [
+            rows = [
                 oracles.batch_csv_row(tally.first + b, seed, n, *batches[tally.first + b])
                 for b in range(len(tally.score_counts))
             ]
-            assert list(itertools.chain.from_iterable(slices)) == expected
+            expected = [csv_text(rows[lo:lo + 3]) for lo in range(0, len(rows), 3)]
+            assert list(batch_csv_rows(tally, n, seed)) == expected
 
 
 @pytest.mark.parametrize(
     "name, n", [("guessing", 4), ("guessing", 1000), ("quantum", 1000), ("stochastic-lhv", 300)]
 )
 def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatch):
+    """A run streamed to a CSV file peaks within twice its chunk budget.
+
+    The CSV text is built a slice of at most ``_CSV_SLICE_ROWS`` rows at
+    a time, and per slice at most one tail string per row is alive
+    besides the lines, so its Python objects stay bounded by the slice.
+    """
     budget = 2 << 20
     factory = FACTORIES[name]
     rows = budget // _row_bytes(n, _find_kernel(factory()))
@@ -470,13 +506,12 @@ def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatc
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
     chunks = 0
     with open(tmp_path / "batches.csv", "w", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
 
         def sink(tally):
             nonlocal chunks
             chunks += 1
-            for slice_rows in batch_csv_rows(tally, n, plan.seed):
-                writer.writerows(slice_rows)
+            for text in batch_csv_rows(tally, n, plan.seed):
+                fp.write(text)
 
         tracemalloc.start()
         try:
@@ -553,13 +588,16 @@ def test_batch_helpers():
 
 def test_batch_csv_row_layout():
     tally = Tally(3, np.array([(2, 1, 1, 0), (1, 0, 0, 0)]), np.array([(2, 2, 1, 1), (6, 0, 0, 0)]))
-    row, undefined = itertools.chain.from_iterable(batch_csv_rows(tally, 6, 42))
-    assert row == oracles.batch_csv_row(3, 42, 6, (2, 1, 1, 0), (2, 2, 1, 1))
-    assert len(row) == len(BATCH_CSV_HEADER)
-    assert row[:3] == (3, 42, 6)
-    assert row[4] == 1
-    assert undefined == oracles.batch_csv_row(4, 42, 6, (1, 0, 0, 0), (6, 0, 0, 0))
-    assert undefined[4] == 0 and undefined[5] == ""
+    text = "".join(batch_csv_rows(tally, 6, 42))
+    assert text == csv_text([
+        oracles.batch_csv_row(3, 42, 6, (2, 1, 1, 0), (2, 2, 1, 1)),
+        oracles.batch_csv_row(4, 42, 6, (1, 0, 0, 0), (6, 0, 0, 0)),
+    ])
+    row, undefined = (line.split(",") for line in text.splitlines())
+    assert len(row) == len(undefined) == len(BATCH_CSV_HEADER)
+    assert row[:3] == ["3", "42", "6"]
+    assert row[4] == "1"
+    assert undefined[4] == "0" and undefined[5] == ""
 
 
 def test_wilson_interval_basics():
