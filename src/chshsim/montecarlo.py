@@ -188,7 +188,7 @@ def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[str]:
         distinct = counts[first]
         rows = Tally(0, distinct[:, :4], distinct[:, 4:])
         has_x, x = rows.x()
-        x_cells = iter(x.tolist())
+        x_cells = iter(x.tolist())  # X_N of the rows that have it, in row order
         tails = [
             _CSV_TAIL_X % (y, next(x_cells), *row) if defined else _CSV_TAIL_NO_X % (y, *row)
             for y, defined, row in zip(rows.y(n).tolist(), has_x.tolist(), distinct.tolist())
