@@ -399,20 +399,31 @@ def _kernel_constant(strategy, pairs, uniforms):
 
 
 def _kernel_guessing(strategy, pairs, uniforms):
+    # A round scores unless its pair is the most measured so far, the
+    # first of tied pairs winning.  Pair j of a batch keeps the key
+    # 4 count_j + 3 - j: a batch's keys differ mod 4, so its largest key
+    # is the canonical target, and a running maximum of the keys tracks
+    # it without an argmax per round.  Pairs and scores are walked
+    # round-major, one contiguous column per round.
     n_batches, n = pairs.shape
-    counts = np.zeros((n_batches, 4), dtype=np.int64)
-    scores = np.empty((n_batches, n), dtype=bool)
-    rows = np.arange(n_batches)
+    order = np.ascontiguousarray(pairs.T)
+    keys = np.tile(np.arange(3, -1, -1, dtype=np.int64), n_batches)
+    top = np.full(n_batches, 3, dtype=np.int64)
+    offsets = np.arange(0, 4 * n_batches, 4)
+    idx = np.empty(n_batches, dtype=np.intp)
+    key = np.empty(n_batches, dtype=np.int64)
+    scores = np.empty((n, n_batches), dtype=bool)
+    for k in range(n):
+        np.add(offsets, order[k], out=idx)
+        np.take(keys, idx, out=key)
+        np.not_equal(key, top, out=scores[k])
+        key += 4
+        keys[idx] = key
+        np.maximum(top, key, out=top)
     # Round 1 plays the constant assignment, which fails only (A2,B2).
-    scores[:, 0] = pairs[:, 0] != 3
-    counts[rows, pairs[:, 0]] += 1
-    for k in range(1, n):
-        col = pairs[:, k]
-        # np.argmax returns the first maximum: the canonical tie-break.
-        target = np.argmax(counts, axis=1)
-        scores[:, k] = col != target
-        counts[rows, col] += 1
-    return scores
+    np.not_equal(order[0], 3, out=scores[0])
+    del order
+    return np.ascontiguousarray(scores.T)
 
 
 def _kernel_model101(strategy, pairs, uniforms):
@@ -491,13 +502,14 @@ class _Kernel(NamedTuple):
     coins: bool = False  # the strategy draws an n-coin tape after the pairs
     uniforms: bool = False  # ... and then n uniforms, which it scores with
     round_bytes: int = 0  # bytes per round the score takes beyond its result
+    batch_bytes: int = 0  # ... and per batch
     prepare: Callable | None = None  # strategy -> what ``score`` receives instead
     rounds: int | None = None  # the only n the kernel serves, if one
 
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing),
+    GuessingModel: _Kernel(_kernel_guessing, round_bytes=1, batch_bytes=64),
     Model101: _Kernel(_kernel_model101),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=16, prepare=_stochastic_tables),
@@ -524,10 +536,17 @@ _SEED_ROW_BYTES = 256
 def _row_bytes(n: int, kernel: _Kernel) -> int:
     """One batch's share of a kernel chunk: the per-batch arrays, and per
     round its raw words, its pair bytes with one shifted word plane, its
-    scores, a tally mask and what the score takes besides."""
+    scores, a tally mask and what the score takes besides.
+
+    The guessing kernel takes 1 B per round for its round-major pair
+    copy, which is freed before its round-major scores are copied into
+    the result, and 64 B per batch for its int64 buffers: four pair keys,
+    the top key, the round's key and index, and the row offsets.
+    """
     _, m = _raw_words(n, kernel.coins, kernel.uniforms)
     pair_bytes = 8 * -(-n // 8)
-    return _SEED_ROW_BYTES + _TALLY_ROW_BYTES + 8 * m + 2 * pair_bytes + (2 + kernel.round_bytes) * n
+    per_batch = _SEED_ROW_BYTES + _TALLY_ROW_BYTES + kernel.batch_bytes
+    return per_batch + 8 * m + 2 * pair_bytes + (2 + kernel.round_bytes) * n
 
 
 def _find_kernel(strategy):

@@ -28,7 +28,14 @@ from chshsim.montecarlo import (
     tail_compare,
     wilson_interval,
 )
-from chshsim.montecarlo import _chunk_draws, _find_kernel, _kernel_model101, _row_bytes, _se_y
+from chshsim.montecarlo import (
+    _chunk_draws,
+    _find_kernel,
+    _kernel_guessing,
+    _kernel_model101,
+    _row_bytes,
+    _se_y,
+)
 from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
     QUANTUM_SCORE_PROBABILITY,
@@ -276,6 +283,58 @@ def test_model101_kernel_on_crafted_trigger_history():
     # Triggered batch scores the (A2,B2) finale but not an (A1,B2) finale.
     assert scores[0][100]
     assert not scores[1][100]
+
+
+def _guessing_oracle_scores(pairs):
+    """Round scores of each row of a pair matrix, from the independent oracle."""
+    rows = []
+    for row in pairs.tolist():
+        outcomes = oracles.guessing_outcomes(row)
+        rows.append([oracles.score(p, a, b) == 1 for p, (a, b) in zip(row, outcomes)])
+    return np.array(rows, dtype=bool).reshape(pairs.shape)
+
+
+def _cycle(alphabet, n):
+    return [alphabet[k % len(alphabet)] for k in range(n)]
+
+
+_RNG = np.random.default_rng(20260)
+
+TIE_HEAVY = {
+    "same pair every round": [[p] * 40 for p in range(4)],
+    "round robin up and down": [_cycle((0, 1, 2, 3), 1000), _cycle((3, 2, 1, 0), 1000)],
+    "round robin, short": [_cycle((0, 1, 2, 3), 9), _cycle((3, 2, 1, 0), 9)],
+    "alphabet {2, 3}": [_cycle((2, 3), 60), _cycle((3, 2), 60), *_RNG.choice([2, 3], (4, 60)).tolist()],
+    "alphabet {1, 2, 3}": [
+        _cycle((1, 2, 3), 60),
+        _cycle((3, 2, 1), 60),
+        *_RNG.choice([1, 2, 3], (4, 60)).tolist(),
+    ],
+    "n = 1": [[p] for p in range(4)],
+    "n = 2": [[p, q] for p in range(4) for q in range(4)],
+    "one batch": [_RNG.integers(0, 4, 30).tolist()],
+}
+
+
+@pytest.mark.parametrize("rows", TIE_HEAVY.values(), ids=TIE_HEAVY.keys())
+def test_guessing_kernel_on_tie_heavy_histories_matches_oracle(rows):
+    pairs = np.array(rows, dtype=np.uint8)
+    scores = _kernel_guessing(None, pairs.copy(), None)
+    assert scores.shape == pairs.shape
+    assert np.array_equal(scores, _guessing_oracle_scores(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphabet=hs.sampled_from([(0, 1, 2, 3), (2, 3), (1, 2, 3), (0, 3), (1,)]),
+    shape=hs.tuples(hs.integers(1, 4), hs.integers(1, 40)),
+    data=hs.data(),
+)
+def test_guessing_kernel_on_drawn_histories_matches_oracle(alphabet, shape, data):
+    batches, n = shape
+    picks = hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n)
+    pairs = np.array(data.draw(hs.lists(picks, min_size=batches, max_size=batches)), dtype=np.uint8)
+    assert np.array_equal(_kernel_guessing(None, pairs.copy(), None), _guessing_oracle_scores(pairs))
 
 
 def test_guessing_custom_tie_break_uses_general_path():
