@@ -5,8 +5,9 @@ pin the bytes of the JSON summary and the per-batch CSV across versions,
 so a refactor of the engines, the tally or the aggregation cannot change
 a seeded result unnoticed.  The chunk budget is shrunk so that every run
 crosses several chunk boundaries.  The ``enumerate`` digests pin the
-exact expectations and the full (Y, X) distribution, in JSON and CSV,
-across changes of the exact engines.  A digest may change only with a
+exact expectations and the full (Y, X) distribution, and the collective
+model's score-pattern counts, in JSON and CSV, across changes of the
+exact engines.  A digest may change only with a
 deliberate change of the output format or of the stream derivation,
 recorded as such.
 """
@@ -127,6 +128,10 @@ ENUMERATE_GOLDEN = {
     ("guessing", 7, False): (
         "c65c88a347a88e9818426e7b037a2151c5c5dc0ec023d2d684cd20f2407f40a9",
         "78dfa03c785fdf4d73f2100a5238171951d3ef98a836c60f6b3f9f61243aade5",
+    ),
+    ("collective-n2", 2, False): (
+        "8713ab5522a03890808c15ab23bea699bf472ab94306c72d661a8ccb72f22bed",
+        "bf6036756a07660dd347daff9035f2932cce58071e48cd66254c63ef99a96676",
     ),
 }
 
