@@ -36,7 +36,7 @@ from .bounds import bound_report, bounds_table, f_delta, normal_cdf, normal_tail
 from .enumerator import (
     chsh_exhaustive_max,
     collective_playout,
-    exact_collective_n2,
+    exact_collective,
     exact_expectations,
     model101_exact,
     no_signaling_check,

@@ -24,8 +24,7 @@ from .bounds import MODEL_CLASSES, bound_report, bounds_table, x_tail_bound
 from .core import InvariantViolation
 from .enumerator import (
     DEFAULT_ENUM_CAP,
-    INDEPENDENT_ROUNDS_CEILING,
-    exact_collective_n2,
+    exact_collective,
     exact_expectations,
     no_signaling_check,
 )
@@ -186,21 +185,19 @@ def _cmd_simulate(args) -> int:
 def _cmd_enumerate(args) -> int:
     strategy = _resolve_factory(args)()
     if isinstance(strategy, CollectiveStrategy):
-        if args.n != 2:
-            raise ValueError("collective-n2 enumeration is defined for --n 2")
-        result = exact_collective_n2(strategy)
-        both = result.event_counts[(1, 1)]
+        if args.distribution:
+            raise ValueError("--distribution is not available for collective strategies")
+        result = exact_collective(strategy, args.n, cap=args.enum_cap)
+        n_sequences = 4 ** result.n
         payload = {
             "command": "enumerate",
             "strategy": args.strategy,
-            "n": 2,
-            "n_sequences": result.n_sequences,
-            "event_counts": {
-                f"{s1}{s2}": count for (s1, s2), count in result.event_counts.items()
-            },
-            "p_both_score": f"{both}/{result.n_sequences}",
-            "p_both_score_decimal": float(result.p_both),
-            "independent_rounds_ceiling": rational(INDEPENDENT_ROUNDS_CEILING),
+            "n": result.n,
+            "n_sequences": n_sequences,
+            "event_counts": {"".join(map(str, p)): count for p, count in result.pattern_counts.items()},
+            "p_both_score": f"{result.p_all * n_sequences}/{n_sequences}",
+            "p_both_score_decimal": float(result.p_all),
+            "independent_rounds_ceiling": rational(result.independent_ceiling),
         }
     else:
         result = exact_expectations(

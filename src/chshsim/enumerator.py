@@ -6,10 +6,11 @@ expectations and distributions, without playing a single sequence: a
 count-driven strategy's play depends only on the pair counts so far,
 so the expectations are summed over pair-count vectors and the joint
 law of (Y_N, X_N) over (pair counts, per-pair scores) states.  Any
-other strategy is refused with ``TypeError``.  Also evaluates the
-special-case models in closed form and checks no-signaling by brute
-force.  Everything returns exact rationals; Monte Carlo
-(:mod:`chshsim.montecarlo`) takes over beyond the enumeration cap.
+other sequential strategy is refused with ``TypeError``; a collective
+one is played once per sequence (:func:`collective_scores`).  Also
+evaluates the rigged-101st-round model in closed form and checks
+no-signaling by brute force.  Everything returns exact rationals; Monte
+Carlo (:mod:`chshsim.montecarlo`) takes over beyond the enumeration cap.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import numpy as np
 from .core import (
     ALL_PAIRS,
     EMPTY_VIEW,
-    AliceSetting,
-    BobSetting,
     InvariantViolation,
     MemoryClass,
     MemoryView,
@@ -43,6 +42,7 @@ from .stats import chsh_value, round_score, x_from_counts, x_statistic
 from .strategies import (
     CollectiveStrategy,
     CountDriven,
+    MODEL_101_TRIGGER_COUNTS,
     DeterministicAssignment,
     Model101,
     SequentialStrategy,
@@ -52,13 +52,19 @@ from .strategies import (
 
 DEFAULT_ENUM_CAP = 10
 
-#: Ceiling on P(both rounds score) for any model whose round scores are
-#: independent with per-round probability at most 3/4.
-INDEPENDENT_ROUNDS_CEILING = Fraction(9, 16)
-
 
 class EnumerationCapError(ValueError):
     """The requested run length exceeds the exhaustive-enumeration cap."""
+
+
+def _check_enumerable(strategy, n: int, cap: int) -> None:
+    """Refuse n < 1, n above the cap and a stochastic strategy."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > cap:
+        raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap} (4^n sequences)")
+    if strategy.stochastic:
+        raise ValueError("exact enumeration requires a deterministic strategy")
 
 
 def _as_pairs(settings) -> tuple[SettingPair, ...]:
@@ -163,12 +169,7 @@ def exact_expectations(
     stochastic strategy, and then ``TypeError`` for a strategy that is
     not :class:`CountDriven`.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap} (4^n sequences)")
-    if strategy.stochastic:
-        raise ValueError("exact enumeration requires a deterministic strategy")
+    _check_enumerable(strategy, n, cap)
     if not isinstance(strategy, CountDriven):
         raise TypeError(f"exact enumeration requires a count-driven strategy, got {strategy!r}")
     if collect_distribution:
@@ -275,31 +276,42 @@ def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
     return _exact_result(n, score_sum, defined, x_sum)
 
 
+def collective_scores(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """A deterministic collective strategy's round scores on every setting sequence.
+
+    Row i of the (4^n, n) bool array is the strategy's own playout of
+    sequence i of ``itertools.product(ALL_PAIRS, repeat=n)``: the one
+    whose pair indices, read as a base-4 number with round 1 the most
+    significant digit, give i.  Refused like :func:`exact_expectations`.
+    """
+    _check_enumerable(strategy, n, cap)
+    table = np.empty((4 ** n, n), dtype=bool)
+    for i, pairs in enumerate(itertools.product(ALL_PAIRS, repeat=n)):
+        table[i] = [round_score(r) for r in collective_playout(strategy, pairs).rounds]
+    return table
+
+
 @dataclass(frozen=True)
-class CollectiveN2Result:
-    """Exact joint law of the two round scores for a collective pair model."""
+class CollectiveResult:
+    """Sequences per round-score pattern (0/1 tuples, in product order), the
+    chance that every round scores, and (3/4)^n, its most for independent
+    rounds that each score with probability at most 3/4."""
 
-    n_sequences: int
-    event_counts: dict[tuple[int, int], int]
-    p_both: Fraction
+    n: int
+    pattern_counts: dict[tuple[int, ...], int]
+    p_all: Fraction
+    independent_ceiling: Fraction
 
 
-def exact_collective_n2(strategy: CollectiveStrategy) -> CollectiveN2Result:
-    """Enumerate all 16 joint setting sequences of a two-round collective model."""
-    events: Counter = Counter()
-    n_sequences = 0
-    for a_seq in itertools.product(tuple(AliceSetting), repeat=2):
-        for b_seq in itertools.product(tuple(BobSetting), repeat=2):
-            pairs = tuple(SettingPair(a, b) for a, b in zip(a_seq, b_seq))
-            transcript = collective_playout(strategy, pairs)
-            s1, s2 = (round_score(rnd) for rnd in transcript.rounds)
-            events[(s1, s2)] += 1
-            n_sequences += 1
-    counts = {key: events.get(key, 0) for key in ((0, 0), (0, 1), (1, 0), (1, 1))}
-    return CollectiveN2Result(
-        n_sequences=n_sequences,
-        event_counts=counts,
-        p_both=Fraction(counts[(1, 1)], n_sequences),
+def exact_collective(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_ENUM_CAP) -> CollectiveResult:
+    """Count the score patterns of :func:`collective_scores` over all 4^n sequences."""
+    patterns = collective_scores(strategy, n, cap) @ (1 << np.arange(n - 1, -1, -1))
+    counts = np.bincount(patterns, minlength=2 ** n).tolist()
+    return CollectiveResult(
+        n=n,
+        pattern_counts=dict(zip(itertools.product((0, 1), repeat=n), counts)),
+        p_all=Fraction(counts[-1], 4 ** n),
+        independent_ceiling=Fraction(3, 4) ** n,
     )
 
 
@@ -325,13 +337,15 @@ class Model101Exact:
 def model101_exact() -> Model101Exact:
     """Exact trigger probability and conditional ratio-statistic gain.
 
-    The trigger history (pair counts 33, 33, 33, 1 after 100 rounds) is
-    played out explicitly with each possible 101st setting pair; the
+    A trigger history (pair counts ``MODEL_101_TRIGGER_COUNTS``) is
+    played out explicitly with each possible next setting pair; the
     conditional expectation averages the four equally likely branches.
+    The trigger probability is the multinomial of the counts over 4^k
+    histories of k rounds.
     """
-    trigger_settings = (
-        [ALL_PAIRS[0]] * 33 + [ALL_PAIRS[1]] * 33 + [ALL_PAIRS[2]] * 33 + [ALL_PAIRS[3]]
-    )
+    trigger_settings = [
+        pair for pair, count in zip(ALL_PAIRS, MODEL_101_TRIGGER_COUNTS) for _ in range(count)
+    ]
     branch_values = []
     for final_pair in ALL_PAIRS:
         transcript = playout(Model101(), trigger_settings + [final_pair])
@@ -341,8 +355,9 @@ def model101_exact() -> Model101Exact:
         branch_values.append(x)
     e_conditional = sum(branch_values, Fraction(0)) / 4
 
-    multinomial = math.comb(100, 33) * math.comb(67, 33) * math.comb(34, 1)
-    p_trigger = Fraction(multinomial, 4 ** 100)
+    rounds = len(trigger_settings)
+    multinomial = math.factorial(rounds) // math.prod(map(math.factorial, MODEL_101_TRIGGER_COUNTS))
+    p_trigger = Fraction(multinomial, 4 ** rounds)
     return Model101Exact(
         p_trigger=p_trigger,
         log10_p_trigger=math.log10(float(p_trigger)),

@@ -37,9 +37,11 @@ import numpy as np
 
 from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
-from .enumerator import collective_playout, playout
-from .stats import pair_tallies, round_score, x_from_counts, x_ratio
+from .enumerator import collective_playout, collective_scores, playout
+from .stats import pair_tallies, x_from_counts, x_ratio
 from .strategies import (
+    MODEL_101_TRIGGER_ASSIGNMENT,
+    MODEL_101_TRIGGER_COUNTS,
     QUANTUM_SCORE_PROBABILITY,
     CollectiveN2,
     CollectiveStrategy,
@@ -389,7 +391,7 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
 # A kernel maps a (batches, n) matrix of pair indices, and the uniforms
 # its strategy draws (as 53-bit integers), to a boolean matrix of round
 # scores.  It receives the strategy, or what its ``prepare`` built from
-# the strategy once per plan.  Kernels are registered per concrete
+# the strategy and n once per plan.  Kernels are registered per concrete
 # strategy type and must reproduce the general engine bit for bit; the
 # test suite asserts this equivalence.
 
@@ -428,18 +430,15 @@ def _kernel_guessing(strategy, pairs, uniforms):
 
 def _kernel_model101(strategy, pairs, uniforms):
     scores = pairs != 3
-    n = pairs.shape[1]
-    if n >= 101:
-        head = pairs[:, :100]
-        triggered = (
-            ((head == 0).sum(axis=1) == 33)
-            & ((head == 1).sum(axis=1) == 33)
-            & ((head == 2).sum(axis=1) == 33)
-            & ((head == 3).sum(axis=1) == 1)
+    k = sum(MODEL_101_TRIGGER_COUNTS)  # the trigger round, counted from 0
+    if pairs.shape[1] > k:
+        head = pairs[:, :k]
+        triggered = np.logical_and.reduce(
+            [(head == j).sum(axis=1) == count for j, count in enumerate(MODEL_101_TRIGGER_COUNTS)]
         )
         if triggered.any():
-            # The trigger assignment scores every pair except (A1,B2).
-            scores[triggered, 100] = pairs[triggered, 100] != 1
+            hits = [MODEL_101_TRIGGER_ASSIGNMENT.satisfies(pair) for pair in ALL_PAIRS]
+            scores[triggered, k] = np.take(hits, pairs[triggered, k])
     return scores
 
 
@@ -453,8 +452,9 @@ def _kernel_quantum(strategy, pairs, uniforms):
     return uniforms < _QUANTUM_CUT
 
 
-def _stochastic_tables(strategy):
-    """A mixture's integer cut points and its (assignment, pair) score table.
+def _stochastic_tables(strategy, n: int | None = None):
+    """A mixture's integer cut points and its (assignment, pair) score table,
+    which do not depend on n.
 
     The general engine picks the first assignment whose float cumulative
     weight c exceeds u; u >= c iff x >> 11 >= ceil(c 2^53), and c 2^53 is
@@ -479,22 +479,10 @@ def _kernel_stochastic(tables, pairs, uniforms):
     return table[picks]
 
 
-def _collective_table(strategy):
-    """Round scores of a two-round collective strategy by (pair 1, pair 2, round).
-
-    Built from the strategy's own playouts of the 16 setting sequences.
-    """
-    table = np.empty((4, 4, 2), dtype=bool)
-    for first, second in itertools.product(ALL_PAIRS, repeat=2):
-        rounds = collective_playout(strategy, (first, second)).rounds
-        table[first.index, second.index] = [round_score(r) for r in rounds]
-    return table
-
-
 def _kernel_collective(table, pairs, uniforms):
-    # The general engine draws two side seeds after the pairs, which
-    # collective-n2 ignores.
-    return table[pairs[:, 0], pairs[:, 1]]
+    # A batch's row of the table is its pairs read as a base-4 number.  The
+    # general engine draws two side seeds after the pairs, which are ignored.
+    return table[pairs @ 4 ** np.arange(pairs.shape[1] - 1, -1, -1)]
 
 
 class _Kernel(NamedTuple):
@@ -503,8 +491,7 @@ class _Kernel(NamedTuple):
     uniforms: bool = False  # ... and then n uniforms, which it scores with
     round_bytes: int = 0  # bytes per round the score takes beyond its result
     batch_bytes: int = 0  # ... and per batch
-    prepare: Callable | None = None  # strategy -> what ``score`` receives instead
-    rounds: int | None = None  # the only n the kernel serves, if one
+    prepare: Callable | None = None  # (strategy, n) -> what ``score`` receives instead
 
 
 _KERNELS = {
@@ -513,7 +500,7 @@ _KERNELS = {
     Model101: _Kernel(_kernel_model101),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=16, prepare=_stochastic_tables),
-    CollectiveN2: _Kernel(_kernel_collective, prepare=_collective_table, rounds=2),
+    CollectiveN2: _Kernel(_kernel_collective, round_bytes=8, batch_bytes=8, prepare=collective_scores),
 }
 
 #: Bytes of working arrays one chunk may take; it holds at least one
@@ -541,7 +528,9 @@ def _row_bytes(n: int, kernel: _Kernel) -> int:
     The guessing kernel takes 1 B per round for its round-major pair
     copy, which is freed before its round-major scores are copied into
     the result, and 64 B per batch for its int64 buffers: four pair keys,
-    the top key, the round's key and index, and the row offsets.
+    the top key, the round's key and index, and the row offsets.  The
+    collective kernel takes 8 B per round for an int64 copy of the pairs
+    and 8 B per batch for the sequence index.
     """
     _, m = _raw_words(n, kernel.coins, kernel.uniforms)
     pair_bytes = 8 * -(-n // 8)
@@ -583,8 +572,6 @@ def _iter_tallies(plan: SimulationPlan, force_general: bool = False) -> Iterator
     strategy = plan.factory()
     n, batches, seed = plan.n, plan.batches, plan.seed
     kernel = None if force_general else _find_kernel(strategy)
-    if kernel is not None and kernel.rounds not in (None, n):
-        kernel = None  # the general engine reports what the strategy makes of n
 
     if kernel is None:
         rows = max(1, _CHUNK_BYTES // _TALLY_ROW_BYTES)
@@ -592,7 +579,7 @@ def _iter_tallies(plan: SimulationPlan, force_general: bool = False) -> Iterator
             yield _general_tally(strategy, n, seed, lo, min(lo + rows, batches))
         return
 
-    scorer = strategy if kernel.prepare is None else kernel.prepare(strategy)
+    scorer = strategy if kernel.prepare is None else kernel.prepare(strategy, n)
     rows = max(1, _CHUNK_BYTES // _row_bytes(n, kernel))
     for lo in range(0, batches, rows):
         yield _kernel_tally(kernel, scorer, n, seed, lo, min(lo + rows, batches))
@@ -676,11 +663,7 @@ def _add_in_order(total: float, values: np.ndarray) -> float:
     return float(np.add.accumulate(terms, out=terms)[-1])
 
 
-def estimate(
-    plan: SimulationPlan,
-    batch_sink: Callable[[Tally], None] | None = None,
-    force_general: bool = False,
-) -> EstimateReport:
+def estimate(plan: SimulationPlan, batch_sink: Callable[[Tally], None] | None = None) -> EstimateReport:
     """Run all batches and aggregate; identical plans give identical reports.
 
     Batches are folded one chunk at a time, with the same roundings, in
@@ -707,7 +690,7 @@ def estimate(
     x_sqsum = 0.0
     x_tail = 0
 
-    for tally in _iter_tallies(plan, force_general):
+    for tally in _iter_tallies(plan):
         if batch_sink is not None:
             batch_sink(tally)
         k = tally.score_counts.sum(axis=1)

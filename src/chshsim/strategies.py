@@ -271,7 +271,8 @@ class GuessingModel(CountDriven):
 #: regardless of setting, +1 for B1, -1 for B2.
 MODEL_101_TRIGGER_ASSIGNMENT = DeterministicAssignment(PLUS, PLUS, PLUS, MINUS)
 
-#: History pair counts, in canonical order, that arm the trigger.
+#: History pair counts, in canonical order, that arm the trigger; the
+#: trigger round is the one after their sum of rounds.
 MODEL_101_TRIGGER_COUNTS = (33, 33, 33, 1)
 
 
@@ -285,7 +286,8 @@ class Model101(CountDriven):
     """
 
     def assignment(self, counts, k):
-        if k == 100 and tuple(counts) == MODEL_101_TRIGGER_COUNTS:
+        # The counts sum to k, so they fix the round as well.
+        if tuple(counts) == MODEL_101_TRIGGER_COUNTS:
             return MODEL_101_TRIGGER_ASSIGNMENT
         return CONSTANT_PLUS_ASSIGNMENT
 

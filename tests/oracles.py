@@ -156,6 +156,33 @@ def collective_n2_both_score_probability():
     return Fraction(hits, total)
 
 
+def three_round_alice(settings):
+    """Alice's side of a three-round collective rule: -1 in every round but
+    the last whose setting and the next round's are both A2."""
+    n = len(settings)
+    return tuple(-1 if k + 1 < n and settings[k] and settings[k + 1] else 1 for k in range(n))
+
+
+def three_round_bob(settings):
+    """Bob's side: -1 in every B2 round once at least two rounds are B2."""
+    return tuple(-1 if s and sum(settings) >= 2 else 1 for s in settings)
+
+
+def collective_pattern_counts(alice_rule, bob_rule, n):
+    """Sequences per round-score pattern of a collective rule, over all 4^n.
+
+    Each rule maps one wing's 0/1 settings to its outcomes; a pair index
+    is 2 * Alice's setting + Bob's.  Returns {pattern: count} with
+    patterns as 0/1 tuples, round 1 first.
+    """
+    table = Counter()
+    for pairs in itertools.product(PAIRS, repeat=n):
+        a_out = alice_rule(tuple(p // 2 for p in pairs))
+        b_out = bob_rule(tuple(p % 2 for p in pairs))
+        table[tuple(score(p, a, b) for p, a, b in zip(pairs, a_out, b_out))] += 1
+    return dict(table)
+
+
 def model101_trigger_probability():
     """Multinomial chance of counts (33, 33, 33, 1) over 100 uniform draws."""
     ways = (

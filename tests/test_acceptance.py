@@ -15,9 +15,8 @@ import oracles
 from chshsim import cli
 from chshsim.bounds import f_delta
 from chshsim.enumerator import (
-    INDEPENDENT_ROUNDS_CEILING,
     chsh_exhaustive_max,
-    exact_collective_n2,
+    exact_collective,
     exact_expectations,
     model101_exact,
     no_signaling_check,
@@ -77,9 +76,9 @@ def test_criterion_2_quantum_value():
 
 
 def test_criterion_3_collective_counterexample_exact():
-    result = exact_collective_n2(collective_n2())
-    assert result.p_both == Fraction(10, 16)
-    assert result.p_both > INDEPENDENT_ROUNDS_CEILING == Fraction(9, 16)
+    result = exact_collective(collective_n2(), 2)
+    assert result.p_all == Fraction(10, 16)
+    assert result.p_all > result.independent_ceiling == Fraction(9, 16)
     ok(3, "collective model scores 10/16 > 9/16 exactly")
 
 

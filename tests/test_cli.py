@@ -124,8 +124,21 @@ def test_enumerate_collective_json_contains_10_16(tmp_path):
     assert payload["independent_rounds_ceiling"]["fraction"] == "9/16"
 
 
-def test_enumerate_collective_requires_n2():
+def test_enumerate_collective_requires_n2(capsys):
     assert run_cli("enumerate", "--strategy", "collective-n2", "--n", "3") == 2
+    assert capsys.readouterr().err == "error: collective-n2 is defined for exactly 2 rounds, got 3\n"
+
+
+def test_enumerate_collective_honours_enum_cap(capsys):
+    assert run_cli("enumerate", "--strategy", "collective-n2", "--n", "2", "--enum-cap", "1") == 2
+    assert capsys.readouterr().err == "error: n=2 exceeds enumeration cap 1 (4^n sequences)\n"
+
+
+def test_enumerate_collective_refuses_distribution(capsys):
+    assert run_cli("enumerate", "--strategy", "collective-n2", "--n", "2", "--distribution") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --distribution")
 
 
 def test_enumerate_guessing_values(tmp_path):

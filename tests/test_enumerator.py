@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 
 import oracles
-from chshsim import enumerator
+from chshsim import enumerator, montecarlo
 from chshsim.bounds import x_mean_bound
 from chshsim.core import ALL_PAIRS, InvariantViolation, MemoryClass, SettingPair, Side
 from chshsim.enumerator import (
-    INDEPENDENT_ROUNDS_CEILING,
     EnumerationCapError,
     chsh_exhaustive_max,
     collective_playout,
+    collective_scores,
     exact_by_counts,
-    exact_collective_n2,
+    exact_collective,
     exact_expectations,
     model101_exact,
     no_signaling_check,
@@ -258,13 +258,13 @@ def test_chsh_exhaustive_max():
 
 
 def test_collective_n2_exact_probability():
-    result = exact_collective_n2(collective_n2())
-    assert result.p_both == Fraction(10, 16)
-    assert result.event_counts[(1, 1)] == 10
-    assert result.n_sequences == 16
-    assert sum(result.event_counts.values()) == 16
-    assert result.p_both == oracles.collective_n2_both_score_probability()
-    assert result.p_both > INDEPENDENT_ROUNDS_CEILING == Fraction(9, 16)
+    result = exact_collective(collective_n2(), 2)
+    assert result.p_all == Fraction(10, 16)
+    assert result.pattern_counts[1, 1] == 10
+    assert result.n == 2
+    assert sum(result.pattern_counts.values()) == 16
+    assert result.p_all == oracles.collective_n2_both_score_probability()
+    assert result.p_all > result.independent_ceiling == Fraction(9, 16)
 
 
 class ConstantCollective(CollectiveStrategy):
@@ -276,8 +276,76 @@ class ConstantCollective(CollectiveStrategy):
 
 
 def test_collective_constant_hits_independent_ceiling():
-    result = exact_collective_n2(ConstantCollective())
-    assert result.p_both == Fraction(9, 16)
+    result = exact_collective(ConstantCollective(), 2)
+    assert result.p_all == Fraction(9, 16)
+
+
+class ThreeRoundCollective(CollectiveStrategy):
+    """A deterministic three-round collective strategy on the oracle's rules."""
+
+    def respond_alice(self, settings, rng=None):
+        return oracles.three_round_alice(tuple(int(s) for s in settings))
+
+    def respond_bob(self, settings, rng=None):
+        return oracles.three_round_bob(tuple(int(s) for s in settings))
+
+
+class CoinCollective(ConstantCollective):
+    stochastic = True
+
+
+def test_exact_collective_three_rounds_equals_brute_force_oracle():
+    result = exact_collective(ThreeRoundCollective(), 3)
+    want = oracles.collective_pattern_counts(oracles.three_round_alice, oracles.three_round_bob, 3)
+    assert result.n == 3
+    assert list(result.pattern_counts) == list(itertools.product((0, 1), repeat=3))
+    assert result.pattern_counts == {pattern: want.get(pattern, 0) for pattern in result.pattern_counts}
+    assert sum(result.pattern_counts.values()) == 64
+    assert result.p_all == Fraction(want.get((1, 1, 1), 0), 64)
+    assert result.independent_ceiling == Fraction(27, 64)
+
+
+def test_collective_scores_rows_follow_product_order():
+    strategy = ThreeRoundCollective()
+    table = collective_scores(strategy, 3)
+    assert table.shape == (64, 3) and table.dtype == bool
+    for i, pairs in enumerate(itertools.product(range(4), repeat=3)):
+        assert i == pairs[0] * 16 + pairs[1] * 4 + pairs[2]
+        a = oracles.three_round_alice(tuple(p // 2 for p in pairs))
+        b = oracles.three_round_bob(tuple(p % 2 for p in pairs))
+        assert table[i].tolist() == [bool(oracles.score(*round_)) for round_ in zip(pairs, a, b)]
+
+
+def test_collective_kernel_indexes_the_table_by_base_4_sequence():
+    strategy = ThreeRoundCollective()
+    pairs = np.array(list(itertools.product(range(4), repeat=3))[::-1], dtype=np.uint8)
+    scores = montecarlo._kernel_collective(collective_scores(strategy, 3), pairs, None)
+    for row, seq in zip(scores.tolist(), pairs.tolist()):
+        rounds = collective_playout(strategy, [ALL_PAIRS[i] for i in seq]).rounds
+        assert row == [bool(oracles.score(r.pair.index, r.a, r.b)) for r in rounds]
+
+
+def test_collective_kernel_matches_general_engine_at_three_rounds(monkeypatch):
+    kernel = montecarlo._KERNELS[type(collective_n2())]
+    monkeypatch.setitem(montecarlo._KERNELS, ThreeRoundCollective, kernel)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 13 * montecarlo._row_bytes(3, kernel))
+    plan = montecarlo.SimulationPlan(factory=ThreeRoundCollective, n=3, batches=100, seed=2 ** 70 + 3)
+    fast = list(montecarlo.iter_batch_counts(plan))
+    assert fast == list(montecarlo.iter_batch_counts(plan, force_general=True))
+
+
+def test_exact_collective_refusals():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            exact_collective(ThreeRoundCollective(), n)
+    with pytest.raises(EnumerationCapError):
+        exact_collective(ThreeRoundCollective(), 4, cap=3)
+    with pytest.raises(EnumerationCapError):
+        collective_scores(ConstantCollective(), enumerator.DEFAULT_ENUM_CAP + 1)
+    with pytest.raises(ValueError, match="deterministic"):
+        exact_collective(CoinCollective(), 2)
+    with pytest.raises(ValueError, match="exactly 2 rounds, got 3"):
+        exact_collective(collective_n2(), 3)
 
 
 def test_model101_exact_values():
