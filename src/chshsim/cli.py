@@ -195,7 +195,7 @@ def _cmd_enumerate(args) -> int:
             "n": result.n,
             "n_sequences": n_sequences,
             "event_counts": {"".join(map(str, p)): count for p, count in result.pattern_counts.items()},
-            "p_both_score": f"{result.p_all * n_sequences}/{n_sequences}",
+            "p_both_score": f"{result.pattern_counts[(1,) * result.n]}/{n_sequences}",
             "p_both_score_decimal": float(result.p_all),
             "independent_rounds_ceiling": rational(result.independent_ceiling),
         }
