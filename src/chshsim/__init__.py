@@ -18,7 +18,6 @@ from .core import (
     SettingPair,
     Side,
     Transcript,
-    memory_view,
 )
 from .strategies import (
     DeterministicAssignment,
@@ -32,7 +31,7 @@ from .strategies import (
     solve_sabotage_assignment,
 )
 from .stats import BatchStatistics, batch_statistics, chsh_value, round_score, x_statistic, y_statistic
-from .bounds import bound_report, bounds_table, f_delta, normal_cdf, normal_tail_approx, x_mean_bound, x_tail_bound
+from .bounds import bound_report, bounds_table, f_delta, x_mean_bound, x_tail_bound
 from .enumerator import (
     chsh_exhaustive_max,
     collective_playout,
@@ -42,6 +41,6 @@ from .enumerator import (
     no_signaling_check,
     playout,
 )
-from .montecarlo import EstimateReport, SimulationPlan, estimate, run_batch, tail_compare
+from .montecarlo import EstimateReport, SimulationPlan, estimate, run_batch
 
 __version__ = "0.1.0"

@@ -17,24 +17,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_3 = math.sqrt(3.0)
 
 
-def normal_cdf(z: float) -> float:
-    """Standard normal distribution function, accurate to well below 1e-10."""
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z!r}")
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
-
-
-def normal_tail_approx(z: float) -> float:
-    """Leading-order upper tail, exp(-z^2/2) / (z sqrt(2 pi)).
-
-    Valid for z large compared to 1; it upper-bounds the exact tail for
-    every z >= 1.
-    """
-    if z <= 0:
-        raise ValueError(f"tail approximation needs z > 0, got {z}")
-    return math.exp(-0.5 * z * z) / (z * _SQRT_2PI)
-
-
 def _finite(bound):
     """Make ``bound`` raise ``ValueError`` where it overflows or is not finite:
     such a bound has no float value to report."""
@@ -150,7 +132,7 @@ def bounds_table(n: int, delta: float, epsilon: float) -> ModelBoundsTable:
             f"delta={delta} must satisfy 0 < delta and (3+delta) < (3+5*delta)*(1-delta)"
         )
     f = f_delta(n, delta)
-    x_tail = 5.0 * f
+    x_tail = x_tail_bound(n, delta)
     memory_e_x = x_mean_bound(n, epsilon)
     rows = {
         "memoryless": ModelBounds(e_x=3.0, p_x_tail=x_tail, e_y=3.0, p_y_tail=f),

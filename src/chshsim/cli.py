@@ -127,7 +127,9 @@ def _emit_payload(payload: dict, args) -> None:
 
 def _resolve_factory(args):
     lhv = None
-    if getattr(args, "strategy_file", None) is not None:
+    if args.strategy_file is not None:
+        if args.strategy != "stochastic-lhv":
+            raise ValueError("--strategy-file applies only to --strategy stochastic-lhv")
         with open(args.strategy_file, encoding="utf-8") as fp:
             lhv = parse_weights_csv(fp)
     return make_factory(args.strategy, lhv)

@@ -7,9 +7,8 @@ All types here are immutable values once constructed.
 
 from __future__ import annotations
 
-import csv
 import enum
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class InvariantViolation(RuntimeError):
@@ -32,7 +31,6 @@ class BobSetting(enum.IntEnum):
 
 PLUS = 1
 MINUS = -1
-OUTCOMES = (PLUS, MINUS)
 
 
 class SettingPair(NamedTuple):
@@ -208,68 +206,3 @@ class MemoryView:
 
 #: The view every memoryless responder receives.
 EMPTY_VIEW = MemoryView(MemoryClass.NONE, None, (), 0)
-
-
-def memory_view(
-    transcript: Transcript, memory_class: MemoryClass, side, upto: int
-) -> MemoryView:
-    """The window onto ``transcript.rounds[:upto]`` permitted to ``side``.
-
-    ``side`` is only consulted for OWN_SIDE views; FULL views carry the
-    same content for both wings.
-    """
-    if not 0 <= upto <= transcript.n_total:
-        raise ValueError(f"upto={upto} out of range 0..{transcript.n_total}")
-    if memory_class is MemoryClass.NONE:
-        return EMPTY_VIEW
-    if memory_class is MemoryClass.FULL:
-        return MemoryView(MemoryClass.FULL, None, transcript.rounds, upto)
-    if memory_class is MemoryClass.OWN_SIDE:
-        if side is Side.ALICE:
-            entries = tuple(
-                OwnSideEntry(r.pair.alice, r.a) for r in transcript.rounds[:upto]
-            )
-        elif side is Side.BOB:
-            entries = tuple(
-                OwnSideEntry(r.pair.bob, r.b) for r in transcript.rounds[:upto]
-            )
-        else:
-            raise ValueError("own-side views need side=Side.ALICE or Side.BOB")
-        return MemoryView(MemoryClass.OWN_SIDE, side, entries, upto)
-    raise ValueError(f"unknown memory class {memory_class!r}")
-
-
-TRANSCRIPT_CSV_HEADER = ("round", "alice_setting", "bob_setting", "a", "b")
-
-
-def write_transcript_csv(transcript: Transcript, fp: TextIO) -> None:
-    """Serialize as CSV rows ``round,alice_setting,bob_setting,a,b``."""
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(TRANSCRIPT_CSV_HEADER)
-    for rnd in transcript:
-        writer.writerow(
-            (rnd.index, rnd.pair.alice.name, rnd.pair.bob.name, f"{rnd.a:+d}", f"{rnd.b:+d}")
-        )
-
-
-def read_transcript_csv(fp: TextIO) -> Transcript:
-    """Parse the format written by :func:`write_transcript_csv`."""
-    reader = csv.reader(fp)
-    header = next(reader, None)
-    if header is None or tuple(header) != TRANSCRIPT_CSV_HEADER:
-        raise ValueError(f"expected header {','.join(TRANSCRIPT_CSV_HEADER)}")
-    rounds = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ValueError(f"malformed transcript row: {row!r}")
-        index, alice, bob, a, b = row
-        try:
-            pair = SettingPair(AliceSetting[alice], BobSetting[bob])
-        except KeyError as exc:
-            raise ValueError(f"unknown setting label in row {row!r}") from exc
-        rounds.append(
-            Round(int(index), pair, _check_outcome(int(a), "a"), _check_outcome(int(b), "b"))
-        )
-    return Transcript(rounds)

@@ -57,12 +57,17 @@ class EnumerationCapError(ValueError):
     """The requested run length exceeds the exhaustive-enumeration cap."""
 
 
-def _check_enumerable(strategy, n: int, cap: int) -> None:
-    """Refuse n < 1, n above the cap and a stochastic strategy."""
+def _check_cap(n: int, cap: int) -> None:
+    """Refuse n < 1 and n above the cap."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap} (4^n sequences)")
+
+
+def _check_enumerable(strategy, n: int, cap: int) -> None:
+    """Refuse n < 1, n above the cap and a stochastic strategy."""
+    _check_cap(n, cap)
     if strategy.stochastic:
         raise ValueError("exact enumeration requires a deterministic strategy")
 
@@ -460,10 +465,7 @@ def no_signaling_check(
     outcome masks.  A passing subject is played 4^n times; a failing
     one stops at its first violation.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap}")
+    _check_cap(n, cap)
     run = _outcome_function(subject, seed)
     collective = isinstance(subject, CollectiveStrategy)
 

@@ -773,8 +773,3 @@ def compare_tails(report: EstimateReport) -> TailComparison:
         x_bound=x_bound,
         x_ratio=_tail_ratio(report.tail_freq_x, x_bound),
     )
-
-
-def tail_compare(plan: SimulationPlan) -> TailComparison:
-    """Simulate a plan and compare its empirical tails to the bounds."""
-    return compare_tails(estimate(plan))

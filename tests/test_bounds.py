@@ -1,72 +1,45 @@
 """Tests for the analytic bound formulas.
 
-The normal CDF is checked against a numerical-quadrature oracle; the
-derived bound values asserted here were frozen from direct evaluation
-of the formulas.
+``f_delta`` is checked against the Gaussian tail it approximates, with
+scipy's survival function as the exact tail; the derived bound values
+asserted here were frozen from direct evaluation of the formulas.
 """
 
 import math
 
 import pytest
-from scipy import integrate
+from scipy.stats import norm
 
 from chshsim.bounds import (
     MODEL_CLASSES,
     bound_report,
     bounds_table,
     f_delta,
-    normal_cdf,
-    normal_tail_approx,
     x_mean_bound,
     x_tail_bound,
 )
 
 
-def quad_normal_cdf(z):
-    value, _ = integrate.quad(
-        lambda y: math.exp(-0.5 * y * y) / math.sqrt(2 * math.pi), -40.0, z
-    )
-    return value
-
-
-def test_normal_cdf_at_zero():
-    assert normal_cdf(0.0) == 0.5
-
-
-def test_normal_cdf_at_1_96():
-    assert abs(normal_cdf(1.96) - 0.97500) < 1e-4
-    assert abs(normal_cdf(1.96) - quad_normal_cdf(1.96)) < 1e-10
-
-
-def test_normal_cdf_matches_quadrature_on_grid():
-    for z in (-4.0, -1.5, -0.3, 0.7, 2.2, 5.0):
-        assert abs(normal_cdf(z) - quad_normal_cdf(z)) < 1e-10
-
-
-def test_normal_cdf_monotone_limit():
-    assert normal_cdf(40.0) == pytest.approx(1.0, abs=1e-12)
-    assert normal_cdf(8.0) < normal_cdf(9.0) <= 1.0
-
-
-def test_normal_cdf_rejects_non_finite():
-    with pytest.raises(ValueError):
-        normal_cdf(math.inf)
-    with pytest.raises(ValueError):
-        normal_cdf(math.nan)
+def z_of(n, delta):
+    """The standard score at which f_delta(n, delta) is the Gaussian tail."""
+    return delta * math.sqrt(n / 3)
 
 
 def test_normal_tail_approx_values():
-    assert abs(normal_tail_approx(3.0) - 1.4772e-3) < 1e-6
-    assert abs(normal_tail_approx(1.0) - 0.24197) < 1e-5
+    for n, delta in ((300, 0.1), (2700, 0.1), (1000, 0.1), (100, 0.5), (19200, 0.1), (50, 0.3)):
+        z = z_of(n, delta)
+        assert f_delta(n, delta) == pytest.approx(
+            math.exp(-0.5 * z * z) / (z * math.sqrt(2 * math.pi)), rel=1e-12, abs=0.0
+        )
+    assert abs(f_delta(2700, 0.1) - 1.4772e-3) < 1e-6  # z = 3
+    assert abs(f_delta(300, 0.1) - 0.24197) < 1e-5  # z = 1
 
 
 def test_normal_tail_approx_asymptotic_ratio():
     # scipy's survival function stays accurate where 1 - cdf cancels.
-    from scipy.stats import norm
-
     previous = None
-    for z in (2.0, 4.0, 6.0, 8.0):
-        ratio = normal_tail_approx(z) / norm.sf(z)
+    for n in (1200, 4800, 10800, 19200):  # z = 2, 4, 6, 8 at delta = 0.1
+        ratio = f_delta(n, 0.1) / norm.sf(z_of(n, 0.1))
         assert ratio >= 1.0
         if previous is not None:
             assert ratio <= previous
@@ -75,17 +48,9 @@ def test_normal_tail_approx_asymptotic_ratio():
 
 
 def test_normal_tail_approx_upper_bounds_exact_tail():
-    z = 1.0
-    while z <= 6.0:
-        assert 1.0 - normal_cdf(z) <= normal_tail_approx(z)
-        z += 0.5
-
-
-def test_normal_tail_approx_domain():
-    with pytest.raises(ValueError):
-        normal_tail_approx(0.0)
-    with pytest.raises(ValueError):
-        normal_tail_approx(-2.0)
+    for k in range(2, 13):  # z = k/2 from 1 to 6 at delta = 0.1
+        n = 75 * k * k
+        assert norm.sf(z_of(n, 0.1)) <= f_delta(n, 0.1)
 
 
 def test_f_delta_values():

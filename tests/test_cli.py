@@ -225,6 +225,22 @@ def test_simulate_stochastic_lhv_without_file_is_input_error(capsys):
     assert "weights" in capsys.readouterr().err
 
 
+def test_strategy_file_needs_stochastic_lhv(tmp_path, capsys):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight,a1,a2,b1,b2\n1,+1,+1,+1,+1\n")
+    out = tmp_path / "out.json"
+    for argv in (
+        ("simulate", "--strategy", "guessing", "--strategy-file", str(weights), "--n", "4",
+         "--out", str(out)),
+        ("nosig", "--strategy", "guessing", "--strategy-file", str(tmp_path / "missing.csv")),
+    ):
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == (
+            "error: --strategy-file applies only to --strategy stochastic-lhv\n"
+        )
+    assert not out.exists()
+
+
 def test_simulate_bad_weights_sum_is_input_error(tmp_path, capsys):
     weights = tmp_path / "weights.csv"
     weights.write_text("weight,a1,a2,b1,b2\n1/2,+1,+1,+1,+1\n")
@@ -291,6 +307,11 @@ def test_nosig_passes_for_local_strategy(tmp_path):
     payload = read_json(out)
     assert payload["passed"] is True
     assert payload["counterexample"] is None
+
+
+def test_nosig_honours_enum_cap(capsys):
+    assert run_cli("nosig", "--strategy", "guessing", "--n", "11") == 2
+    assert capsys.readouterr().err == "error: n=11 exceeds enumeration cap 10 (4^n sequences)\n"
 
 
 def test_nosig_quantum_fails_as_nonlocal(tmp_path):

@@ -1,6 +1,5 @@
-"""Tests for the core vocabulary: transcripts, counts, memory views, CSV."""
-
-import io
+"""Tests for the core vocabulary: transcripts, counts, and the memory views
+that ``playout`` hands each wing."""
 
 import pytest
 from hypothesis import given, strategies as hs
@@ -11,15 +10,15 @@ from chshsim.core import (
     AliceSetting,
     BobSetting,
     MemoryClass,
+    MemoryView,
     OwnSideEntry,
     Round,
     SettingPair,
     Side,
     Transcript,
-    memory_view,
-    read_transcript_csv,
-    write_transcript_csv,
 )
+from chshsim.enumerator import playout
+from chshsim.strategies import SequentialStrategy
 
 P11, P12, P21, P22 = ALL_PAIRS
 
@@ -105,111 +104,124 @@ def test_count_conservation(rows):
         assert c.correlated + c.anticorrelated == c.total
 
 
-def test_memory_view_none_is_empty():
-    t = build([(P11, 1, 1), (P22, -1, 1)])
-    view = memory_view(t, MemoryClass.NONE, Side.ALICE, 2)
-    assert len(view) == 0
-    assert view.entries() == ()
+class ViewRecorder(SequentialStrategy):
+    """Plays a fixed rule of its own setting and round, and keeps each view
+    ``playout`` hands it with the entries the view showed at the time."""
+
+    def __init__(self, memory_class):
+        self.memory_class = memory_class
+        self.alice_views = []
+        self.bob_views = []
+
+    def respond_alice(self, setting, view):
+        self.alice_views.append((view, view.entries()))
+        return -1 if (setting + len(view)) % 3 == 2 else 1
+
+    def respond_bob(self, setting, view):
+        self.bob_views.append((view, view.entries()))
+        return -1 if (setting + len(view)) % 2 else 1
+
+
+def played_views(memory_class, settings):
+    """The transcript of one playout and the views each wing received."""
+    recorder = ViewRecorder(memory_class)
+    transcript = playout(recorder, settings)
+    return transcript, recorder.alice_views, recorder.bob_views
+
+
+setting_sequences = hs.lists(hs.sampled_from(ALL_PAIRS), max_size=30)
+
+
+@given(setting_sequences)
+def test_memory_view_none_is_empty(settings):
+    _, alice, bob = played_views(MemoryClass.NONE, settings)
+    assert len(alice) == len(bob) == len(settings)
+    for view, seen in alice + bob:
+        assert len(view) == 0
+        assert seen == view.entries() == ()
 
 
 def test_memory_view_own_side_alice():
-    t = build([(P12, 1, -1), (P21, -1, 1), (P11, 1, 1)])
-    view = memory_view(t, MemoryClass.OWN_SIDE, Side.ALICE, 2)
-    assert view.entries() == (
+    _, alice, _ = played_views(MemoryClass.OWN_SIDE, [P12, P21, P11])
+    view, seen = alice[2]
+    assert seen == view.entries() == (
         OwnSideEntry(AliceSetting.A1, 1),
         OwnSideEntry(AliceSetting.A2, -1),
     )
 
 
 def test_memory_view_full_upto_zero():
-    t = build([(P11, 1, 1)])
-    view = memory_view(t, MemoryClass.FULL, None, 0)
-    assert len(view) == 0
+    t, alice, _ = played_views(MemoryClass.FULL, [P11, P22, P12])
+    first, third = alice[0][0], alice[2][0]
+    assert len(first) == 0
+    with pytest.raises(IndexError):
+        first[0]
+    assert third[1].pair == P22
+    assert third[-1] == t.rounds[1]
 
 
-def test_memory_view_full_exposes_rounds():
-    t = build([(P11, 1, 1), (P22, 1, -1)])
-    view = memory_view(t, MemoryClass.FULL, None, 2)
-    assert view.entries() == t.rounds
-    assert view[1].pair == P22
-    assert view[-1] == t.rounds[1]
+@given(setting_sequences)
+def test_memory_view_full_exposes_rounds(settings):
+    t, alice, bob = played_views(MemoryClass.FULL, settings)
+    for k, ((view_a, seen_a), (view_b, seen_b)) in enumerate(zip(alice, bob)):
+        assert view_a.memory_class is view_b.memory_class is MemoryClass.FULL
+        assert seen_a == seen_b == t.rounds[:k]
 
 
 def test_memory_view_range_errors():
-    t = build([(P11, 1, 1)])
+    backing = (Round(1, P11, 1, 1),)
     with pytest.raises(ValueError):
-        memory_view(t, MemoryClass.FULL, None, 2)
+        MemoryView(MemoryClass.FULL, None, backing, 2)
     with pytest.raises(ValueError):
-        memory_view(t, MemoryClass.FULL, None, -1)
-    view = memory_view(t, MemoryClass.FULL, None, 1)
+        MemoryView(MemoryClass.FULL, None, backing, -1)
+    view = MemoryView(MemoryClass.FULL, None, backing, 1)
     with pytest.raises(IndexError):
         view[1]
 
 
 def test_memory_view_own_side_requires_side():
-    t = build([(P11, 1, 1)])
-    with pytest.raises(ValueError):
-        memory_view(t, MemoryClass.OWN_SIDE, None, 1)
+    _, alice, bob = played_views(MemoryClass.OWN_SIDE, [P11, P22])
+    assert all(view.side is Side.ALICE for view, _ in alice)
+    assert all(view.side is Side.BOB for view, _ in bob)
+    _, alice, bob = played_views(MemoryClass.FULL, [P11, P22])
+    assert all(view.side is None for view, _ in alice + bob)
 
 
-@given(transcript_rows)
-def test_memory_views_are_prefix_monotone(rows):
-    t = build(rows)
-    for cls, side in (
-        (MemoryClass.FULL, None),
-        (MemoryClass.OWN_SIDE, Side.ALICE),
-        (MemoryClass.OWN_SIDE, Side.BOB),
-    ):
-        previous = ()
-        for upto in range(t.n_total + 1):
-            entries = memory_view(t, cls, side, upto).entries()
-            assert entries[: len(previous)] == previous
-            previous = entries
+@given(setting_sequences)
+def test_memory_views_are_prefix_monotone(settings):
+    # A view handed out in round k still shows k rounds once the playout
+    # has recorded the rest behind it.
+    for memory_class in MemoryClass:
+        _, alice, bob = played_views(memory_class, settings)
+        for views in (alice, bob):
+            previous = ()
+            for view, seen in views:
+                assert view.entries() == seen
+                assert seen[: len(previous)] == previous
+                previous = seen
 
 
-@given(transcript_rows)
-def test_own_side_view_hides_the_other_wing(rows):
-    t = build(rows)
-    alice = memory_view(t, MemoryClass.OWN_SIDE, Side.ALICE, t.n_total)
-    for entry in alice:
-        assert isinstance(entry.setting, AliceSetting)
-        assert not isinstance(entry.setting, BobSetting)
-        assert entry._fields == ("setting", "outcome")
-    # Serialized form mentions no Bob settings even where outcomes collide.
-    assert "B1" not in repr(alice) and "B2" not in repr(alice)
+@given(setting_sequences)
+def test_own_side_view_hides_the_other_wing(settings):
+    t, alice, bob = played_views(MemoryClass.OWN_SIDE, settings)
+    for k, ((view_a, seen_a), (view_b, seen_b)) in enumerate(zip(alice, bob)):
+        assert seen_a == tuple(OwnSideEntry(r.pair.alice, r.a) for r in t.rounds[:k])
+        assert seen_b == tuple(OwnSideEntry(r.pair.bob, r.b) for r in t.rounds[:k])
+        assert all(type(entry.setting) is AliceSetting for entry in seen_a)
+        assert all(type(entry.setting) is BobSetting for entry in seen_b)
+        # Serialized form mentions no setting of the other wing.
+        assert "B1" not in repr(view_a) and "B2" not in repr(view_a)
+        assert "A1" not in repr(view_b) and "A2" not in repr(view_b)
 
 
 def test_empty_view_singleton_reused():
-    t = build([(P11, 1, 1)])
-    assert memory_view(t, MemoryClass.NONE, Side.BOB, 1) is EMPTY_VIEW
+    _, alice, bob = played_views(MemoryClass.NONE, [P11, P22, P12])
+    assert all(view is EMPTY_VIEW for view, _ in alice + bob)
 
 
 def test_view_bounded_even_if_backing_grows():
     backing = [Round(1, P11, 1, 1)]
-    from chshsim.core import MemoryView
-
     view = MemoryView(MemoryClass.FULL, None, backing, 1)
     backing.append(Round(2, P22, -1, -1))
     assert len(view) == 1
     assert view.entries() == (Round(1, P11, 1, 1),)
-
-
-def test_transcript_csv_round_trip():
-    t = build([(P11, 1, 1), (P22, 1, -1), (P12, -1, -1)])
-    buf = io.StringIO()
-    write_transcript_csv(t, buf)
-    text = buf.getvalue()
-    assert text.splitlines()[0] == "round,alice_setting,bob_setting,a,b"
-    assert text.splitlines()[1] == "1,A1,B1,+1,+1"
-    assert read_transcript_csv(io.StringIO(text)) == t
-
-
-def test_transcript_csv_rejects_bad_header():
-    with pytest.raises(ValueError):
-        read_transcript_csv(io.StringIO("a,b,c\n"))
-
-
-def test_transcript_csv_rejects_bad_setting():
-    text = "round,alice_setting,bob_setting,a,b\n1,A9,B1,+1,+1\n"
-    with pytest.raises(ValueError):
-        read_transcript_csv(io.StringIO(text))

@@ -25,7 +25,6 @@ from chshsim.montecarlo import (
     estimate,
     iter_batch_counts,
     run_batch,
-    tail_compare,
     wilson_interval,
 )
 from chshsim.montecarlo import (
@@ -672,7 +671,7 @@ def test_wilson_interval_basics():
 
 def test_tail_compare_consistency():
     plan = SimulationPlan(factory=constant_plus, n=200, batches=500, seed=21, delta=0.1)
-    comparison = tail_compare(plan)
+    comparison = compare_tails(estimate(plan))
     report = estimate(plan)
     assert comparison.report == report
     assert comparison == compare_tails(report)

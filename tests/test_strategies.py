@@ -18,7 +18,6 @@ from chshsim.core import (
     SettingPair,
     Side,
     Transcript,
-    memory_view,
 )
 from chshsim.enumerator import playout
 from chshsim.strategies import (
@@ -47,7 +46,7 @@ def full_view_of(rows):
     t = Transcript()
     for pair, a, b in rows:
         t = t.record(pair, a, b)
-    return memory_view(t, MemoryClass.FULL, None, t.n_total)
+    return MemoryView(MemoryClass.FULL, None, t.rounds, t.n_total)
 
 
 def probe_assignment(strategy, view):
