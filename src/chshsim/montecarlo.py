@@ -9,15 +9,17 @@ order is fixed: the n setting pairs first, then whatever tape the
 strategy needs.
 
 Batches run in chunks, and everything after the draws works on a whole
-chunk at once: a :class:`Tally` of per-pair counts, one row per batch,
-feeds both the aggregation in :func:`estimate` and the per-batch CSV
-text, which :func:`batch_csv_rows` formats once per distinct count row
-of each slice of batches.  For every strategy of the CLI catalogue a
-vectorized scoring kernel reproduces the general round-by-round engine
-exactly; the engine remains the fallback for every other strategy and
-the reference the tests hold the kernels to.  The kernels seed a whole
-chunk of batches at once: they recompute each batch's PCG64 state in
-numpy, without building a ``SeedSequence`` or ``Generator`` per batch.
+chunk at once: a :class:`Tally` of per-pair counts, one row per batch
+(counted on the kernel path as set bits of packed planes of the pair
+bits and scores), feeds both the aggregation in :func:`estimate` and
+the per-batch CSV text, which :func:`batch_csv_rows` formats once per
+distinct count row of each slice of batches.  For every strategy of
+the CLI catalogue a vectorized scoring kernel reproduces the general
+round-by-round engine exactly; the engine remains the fallback for
+every other strategy and the reference the tests hold the kernels to.
+The kernels seed a whole chunk of batches at once: they recompute each
+batch's PCG64 state in numpy, without building a ``SeedSequence`` or
+``Generator`` per batch.
 A batch that needs at most ``_STEP_WORDS`` raw words has all of them
 stepped in numpy too, a word of every batch at a time; a longer stream
 is drawn natively by one reused PCG64 per chunk.  The draws are bit-identical to the per-batch
@@ -368,17 +370,14 @@ def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, unifo
     and no float copy of the tape is made.
     Numpy's buffered Lemire method never rejects for ranges 4 and 2, so
     a pair is the top two bits of one byte of a uint32 word, low byte
-    first.  Bytes are taken with shifts, independent of byte order.
+    first.  The words are viewed as bytes in a little-endian copy, which
+    puts the bytes in that order whatever the host's byte order.
     """
     start, m = _raw_words(n, coins, uniforms)
     block = _raw_block(seed, lo, hi, m)
 
     words = block[:, : -(-n // 8)]  # the words holding the n pair bytes
-    pairs = np.empty((hi - lo, words.shape[1], 8), dtype=np.uint8)
-    for b in range(8):
-        pairs[:, :, b] = words >> (8 * b + 6)  # the cast keeps the low byte
-    pairs &= 3
-    pairs = pairs.reshape(hi - lo, -1)[:, :n]
+    pairs = (np.ascontiguousarray(words, dtype="<u8").view(np.uint8) >> 6)[:, :n]
     if not uniforms:
         return pairs, None
     tape = block[:, start:]
@@ -522,8 +521,11 @@ _SEED_ROW_BYTES = 256
 
 def _row_bytes(n: int, kernel: _Kernel) -> int:
     """One batch's share of a kernel chunk: the per-batch arrays, and per
-    round its raw words, its pair bytes with one shifted word plane, its
-    scores, a tally mask and what the score takes besides.
+    round its raw words, its pair bytes with a contiguous copy of the
+    words holding them, its scores, the tally's bool plane (padded like
+    the pair bytes to whole words), its three packed bit planes of n/8 B
+    each, and what the score takes besides.  The planes the tally counts
+    from the packed ones are formed after the pairs and scores are freed.
 
     The guessing kernel takes 1 B per round for its round-major pair
     copy, which is freed before its round-major scores are copied into
@@ -533,9 +535,10 @@ def _row_bytes(n: int, kernel: _Kernel) -> int:
     and 8 B per batch for the sequence index.
     """
     _, m = _raw_words(n, kernel.coins, kernel.uniforms)
-    pair_bytes = 8 * -(-n // 8)
+    plane_bytes = -(-n // 8)
+    pair_bytes = 8 * plane_bytes
     per_batch = _SEED_ROW_BYTES + _TALLY_ROW_BYTES + kernel.batch_bytes
-    return per_batch + 8 * m + 2 * pair_bytes + (2 + kernel.round_bytes) * n
+    return per_batch + 8 * m + 3 * pair_bytes + (1 + kernel.round_bytes) * n + 3 * plane_bytes
 
 
 def _find_kernel(strategy):
@@ -545,17 +548,40 @@ def _find_kernel(strategy):
     return kernel
 
 
+def _popcount_rows(plane: np.ndarray) -> np.ndarray:
+    """The set bits of each row of a packed bit plane."""
+    return np.bitwise_count(plane).sum(axis=1, dtype=np.int64)
+
+
 def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int) -> Tally:
     pairs, uniforms = _chunk_draws(seed, lo, hi, n, kernel.coins, kernel.uniforms)
     scores = kernel.score(scorer, pairs, uniforms)
     del uniforms  # the tally needs only pairs and scores
+    # Bit planes, eight rounds a byte: a pair's high and low bit, and the
+    # score.  Each is packed from one bool plane whose rows are padded with
+    # zeros to whole bytes; every plane counted below has a zero high or
+    # low bit or score there, so pair 0, whose bits are both zero, is what
+    # the other pairs leave.  The padded plane is packed whole, not along
+    # its rows: packbits loops over rows, which dominates at small n.
+    width = -(-n // 8)  # bytes of a packed row
+    padded = np.zeros((hi - lo, 8 * width), dtype=bool)
+    bits = padded[:, :n]
+    bits[...] = scores
+    del scores
+    scored = np.packbits(padded).reshape(hi - lo, width)
+    np.greater_equal(pairs, 2, out=bits)
+    high = np.packbits(padded).reshape(hi - lo, width)
+    np.bitwise_and(pairs, 1, out=bits, casting="unsafe")
+    low = np.packbits(padded).reshape(hi - lo, width)
+    del pairs, padded, bits
     score_counts = np.empty((hi - lo, 4), dtype=np.int64)
     pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
-    for p in range(4):
-        mask = pairs == p
-        pair_counts[:, p] = mask.sum(axis=1)
-        mask &= scores
-        score_counts[:, p] = mask.sum(axis=1)
+    for p, plane in enumerate((~high & low, high & ~low, high & low), start=1):
+        pair_counts[:, p] = _popcount_rows(plane)
+        plane &= scored
+        score_counts[:, p] = _popcount_rows(plane)
+    pair_counts[:, 0] = n - pair_counts[:, 1:].sum(axis=1)
+    score_counts[:, 0] = _popcount_rows(scored) - score_counts[:, 1:].sum(axis=1)
     return Tally(lo, score_counts, pair_counts)
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from chshsim import montecarlo
@@ -39,6 +41,7 @@ from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
     QUANTUM_SCORE_PROBABILITY,
     REGISTRY,
+    ConstantPlus,
     DeterministicAssignment,
     Model101,
     StochasticLHV,
@@ -217,6 +220,75 @@ def test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold(coins, unif
             assert np.array_equal(pairs[row], want_pairs)
             if uniforms:
                 assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
+
+
+@pytest.mark.parametrize("coins, uniforms", list(itertools.product((False, True), repeat=2)))
+def test_chunk_draws_do_not_depend_on_the_byte_order_of_the_words(coins, uniforms, monkeypatch):
+    # The same word values stored big-endian must give the same pair bytes.
+    seed, lo, hi = 2 ** 80 + 5, 3, 7
+    native = {n: _chunk_draws(seed, lo, hi, n, coins, uniforms) for n in (1, 7, 9, 64, 300)}
+    raw_block = montecarlo._raw_block
+    monkeypatch.setattr(montecarlo, "_raw_block", lambda *args: raw_block(*args).astype(">u8"))
+    for n, (want_pairs, want_tape) in native.items():
+        pairs, tape = _chunk_draws(seed, lo, hi, n, coins, uniforms)
+        assert np.array_equal(pairs, want_pairs)
+        assert (tape is None) == (want_tape is None)
+        if uniforms:
+            assert np.array_equal(tape, want_tape)
+
+
+# Round counts on both sides of a byte and of a 64-bit word, so that
+# the zero bits padding a packed row's last byte are exercised.
+TALLY_NS = (1, 7, 8, 9, 63, 64, 65, 1000)
+
+
+def kernel_tally_of_scores(monkeypatch, n, seed, scores):
+    """The kernel path's one-chunk tally when its scores are ``scores``,
+    and the batches' pairs from numpy's own per-batch Generators."""
+    kernel = montecarlo._KERNELS[ConstantPlus]
+
+    def fixed_scores(scorer, pairs, uniforms):
+        assert pairs.shape == scores.shape
+        return scores.copy()
+
+    monkeypatch.setitem(montecarlo._KERNELS, ConstantPlus, kernel._replace(score=fixed_scores))
+    plan = SimulationPlan(factory=constant_plus, n=n, batches=len(scores), seed=seed)
+    (tally,) = montecarlo._iter_tallies(plan)
+    pairs = np.array([numpy_batch_draws(seed, i, n, coins=False)[0] for i in range(len(scores))])
+    return tally, pairs
+
+
+def assert_tally_equals_bincounts(tally, pairs, scores):
+    n = pairs.shape[1]
+    pair_counts = np.array([np.bincount(row, minlength=4) for row in pairs])
+    score_counts = np.array([np.bincount(row[hit], minlength=4) for row, hit in zip(pairs, scores)])
+    assert tally.first == 0
+    assert np.array_equal(tally.pair_counts, pair_counts)
+    assert np.array_equal(tally.score_counts, score_counts)
+    assert (tally.pair_counts.sum(axis=1) == n).all()
+    assert (tally.score_counts <= tally.pair_counts).all()
+
+
+@pytest.mark.parametrize("n", TALLY_NS)
+@pytest.mark.parametrize("fill", [True, False])
+def test_kernel_tally_of_constant_scores_equals_bincounts(n, fill, monkeypatch):
+    scores = np.full((5, n), fill)
+    tally, pairs = kernel_tally_of_scores(monkeypatch, n, 2 ** 80 + 5, scores)
+    assert_tally_equals_bincounts(tally, pairs, scores)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=hs.sampled_from(TALLY_NS),
+    batches=hs.integers(1, 4),
+    seed=hs.integers(0, 2 ** 70),
+    data=hs.data(),
+)
+def test_kernel_tally_of_drawn_scores_equals_bincounts(n, batches, seed, data):
+    scores = data.draw(hnp.arrays(np.bool_, (batches, n)), label="scores")
+    with pytest.MonkeyPatch.context() as mp:
+        tally, pairs = kernel_tally_of_scores(mp, n, seed, scores)
+    assert_tally_equals_bincounts(tally, pairs, scores)
 
 
 def test_integer_uniform_cuts_equal_float_compares():
@@ -546,7 +618,15 @@ def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
 
 
 @pytest.mark.parametrize(
-    "name, n", [("guessing", 4), ("guessing", 1000), ("quantum", 1000), ("stochastic-lhv", 300)]
+    "name, n",
+    [
+        ("guessing", 4),
+        ("guessing", 1000),
+        ("constant-plus", 1000),
+        ("model101", 1000),
+        ("quantum", 1000),
+        ("stochastic-lhv", 300),
+    ],
 )
 def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatch):
     """A run streamed to a CSV file peaks within twice its chunk budget.
