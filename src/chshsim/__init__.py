@@ -31,7 +31,7 @@ from .strategies import (
     solve_sabotage_assignment,
 )
 from .stats import BatchStatistics, batch_statistics, chsh_value, round_score, x_statistic, y_statistic
-from .bounds import bound_report, bounds_table, f_delta, x_mean_bound, x_tail_bound
+from .bounds import bounds_table, f_delta, x_mean_bound, x_tail_bound
 from .enumerator import (
     chsh_exhaustive_max,
     collective_playout,

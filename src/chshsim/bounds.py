@@ -74,30 +74,6 @@ def x_mean_bound(n: int, epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Bound values for one (n, delta[, epsilon]) configuration."""
-
-    n: int
-    delta: float
-    epsilon: float | None
-    f_value: float
-    x_tail_bound: float
-    x_mean_bound: float | None
-
-
-def bound_report(n: int, delta: float, epsilon: float | None = None) -> BoundReport:
-    """Evaluate all closed-form bounds at one configuration."""
-    return BoundReport(
-        n=n,
-        delta=delta,
-        epsilon=epsilon,
-        f_value=f_delta(n, delta),
-        x_tail_bound=x_tail_bound(n, delta),
-        x_mean_bound=None if epsilon is None else x_mean_bound(n, epsilon),
-    )
-
-
-@dataclass(frozen=True)
 class ModelBounds:
     """One table row; ``None`` marks entries with no known proof."""
 

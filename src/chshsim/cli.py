@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import MODEL_CLASSES, bound_report, bounds_table, x_tail_bound
+from .bounds import MODEL_CLASSES, bounds_table, f_delta, x_mean_bound, x_tail_bound
 from .core import InvariantViolation
 from .enumerator import (
     DEFAULT_ENUM_CAP,
@@ -227,15 +227,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    report = bound_report(args.n, args.delta, args.epsilon)
     payload = {
         "command": "bounds",
-        "n": report.n,
-        "delta": report.delta,
-        "epsilon": report.epsilon,
-        "f_delta": report.f_value,
-        "x_tail_bound": report.x_tail_bound,
-        "x_mean_bound": report.x_mean_bound,
+        "n": args.n,
+        "delta": args.delta,
+        "epsilon": args.epsilon,
+        "f_delta": f_delta(args.n, args.delta),
+        "x_tail_bound": x_tail_bound(args.n, args.delta),
+        "x_mean_bound": None if args.epsilon is None else x_mean_bound(args.n, args.epsilon),
     }
     _emit_payload(payload, args)
     return 0

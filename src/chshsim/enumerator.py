@@ -124,18 +124,13 @@ def playout(
     return transcript
 
 
-def collective_playout(strategy: CollectiveStrategy, settings, rng=None) -> Transcript:
+def collective_playout(strategy: CollectiveStrategy, settings) -> Transcript:
     """Drive a collective strategy: each wing answers its whole run at once."""
     if not isinstance(strategy, CollectiveStrategy):
         raise TypeError(f"not a collective strategy: {strategy!r}")
     pairs = _as_pairs(settings)
-    rng_a = rng_b = None
-    if rng is not None:
-        side_seeds = rng.integers(0, 2 ** 63, size=2)
-        rng_a = np.random.default_rng(int(side_seeds[0]))
-        rng_b = np.random.default_rng(int(side_seeds[1]))
-    a_outs = strategy.respond_alice(tuple(p.alice for p in pairs), rng_a)
-    b_outs = strategy.respond_bob(tuple(p.bob for p in pairs), rng_b)
+    a_outs = strategy.respond_alice(tuple(p.alice for p in pairs))
+    b_outs = strategy.respond_bob(tuple(p.bob for p in pairs))
     if len(a_outs) != len(pairs) or len(b_outs) != len(pairs):
         raise InvariantViolation("collective strategy returned wrong-length outcome list")
     rounds = [
@@ -396,9 +391,9 @@ PlayoutFunction = Callable[[Sequence[SettingPair]], tuple[Sequence[int], Sequenc
 def _outcome_function(subject, seed) -> PlayoutFunction:
     """Normalize a check subject to a settings -> (a_outcomes, b_outcomes) map.
 
-    Stochastic subjects replay the same fixed random tape on every call,
-    so toggles compare like with like: one generator is built from the
-    seed and its saved state restored before each call.
+    Stochastic sequential subjects replay the same fixed random tape on
+    every call, so toggles compare like with like: one generator is built
+    from the seed and its saved state restored before each call.
     """
     if isinstance(subject, SequentialStrategy):
         if subject.stochastic and seed is None:
@@ -406,6 +401,7 @@ def _outcome_function(subject, seed) -> PlayoutFunction:
         engine = playout
     elif isinstance(subject, CollectiveStrategy):
         engine = collective_playout
+        seed = None  # a collective run reads no randomness
     elif callable(subject):
         return subject
     else:
@@ -415,9 +411,11 @@ def _outcome_function(subject, seed) -> PlayoutFunction:
     tape = None if rng is None else rng.bit_generator.state
 
     def run(pairs):
-        if rng is not None:
+        if rng is None:
+            t = engine(subject, pairs)
+        else:
             rng.bit_generator.state = tape
-        t = engine(subject, pairs, rng)
+            t = playout(subject, pairs, rng)
         return tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)
 
     return run

@@ -89,7 +89,7 @@ def run_batch(strategy, n: int, seed: int, batch_index: int = 0) -> Transcript:
     idx = rng.integers(0, 4, size=n, dtype=np.uint8)
     pairs = [ALL_PAIRS[i] for i in idx]
     if isinstance(strategy, CollectiveStrategy):
-        return collective_playout(strategy, pairs, rng)
+        return collective_playout(strategy, pairs)
     return playout(strategy, pairs, rng)
 
 
@@ -479,8 +479,7 @@ def _kernel_stochastic(tables, pairs, uniforms):
 
 
 def _kernel_collective(table, pairs, uniforms):
-    # A batch's row of the table is its pairs read as a base-4 number.  The
-    # general engine draws two side seeds after the pairs, which are ignored.
+    # A batch's row of the table is its pairs read as a base-4 number.
     return table[pairs @ 4 ** np.arange(pairs.shape[1] - 1, -1, -1)]
 
 
@@ -542,10 +541,7 @@ def _row_bytes(n: int, kernel: _Kernel) -> int:
 
 
 def _find_kernel(strategy):
-    kernel = _KERNELS.get(type(strategy))
-    if type(strategy) is GuessingModel and strategy.tie_break is not None:
-        return None  # only the canonical tie-break is vectorized
-    return kernel
+    return _KERNELS.get(type(strategy))
 
 
 def _popcount_rows(plane: np.ndarray) -> np.ndarray:

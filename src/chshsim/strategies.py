@@ -143,13 +143,11 @@ class SequentialStrategy(ABC):
     """A sequential responder with a declared memory class.
 
     ``stochastic`` marks strategies that consume the injected randomness
-    source; ``is_lhv`` marks members of the local-hidden-variable family
-    (the quantum sampler is the one catalogue entry that is not).
+    source.
     """
 
     memory_class: ClassVar[MemoryClass] = MemoryClass.NONE
     stochastic: ClassVar[bool] = False
-    is_lhv: ClassVar[bool] = True
 
     def begin_playout(self, n: int, rng=None) -> None:
         """Reset per-playout state; stochastic strategies draw their tape here.
@@ -174,19 +172,20 @@ class SequentialStrategy(ABC):
 class CollectiveStrategy(ABC):
     """A responder that answers all rounds of one wing at once.
 
-    Each wing's outcomes may depend on that wing's full list of settings
-    but never on the other wing's settings.
+    Each wing's run is a function of that wing's full list of settings
+    alone: never of the other wing's settings, nor of any randomness, so
+    the engines play each setting sequence once.  Exact enumeration
+    refuses a subclass that sets ``stochastic``.
     """
 
     stochastic: ClassVar[bool] = False
-    is_lhv: ClassVar[bool] = True
 
     @abstractmethod
-    def respond_alice(self, settings: Sequence[AliceSetting], rng=None) -> tuple[int, ...]:
+    def respond_alice(self, settings: Sequence[AliceSetting]) -> tuple[int, ...]:
         """Alice-side outcomes for the whole run, one per round."""
 
     @abstractmethod
-    def respond_bob(self, settings: Sequence[BobSetting], rng=None) -> tuple[int, ...]:
+    def respond_bob(self, settings: Sequence[BobSetting]) -> tuple[int, ...]:
         """Bob-side outcomes for the whole run, one per round."""
 
 
@@ -250,21 +249,13 @@ class GuessingModel(CountDriven):
     Round 1 answers +1 to everything.  From round 2 on, the model finds
     the most-measured pair in the shared history and plays the
     assignment that gives that pair (and only that pair) the wrong kind
-    of correlation.  Ties go to the earliest pair in canonical order
-    unless a different ``tie_break`` rule is supplied.
+    of correlation.  Ties go to the earliest pair in canonical order.
     """
-
-    def __init__(self, tie_break: Callable[[Sequence[SettingPair]], SettingPair] | None = None):
-        self.tie_break = tie_break
-        super().__init__()
 
     def assignment(self, counts, k):
         if k == 0:
             return CONSTANT_PLUS_ASSIGNMENT
-        top = max(counts)
-        tied = [ALL_PAIRS[i] for i in range(4) if counts[i] == top]
-        target = tied[0] if self.tie_break is None else self.tie_break(tied)
-        return solve_sabotage_assignment(target)
+        return solve_sabotage_assignment(ALL_PAIRS[counts.index(max(counts))])
 
 
 #: Assignment Model101 plays on its trigger round: +1 on Alice's side
@@ -309,7 +300,6 @@ class QuantumSingletSampler(SequentialStrategy):
 
     memory_class = MemoryClass.NONE
     stochastic = True
-    is_lhv = False
 
     def __init__(self):
         self._a_tape: list[int] = []
@@ -399,10 +389,10 @@ class CollectiveN2(CollectiveStrategy):
             return outcomes
         return (PLUS, PLUS)
 
-    def respond_alice(self, settings, rng=None):
+    def respond_alice(self, settings):
         return self._respond(tuple(settings), (AliceSetting.A1, AliceSetting.A2), (PLUS, MINUS))
 
-    def respond_bob(self, settings, rng=None):
+    def respond_bob(self, settings):
         return self._respond(tuple(settings), (BobSetting.B2, BobSetting.B1), (MINUS, PLUS))
 
 
@@ -411,9 +401,9 @@ def constant_plus() -> SequentialStrategy:
     return ConstantPlus()
 
 
-def guessing_model(tie_break=None) -> SequentialStrategy:
+def guessing_model() -> SequentialStrategy:
     """Full-memory strategy sabotaging the most-measured pair."""
-    return GuessingModel(tie_break)
+    return GuessingModel()
 
 
 def model_101() -> SequentialStrategy:
@@ -479,7 +469,10 @@ def parse_weights_csv(fp: TextIO) -> StochasticLHV:
             continue
         if len(row) != 5:
             raise ValueError(f"malformed weights row: {row!r}")
-        weight = Fraction(row[0].strip())
+        try:
+            weight = Fraction(row[0].strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in weights row: {row!r}") from None
         outcomes = [int(v) for v in row[1:]]
         support.append((weight, DeterministicAssignment(*outcomes)))
     if not support:

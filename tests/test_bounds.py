@@ -12,7 +12,6 @@ from scipy.stats import norm
 
 from chshsim.bounds import (
     MODEL_CLASSES,
-    bound_report,
     bounds_table,
     f_delta,
     x_mean_bound,
@@ -117,14 +116,6 @@ def test_x_mean_bound_domain():
         x_mean_bound(0, 0.25)
     with pytest.raises(ValueError):
         x_mean_bound(100, 0.0)
-
-
-def test_bound_report_fields():
-    report = bound_report(1000, 0.1, 0.25)
-    assert report.f_value == f_delta(1000, 0.1)
-    assert report.x_tail_bound == x_tail_bound(1000, 0.1)
-    assert report.x_mean_bound == x_mean_bound(1000, 0.25)
-    assert bound_report(1000, 0.1).x_mean_bound is None
 
 
 def test_bounds_table_rows():

@@ -250,6 +250,18 @@ def test_simulate_bad_weights_sum_is_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_zero_denominator_weight_is_input_error(tmp_path, capsys):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight,a1,a2,b1,b2\n1/0,1,1,1,1\n")
+    code = run_cli(
+        "simulate", "--strategy", "stochastic-lhv", "--strategy-file", str(weights), "--n", "10"
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: zero denominator in weights row: ['1/0', '1', '1', '1', '1']\n"
+    )
+
+
 @pytest.mark.parametrize("strategy", ["quantum", "collective-n2"])
 def test_simulate_negative_seed_is_input_error(strategy, capsys):
     # Both run on kernels, which seed a whole chunk of batches at once.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from guessing_last_tie import GuessingLastTie
 from chshsim import enumerator, montecarlo
 from chshsim.bounds import x_mean_bound
 from chshsim.core import ALL_PAIRS, InvariantViolation, MemoryClass, SettingPair, Side
@@ -108,7 +109,7 @@ COUNT_DRIVEN = {
     "constant-plus": constant_plus,
     "guessing": guessing_model,
     "model101": model_101,
-    "guessing-last-tie": lambda: guessing_model(tie_break=lambda tied: tied[-1]),
+    "guessing-last-tie": GuessingLastTie,
 }
 
 #: The oracle's outcome rule for each count-driven strategy.  Model101
@@ -180,7 +181,7 @@ def test_engine_follows_strategy_type_and_request(monkeypatch):
         return real_playout(strategy, settings, rng)
 
     monkeypatch.setattr(enumerator, "playout", counted_playout)
-    exact_expectations(guessing_model(tie_break=lambda tied: tied[-1]), 5)
+    exact_expectations(GuessingLastTie(), 5)
     assert played == []
     with pytest.raises(EnumerationCapError):
         exact_expectations(EchoesLastRound(), 12)
@@ -268,10 +269,10 @@ def test_collective_n2_exact_probability():
 
 
 class ConstantCollective(CollectiveStrategy):
-    def respond_alice(self, settings, rng=None):
+    def respond_alice(self, settings):
         return tuple(1 for _ in settings)
 
-    def respond_bob(self, settings, rng=None):
+    def respond_bob(self, settings):
         return tuple(1 for _ in settings)
 
 
@@ -283,10 +284,10 @@ def test_collective_constant_hits_independent_ceiling():
 class ThreeRoundCollective(CollectiveStrategy):
     """A deterministic three-round collective strategy on the oracle's rules."""
 
-    def respond_alice(self, settings, rng=None):
+    def respond_alice(self, settings):
         return oracles.three_round_alice(tuple(int(s) for s in settings))
 
-    def respond_bob(self, settings, rng=None):
+    def respond_bob(self, settings):
         return oracles.three_round_bob(tuple(int(s) for s in settings))
 
 
@@ -501,11 +502,11 @@ def wings_copy_each_other(pairs):
 class CollectiveBobReadsAlice(CollectiveStrategy):
     """Collective backchannel: Bob's whole run flips once Alice ever measures A2."""
 
-    def respond_alice(self, settings, rng=None):
+    def respond_alice(self, settings):
         self._alice = tuple(settings)
         return tuple(1 for _ in settings)
 
-    def respond_bob(self, settings, rng=None):
+    def respond_bob(self, settings):
         outcome = -1 if 1 in self._alice else 1
         return tuple(outcome for _ in settings)
 

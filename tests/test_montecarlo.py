@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as hs
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from guessing_last_tie import GuessingLastTie
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
 from chshsim.enumerator import exact_expectations, playout
@@ -407,12 +408,8 @@ def test_guessing_kernel_on_drawn_histories_matches_oracle(alphabet, shape, data
 
 
 def test_guessing_custom_tie_break_uses_general_path():
-    plan = SimulationPlan(
-        factory=lambda: guessing_model(tie_break=lambda tied: tied[-1]),
-        n=20,
-        batches=10,
-        seed=3,
-    )
+    assert _find_kernel(GuessingLastTie()) is None
+    plan = SimulationPlan(factory=GuessingLastTie, n=20, batches=10, seed=3)
     records = list(iter_batch_counts(plan))
     assert records == list(iter_batch_counts(plan, force_general=True))
 
