@@ -21,7 +21,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +76,64 @@ def _as_pairs(settings) -> tuple[SettingPair, ...]:
     return tuple(_check_pair(s) for s in settings)
 
 
+def _memory_class(strategy) -> MemoryClass:
+    """Refuse anything but a sequential strategy with a known memory class; return the class."""
+    if isinstance(strategy, CollectiveStrategy):
+        raise TypeError("collective strategies are played out via collective_playout")
+    if not isinstance(strategy, SequentialStrategy):
+        raise TypeError(f"not a sequential strategy: {strategy!r}")
+    memory_class = strategy.memory_class
+    if not isinstance(memory_class, MemoryClass):
+        raise InvariantViolation(f"strategy declares unknown memory class {memory_class!r}")
+    return memory_class
+
+
+def _play_rounds(strategy, memory_class: MemoryClass, pairs, rng, rounds=None) -> tuple[int, int]:
+    """The round protocol: play checked pairs once and return both wings' outcome masks.
+
+    Bit k of a mask is set where round k gave -1.  Each round both
+    responders see their own current setting and a view of the completed
+    rounds filtered to ``memory_class``, Alice answering before Bob.
+    A :class:`Round` is appended to ``rounds`` per round when the caller
+    passes a list, and kept anyway for a FULL view, the one view that
+    reads them.
+    """
+    strategy.begin_playout(len(pairs), rng)
+    # Enum members are looked up once per play, not once per round.
+    full = memory_class is MemoryClass.FULL
+    own_side = memory_class is MemoryClass.OWN_SIDE
+    if rounds is None and full:
+        rounds = []
+    own_alice: list = []
+    own_bob: list = []
+    view_a = view_b = EMPTY_VIEW
+    mask_a = mask_b = 0
+    bit = 1
+
+    for k, pair in enumerate(pairs):
+        if full:
+            view_a = view_b = MemoryView(memory_class, None, rounds, k)
+        elif own_side:
+            view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
+            view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
+        strategy.begin_round()
+        a = strategy.respond_alice(pair.alice, view_a)
+        b = strategy.respond_bob(pair.bob, view_b)
+        if (a != 1 and a != -1) or (b != 1 and b != -1):
+            raise InvariantViolation(f"strategy produced non-outcome ({a!r}, {b!r})")
+        if a == -1:
+            mask_a |= bit
+        if b == -1:
+            mask_b |= bit
+        bit <<= 1
+        if rounds is not None:
+            rounds.append(Round(k + 1, pair, int(a), int(b)))
+        if own_side:
+            own_alice.append(OwnSideEntry(pair.alice, a))
+            own_bob.append(OwnSideEntry(pair.bob, b))
+    return mask_a, mask_b
+
+
 def playout(
     strategy: SequentialStrategy, settings, rng=None
 ) -> Transcript:
@@ -83,42 +141,15 @@ def playout(
 
     Each round both responders see their own current setting and a
     memory view of the completed rounds, filtered to the strategy's
-    declared memory class.  Collective strategies have their own path,
-    :func:`collective_playout`.
+    declared memory class.  The strategy, its memory class and the
+    settings are checked on every call; the rounds are played by the
+    same loop :func:`no_signaling_check` uses.  Collective strategies
+    have their own path, :func:`collective_playout`.
     """
-    if isinstance(strategy, CollectiveStrategy):
-        raise TypeError("collective strategies are played out via collective_playout")
-    if not isinstance(strategy, SequentialStrategy):
-        raise TypeError(f"not a sequential strategy: {strategy!r}")
+    memory_class = _memory_class(strategy)
     pairs = _as_pairs(settings)
-    n = len(pairs)
-    memory_class = strategy.memory_class
-    if not isinstance(memory_class, MemoryClass):
-        raise InvariantViolation(f"strategy declares unknown memory class {memory_class!r}")
-    strategy.begin_playout(n, rng)
-
     rounds: list[Round] = []
-    own_alice: list = []
-    own_bob: list = []
-
-    for k, pair in enumerate(pairs):
-        if memory_class is MemoryClass.NONE:
-            view_a = view_b = EMPTY_VIEW
-        elif memory_class is MemoryClass.FULL:
-            view_a = view_b = MemoryView(MemoryClass.FULL, None, rounds, k)
-        else:
-            view_a = MemoryView(MemoryClass.OWN_SIDE, Side.ALICE, own_alice, k)
-            view_b = MemoryView(MemoryClass.OWN_SIDE, Side.BOB, own_bob, k)
-        strategy.begin_round()
-        a = strategy.respond_alice(pair.alice, view_a)
-        b = strategy.respond_bob(pair.bob, view_b)
-        if (a != 1 and a != -1) or (b != 1 and b != -1):
-            raise InvariantViolation(f"strategy produced non-outcome ({a!r}, {b!r})")
-        rounds.append(Round(k + 1, pair, int(a), int(b)))
-        if memory_class is MemoryClass.OWN_SIDE:
-            own_alice.append(OwnSideEntry(pair.alice, a))
-            own_bob.append(OwnSideEntry(pair.bob, b))
-
+    _play_rounds(strategy, memory_class, pairs, rng, rounds)
     transcript = Transcript.__new__(Transcript)
     transcript.rounds = tuple(rounds)
     return transcript
@@ -385,40 +416,48 @@ class NoSignalingReport:
     counterexample: SignalingCounterexample | None = None
 
 
-PlayoutFunction = Callable[[Sequence[SettingPair]], tuple[Sequence[int], Sequence[int]]]
+def _mask_function(subject, n: int, seed) -> Callable[[tuple[SettingPair, ...]], int]:
+    """Normalize a check subject to a map from n pairs to its table entry.
 
-
-def _outcome_function(subject, seed) -> PlayoutFunction:
-    """Normalize a check subject to a settings -> (a_outcomes, b_outcomes) map.
-
-    Stochastic sequential subjects replay the same fixed random tape on
-    every call, so toggles compare like with like: one generator is built
-    from the seed and its saved state restored before each call.
+    The entry holds Alice's outcome mask above Bob's.  A sequential
+    subject is checked here once (type, memory class, seed) and each call
+    is one pass of the round loop.  A stochastic one replays the same
+    fixed random tape on every call, so toggles compare like with like:
+    one generator is built from the seed and its saved state restored
+    before each call.  Collective and callable subjects give outcome
+    lists, checked and packed by :func:`_outcome_mask`.
     """
     if isinstance(subject, SequentialStrategy):
         if subject.stochastic and seed is None:
             raise ValueError("stochastic strategies need a seed for the exact check")
-        engine = playout
-    elif isinstance(subject, CollectiveStrategy):
-        engine = collective_playout
-        seed = None  # a collective run reads no randomness
+        memory_class = _memory_class(subject)
+        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
+        tape = None if rng is None else rng.bit_generator.state
+
+        def play_sequential(pairs) -> int:
+            if rng is not None:
+                rng.bit_generator.state = tape
+            a, b = _play_rounds(subject, memory_class, pairs, rng)
+            return a << n | b
+
+        return play_sequential
+
+    if isinstance(subject, CollectiveStrategy):
+
+        def run(pairs):
+            rounds = collective_playout(subject, pairs).rounds
+            return tuple(r.a for r in rounds), tuple(r.b for r in rounds)
+
     elif callable(subject):
-        return subject
+        run = subject
     else:
         raise TypeError(f"cannot check {subject!r} for signaling")
 
-    rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
-    tape = None if rng is None else rng.bit_generator.state
+    def play(pairs) -> int:
+        a, b = run(pairs)
+        return _outcome_mask(a, n) << n | _outcome_mask(b, n)
 
-    def run(pairs):
-        if rng is None:
-            t = engine(subject, pairs)
-        else:
-            rng.bit_generator.state = tape
-            t = playout(subject, pairs, rng)
-        return tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)
-
-    return run
+    return play
 
 
 def _outcome_mask(outcomes, n: int) -> int:
@@ -461,15 +500,14 @@ def no_signaling_check(
     sequence is itself one of the 4^n, so each sequence is played at
     most once, when the scan first needs it, and its two wings kept as
     outcome masks.  A passing subject is played 4^n times; a failing
-    one stops at its first violation.
+    one stops at its first violation.  A sequential subject is checked
+    once, its type, memory class and seed, before any play, and each
+    play is one pass of :func:`playout`'s round loop, whose masks go
+    straight into the table.
     """
     _check_cap(n, cap)
-    run = _outcome_function(subject, seed)
+    play = _mask_function(subject, n, seed)
     collective = isinstance(subject, CollectiveStrategy)
-
-    def play(pairs) -> int:
-        a, b = run(pairs)
-        return _outcome_mask(a, n) << n | _outcome_mask(b, n)
 
     # Sequence i in product order plays pair index (i >> 2 * (n-1-k)) & 3
     # in round k; Bob's setting is bit 0 of that digit and Alice's bit 1,

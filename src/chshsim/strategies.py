@@ -473,8 +473,13 @@ def parse_weights_csv(fp: TextIO) -> StochasticLHV:
             weight = Fraction(row[0].strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in weights row: {row!r}") from None
-        outcomes = [int(v) for v in row[1:]]
-        support.append((weight, DeterministicAssignment(*outcomes)))
+        except ValueError:
+            raise ValueError(f"invalid weight in weights row: {row!r}") from None
+        try:
+            assignment = DeterministicAssignment(*(int(v) for v in row[1:]))
+        except ValueError:
+            raise ValueError(f"outcomes must be +1 or -1 in weights row: {row!r}") from None
+        support.append((weight, assignment))
     if not support:
         raise ValueError("weights file contains no rows")
     return StochasticLHV(tuple(support))

@@ -262,6 +262,26 @@ def test_simulate_zero_denominator_weight_is_input_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("abc,1,1,1,1", "invalid weight in weights row: ['abc', '1', '1', '1', '1']"),
+        ("1,1,1,1,x", "outcomes must be +1 or -1 in weights row: ['1', '1', '1', '1', 'x']"),
+        ("1,1,1,1,2", "outcomes must be +1 or -1 in weights row: ['1', '1', '1', '1', '2']"),
+    ],
+    ids=["weight", "outcome-not-integer", "outcome-not-plus-minus-one"],
+)
+@pytest.mark.parametrize("command", ["simulate", "nosig"])
+def test_bad_weights_field_error_names_the_row(command, row, error, tmp_path, capsys):
+    weights = tmp_path / "weights.csv"
+    weights.write_text(f"weight,a1,a2,b1,b2\n{row}\n")
+    code = run_cli(
+        command, "--strategy", "stochastic-lhv", "--strategy-file", str(weights), "--n", "2"
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 @pytest.mark.parametrize("strategy", ["quantum", "collective-n2"])
 def test_simulate_negative_seed_is_input_error(strategy, capsys):
     # Both run on kernels, which seed a whole chunk of batches at once.

@@ -42,6 +42,19 @@ from chshsim.strategies import (
 P11, P12, P21, P22 = ALL_PAIRS
 
 
+def wings(transcript):
+    """Alice's and Bob's outcomes, one per round."""
+    return tuple(r.a for r in transcript.rounds), tuple(r.b for r in transcript.rounds)
+
+
+def outcome_masks(transcript):
+    """Alice's and Bob's outcomes as masks with bit k set where round k gave -1."""
+    return tuple(
+        sum(1 << k for k, outcome in enumerate(outcomes) if outcome == -1)
+        for outcomes in wings(transcript)
+    )
+
+
 def test_playout_constant_single_round():
     t = playout(constant_plus(), [P11])
     assert len(t) == 1
@@ -393,18 +406,20 @@ def test_no_signaling_stochastic_with_fixed_tape():
     ids=["uniform-mixture", "quantum"],
 )
 def test_stochastic_tape_is_restored_not_rebuilt(subject, monkeypatch):
-    # Every call must replay the tape a fresh Generator from the seed
+    # Every play must replay the tape a fresh Generator from the seed
     # would draw, from one Generator built per check.
-    sequences = list(itertools.product(ALL_PAIRS, repeat=3))
+    n = 3
+    sequences = list(itertools.product(ALL_PAIRS, repeat=n))
     fresh = []
     for pairs in sequences:
         t = playout(subject, pairs, np.random.default_rng(np.random.SeedSequence(7)))
-        fresh.append((tuple(r.a for r in t.rounds), tuple(r.b for r in t.rounds)))
+        a, b = outcome_masks(t)
+        fresh.append(a << n | b)
     built = []
     default_rng = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
-    run = enumerator._outcome_function(subject, 7)
-    assert [run(pairs) for pairs in sequences] == fresh
+    play = enumerator._mask_function(subject, n, 7)
+    assert [play(pairs) for pairs in sequences] == fresh
     assert len(built) == 1
 
 
@@ -511,6 +526,40 @@ class CollectiveBobReadsAlice(CollectiveStrategy):
         return tuple(outcome for _ in settings)
 
 
+def own_side_parity(view):
+    """The product of a wing's past outcomes, negated once per past second setting."""
+    out = 1
+    for entry in view:
+        out *= entry.outcome if entry.setting == 0 else -entry.outcome
+    return out
+
+
+class OwnSideParity(SequentialStrategy):
+    """Own-side memory: each wing answers from its own past settings and outcomes."""
+
+    memory_class = MemoryClass.OWN_SIDE
+
+    def respond_alice(self, setting, view):
+        return own_side_parity(view)
+
+    def respond_bob(self, setting, view):
+        return -own_side_parity(view)
+
+
+class OwnSideBobReadsAlice(OwnSideParity):
+    """Own-side memory, but once Bob's own past holds a B2 he also reads
+    Alice's current setting through the instance."""
+
+    def respond_alice(self, setting, view):
+        self._alice = setting
+        return own_side_parity(view)
+
+    def respond_bob(self, setting, view):
+        if self._alice == 1 and any(entry.setting == 1 for entry in view):
+            return own_side_parity(view)
+        return -own_side_parity(view)
+
+
 # subject factory, tape seed; every subject runs at n = 1..4 but collective-n2
 NOSIG_SUBJECTS = {
     "constant-plus": (constant_plus, None),
@@ -524,6 +573,8 @@ NOSIG_SUBJECTS = {
     "quantum": (quantum_singlet_sampler, 5),
     "bob-reads-alice": (BobReadsAlice, None),
     "signals-in-last-round": (SignalsInLastRound, None),
+    "own-side-parity": (OwnSideParity, None),
+    "own-side-bob-reads-alice": (OwnSideBobReadsAlice, None),
     "alice-copies-bob": (lambda: alice_copies_bob, None),
     "signals-late": (lambda: signals_late, None),
     "wings-copy-each-other": (lambda: wings_copy_each_other, None),
@@ -535,24 +586,47 @@ NOSIG_SUBJECTS = {
 def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
     # Same report as the oracle, with each sequence played at most once:
     # all 4^n for a passing subject, no more than the oracle's replays
-    # for a failing one.
+    # for a failing one.  The oracle replays through the public engines
+    # (a fresh Generator from the seed per call) or the callable itself;
+    # the check's plays are counted where it plays: in the round loop,
+    # the collective engine or the callable.
     factory, seed = NOSIG_SUBJECTS[name]
-    real_outcome_function = enumerator._outcome_function
     played = []
+    real_play_rounds = enumerator._play_rounds
+    real_collective_playout = enumerator.collective_playout
 
-    def counted_outcome_function(subject, seed):
-        run = real_outcome_function(subject, seed)
+    def counted_play_rounds(strategy, memory_class, pairs, rng, rounds=None):
+        played.append(tuple(p.index for p in pairs))
+        return real_play_rounds(strategy, memory_class, pairs, rng, rounds)
 
-        def counted_run(pairs):
-            played.append(tuple(p.index for p in pairs))
-            return run(pairs)
+    def counted_collective_playout(strategy, settings):
+        played.append(tuple(p.index for p in settings))
+        return real_collective_playout(strategy, settings)
 
-        return counted_run
-
-    monkeypatch.setattr(enumerator, "_outcome_function", counted_outcome_function)
+    monkeypatch.setattr(enumerator, "_play_rounds", counted_play_rounds)
+    monkeypatch.setattr(enumerator, "collective_playout", counted_collective_playout)
     for n in (2,) if name == "collective-n2" else range(1, 5):
         subject = factory()
-        run = real_outcome_function(subject, seed)
+        if isinstance(subject, SequentialStrategy):
+
+            def run(pairs):
+                rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
+                return wings(playout(subject, pairs, rng))
+
+            checked = subject
+        elif isinstance(subject, CollectiveStrategy):
+
+            def run(pairs):
+                return wings(real_collective_playout(subject, pairs))
+
+            checked = subject
+        else:
+            run = subject
+
+            def checked(pairs):
+                played.append(tuple(p.index for p in pairs))
+                return subject(pairs)
+
         replays = []
 
         def replay(indices):
@@ -563,7 +637,7 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
             replay, n, whole_run=isinstance(subject, CollectiveStrategy)
         )
         played.clear()
-        report = no_signaling_check(subject, n, seed=seed)
+        report = no_signaling_check(checked, n, seed=seed)
         ce = report.counterexample
         got = (
             report.passed,
@@ -600,13 +674,13 @@ def test_no_signaling_reports_late_first_violation():
 
 def test_no_signaling_plays_each_sequence_once(monkeypatch):
     played = []
-    real_playout = enumerator.playout
+    real_play_rounds = enumerator._play_rounds
 
-    def counted_playout(strategy, settings, rng=None):
-        played.append(tuple(settings))
-        return real_playout(strategy, settings, rng)
+    def counted_play_rounds(strategy, memory_class, pairs, rng, rounds=None):
+        played.append(tuple(pairs))
+        return real_play_rounds(strategy, memory_class, pairs, rng, rounds)
 
-    monkeypatch.setattr(enumerator, "playout", counted_playout)
+    monkeypatch.setattr(enumerator, "_play_rounds", counted_play_rounds)
     assert no_signaling_check(guessing_model(), 3).passed
     assert len(played) == 4 ** 3
     assert len(set(played)) == 4 ** 3
@@ -623,6 +697,33 @@ def test_no_signaling_plays_each_sequence_once(monkeypatch):
     assert not report.passed
     assert report.sequences_checked == 1
     assert len(calls) == 2
+
+
+class UnknownMemoryClass(SequentialStrategy):
+    """Declares a memory class that is not a ``MemoryClass``; records each playout it begins."""
+
+    memory_class = "full"
+
+    def __init__(self):
+        self.begun = []
+
+    def begin_playout(self, n, rng=None):
+        self.begun.append(n)
+
+    def respond_alice(self, setting, view):
+        return 1
+
+    def respond_bob(self, setting, view):
+        return 1
+
+
+def test_unknown_memory_class_is_refused_before_any_play():
+    strategy = UnknownMemoryClass()
+    with pytest.raises(InvariantViolation, match="unknown memory class 'full'"):
+        playout(strategy, [P11, P22])
+    with pytest.raises(InvariantViolation, match="unknown memory class 'full'"):
+        no_signaling_check(strategy, 2)
+    assert strategy.begun == []
 
 
 def test_no_signaling_rejects_malformed_callable_runs():
