@@ -9,8 +9,12 @@ law of (Y_N, X_N) over (pair counts, per-pair scores) states.  Any
 other sequential strategy is refused with ``TypeError``; a collective
 one is played once per sequence (:func:`collective_scores`).  Also
 evaluates the rigged-101st-round model in closed form and checks
-no-signaling by brute force.  Everything returns exact rationals; Monte
-Carlo (:mod:`chshsim.montecarlo`) takes over beyond the enumeration cap.
+no-signaling exhaustively: a sequential strategy by a depth-first walk
+of its setting-prefix tree that plays each round of each prefix once,
+from a snapshot of the state the prefix left; a collective strategy or
+a callable by a scan over all 4^n runs.  Everything returns exact
+rationals; Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
+enumeration cap.
 """
 
 from __future__ import annotations
@@ -88,15 +92,28 @@ def _memory_class(strategy) -> MemoryClass:
     return memory_class
 
 
-def _play_rounds(strategy, memory_class: MemoryClass, pairs, rng, rounds=None) -> tuple[int, int]:
-    """The round protocol: play checked pairs once and return both wings' outcome masks.
+def _play_round(strategy, pair: SettingPair, view_a, view_b) -> tuple[int, int]:
+    """One round of the protocol: ``begin_round``, Alice's answer, then Bob's.
 
-    Bit k of a mask is set where round k gave -1.  Each round both
-    responders see their own current setting and a view of the completed
-    rounds filtered to ``memory_class``, Alice answering before Bob.
-    A :class:`Round` is appended to ``rounds`` per round when the caller
-    passes a list, and kept anyway for a FULL view, the one view that
-    reads them.
+    Each responder sees its own current setting and its view; the two
+    outcomes are checked to be +1 or -1 and returned as given.
+    """
+    strategy.begin_round()
+    a = strategy.respond_alice(pair.alice, view_a)
+    b = strategy.respond_bob(pair.bob, view_b)
+    if (a != 1 and a != -1) or (b != 1 and b != -1):
+        raise InvariantViolation(f"strategy produced non-outcome ({a!r}, {b!r})")
+    return a, b
+
+
+def _play_rounds(strategy, memory_class: MemoryClass, pairs, rng, rounds=None) -> tuple[int, int]:
+    """A whole playout of checked pairs; returns both wings' outcome masks.
+
+    Bit k of a mask is set where round k gave -1.  Each round is one
+    :func:`_play_round` with views of the completed rounds filtered to
+    ``memory_class``.  A :class:`Round` is appended to ``rounds`` per
+    round when the caller passes a list, and kept anyway for a FULL
+    view, the one view that reads them.
     """
     strategy.begin_playout(len(pairs), rng)
     # Enum members are looked up once per play, not once per round.
@@ -116,11 +133,7 @@ def _play_rounds(strategy, memory_class: MemoryClass, pairs, rng, rounds=None) -
         elif own_side:
             view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
             view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
-        strategy.begin_round()
-        a = strategy.respond_alice(pair.alice, view_a)
-        b = strategy.respond_bob(pair.bob, view_b)
-        if (a != 1 and a != -1) or (b != 1 and b != -1):
-            raise InvariantViolation(f"strategy produced non-outcome ({a!r}, {b!r})")
+        a, b = _play_round(strategy, pair, view_a, view_b)
         if a == -1:
             mask_a |= bit
         if b == -1:
@@ -142,9 +155,9 @@ def playout(
     Each round both responders see their own current setting and a
     memory view of the completed rounds, filtered to the strategy's
     declared memory class.  The strategy, its memory class and the
-    settings are checked on every call; the rounds are played by the
-    same loop :func:`no_signaling_check` uses.  Collective strategies
-    have their own path, :func:`collective_playout`.
+    settings are checked on every call; each round is played by the same
+    one-round body as :func:`no_signaling_check`'s walk.  Collective
+    strategies have their own path, :func:`collective_playout`.
     """
     memory_class = _memory_class(strategy)
     pairs = _as_pairs(settings)
@@ -416,32 +429,11 @@ class NoSignalingReport:
     counterexample: SignalingCounterexample | None = None
 
 
-def _mask_function(subject, n: int, seed) -> Callable[[tuple[SettingPair, ...]], int]:
-    """Normalize a check subject to a map from n pairs to its table entry.
-
-    The entry holds Alice's outcome mask above Bob's.  A sequential
-    subject is checked here once (type, memory class, seed) and each call
-    is one pass of the round loop.  A stochastic one replays the same
-    fixed random tape on every call, so toggles compare like with like:
-    one generator is built from the seed and its saved state restored
-    before each call.  Collective and callable subjects give outcome
-    lists, checked and packed by :func:`_outcome_mask`.
+def _mask_function(subject, n: int) -> Callable[[tuple[SettingPair, ...]], int]:
+    """Normalize a collective or callable subject to a map from n pairs to
+    its table entry, Alice's outcome mask above Bob's.  Both answer whole
+    runs as outcome lists, checked and packed by :func:`_outcome_mask`.
     """
-    if isinstance(subject, SequentialStrategy):
-        if subject.stochastic and seed is None:
-            raise ValueError("stochastic strategies need a seed for the exact check")
-        memory_class = _memory_class(subject)
-        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
-        tape = None if rng is None else rng.bit_generator.state
-
-        def play_sequential(pairs) -> int:
-            if rng is not None:
-                rng.bit_generator.state = tape
-            a, b = _play_rounds(subject, memory_class, pairs, rng)
-            return a << n | b
-
-        return play_sequential
-
     if isinstance(subject, CollectiveStrategy):
 
         def run(pairs):
@@ -484,6 +476,108 @@ def _run_table(n: int) -> array:
     return array(typecode, [-1]) * 4 ** n
 
 
+#: A one-wing toggle of a pair index: the wing toggled, the bit of the
+#: index that holds its setting, and the watched wing's slot in an
+#: (Alice, Bob) outcome pair.  In scan order, Bob's toggle before Alice's.
+_TOGGLES = ((Side.BOB, 1, 0), (Side.ALICE, 2, 1))
+
+
+def _violation(settings, sequences_checked: int, round_index: int, toggled_side: Side, before) -> NoSignalingReport:
+    """A failed report: toggling ``toggled_side`` moved the other wing from ``before``."""
+    before = 1 if before == 1 else -1
+    return NoSignalingReport(
+        passed=False,
+        sequences_checked=sequences_checked,
+        counterexample=SignalingCounterexample(
+            settings=settings,
+            round_index=round_index,
+            toggled_side=toggled_side,
+            watched_side=Side.ALICE if toggled_side is Side.BOB else Side.BOB,
+            before=before,
+            after=-before,
+        ),
+    )
+
+
+def _signaling_report(n: int, path, k: int, q: int, toggled_side: Side, before) -> NoSignalingReport:
+    """The report for a round-k violation at child q of the prefix ``path``.
+
+    Every sequence through that child violates, since round k's outcomes
+    depend on the first k + 1 pairs alone; the earliest one in sequence
+    order extends it with (A1,B1) pairs.
+    """
+    settings = (*path, ALL_PAIRS[q]) + (ALL_PAIRS[0],) * (n - 1 - k)
+    index = 0
+    for pair in settings:
+        index = 4 * index + pair.index
+    return _violation(settings, index + 1, k + 1, toggled_side, before)
+
+
+def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignalingReport:
+    """The no-signaling check of a sequential subject, by its setting-prefix tree.
+
+    Round k's outcomes depend only on the first k + 1 pairs, so the walk
+    plays each (prefix, pair) node once: (4^(n+1) - 4)/3 rounds for a
+    passing subject, not n for each of 4^n sequences.  ``begin_playout``
+    runs once, at the root.  At a node of depth k, round k is played
+    through the subject's own responders and views for each pair: for
+    the first three from snapshots of the state the prefix left, for the
+    last on that state itself, once a comparison needs it.  The walk is
+    depth-first in product order and compares child q's one-wing toggles
+    before descending into q, so violations come in the order of the
+    table scan: by sequence, then round, then Bob's toggle before
+    Alice's.  It holds at most four states per depth.
+    """
+    strategy.begin_playout(n, rng)
+    full = memory_class is MemoryClass.FULL
+    own_side = memory_class is MemoryClass.OWN_SIDE
+    path: list[SettingPair] = []
+    rounds: list[Round] = []
+    own_alice: list = []
+    own_bob: list = []
+
+    def visit(state, k: int) -> NoSignalingReport | None:
+        if full:
+            view_a = view_b = MemoryView(memory_class, None, rounds, k)
+        elif own_side:
+            view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
+            view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
+        else:
+            view_a = view_b = EMPTY_VIEW
+        states = (state._snapshot(), state._snapshot(), state._snapshot(), state)
+        played = [_play_round(states[q], ALL_PAIRS[q], view_a, view_b) for q in range(3)]
+        deeper = k + 1 < n
+        for q, pair in enumerate(ALL_PAIRS):
+            if q == 1:
+                # Child 3 is first compared by child 1's Alice toggle, and
+                # plays on the node's own state, which no snapshot needs now.
+                played.append(_play_round(state, ALL_PAIRS[3], view_a, view_b))
+            here = played[q]
+            for toggled_side, bit, watched in _TOGGLES:
+                if not q & bit and here[watched] != played[q | bit][watched]:
+                    return _signaling_report(n, path, k, q, toggled_side, here[watched])
+            if deeper:
+                a, b = here
+                path.append(pair)
+                if full:
+                    rounds.append(Round(k + 1, pair, int(a), int(b)))
+                elif own_side:
+                    own_alice.append(OwnSideEntry(pair.alice, a))
+                    own_bob.append(OwnSideEntry(pair.bob, b))
+                report = visit(states[q], k + 1)
+                if report is not None:
+                    return report
+                path.pop()
+                if full:
+                    rounds.pop()
+                elif own_side:
+                    own_alice.pop()
+                    own_bob.pop()
+        return None
+
+    return visit(strategy, 0) or NoSignalingReport(passed=True, sequences_checked=4 ** n)
+
+
 def no_signaling_check(
     subject, n: int, cap: int = DEFAULT_ENUM_CAP, seed=None
 ) -> NoSignalingReport:
@@ -494,19 +588,30 @@ def no_signaling_check(
     legitimately change through memory).  For collective subjects the
     whole watched wing must be unchanged.  Returns the first violation
     in sequence order (then round, then Bob's toggle before Alice's),
-    if any.
+    if any; ``sequences_checked`` is 4^n for a passing subject and the
+    first violating sequence's position in product order otherwise.
 
-    The subject is a pure function of its settings, and every toggled
-    sequence is itself one of the 4^n, so each sequence is played at
-    most once, when the scan first needs it, and its two wings kept as
-    outcome masks.  A passing subject is played 4^n times; a failing
-    one stops at its first violation.  A sequential subject is checked
-    once, its type, memory class and seed, before any play, and each
-    play is one pass of :func:`playout`'s round loop, whose masks go
-    straight into the table.
+    A sequential subject is checked once, its type, memory class and
+    seed, and then walked by :func:`_walk_prefixes`: each round of each
+    setting prefix is played once, from a snapshot, through the
+    subject's own responders.  A stochastic subject draws its tape once
+    per check, from one generator built from the seed, so toggles
+    compare like with like.
+
+    Collective and callable subjects answer whole runs, so they are
+    scanned over a table of all 4^n sequences.  Every toggled sequence
+    is itself one of the 4^n, so each is played at most once, when the
+    scan first needs it, and its two wings kept as outcome masks.
     """
     _check_cap(n, cap)
-    play = _mask_function(subject, n, seed)
+    if isinstance(subject, SequentialStrategy):
+        if subject.stochastic and seed is None:
+            raise ValueError("stochastic strategies need a seed for the exact check")
+        memory_class = _memory_class(subject)
+        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
+        return _walk_prefixes(subject, memory_class, n, rng)
+
+    play = _mask_function(subject, n)
     collective = isinstance(subject, CollectiveStrategy)
 
     # Sequence i in product order plays pair index (i >> 2 * (n-1-k)) & 3
@@ -539,16 +644,5 @@ def no_signaling_check(
             if moved:
                 lowest = (moved & -moved).bit_length() - 1
                 before = -1 if (here >> lowest) & 1 else 1
-                return NoSignalingReport(
-                    passed=False,
-                    sequences_checked=i + 1,
-                    counterexample=SignalingCounterexample(
-                        settings=pairs,
-                        round_index=lowest % n + 1,
-                        toggled_side=toggled_side,
-                        watched_side=Side.ALICE if toggled_side is Side.BOB else Side.BOB,
-                        before=before,
-                        after=-before,
-                    ),
-                )
+                return _violation(pairs, i + 1, lowest % n + 1, toggled_side, before)
     return NoSignalingReport(passed=True, sequences_checked=4 ** n)

@@ -18,10 +18,19 @@ Playout engines drive a strategy as::
 ``respond_alice`` is always called before ``respond_bob`` within a
 round.  One strategy instance serves one playout at a time;
 ``begin_playout`` resets all per-playout state.
+
+The no-signaling check plays each round of each setting prefix once:
+it begins one playout and, where prefixes branch, continues each branch
+from ``strategy._snapshot()``, a copy of the state mid-playout.  The
+default deep copy suits any strategy that keeps this protocol.  A
+strategy may override it with a shallow copy that shares attribute
+values only if every round replaces, never mutates in place, what it
+changes, and nothing mutates its tapes after ``begin_playout``.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import itertools
 import math
@@ -139,6 +148,13 @@ class StochasticLHV:
         return cls(tuple((Fraction(1, k), a) for a in assignments))
 
 
+def _shallow_snapshot(strategy):
+    """A new instance sharing every attribute value of ``strategy``."""
+    twin = object.__new__(type(strategy))
+    twin.__dict__.update(strategy.__dict__)
+    return twin
+
+
 class SequentialStrategy(ABC):
     """A sequential responder with a declared memory class.
 
@@ -159,6 +175,18 @@ class SequentialStrategy(ABC):
 
     def begin_round(self) -> None:
         """Hook called once per round before either responder."""
+
+    def _snapshot(self) -> "SequentialStrategy":
+        """An independent copy of this strategy's state mid-playout.
+
+        The no-signaling walk plays each setting prefix's next round from
+        a snapshot, so a copy must continue exactly as the original would.
+        A deep copy does for any strategy that keeps the protocol; a
+        subclass may share attribute values with a shallow copy
+        (:func:`_shallow_snapshot`) when every round replaces, never
+        mutates, what it changes.
+        """
+        return copy.deepcopy(self)
 
     @abstractmethod
     def respond_alice(self, setting: AliceSetting, view: MemoryView) -> int:
@@ -197,16 +225,18 @@ class CountDriven(SequentialStrategy):
     The exact enumerator relies on this to sum over count vectors instead
     of setting sequences.  Subclasses whose assignment reads the counts
     declare FULL memory; one with memory class NONE sees an empty history
-    in play, so its assignment must ignore both arguments.
+    in play, so its assignment must ignore both arguments.  The pair
+    counts are a tuple replaced each round, so a snapshot may share it.
     """
 
     memory_class = MemoryClass.FULL
+    _snapshot = _shallow_snapshot
 
     def __init__(self):
         self.begin_playout(0)
 
     def begin_playout(self, n, rng=None):
-        self._counts = [0, 0, 0, 0]
+        self._counts = (0, 0, 0, 0)
         self._round = 0
         self._assignment = self.assignment((0, 0, 0, 0), 0)
 
@@ -217,11 +247,12 @@ class CountDriven(SequentialStrategy):
     def _advance(self, view) -> None:
         """Count the rounds completed since the last call and pick the next assignment."""
         k = len(view)
-        counts = self._counts
+        counts = list(self._counts)
         for i in range(self._round, k):
             counts[view[i].pair.index] += 1
+        self._counts = counts = tuple(counts)
         self._round = k
-        self._assignment = self.assignment(tuple(counts), k)
+        self._assignment = self.assignment(counts, k)
 
     def respond_alice(self, setting, view):
         if len(view) != self._round:
@@ -300,6 +331,7 @@ class QuantumSingletSampler(SequentialStrategy):
 
     memory_class = MemoryClass.NONE
     stochastic = True
+    _snapshot = _shallow_snapshot
 
     def __init__(self):
         self._a_tape: list[int] = []
@@ -345,6 +377,7 @@ class StochasticSequential(SequentialStrategy):
 
     memory_class = MemoryClass.NONE
     stochastic = True
+    _snapshot = _shallow_snapshot
 
     def __init__(self, lhv: StochasticLHV):
         self.lhv = lhv

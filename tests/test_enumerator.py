@@ -1,5 +1,6 @@
 """Tests for the exact enumeration oracles."""
 
+import contextlib
 import itertools
 import math
 from collections import Counter
@@ -12,7 +13,16 @@ import oracles
 from guessing_last_tie import GuessingLastTie
 from chshsim import enumerator, montecarlo
 from chshsim.bounds import x_mean_bound
-from chshsim.core import ALL_PAIRS, InvariantViolation, MemoryClass, SettingPair, Side
+from chshsim.core import (
+    ALL_PAIRS,
+    EMPTY_VIEW,
+    InvariantViolation,
+    MemoryClass,
+    MemoryView,
+    Round,
+    SettingPair,
+    Side,
+)
 from chshsim.enumerator import (
     EnumerationCapError,
     chsh_exhaustive_max,
@@ -27,6 +37,7 @@ from chshsim.enumerator import (
 )
 from chshsim.strategies import (
     CollectiveStrategy,
+    CountDriven,
     DeterministicAssignment,
     SequentialStrategy,
     StochasticLHV,
@@ -53,6 +64,60 @@ def outcome_masks(transcript):
         sum(1 << k for k, outcome in enumerate(outcomes) if outcome == -1)
         for outcomes in wings(transcript)
     )
+
+
+def fresh_rng(seed):
+    return None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def as_oracle_result(report):
+    """A no-signaling report in the form :func:`oracles.no_signaling_by_toggling` returns."""
+    ce = report.counterexample
+    return (
+        report.passed,
+        report.sequences_checked,
+        None
+        if ce is None
+        else (
+            tuple(p.index for p in ce.settings),
+            ce.round_index,
+            ce.toggled_side.value,
+            ce.watched_side.value,
+            ce.before,
+            ce.after,
+        ),
+    )
+
+
+@contextlib.contextmanager
+def walked_rounds(monkeypatch):
+    """Record each round the no-signaling walk plays as (node, a, b).
+
+    A node is the (prefix, pair) the round was played at, as pair
+    indices.  Each played state carries its node, so a snapshot of it
+    starts from its parent's prefix; a state not yet played is the root.
+    """
+    played = []
+    real_play_round = enumerator._play_round
+
+    def recorded(strategy, pair, view_a, view_b):
+        node = getattr(strategy, "_walked_node", ()) + (pair.index,)
+        a, b = real_play_round(strategy, pair, view_a, view_b)
+        strategy._walked_node = node
+        played.append((node, a, b))
+        return a, b
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_play_round", recorded)
+        yield played
+
+
+def assert_rounds_replay(walked, n, run):
+    """Each walked round gave what ``run`` gives its node's sequence padded with (A1,B1) pairs."""
+    assert walked
+    for node, a, b in walked:
+        outcomes = run(tuple(ALL_PAIRS[i] for i in node + (0,) * (n - len(node))))
+        assert (outcomes[0][len(node) - 1], outcomes[1][len(node) - 1]) == (a, b), node
 
 
 def test_playout_constant_single_round():
@@ -406,21 +471,27 @@ def test_no_signaling_stochastic_with_fixed_tape():
     ids=["uniform-mixture", "quantum"],
 )
 def test_stochastic_tape_is_restored_not_rebuilt(subject, monkeypatch):
-    # Every play must replay the tape a fresh Generator from the seed
-    # would draw, from one Generator built per check.
-    n = 3
-    sequences = list(itertools.product(ALL_PAIRS, repeat=n))
-    fresh = []
-    for pairs in sequences:
-        t = playout(subject, pairs, np.random.default_rng(np.random.SeedSequence(7)))
-        a, b = outcome_masks(t)
-        fresh.append(a << n | b)
+    # The check builds one Generator and begins one playout; every round
+    # it plays must then give what a fresh Generator from the seed gives
+    # any whole sequence through that (prefix, pair) node.
+    n, seed = 3, 7
+    expected = oracles.no_signaling_by_toggling(
+        lambda indices: wings(playout(subject, [ALL_PAIRS[i] for i in indices], fresh_rng(seed))), n
+    )
     built = []
+    begun = []
     default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
-    play = enumerator._mask_function(subject, n, 7)
-    assert [play(pairs) for pairs in sequences] == fresh
+    begin_playout = type(subject).begin_playout
+    with monkeypatch.context() as patch, walked_rounds(monkeypatch) as played:
+        patch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+        patch.setattr(
+            type(subject), "begin_playout", lambda self, n, rng=None: begun.append(n) or begin_playout(self, n, rng)
+        )
+        report = no_signaling_check(subject, n, seed=seed)
     assert len(built) == 1
+    assert begun == [n]
+    assert as_oracle_result(report) == expected
+    assert_rounds_replay(played, n, lambda pairs: wings(playout(subject, pairs, fresh_rng(seed))))
 
 
 def test_no_signaling_quantum_sampler_fails():
@@ -560,6 +631,29 @@ class OwnSideBobReadsAlice(OwnSideParity):
         return -own_side_parity(view)
 
 
+class OwnPastInLists(SequentialStrategy):
+    """Own-side memory kept in lists the instance appends to each round.
+
+    Each wing answers the parity of its own past second settings, so the
+    strategy does not signal; only a snapshot that copies the lists, as
+    the default deep copy does, continues each prefix correctly.
+    """
+
+    memory_class = MemoryClass.OWN_SIDE
+
+    def begin_playout(self, n, rng=None):
+        self._alice_past = []
+        self._bob_past = []
+
+    def respond_alice(self, setting, view):
+        self._alice_past.append(setting)
+        return -1 if self._alice_past[:-1].count(1) % 2 else 1
+
+    def respond_bob(self, setting, view):
+        self._bob_past.append(setting)
+        return -1 if self._bob_past[:-1].count(1) % 2 else 1
+
+
 # subject factory, tape seed; every subject runs at n = 1..4 but collective-n2
 NOSIG_SUBJECTS = {
     "constant-plus": (constant_plus, None),
@@ -575,6 +669,7 @@ NOSIG_SUBJECTS = {
     "signals-in-last-round": (SignalsInLastRound, None),
     "own-side-parity": (OwnSideParity, None),
     "own-side-bob-reads-alice": (OwnSideBobReadsAlice, None),
+    "own-past-in-lists": (OwnPastInLists, None),
     "alice-copies-bob": (lambda: alice_copies_bob, None),
     "signals-late": (lambda: signals_late, None),
     "wings-copy-each-other": (lambda: wings_copy_each_other, None),
@@ -584,34 +679,31 @@ NOSIG_SUBJECTS = {
 
 @pytest.mark.parametrize("name", NOSIG_SUBJECTS)
 def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
-    # Same report as the oracle, with each sequence played at most once:
-    # all 4^n for a passing subject, no more than the oracle's replays
-    # for a failing one.  The oracle replays through the public engines
-    # (a fresh Generator from the seed per call) or the callable itself;
-    # the check's plays are counted where it plays: in the round loop,
-    # the collective engine or the callable.
+    # Same report as the oracle, with nothing played twice.  The oracle
+    # replays through the public engines (a fresh Generator from the
+    # seed per call) or the callable itself.  A sequential subject's
+    # walk plays each (prefix, pair) node once, giving the outcomes a
+    # replay through that node gives: all (4^(n+1) - 4)/3 nodes for a
+    # passing subject, no more rounds than the oracle's replays for a
+    # failing one.  Collective and callable subjects are counted by
+    # sequence, in the collective engine or the callable: all 4^n for a
+    # passing subject, no more than the oracle's replays otherwise.
     factory, seed = NOSIG_SUBJECTS[name]
     played = []
-    real_play_rounds = enumerator._play_rounds
     real_collective_playout = enumerator.collective_playout
-
-    def counted_play_rounds(strategy, memory_class, pairs, rng, rounds=None):
-        played.append(tuple(p.index for p in pairs))
-        return real_play_rounds(strategy, memory_class, pairs, rng, rounds)
 
     def counted_collective_playout(strategy, settings):
         played.append(tuple(p.index for p in settings))
         return real_collective_playout(strategy, settings)
 
-    monkeypatch.setattr(enumerator, "_play_rounds", counted_play_rounds)
     monkeypatch.setattr(enumerator, "collective_playout", counted_collective_playout)
     for n in (2,) if name == "collective-n2" else range(1, 5):
         subject = factory()
-        if isinstance(subject, SequentialStrategy):
+        sequential = isinstance(subject, SequentialStrategy)
+        if sequential:
 
             def run(pairs):
-                rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
-                return wings(playout(subject, pairs, rng))
+                return wings(playout(subject, pairs, fresh_rng(seed)))
 
             checked = subject
         elif isinstance(subject, CollectiveStrategy):
@@ -637,28 +729,28 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
             replay, n, whole_run=isinstance(subject, CollectiveStrategy)
         )
         played.clear()
-        report = no_signaling_check(checked, n, seed=seed)
-        ce = report.counterexample
-        got = (
-            report.passed,
-            report.sequences_checked,
-            None
-            if ce is None
-            else (
-                tuple(p.index for p in ce.settings),
-                ce.round_index,
-                ce.toggled_side.value,
-                ce.watched_side.value,
-                ce.before,
-                ce.after,
-            ),
-        )
-        assert got == expected, f"n={n}"
-        assert len(set(played)) == len(played), f"n={n}"
-        if report.passed:
-            assert len(played) == 4 ** n, f"n={n}"
+        with walked_rounds(monkeypatch) as walked:
+            report = no_signaling_check(checked, n, seed=seed)
+        assert as_oracle_result(report) == expected, f"n={n}"
+        if sequential:
+            assert played == [], f"n={n}"
+            assert_rounds_replay(walked, n, run)
+            nodes = [node for node, _, _ in walked]
+            assert len(set(nodes)) == len(nodes), f"n={n}"
+            if report.passed:
+                assert len(nodes) == (4 ** (n + 1) - 4) // 3, f"n={n}"
+                assert set(nodes) == {
+                    node for k in range(1, n + 1) for node in itertools.product(range(4), repeat=k)
+                }, f"n={n}"
+            else:
+                assert len(nodes) <= n * len(replays), f"n={n}"
         else:
-            assert len(played) <= len(replays), f"n={n}"
+            assert walked == [], f"n={n}"
+            assert len(set(played)) == len(played), f"n={n}"
+            if report.passed:
+                assert len(played) == 4 ** n, f"n={n}"
+            else:
+                assert len(played) <= len(replays), f"n={n}"
 
 
 def test_no_signaling_reports_late_first_violation():
@@ -673,17 +765,18 @@ def test_no_signaling_reports_late_first_violation():
 
 
 def test_no_signaling_plays_each_sequence_once(monkeypatch):
-    played = []
-    real_play_rounds = enumerator._play_rounds
-
-    def counted_play_rounds(strategy, memory_class, pairs, rng, rounds=None):
-        played.append(tuple(pairs))
-        return real_play_rounds(strategy, memory_class, pairs, rng, rounds)
-
-    monkeypatch.setattr(enumerator, "_play_rounds", counted_play_rounds)
-    assert no_signaling_check(guessing_model(), 3).passed
-    assert len(played) == 4 ** 3
-    assert len(set(played)) == 4 ** 3
+    # Guessing at n = 3 is walked: one playout begun, and 4 + 16 + 64
+    # distinct (prefix, pair) nodes played once each.
+    subject = guessing_model()
+    begun = []
+    begin_playout = CountDriven.begin_playout
+    with monkeypatch.context() as patch, walked_rounds(monkeypatch) as walked:
+        patch.setattr(CountDriven, "begin_playout", lambda self, n, rng=None: begun.append(n) or begin_playout(self, n, rng))
+        assert no_signaling_check(subject, 3).passed
+    assert begun == [3]
+    nodes = [node for node, _, _ in walked]
+    assert len(nodes) == 84
+    assert len(set(nodes)) == 84
 
     calls = []
 
@@ -697,6 +790,66 @@ def test_no_signaling_plays_each_sequence_once(monkeypatch):
     assert not report.passed
     assert report.sequences_checked == 1
     assert len(calls) == 2
+
+
+def play_on(strategy, rounds, pair):
+    """Play one more round after ``rounds``, as :func:`playout` would, and record it."""
+    k = len(rounds)
+    view = MemoryView(MemoryClass.FULL, None, rounds, k) if strategy.memory_class is MemoryClass.FULL else EMPTY_VIEW
+    a, b = enumerator._play_round(strategy, pair, view, view)
+    rounds.append(Round(k + 1, pair, a, b))
+
+
+#: Every strategy whose snapshot shares its attribute values, with a tape seed.
+SHALLOW_SNAPSHOTS = {
+    name: NOSIG_SUBJECTS[name]
+    for name in ("constant-plus", "guessing", "model101", "guessing-last-tie", "uniform-mixture", "quantum")
+}
+
+
+@pytest.mark.parametrize("name", SHALLOW_SNAPSHOTS)
+def test_snapshot_continues_like_a_fresh_playout(name):
+    # A snapshot taken mid-playout and its original, playing different
+    # continuations round by round in turn, must each give what a fresh
+    # playout of its whole sequence gives.
+    factory, seed = SHALLOW_SNAPSHOTS[name]
+    prefix = (P22, P11, P22)
+    continuations = ((P12, P11, P11, P11), (P21, P11, P12, P11))
+    n = len(prefix) + len(continuations[0])
+    original = factory()
+    original.begin_playout(n, fresh_rng(seed))
+    history = []
+    for pair in prefix:
+        play_on(original, history, pair)
+    twin = original._snapshot()
+    assert type(twin) is type(original) and twin is not original
+    runs = ((original, list(history)), (twin, list(history)))
+    for k in range(len(continuations[0])):
+        for (strategy, rounds), continuation in zip(runs, continuations):
+            play_on(strategy, rounds, continuation[k])
+    for (_, rounds), continuation in zip(runs, continuations):
+        assert tuple(rounds) == playout(factory(), prefix + continuation, fresh_rng(seed)).rounds
+
+
+class NonOutcomeInRoundTwo(SequentialStrategy):
+    """Answers +1, except that Bob answers 0 to (A2,B2) in round 2."""
+
+    memory_class = MemoryClass.FULL
+
+    def respond_alice(self, setting, view):
+        self._alice = setting
+        return 1
+
+    def respond_bob(self, setting, view):
+        return 0 if len(view) == 1 and self._alice == 1 and setting == 1 else 1
+
+
+def test_sequential_non_outcome_is_refused():
+    assert playout(NonOutcomeInRoundTwo(), [P22, P21]).rounds[1][2:] == (1, 1)
+    with pytest.raises(InvariantViolation, match=r"strategy produced non-outcome \(1, 0\)"):
+        playout(NonOutcomeInRoundTwo(), [P11, P22])
+    with pytest.raises(InvariantViolation, match=r"strategy produced non-outcome \(1, 0\)"):
+        no_signaling_check(NonOutcomeInRoundTwo(), 2)
 
 
 class UnknownMemoryClass(SequentialStrategy):
