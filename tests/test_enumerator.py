@@ -58,14 +58,6 @@ def wings(transcript):
     return tuple(r.a for r in transcript.rounds), tuple(r.b for r in transcript.rounds)
 
 
-def outcome_masks(transcript):
-    """Alice's and Bob's outcomes as masks with bit k set where round k gave -1."""
-    return tuple(
-        sum(1 << k for k, outcome in enumerate(outcomes) if outcome == -1)
-        for outcomes in wings(transcript)
-    )
-
-
 def fresh_rng(seed):
     return None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
 
