@@ -1,4 +1,4 @@
-"""Golden outputs: SHA-256 digests of seeded ``simulate`` runs and of ``enumerate``.
+"""Golden outputs: SHA-256 digests of seeded ``simulate`` runs, of ``enumerate`` and of ``nosig``.
 
 Criterion 9 compares reruns of one version with each other; these digests
 pin the bytes of the JSON summary and the per-batch CSV across versions,
@@ -7,7 +7,9 @@ a seeded result unnoticed.  The chunk budget is shrunk so that every run
 crosses several chunk boundaries.  The ``enumerate`` digests pin the
 exact expectations and the full (Y, X) distribution, and the collective
 model's score-pattern counts, in JSON and CSV, across changes of the
-exact engines.  A digest may change only with a
+exact engines.  The ``nosig`` digests pin each catalogue strategy's
+report, the quantum sampler's counterexample among them, across changes
+of the prefix walk and the table scan.  A digest may change only with a
 deliberate change of the output format or of the stream derivation,
 recorded as such.
 """
@@ -129,6 +131,22 @@ ENUMERATE_GOLDEN = {
         "c65c88a347a88e9818426e7b037a2151c5c5dc0ec023d2d684cd20f2407f40a9",
         "78dfa03c785fdf4d73f2100a5238171951d3ef98a836c60f6b3f9f61243aade5",
     ),
+    ("constant-plus", 6, False): (
+        "5c7c09d152ac65cb80cf7f087a6ef2c62fdfb732cfe5b355258d4f8da42a7762",
+        "dde9d1eb9325e59c58194d088e476a89458cc1bec4d86609f99e02b115243dba",
+    ),
+    ("constant-plus", 7, False): (
+        "eb71ac758a4ae3ad57163b78cb2d10594bd0431fdce8b3dddd158970885429e1",
+        "325d4d8264148c65e998902640b77bc79f4b45dcf3e6ffa9823f664f95ebc4f0",
+    ),
+    ("model101", 6, False): (
+        "eb703b087651574be70b27ededccacd5a9272314b88ae2b03bf52d203840624d",
+        "bfcc15e43936514d3fbcf424e36e4d7ef8e45062c81f04c3871acb3166fd449a",
+    ),
+    ("model101", 7, False): (
+        "2a8e2fe859b6cbd1e7a817113dbf010454bb75bc8a2303d86bafd0de9548b6c9",
+        "90b64955035af28f36b76311523d0b1e8981c15f191985e018528a030cae79b0",
+    ),
     ("collective-n2", 2, False): (
         "8713ab5522a03890808c15ab23bea699bf472ab94306c72d661a8ccb72f22bed",
         "bf6036756a07660dd347daff9035f2932cce58071e48cd66254c63ef99a96676",
@@ -147,3 +165,58 @@ def test_enumerate_outputs_match_golden_digests(strategy, n, distribution, tmp_p
         assert cli.main(argv) == 0
         digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert tuple(digests) == ENUMERATE_GOLDEN[(strategy, n, distribution)]
+
+
+#: (strategy, n) -> (exit code, digest of the JSON report, digest of the CSV
+#: report), at ``--seed`` SEED.  The quantum sampler fails by design.
+NOSIG_GOLDEN = {
+    ("constant-plus", 5): (
+        0,
+        "de7876ab7c3cc7f3961cefebea3c1fb08d1772ae951dd20cea21a8f702561884",
+        "31d61441fe5fcb34ad264cf01470620c4662a1bfc7fadb9030f4bb0c89ed0cc8",
+    ),
+    ("guessing", 5): (
+        0,
+        "09a80ab7b44910dcf4e6a488fa299fb0b06335b17c74f6b6dfad14b2109066af",
+        "9ed09b91a86fbaafd1bfb687f42a31011d04912b3101b5eb812c8dc14fd69647",
+    ),
+    ("model101", 5): (
+        0,
+        "2f3ce3ba742f6a2c9ddf34e6a31966a84d88fbfcbc189d5a77aa1837109916c5",
+        "b8146e01557891ea7c455a523ed57cb0fdafd358ca59fc2225920bc23f63a7f6",
+    ),
+    ("quantum", 5): (
+        1,
+        "5849df0d2fdaff9c9ab65c21183f7274960c223d487e6356c1b061b833ad2a9f",
+        "e0bedd8bed13f80c4edb467eff14e73984a293b9376d64ee74d68860dc0eed6b",
+    ),
+    ("stochastic-lhv", 5): (
+        0,
+        "1ddeaf4b28f362c33a6c3f6789d19a68711414373dd3f0c67261b313610e1101",
+        "e6b804f46d9e39dc8d059b5e1216269c5c80dc2efc0e363aed22b284b631a5f0",
+    ),
+    ("collective-n2", 2): (
+        0,
+        "4387f4de5d41943ba32eef5c4fa85fd8f01ac0bb5f481f2a2f3089e1b1662b0b",
+        "65ce455c804018817bd62d1114d8880399d64588066cc34b1c520127499d6a44",
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy, n", sorted(NOSIG_GOLDEN))
+def test_nosig_outputs_match_golden_digests(strategy, n, tmp_path):
+    weights = tmp_path / "weights.csv"
+    weights.write_text(WEIGHTS)
+    expected_code, *expected_digests = NOSIG_GOLDEN[(strategy, n)]
+    digests = []
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"nosig.{fmt}"
+        argv = [
+            "nosig", "--strategy", strategy, "--n", str(n), "--seed", str(SEED),
+            "--format", fmt, "--out", str(out),
+        ]
+        if strategy == "stochastic-lhv":
+            argv += ["--strategy-file", str(weights)]
+        assert cli.main(argv) == expected_code
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == expected_digests
