@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -234,26 +235,41 @@ def _exact_result(n, score_sum, defined, x_sum, distribution=None) -> ExactResul
     )
 
 
+def _hit_flags(hits: dict, assignment) -> tuple[int, int, int, int]:
+    """Whether ``assignment`` meets each pair's target, as 0/1 in ``ALL_PAIRS`` order.
+
+    ``hits`` caches the flags by the assignment's value, so each distinct
+    assignment is checked once per sweep however many states play it.
+    """
+    flags = hits.get(assignment)
+    if flags is None:
+        flags = hits[assignment] = tuple(int(assignment.satisfies(pair)) for pair in ALL_PAIRS)
+    return flags
+
+
 def exact_distribution(strategy: CountDriven, n: int) -> ExactResult:
     """:func:`exact_expectations` with the joint law of (Y_N, X_N).
 
     A forward sweep whose state is (pair counts, per-pair scores) and
     whose value is the number of sequences reaching it; the assignment
-    played from a state depends only on its counts.  A final state fixes
-    Y_N and X_N, so each adds its sequences to one (Y_N, X_N) cell.
+    played from a state depends only on its counts, and which pairs it
+    scores on is looked up in a table of 0/1 flags kept per distinct
+    assignment (:func:`_hit_flags`).  A final state fixes Y_N and X_N,
+    so each adds its sequences to one (Y_N, X_N) cell.
     """
     zero = (0, 0, 0, 0)
     layer = {(zero, zero): 1}
+    hits: dict = {}
     for k in range(n):
-        following: Counter = Counter()
+        following: defaultdict = defaultdict(int)
         for (counts, scores), paths in layer.items():
-            assignment = strategy.assignment(counts, k)
-            for j, pair in enumerate(ALL_PAIRS):
-                after = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                if assignment.satisfies(pair):
-                    following[after, scores[:j] + (scores[j] + 1,) + scores[j + 1 :]] += paths
-                else:
-                    following[after, scores] += paths
+            c0, c1, c2, c3 = counts
+            s0, s1, s2, s3 = scores
+            h0, h1, h2, h3 = _hit_flags(hits, strategy.assignment(counts, k))
+            following[(c0 + 1, c1, c2, c3), (s0 + h0, s1, s2, s3)] += paths
+            following[(c0, c1 + 1, c2, c3), (s0, s1 + h1, s2, s3)] += paths
+            following[(c0, c1, c2 + 1, c3), (s0, s1, s2 + h2, s3)] += paths
+            following[(c0, c1, c2, c3 + 1), (s0, s1, s2, s3 + h3)] += paths
         layer = following
 
     score_sum = 0
@@ -283,28 +299,32 @@ def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
 
     A count-driven strategy plays the same assignment on every path to
     a count vector, so round k needs one state per vector of k counts
-    (C(k+3, 3) of them), not one per sequence.  Each state carries the
-    number of sequences reaching it and, per pair, the scoring rounds
-    summed over those sequences.  At the end a state with all counts
-    positive contributes score mass / count to the sum of X_N for each
-    pair.  Integers throughout; rationals only in the last step.
+    (C(k+3, 3) of them), not one per sequence.  Each state is a tuple
+    of integers: the number of sequences reaching it and, per pair, the
+    scoring rounds summed over those sequences.  Which pairs a state's
+    assignment scores on is looked up in a table of 0/1 flags kept per
+    distinct assignment (:func:`_hit_flags`).  At the end a state with
+    all counts positive contributes score mass / count to the sum of
+    X_N for each pair.  Integers throughout; rationals only in the last
+    step.
     """
-    # count vector -> [paths, score mass on ALL_PAIRS[0..3]]
-    layer = {(0, 0, 0, 0): [1, 0, 0, 0, 0]}
+    # count vector -> (paths, score mass on ALL_PAIRS[0..3])
+    layer = {(0, 0, 0, 0): (1, 0, 0, 0, 0)}
+    hits: dict = {}
     for k in range(n):
-        following: dict[tuple[int, ...], list[int]] = {}
-        for counts, (paths, *mass) in layer.items():
-            assignment = strategy.assignment(counts, k)
-            for j, pair in enumerate(ALL_PAIRS):
-                key = counts[:j] + (counts[j] + 1,) + counts[j + 1 :]
-                state = following.get(key)
-                if state is None:
-                    state = following[key] = [0, 0, 0, 0, 0]
-                state[0] += paths
-                for i in range(4):
-                    state[i + 1] += mass[i]
-                if assignment.satisfies(pair):
-                    state[j + 1] += paths
+        following: dict[tuple[int, ...], tuple[int, ...]] = {}
+        get = following.get
+        for counts, (paths, m0, m1, m2, m3) in layer.items():
+            c0, c1, c2, c3 = counts
+            h0, h1, h2, h3 = _hit_flags(hits, strategy.assignment(counts, k))
+            for key, state in (
+                ((c0 + 1, c1, c2, c3), (paths, m0 + h0 * paths, m1, m2, m3)),
+                ((c0, c1 + 1, c2, c3), (paths, m0, m1 + h1 * paths, m2, m3)),
+                ((c0, c1, c2 + 1, c3), (paths, m0, m1, m2 + h2 * paths, m3)),
+                ((c0, c1, c2, c3 + 1), (paths, m0, m1, m2, m3 + h3 * paths)),
+            ):
+                reached = get(key)
+                following[key] = state if reached is None else tuple(map(add, reached, state))
         layer = following
 
     score_sum = 0
@@ -476,12 +496,6 @@ def _run_table(n: int) -> array:
     return array(typecode, [-1]) * 4 ** n
 
 
-#: A one-wing toggle of a pair index: the wing toggled, the bit of the
-#: index that holds its setting, and the watched wing's slot in an
-#: (Alice, Bob) outcome pair.  In scan order, Bob's toggle before Alice's.
-_TOGGLES = ((Side.BOB, 1, 0), (Side.ALICE, 2, 1))
-
-
 def _violation(settings, sequences_checked: int, round_index: int, toggled_side: Side, before) -> NoSignalingReport:
     """A failed report: toggling ``toggled_side`` moved the other wing from ``before``."""
     before = 1 if before == 1 else -1
@@ -519,22 +533,44 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     Round k's outcomes depend only on the first k + 1 pairs, so the walk
     plays each (prefix, pair) node once: (4^(n+1) - 4)/3 rounds for a
     passing subject, not n for each of 4^n sequences.  ``begin_playout``
-    runs once, at the root.  At a node of depth k, round k is played
-    through the subject's own responders and views for each pair: for
-    the first three from snapshots of the state the prefix left, for the
-    last on that state itself, once a comparison needs it.  The walk is
-    depth-first in product order and compares child q's one-wing toggles
-    before descending into q, so violations come in the order of the
-    table scan: by sequence, then round, then Bob's toggle before
-    Alice's.  It holds at most four states per depth.
+    runs once, at the root.  At a node of depth k the state the prefix
+    left is first caught up (``_catch_up``) on Alice's view, once for
+    all four pairs; round k is then played through the subject's own
+    responders and views for each pair: for the first three from
+    snapshots of that state, for the last on the state itself, once a
+    comparison needs it.  The walk is depth-first in product order and
+    compares child q's one-wing toggles before descending into q, so
+    violations come in the order of the table scan: by sequence, then
+    round, then Bob's toggle before Alice's.  It holds at most four
+    states per depth.
     """
     strategy.begin_playout(n, rng)
     full = memory_class is MemoryClass.FULL
     own_side = memory_class is MemoryClass.OWN_SIDE
+    p11, p12, p21, p22 = ALL_PAIRS
     path: list[SettingPair] = []
     rounds: list[Round] = []
     own_alice: list = []
     own_bob: list = []
+
+    def descend(child, k: int, pair: SettingPair, a, b) -> NoSignalingReport | None:
+        """Walk the subtree below child ``pair`` of a depth-k node, which played (a, b)."""
+        path.append(pair)
+        if full:
+            rounds.append(Round(k + 1, pair, int(a), int(b)))
+        elif own_side:
+            own_alice.append(OwnSideEntry(pair.alice, a))
+            own_bob.append(OwnSideEntry(pair.bob, b))
+        report = visit(child, k + 1)
+        if report is not None:
+            return report
+        path.pop()
+        if full:
+            rounds.pop()
+        elif own_side:
+            own_alice.pop()
+            own_bob.pop()
+        return None
 
     def visit(state, k: int) -> NoSignalingReport | None:
         if full:
@@ -544,35 +580,33 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
             view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
         else:
             view_a = view_b = EMPTY_VIEW
-        states = (state._snapshot(), state._snapshot(), state._snapshot(), state)
-        played = [_play_round(states[q], ALL_PAIRS[q], view_a, view_b) for q in range(3)]
+        state._catch_up(view_a)
+        s11, s12, s21 = state._snapshot(), state._snapshot(), state._snapshot()
+        a11, b11 = _play_round(s11, p11, view_a, view_b)
+        a12, b12 = _play_round(s12, p12, view_a, view_b)
+        a21, b21 = _play_round(s21, p21, view_a, view_b)
         deeper = k + 1 < n
-        for q, pair in enumerate(ALL_PAIRS):
-            if q == 1:
-                # Child 3 is first compared by child 1's Alice toggle, and
-                # plays on the node's own state, which no snapshot needs now.
-                played.append(_play_round(state, ALL_PAIRS[3], view_a, view_b))
-            here = played[q]
-            for toggled_side, bit, watched in _TOGGLES:
-                if not q & bit and here[watched] != played[q | bit][watched]:
-                    return _signaling_report(n, path, k, q, toggled_side, here[watched])
-            if deeper:
-                a, b = here
-                path.append(pair)
-                if full:
-                    rounds.append(Round(k + 1, pair, int(a), int(b)))
-                elif own_side:
-                    own_alice.append(OwnSideEntry(pair.alice, a))
-                    own_bob.append(OwnSideEntry(pair.bob, b))
-                report = visit(states[q], k + 1)
-                if report is not None:
-                    return report
-                path.pop()
-                if full:
-                    rounds.pop()
-                elif own_side:
-                    own_alice.pop()
-                    own_bob.pop()
+        # A toggle of Bob's setting watches Alice's outcome, and the
+        # reverse; each child's toggles are compared before its subtree.
+        if a11 != a12:
+            return _signaling_report(n, path, k, 0, Side.BOB, a11)
+        if b11 != b21:
+            return _signaling_report(n, path, k, 0, Side.ALICE, b11)
+        if deeper and (report := descend(s11, k, p11, a11, b11)) is not None:
+            return report
+        # Child 3 is first compared by child 1's Alice toggle, and plays
+        # on the node's own state, which no snapshot needs now.
+        a22, b22 = _play_round(state, p22, view_a, view_b)
+        if b12 != b22:
+            return _signaling_report(n, path, k, 1, Side.ALICE, b12)
+        if deeper and (report := descend(s12, k, p12, a12, b12)) is not None:
+            return report
+        if a21 != a22:
+            return _signaling_report(n, path, k, 2, Side.BOB, a21)
+        if deeper and (report := descend(s21, k, p21, a21, b21)) is not None:
+            return report
+        if deeper:
+            return descend(state, k, p22, a22, b22)
         return None
 
     return visit(strategy, 0) or NoSignalingReport(passed=True, sequences_checked=4 ** n)

@@ -26,6 +26,16 @@ default deep copy suits any strategy that keeps this protocol.  A
 strategy may override it with a shallow copy that shares attribute
 values only if every round replaces, never mutates in place, what it
 changes, and nothing mutates its tapes after ``begin_playout``.
+
+Before it snapshots a prefix's state, the walk calls
+``strategy._catch_up(view)`` on it once, with the view Alice's
+responder is about to get at that prefix, before ``begin_round``.  The
+hook may do only what the strategy's first responder would do from that
+view alone, so the prefix's four branches share the work instead of
+each repeating it; it never sees a current setting, so it cannot hide
+signaling.  The default does nothing.  The responders must not rely on
+it: :func:`~chshsim.enumerator.playout` and direct callers never call
+it, so a responder still does the same work itself when it is due.
 """
 
 from __future__ import annotations
@@ -159,7 +169,11 @@ class SequentialStrategy(ABC):
     """A sequential responder with a declared memory class.
 
     ``stochastic`` marks strategies that consume the injected randomness
-    source.
+    source.  Two private hooks serve the no-signaling walk: ``_snapshot``
+    copies the state a setting prefix left, and ``_catch_up`` lets the
+    state do once per prefix, from Alice's view alone and before the
+    snapshots, what each branch's first responder would otherwise repeat
+    (see the module docstring).
     """
 
     memory_class: ClassVar[MemoryClass] = MemoryClass.NONE
@@ -187,6 +201,16 @@ class SequentialStrategy(ABC):
         mutates, what it changes.
         """
         return copy.deepcopy(self)
+
+    def _catch_up(self, view: MemoryView) -> None:
+        """Do, once per setting prefix, what the first responder would do from ``view``.
+
+        The no-signaling walk calls this on a prefix's state before
+        snapshotting it and before ``begin_round``, with the view Alice's
+        responder is about to get.  It sees no current setting.  The
+        default does nothing; the responders must still do the same work
+        themselves when it has not been done.
+        """
 
     @abstractmethod
     def respond_alice(self, setting: AliceSetting, view: MemoryView) -> int:
@@ -227,6 +251,12 @@ class CountDriven(SequentialStrategy):
     declare FULL memory; one with memory class NONE sees an empty history
     in play, so its assignment must ignore both arguments.  The pair
     counts are a tuple replaced each round, so a snapshot may share it.
+
+    Each responder first counts the rounds its view holds beyond the last
+    count and picks the next assignment (``_advance``) when the view is
+    ahead.  ``_catch_up`` makes the same check, so the no-signaling walk
+    advances a prefix's state once and its four snapshots share the
+    result; ``playout`` leaves the advance to the responders.
     """
 
     memory_class = MemoryClass.FULL
@@ -253,6 +283,10 @@ class CountDriven(SequentialStrategy):
         self._counts = counts = tuple(counts)
         self._round = k
         self._assignment = self.assignment(counts, k)
+
+    def _catch_up(self, view):
+        if len(view) != self._round:
+            self._advance(view)
 
     def respond_alice(self, setting, view):
         if len(view) != self._round:

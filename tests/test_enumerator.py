@@ -175,11 +175,43 @@ def test_exact_guessing_matches_oracle():
         assert result.p_undefined == p_undef
 
 
+#: The 16 assignments as (a1, a2, b1, b2), built here, not by the package.
+ASSIGNMENT_VALUES = tuple(itertools.product((1, -1), repeat=4))
+
+
+def sixteen_way_index(counts, k):
+    """A fixed map of (pair counts, completed rounds) onto the 16 assignments."""
+    c0, c1, c2, c3 = counts
+    return (k + c1 + 3 * c2 + 9 * c3 + c0 * c3) % 16
+
+
+class PlaysAllSixteen(CountDriven):
+    """Count-driven over all 16 assignments, some meeting one pair's target, some three.
+
+    Each call builds a fresh assignment, equal to but not the package's
+    own object, so an engine must key anything it caches by value.
+    """
+
+    def assignment(self, counts, k):
+        return DeterministicAssignment(*ASSIGNMENT_VALUES[sixteen_way_index(counts, k)])
+
+
+def plays_all_sixteen_outcomes(pairs):
+    """The oracle's rule for :class:`PlaysAllSixteen`, on pair indices."""
+    counts = [0, 0, 0, 0]
+    outcomes = []
+    for k, pair in enumerate(pairs):
+        outcomes.append(oracles.assignment_outcomes(ASSIGNMENT_VALUES[sixteen_way_index(counts, k)], pair))
+        counts[pair] += 1
+    return outcomes
+
+
 COUNT_DRIVEN = {
     "constant-plus": constant_plus,
     "guessing": guessing_model,
     "model101": model_101,
     "guessing-last-tie": GuessingLastTie,
+    "plays-all-sixteen": PlaysAllSixteen,
 }
 
 #: The oracle's outcome rule for each count-driven strategy.  Model101
@@ -189,7 +221,11 @@ ORACLE_RULES = {
     "guessing": oracles.guessing_outcomes,
     "model101": oracles.constant_outcomes,
     "guessing-last-tie": lambda pairs: oracles.guessing_outcomes(pairs, last_of_tied=True),
+    "plays-all-sixteen": plays_all_sixteen_outcomes,
 }
+
+#: The count-driven strategies whose every assignment misses exactly one target.
+ONE_MISS = ("constant-plus", "guessing", "model101", "guessing-last-tie")
 
 
 def sequence_counts(distribution, n):
@@ -214,7 +250,23 @@ def test_counts_engine_equals_brute_force(name):
         assert sequence_counts(swept.distribution, n) == table, f"n={n}"
 
 
-@pytest.mark.parametrize("name", COUNT_DRIVEN)
+def test_plays_all_sixteen_reaches_every_assignment_and_moves_e_y():
+    # Before round 7 it plays each of the 16 assignments somewhere, so
+    # the exact engines see rounds that score on one pair as well as on
+    # three, and E(Y) leaves 3.
+    played = {
+        sixteen_way_index(counts, k)
+        for k in range(7)
+        for counts in itertools.product(range(k + 1), repeat=4)
+        if sum(counts) == k
+    }
+    assert played == set(range(16))
+    assert {sum(oracles.score(p, *oracles.assignment_outcomes(a, p)) for p in range(4)) for a in ASSIGNMENT_VALUES} == {1, 3}
+    for n in (3, 7):
+        assert exact_by_counts(PlaysAllSixteen(), n).e_y != 3
+
+
+@pytest.mark.parametrize("name", ONE_MISS)
 def test_y_is_four_over_n_times_binomial_three_quarters(name):
     # Each round's assignment meets three of the four targets against a
     # fresh uniform pair, so the scoring rounds are Binomial(N, 3/4).
@@ -652,6 +704,7 @@ NOSIG_SUBJECTS = {
     "guessing": (guessing_model, None),
     "model101": (model_101, None),
     "guessing-last-tie": (COUNT_DRIVEN["guessing-last-tie"], None),
+    "plays-all-sixteen": (PlaysAllSixteen, None),
     "uniform-mixture": (
         lambda: from_stochastic(StochasticLHV.uniform(all_assignments())), 9
     ),
@@ -784,10 +837,44 @@ def test_no_signaling_plays_each_sequence_once(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", ("guessing", "model101", "guessing-last-tie", "plays-all-sixteen"))
+def test_walk_advances_each_prefix_state_once(name, monkeypatch):
+    # A passing check catches each prefix's state up once, before its
+    # four children are played: one advance per node of depth 1..n-1,
+    # (4^n - 4)/3 in all, while every played round still calls both
+    # responders, 2 * (4^(n+1) - 4)/3 calls in all.
+    advanced = []
+    responded = []
+    real_advance = CountDriven._advance
+    real_alice = CountDriven.respond_alice
+    real_bob = CountDriven.respond_bob
+    monkeypatch.setattr(CountDriven, "_advance", lambda self, view: advanced.append(len(view)) or real_advance(self, view))
+    monkeypatch.setattr(
+        CountDriven, "respond_alice", lambda self, setting, view: responded.append(view) or real_alice(self, setting, view)
+    )
+    monkeypatch.setattr(
+        CountDriven, "respond_bob", lambda self, setting, view: responded.append(view) or real_bob(self, setting, view)
+    )
+    for n in range(1, 6):
+        advanced.clear()
+        responded.clear()
+        assert no_signaling_check(COUNT_DRIVEN[name](), n).passed, f"n={n}"
+        assert len(advanced) == (4 ** n - 4) // 3, f"n={n}"
+        assert Counter(advanced) == {k: 4 ** k for k in range(1, n)}, f"n={n}"
+        assert len(responded) == 2 * (4 ** (n + 1) - 4) // 3, f"n={n}"
+
+
+def view_of(strategy, rounds):
+    """The view both responders get after ``rounds``, as :func:`playout` builds it."""
+    if strategy.memory_class is MemoryClass.FULL:
+        return MemoryView(MemoryClass.FULL, None, rounds, len(rounds))
+    return EMPTY_VIEW
+
+
 def play_on(strategy, rounds, pair):
     """Play one more round after ``rounds``, as :func:`playout` would, and record it."""
     k = len(rounds)
-    view = MemoryView(MemoryClass.FULL, None, rounds, k) if strategy.memory_class is MemoryClass.FULL else EMPTY_VIEW
+    view = view_of(strategy, rounds)
     a, b = enumerator._play_round(strategy, pair, view, view)
     rounds.append(Round(k + 1, pair, a, b))
 
@@ -795,7 +882,15 @@ def play_on(strategy, rounds, pair):
 #: Every strategy whose snapshot shares its attribute values, with a tape seed.
 SHALLOW_SNAPSHOTS = {
     name: NOSIG_SUBJECTS[name]
-    for name in ("constant-plus", "guessing", "model101", "guessing-last-tie", "uniform-mixture", "quantum")
+    for name in (
+        "constant-plus",
+        "guessing",
+        "model101",
+        "guessing-last-tie",
+        "plays-all-sixteen",
+        "uniform-mixture",
+        "quantum",
+    )
 }
 
 
@@ -803,24 +898,29 @@ SHALLOW_SNAPSHOTS = {
 def test_snapshot_continues_like_a_fresh_playout(name):
     # A snapshot taken mid-playout and its original, playing different
     # continuations round by round in turn, must each give what a fresh
-    # playout of its whole sequence gives.
+    # playout of its whole sequence gives; so must a snapshot taken
+    # after the state was caught up on the next round's view, as the
+    # no-signaling walk takes them.
     factory, seed = SHALLOW_SNAPSHOTS[name]
     prefix = (P22, P11, P22)
     continuations = ((P12, P11, P11, P11), (P21, P11, P12, P11))
     n = len(prefix) + len(continuations[0])
-    original = factory()
-    original.begin_playout(n, fresh_rng(seed))
-    history = []
-    for pair in prefix:
-        play_on(original, history, pair)
-    twin = original._snapshot()
-    assert type(twin) is type(original) and twin is not original
-    runs = ((original, list(history)), (twin, list(history)))
-    for k in range(len(continuations[0])):
-        for (strategy, rounds), continuation in zip(runs, continuations):
-            play_on(strategy, rounds, continuation[k])
-    for (_, rounds), continuation in zip(runs, continuations):
-        assert tuple(rounds) == playout(factory(), prefix + continuation, fresh_rng(seed)).rounds
+    for caught_up in (False, True):
+        original = factory()
+        original.begin_playout(n, fresh_rng(seed))
+        history = []
+        for pair in prefix:
+            play_on(original, history, pair)
+        if caught_up:
+            original._catch_up(view_of(original, history))
+        twin = original._snapshot()
+        assert type(twin) is type(original) and twin is not original
+        runs = ((original, list(history)), (twin, list(history)))
+        for k in range(len(continuations[0])):
+            for (strategy, rounds), continuation in zip(runs, continuations):
+                play_on(strategy, rounds, continuation[k])
+        for (_, rounds), continuation in zip(runs, continuations):
+            assert tuple(rounds) == playout(factory(), prefix + continuation, fresh_rng(seed)).rounds, caught_up
 
 
 class NonOutcomeInRoundTwo(SequentialStrategy):
