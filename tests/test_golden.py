@@ -195,6 +195,28 @@ NOSIG_GOLDEN = {
         "1ddeaf4b28f362c33a6c3f6789d19a68711414373dd3f0c67261b313610e1101",
         "e6b804f46d9e39dc8d059b5e1216269c5c80dc2efc0e363aed22b284b631a5f0",
     ),
+    # At n = 8 the passing checks walk deep enough that many setting
+    # prefixes share their pair counts.
+    ("constant-plus", 8): (
+        0,
+        "4ffaf71179cdc11ea6c4653842b5896dc902d2f7d473df42a7367253b15f2d13",
+        "b44724b8f3caaad08a4bdef2a18734404fb5630ab20468a54cb87c4cbb82e2b8",
+    ),
+    ("guessing", 8): (
+        0,
+        "3a1e74eb9229b7a3e5c9ff4ddc6401ac559493232ae9a59b0e2ba4f603dc7943",
+        "39de31e1fc425f3cafbec2235d230e4993c7268b13d1b797a8905b0814b9d888",
+    ),
+    ("model101", 8): (
+        0,
+        "d4830c2518f6a5bc06d763d7a68bf3a2b8673e5cdeb8b604c8be9ce68fb22a3f",
+        "ebe5ce894c1996f242dbb2c168dd3a324464ccd2f1e26a069abc7b5db23086b6",
+    ),
+    ("stochastic-lhv", 8): (
+        0,
+        "23175aca7739e8917f124075d09edec1a2bae5ff2f17fc07e63f746913610ece",
+        "637516c48e96b8bc849693fa4be03894bf5322e2a75cd206e04b2ac6bc0079c8",
+    ),
     ("collective-n2", 2): (
         0,
         "4387f4de5d41943ba32eef5c4fa85fd8f01ac0bb5f481f2a2f3089e1b1662b0b",
