@@ -11,8 +11,10 @@ one is played once per sequence (:func:`collective_scores`).  Also
 evaluates the rigged-101st-round model in closed form and checks
 no-signaling exhaustively: a sequential strategy by a depth-first walk
 of its setting-prefix tree that plays each round of each prefix once,
-from a snapshot of the state the prefix left; a collective strategy or
-a callable by a scan over all 4^n runs.  Everything returns exact
+from a snapshot of the state the prefix left, and walks below only one
+prefix per (depth, state key), so a count-driven strategy is checked
+over its count vectors; a collective strategy or a callable by a scan
+over all 4^n runs.  Everything returns exact
 rationals; Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
 enumeration cap.
 """
@@ -255,7 +257,12 @@ def exact_distribution(strategy: CountDriven, n: int) -> ExactResult:
     played from a state depends only on its counts, and which pairs it
     scores on is looked up in a table of 0/1 flags kept per distinct
     assignment (:func:`_hit_flags`).  A final state fixes Y_N and X_N,
-    so each adds its sequences to one (Y_N, X_N) cell.
+    so each adds its sequences to one cell, keyed by its integer score
+    and its per-pair (score, count) pairs in sorted order: X_N is
+    symmetric in the pairs, so states that differ only in the order of
+    their pairs share a cell.  Each cell's X_N is then built once as a
+    ``Fraction``, and cells of equal (score, X_N) merge into one
+    (Y_N, X_N) entry.
     """
     zero = (0, 0, 0, 0)
     layer = {(zero, zero): 1}
@@ -274,20 +281,25 @@ def exact_distribution(strategy: CountDriven, n: int) -> ExactResult:
 
     score_sum = 0
     defined = 0
-    cells: Counter = Counter()
+    cells: Counter = Counter()  # (score, sorted (score, count) pairs or None if undefined) -> sequences
     for (counts, scores), paths in layer.items():
         score = sum(scores)
         score_sum += paths * score
-        x = x_from_counts(scores, counts)
-        if x is not None:
+        if 0 in counts:
+            cells[score, None] += paths
+        else:
             defined += paths
-        cells[Fraction(4 * score, n), x] += paths
-    x_sum = sum((x * paths for (_, x), paths in cells.items() if x is not None), Fraction(0))
+            cells[score, tuple(sorted(zip(scores, counts)))] += paths
+    by_value: Counter = Counter()  # (score, X_N) -> sequences
+    for (score, pairs), paths in cells.items():
+        x = None if pairs is None else x_from_counts(*zip(*pairs))
+        by_value[score, x] += paths
+    x_sum = sum((x * paths for (_, x), paths in by_value.items() if x is not None), Fraction(0))
     total_sequences = 4 ** n
     distribution = tuple(
-        (y, x, Fraction(paths, total_sequences))
-        for (y, x), paths in sorted(
-            cells.items(),
+        (Fraction(4 * score, n), x, Fraction(paths, total_sequences))
+        for (score, x), paths in sorted(
+            by_value.items(),
             key=lambda cell: (cell[0][0], cell[0][1] is not None, cell[0][1] or 0),
         )
     )
@@ -535,19 +547,28 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     passing subject, not n for each of 4^n sequences.  ``begin_playout``
     runs once, at the root.  At a node of depth k the state the prefix
     left is first caught up (``_catch_up``) on Alice's view, once for
-    all four pairs; round k is then played through the subject's own
+    all four pairs.  If the caught-up state has a key (``_state_key``)
+    and a node of the same depth and key has already been walked clean,
+    the node is skipped: the key promises that its subtree plays as that
+    one did.  Otherwise round k is played through the subject's own
     responders and views for each pair: for the first three from
     snapshots of that state, for the last on the state itself, once a
     comparison needs it.  The walk is depth-first in product order and
     compares child q's one-wing toggles before descending into q, so
     violations come in the order of the table scan: by sequence, then
-    round, then Bob's toggle before Alice's.  It holds at most four
-    states per depth.
+    round, then Bob's toggle before Alice's.  A node's (depth, key) is
+    recorded only once its whole subtree has come back clean, and the
+    walk stops at the first violation, so a skip never hides one.  A
+    passing count-driven subject with memory plays 4·C(n+3, 4) rounds,
+    one node per (depth, count vector); one whose key is the same at
+    every depth, constant-plus or a memoryless mixture, plays 4n.  It
+    holds at most four states per depth and one key per walked node.
     """
     strategy.begin_playout(n, rng)
     full = memory_class is MemoryClass.FULL
     own_side = memory_class is MemoryClass.OWN_SIDE
     p11, p12, p21, p22 = ALL_PAIRS
+    finished: set = set()  # (depth, key) of the nodes walked clean
     path: list[SettingPair] = []
     rounds: list[Round] = []
     own_alice: list = []
@@ -581,6 +602,11 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
         else:
             view_a = view_b = EMPTY_VIEW
         state._catch_up(view_a)
+        key = state._state_key()
+        if key is not None:
+            key = (k, key)
+            if key in finished:
+                return None
         s11, s12, s21 = state._snapshot(), state._snapshot(), state._snapshot()
         a11, b11 = _play_round(s11, p11, view_a, view_b)
         a12, b12 = _play_round(s12, p12, view_a, view_b)
@@ -605,8 +631,10 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
             return _signaling_report(n, path, k, 2, Side.BOB, a21)
         if deeper and (report := descend(s21, k, p21, a21, b21)) is not None:
             return report
-        if deeper:
-            return descend(state, k, p22, a22, b22)
+        if deeper and (report := descend(state, k, p22, a22, b22)) is not None:
+            return report
+        if key is not None:
+            finished.add(key)
         return None
 
     return visit(strategy, 0) or NoSignalingReport(passed=True, sequences_checked=4 ** n)
@@ -627,10 +655,14 @@ def no_signaling_check(
 
     A sequential subject is checked once, its type, memory class and
     seed, and then walked by :func:`_walk_prefixes`: each round of each
-    setting prefix is played once, from a snapshot, through the
-    subject's own responders.  A stochastic subject draws its tape once
-    per check, from one generator built from the seed, so toggles
-    compare like with like.
+    setting prefix is played at most once, from a snapshot, through the
+    subject's own responders, and prefixes whose caught-up states share
+    a depth and a key (``_state_key``) are walked below only once.  So a
+    passing count-driven subject plays one node per (depth, count
+    vector), 4·C(n+3, 4) rounds, and a subject without a key all
+    (4^(n+1) - 4)/3.  A stochastic subject draws its tape once per
+    check, from one generator built from the seed, so toggles compare
+    like with like.
 
     Collective and callable subjects answer whole runs, so they are
     scanned over a table of all 4^n sequences.  Every toggled sequence

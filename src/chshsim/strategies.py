@@ -36,6 +36,13 @@ each repeating it; it never sees a current setting, so it cannot hide
 signaling.  The default does nothing.  The responders must not rely on
 it: :func:`~chshsim.enumerator.playout` and direct callers never call
 it, so a responder still does the same work itself when it is due.
+
+Right after the catch-up the walk asks the state for
+``strategy._state_key()``.  A key that is not ``None`` promises that
+two caught-up states at the same depth with equal keys play every
+continuation identically, so the walk checks the subtree below one of
+them and skips the others.  The default, ``None``, promises nothing,
+and such a state is walked in full.
 """
 
 from __future__ import annotations
@@ -169,11 +176,13 @@ class SequentialStrategy(ABC):
     """A sequential responder with a declared memory class.
 
     ``stochastic`` marks strategies that consume the injected randomness
-    source.  Two private hooks serve the no-signaling walk: ``_snapshot``
-    copies the state a setting prefix left, and ``_catch_up`` lets the
-    state do once per prefix, from Alice's view alone and before the
-    snapshots, what each branch's first responder would otherwise repeat
-    (see the module docstring).
+    source.  Three private hooks serve the no-signaling walk:
+    ``_snapshot`` copies the state a setting prefix left, ``_catch_up``
+    lets the state do once per prefix, from Alice's view alone and before
+    the snapshots, what each branch's first responder would otherwise
+    repeat, and ``_state_key`` names the caught-up states whose futures
+    are the same, so the walk checks one subtree for all of them (see the
+    module docstring).
     """
 
     memory_class: ClassVar[MemoryClass] = MemoryClass.NONE
@@ -211,6 +220,18 @@ class SequentialStrategy(ABC):
         default does nothing; the responders must still do the same work
         themselves when it has not been done.
         """
+
+    def _state_key(self):
+        """A hashable key for this caught-up state's future play, or ``None``.
+
+        The no-signaling walk reads it right after ``_catch_up``.  Two
+        caught-up states at the same depth with equal keys must give the
+        same outcomes on every continuation of setting pairs; the walk
+        then checks the subtree below the first of them and skips the
+        rest.  The default, ``None``, keys nothing, so every prefix is
+        walked.
+        """
+        return None
 
     @abstractmethod
     def respond_alice(self, setting: AliceSetting, view: MemoryView) -> int:
@@ -256,7 +277,12 @@ class CountDriven(SequentialStrategy):
     count and picks the next assignment (``_advance``) when the view is
     ahead.  ``_catch_up`` makes the same check, so the no-signaling walk
     advances a prefix's state once and its four snapshots share the
-    result; ``playout`` leaves the advance to the responders.
+    result; ``playout`` leaves the advance to the responders.  Once
+    caught up, the counts are the state's key (``_state_key``): all
+    prefixes with equal counts play alike from there on, so the walk
+    checks C(n+3, 4) prefixes of a passing n-round check, not
+    (4^n - 1)/3.  A subclass whose play reads anything else of the
+    history must override the key, with ``None`` or a richer one.
     """
 
     memory_class = MemoryClass.FULL
@@ -287,6 +313,9 @@ class CountDriven(SequentialStrategy):
     def _catch_up(self, view):
         if len(view) != self._round:
             self._advance(view)
+
+    def _state_key(self):
+        return self._counts
 
     def respond_alice(self, setting, view):
         if len(view) != self._round:
@@ -406,7 +435,10 @@ class StochasticSequential(SequentialStrategy):
     """Memoryless play from a fixed mixture of deterministic assignments.
 
     Each round independently draws one assignment according to the
-    mixture weights; both wings then answer from it.
+    mixture weights; both wings then answer from it.  The tape is drawn
+    once per playout and read by round alone, so every state at a given
+    depth plays every continuation alike and the state key
+    (``_state_key``) is the empty tuple.
     """
 
     memory_class = MemoryClass.NONE
@@ -433,6 +465,9 @@ class StochasticSequential(SequentialStrategy):
 
     def begin_round(self):
         self._round += 1
+
+    def _state_key(self):
+        return ()
 
     def respond_alice(self, setting, view):
         return self._tape[self._round].alice_outcome(setting)

@@ -3,7 +3,7 @@
 import contextlib
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +39,7 @@ from chshsim.strategies import (
     CollectiveStrategy,
     CountDriven,
     DeterministicAssignment,
+    GuessingModel,
     SequentialStrategy,
     StochasticLHV,
     all_assignments,
@@ -698,6 +699,31 @@ class OwnPastInLists(SequentialStrategy):
         return -1 if self._bob_past[:-1].count(1) % 2 else 1
 
 
+#: The pair counts at which :class:`GuessingSignalsAtCounts` signals.
+SIGNAL_COUNTS = (0, 1, 1, 0)
+
+
+class GuessingSignalsAtCounts(GuessingModel):
+    """The guessing model, except that once the pair counts are
+    ``SIGNAL_COUNTS`` Bob flips his outcome when Alice's current setting
+    is A2.
+
+    Its state key is still its pair counts, and truthfully so: its play
+    reads nothing else of the history.  The walk first reaches those
+    counts at the prefix ((A1,B2), (A2,B1)), after it has skipped the
+    subtree of ((A1,B2), (A1,B1)), whose counts equal those of
+    ((A1,B1), (A1,B2)).
+    """
+
+    def respond_alice(self, setting, view):
+        self._alice = setting
+        return super().respond_alice(setting, view)
+
+    def respond_bob(self, setting, view):
+        b = super().respond_bob(setting, view)
+        return -b if self._counts == SIGNAL_COUNTS and self._alice == 1 else b
+
+
 # subject factory, tape seed; every subject runs at n = 1..4 but collective-n2
 NOSIG_SUBJECTS = {
     "constant-plus": (constant_plus, None),
@@ -705,6 +731,7 @@ NOSIG_SUBJECTS = {
     "model101": (model_101, None),
     "guessing-last-tie": (COUNT_DRIVEN["guessing-last-tie"], None),
     "plays-all-sixteen": (PlaysAllSixteen, None),
+    "guessing-signals-at-counts": (GuessingSignalsAtCounts, None),
     "uniform-mixture": (
         lambda: from_stochastic(StochasticLHV.uniform(all_assignments())), 9
     ),
@@ -721,18 +748,68 @@ NOSIG_SUBJECTS = {
     "collective-bob-reads-alice": (CollectiveBobReadsAlice, None),
 }
 
+#: The keyed subjects by what their state key (``_state_key``) groups
+#: prefixes on: the pair counts, or the depth alone.  Every other
+#: subject has no key and is walked in full.
+KEYED_BY = {
+    "constant-plus": "depth",
+    "guessing": "counts",
+    "model101": "counts",
+    "guessing-last-tie": "counts",
+    "plays-all-sixteen": "counts",
+    "guessing-signals-at-counts": "counts",
+    "uniform-mixture": "depth",
+}
+
+
+def full_walk_nodes(n):
+    """Every (prefix, pair) node of an n-round check, as pair indices."""
+    return {node for k in range(1, n + 1) for node in itertools.product(range(4), repeat=k)}
+
+
+def keyed_walk_nodes(name, n):
+    """The (prefix, pair) nodes a passing check of ``name`` plays.
+
+    The walk plays the four children of the first prefix in product
+    order of each (depth, key) class.  For the pair counts that is the
+    sorted prefix, so the prefixes are those of length k < n with
+    nondecreasing pair indices, C(k+3, 3) per depth and C(n+3, 4) in
+    all.  A key fixed per depth leaves one prefix per depth, all
+    (A1,B1).
+    """
+    if KEYED_BY.get(name) == "counts":
+        prefixes = [p for k in range(n) for p in itertools.combinations_with_replacement(range(4), k)]
+        assert len(prefixes) == math.comb(n + 3, 4)
+    elif KEYED_BY.get(name) == "depth":
+        prefixes = [(0,) * k for k in range(n)]
+    else:
+        return full_walk_nodes(n)
+    return {prefix + (pair,) for prefix in prefixes for pair in range(4)}
+
+
+@contextlib.contextmanager
+def unkeyed(monkeypatch, strategy_type):
+    """Run the full walk: ``strategy_type`` keys no state, so no prefix is skipped."""
+    with monkeypatch.context() as patch:
+        patch.setattr(strategy_type, "_state_key", lambda self: None)
+        yield
+
 
 @pytest.mark.parametrize("name", NOSIG_SUBJECTS)
 def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
     # Same report as the oracle, with nothing played twice.  The oracle
     # replays through the public engines (a fresh Generator from the
     # seed per call) or the callable itself.  A sequential subject's
-    # walk plays each (prefix, pair) node once, giving the outcomes a
-    # replay through that node gives: all (4^(n+1) - 4)/3 nodes for a
-    # passing subject, no more rounds than the oracle's replays for a
-    # failing one.  Collective and callable subjects are counted by
-    # sequence, in the collective engine or the callable: all 4^n for a
-    # passing subject, no more than the oracle's replays otherwise.
+    # walk plays each (prefix, pair) node at most once, giving the
+    # outcomes a replay through that node gives.  Walked in full, with
+    # no state key, that is all (4^(n+1) - 4)/3 nodes for a passing
+    # subject and no more rounds than the oracle's replays for a failing
+    # one.  With its key the walk gives the same report from the nodes
+    # of keyed_walk_nodes for a passing subject, and from fewer nodes
+    # than the full walk for a failing keyed one.  Collective and
+    # callable subjects are counted by sequence, in the collective
+    # engine or the callable: all 4^n for a passing subject, no more
+    # than the oracle's replays otherwise.
     factory, seed = NOSIG_SUBJECTS[name]
     played = []
     real_collective_playout = enumerator.collective_playout
@@ -774,7 +851,10 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
             replay, n, whole_run=isinstance(subject, CollectiveStrategy)
         )
         played.clear()
-        with walked_rounds(monkeypatch) as walked:
+        with contextlib.ExitStack() as stack:
+            if sequential:
+                stack.enter_context(unkeyed(monkeypatch, type(subject)))
+            walked = stack.enter_context(walked_rounds(monkeypatch))
             report = no_signaling_check(checked, n, seed=seed)
         assert as_oracle_result(report) == expected, f"n={n}"
         if sequential:
@@ -784,11 +864,23 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
             assert len(set(nodes)) == len(nodes), f"n={n}"
             if report.passed:
                 assert len(nodes) == (4 ** (n + 1) - 4) // 3, f"n={n}"
-                assert set(nodes) == {
-                    node for k in range(1, n + 1) for node in itertools.product(range(4), repeat=k)
-                }, f"n={n}"
+                assert set(nodes) == full_walk_nodes(n), f"n={n}"
             else:
                 assert len(nodes) <= n * len(replays), f"n={n}"
+
+            full_nodes = set(nodes)
+            with walked_rounds(monkeypatch) as walked:
+                report = no_signaling_check(factory(), n, seed=seed)
+            assert as_oracle_result(report) == expected, f"keyed, n={n}"
+            assert played == [], f"keyed, n={n}"
+            assert_rounds_replay(walked, n, run)
+            nodes = [node for node, _, _ in walked]
+            assert len(set(nodes)) == len(nodes), f"keyed, n={n}"
+            assert set(nodes) <= full_nodes, f"keyed, n={n}"
+            if report.passed:
+                assert set(nodes) == keyed_walk_nodes(name, n), f"keyed, n={n}"
+            elif name in KEYED_BY:
+                assert len(nodes) < len(full_nodes), f"keyed, n={n}"
         else:
             assert walked == [], f"n={n}"
             assert len(set(played)) == len(played), f"n={n}"
@@ -810,18 +902,26 @@ def test_no_signaling_reports_late_first_violation():
 
 
 def test_no_signaling_plays_each_sequence_once(monkeypatch):
-    # Guessing at n = 3 is walked: one playout begun, and 4 + 16 + 64
-    # distinct (prefix, pair) nodes played once each.
-    subject = guessing_model()
+    # Guessing at n = 3 is walked: one playout begun, and, walked in
+    # full, 4 + 16 + 64 distinct (prefix, pair) nodes played once each;
+    # keyed by its pair counts, four nodes for each of the 1 + 4 + 10
+    # count vectors of depth 0..2, 4 * C(6, 4) = 60.
     begun = []
     begin_playout = CountDriven.begin_playout
-    with monkeypatch.context() as patch, walked_rounds(monkeypatch) as walked:
-        patch.setattr(CountDriven, "begin_playout", lambda self, n, rng=None: begun.append(n) or begin_playout(self, n, rng))
-        assert no_signaling_check(subject, 3).passed
-    assert begun == [3]
-    nodes = [node for node, _, _ in walked]
-    assert len(nodes) == 84
-    assert len(set(nodes)) == 84
+    for keyed, expected_nodes in ((False, 84), (True, 4 * math.comb(6, 4))):
+        begun.clear()
+        subject = guessing_model()
+        with contextlib.ExitStack() as stack:
+            if not keyed:
+                stack.enter_context(unkeyed(monkeypatch, GuessingModel))
+            patch = stack.enter_context(monkeypatch.context())
+            patch.setattr(CountDriven, "begin_playout", lambda self, n, rng=None: begun.append(n) or begin_playout(self, n, rng))
+            walked = stack.enter_context(walked_rounds(monkeypatch))
+            assert no_signaling_check(subject, 3).passed
+        assert begun == [3]
+        nodes = [node for node, _, _ in walked]
+        assert len(nodes) == expected_nodes, keyed
+        assert len(set(nodes)) == expected_nodes, keyed
 
     calls = []
 
@@ -840,9 +940,12 @@ def test_no_signaling_plays_each_sequence_once(monkeypatch):
 @pytest.mark.parametrize("name", ("guessing", "model101", "guessing-last-tie", "plays-all-sixteen"))
 def test_walk_advances_each_prefix_state_once(name, monkeypatch):
     # A passing check catches each prefix's state up once, before its
-    # four children are played: one advance per node of depth 1..n-1,
-    # (4^n - 4)/3 in all, while every played round still calls both
-    # responders, 2 * (4^(n+1) - 4)/3 calls in all.
+    # four children are played or the node is skipped.  Walked in full:
+    # one advance per node of depth 1..n-1, (4^n - 4)/3 in all, while
+    # every played round still calls both responders, 2 * (4^(n+1) - 4)/3
+    # calls in all.  Keyed by the pair counts: the 4 * C(k+2, 3) children
+    # at depth k of the C(k+2, 3) count vectors walked at depth k - 1
+    # each advance once, and 4 * C(n+3, 4) rounds are played.
     advanced = []
     responded = []
     real_advance = CountDriven._advance
@@ -855,13 +958,21 @@ def test_walk_advances_each_prefix_state_once(name, monkeypatch):
     monkeypatch.setattr(
         CountDriven, "respond_bob", lambda self, setting, view: responded.append(view) or real_bob(self, setting, view)
     )
+    strategy_type = type(COUNT_DRIVEN[name]())
     for n in range(1, 6):
         advanced.clear()
         responded.clear()
-        assert no_signaling_check(COUNT_DRIVEN[name](), n).passed, f"n={n}"
+        with unkeyed(monkeypatch, strategy_type):
+            assert no_signaling_check(COUNT_DRIVEN[name](), n).passed, f"n={n}"
         assert len(advanced) == (4 ** n - 4) // 3, f"n={n}"
         assert Counter(advanced) == {k: 4 ** k for k in range(1, n)}, f"n={n}"
         assert len(responded) == 2 * (4 ** (n + 1) - 4) // 3, f"n={n}"
+
+        advanced.clear()
+        responded.clear()
+        assert no_signaling_check(COUNT_DRIVEN[name](), n).passed, f"keyed, n={n}"
+        assert Counter(advanced) == {k: 4 * math.comb(k + 2, 3) for k in range(1, n)}, f"keyed, n={n}"
+        assert len(responded) == 2 * 4 * math.comb(n + 3, 4), f"keyed, n={n}"
 
 
 def view_of(strategy, rounds):
@@ -921,6 +1032,37 @@ def test_snapshot_continues_like_a_fresh_playout(name):
                 play_on(strategy, rounds, continuation[k])
         for (_, rounds), continuation in zip(runs, continuations):
             assert tuple(rounds) == playout(factory(), prefix + continuation, fresh_rng(seed)).rounds, caught_up
+
+
+@pytest.mark.parametrize("name", KEYED_BY)
+def test_equal_state_keys_play_every_continuation_alike(name):
+    # The one assumption behind the walk's skips, checked by plain
+    # playouts: prefixes of one depth whose caught-up states share a key
+    # give the same outcomes in every later round of every continuation.
+    # Each prefix is played through `playout` with a fresh Generator from
+    # the seed and caught up on the view of its completed rounds; each
+    # whole sequence is played once more the same way.  Count keys group
+    # the prefixes of depth k into C(k+3, 3) classes, depth keys into one.
+    factory, seed = NOSIG_SUBJECTS[name]
+    n = 5
+    runs = {
+        sequence: wings(playout(factory(), [ALL_PAIRS[i] for i in sequence], fresh_rng(seed)))
+        for sequence in itertools.product(range(4), repeat=n)
+    }
+    for k in range(n):
+        groups = defaultdict(list)
+        for prefix in itertools.product(range(4), repeat=k):
+            strategy = factory()
+            rounds = list(playout(strategy, [ALL_PAIRS[i] for i in prefix], fresh_rng(seed)).rounds)
+            strategy._catch_up(view_of(strategy, rounds))
+            key = strategy._state_key()
+            assert key is not None, prefix
+            groups[key].append(prefix)
+        assert len(groups) == (math.comb(k + 3, 3) if KEYED_BY[name] == "counts" else 1), f"k={k}"
+        for prefixes in groups.values():
+            for tail in itertools.product(range(4), repeat=n - k):
+                outcomes = {tuple(wing[k:] for wing in runs[prefix + tail]) for prefix in prefixes}
+                assert len(outcomes) == 1, (prefixes, tail)
 
 
 class NonOutcomeInRoundTwo(SequentialStrategy):
