@@ -127,6 +127,24 @@ ENUMERATE_GOLDEN = {
         "e5c69eb9a2eafac812da265203376f0304d625a4ba016cdff069927300d667a7",
         "d2a2ee15fa0056718d6623578b9810d904d2a1603119ab13a91cb9218cd38858",
     ),
+    ("guessing", 6, False): (
+        "c4f38d9871da8d0d44d7d0f9eb7d9a51e3cee2d01c8d266f652c9c24acf6c5af",
+        "e67ea9e3a404d1da3bd08dc7c88e03ed9813af2cd1873cc0ea8f0f1a92744c7d",
+    ),
+    # At the cap, the plain expectations sum over all 286 count vectors
+    # of ten rounds.
+    ("constant-plus", 10, False): (
+        "823dd37c44b1cdaa58081b1073ba52cab032dd5588469a485aff3ada499d2031",
+        "9974a4711ba9730254424816b38ebfe2cfd10c712d8afedd7316c2202d0c73cd",
+    ),
+    ("guessing", 10, False): (
+        "215d9380d810e1ff242e0752bd18e563c22ea158aba188362c07b8ddeffbe49d",
+        "6de30c43cee0a1d890515e72c471b5e001e4d564ba791f1d3f79ec94da800047",
+    ),
+    ("model101", 10, False): (
+        "dbcaa6d4682c3cd17ae092fecadabe38624076cf7efddf2adb507113459e823e",
+        "6df2561e5ad0d7b587dbfcf46eea6c44ed657ced6fdb43144b3b0ba53286fa2c",
+    ),
     ("guessing", 7, False): (
         "c65c88a347a88e9818426e7b037a2151c5c5dc0ec023d2d684cd20f2407f40a9",
         "78dfa03c785fdf4d73f2100a5238171951d3ef98a836c60f6b3f9f61243aade5",
