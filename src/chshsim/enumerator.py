@@ -3,9 +3,20 @@
 Averages deterministic count-driven strategies over every possible
 setting sequence (4^n of them, all equally likely) to get exact
 expectations and distributions, without playing a single sequence: a
-count-driven strategy's play depends only on the pair counts so far,
-so the expectations are summed over pair-count vectors and the joint
-law of (Y_N, X_N) over (pair counts, per-pair scores) states.  Any
+count-driven strategy's play depends only on the pair counts so far.
+The expectations are closed-form sums over count states (k, c), the
+k completed rounds and their pair counts c (:func:`exact_by_counts`).
+The k!/(c0! c1! c2! c3!) prefixes that reach c all play one assignment,
+which meets pair j's target or not (h_j = 1 or 0).  The settings are
+uniform whatever is played, so the completions of a round on pair j
+from c are the same for every strategy: 4^(n-k-1) of them, over which
+1/C_j(N) sums to a weight w(n-k-1, c_j+1, z_j) (:func:`_pair_weight`)
+on those that leave X_N defined, z_j being the other pairs still unmet.
+So the scoring rounds sum to sum_(k,c) paths(c) sum_j h_j 4^(n-k-1)
+over all sequences, and X_N over the defined ones to
+sum_(k,c) paths(c) sum_j h_j w(n-k-1, c_j+1, z_j).  The joint law of
+(Y_N, X_N) is a forward sweep over (pair counts, per-pair scores)
+states (:func:`exact_distribution`).  Any
 other sequential strategy is refused with ``TypeError``; a collective
 one is played once per sequence (:func:`collective_scores`).  Also
 evaluates the rigged-101st-round model in closed form and checks
@@ -27,7 +38,6 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Callable
 
 import numpy as np
@@ -209,7 +219,7 @@ def exact_expectations(
     Returns exact E(Y_N), E(X_N | X_N defined), P(X_N undefined), and
     optionally the full joint distribution of (Y_N, X_N) as a sorted
     tuple of (y, x, probability) entries with x None when undefined.
-    The expectations are summed over pair-count vectors
+    The expectations are closed-form sums over count states
     (:func:`exact_by_counts`), the distribution over (pair counts,
     per-pair scores) states (:func:`exact_distribution`); no sequence is
     played out.  Raises ``ValueError`` for n < 1, n above the cap or a
@@ -306,50 +316,91 @@ def exact_distribution(strategy: CountDriven, n: int) -> ExactResult:
     return _exact_result(n, score_sum, defined, x_sum, distribution)
 
 
-def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
-    """:func:`exact_expectations` by dynamic programming over pair-count vectors.
+def _pair_weight(r: int, m: int, z: int, scale: int) -> int:
+    """``scale`` times w(r, m, z): 1/C_j(N) summed over the defined completions of a round on pair j.
 
-    A count-driven strategy plays the same assignment on every path to
-    a count vector, so round k needs one state per vector of k counts
-    (C(k+3, 3) of them), not one per sequence.  Each state is a tuple
-    of integers: the number of sequences reaching it and, per pair, the
-    scoring rounds summed over those sequences.  Which pairs a state's
-    assignment scores on is looked up in a table of 0/1 flags kept per
-    distinct assignment (:func:`_hit_flags`).  At the end a state with
-    all counts positive contributes score mass / count to the sum of
-    X_N for each pair.  Integers throughout; rationals only in the last
-    step.
+    The round brings pair j's count to m, r rounds remain, and z of the
+    other three pairs have not occurred yet.  A completion with t more
+    rounds on pair j ends with C_j(N) = m + t, and it leaves X_N
+    defined when its other r - t rounds meet each of the z missing
+    pairs.  There are C(r, t) places for the t rounds and, by
+    inclusion-exclusion over the missing pairs left out,
+    g_z(s) = sum_u (-1)^u C(z, u) (3 - u)^s
+           = 3^s - z 2^s + C(z, 2) - C(z, 3) 0^s
+    fillings of the s = r - t others, so
+    w(r, m, z) = sum_t C(r, t) g_z(r - t) / (m + t).
+    Only the settings enter, and they are uniform whatever a strategy
+    plays, so the weight depends on the counts alone.  ``scale`` must be
+    a multiple of every m + t with t <= r, lcm(1..m + r) for one, and
+    the result is then an exact integer.
     """
-    # count vector -> (paths, score mass on ALL_PAIRS[0..3])
-    layer = {(0, 0, 0, 0): (1, 0, 0, 0, 0)}
-    hits: dict = {}
-    for k in range(n):
-        following: dict[tuple[int, ...], tuple[int, ...]] = {}
-        get = following.get
-        for counts, (paths, m0, m1, m2, m3) in layer.items():
-            c0, c1, c2, c3 = counts
-            h0, h1, h2, h3 = _hit_flags(hits, strategy.assignment(counts, k))
-            for key, state in (
-                ((c0 + 1, c1, c2, c3), (paths, m0 + h0 * paths, m1, m2, m3)),
-                ((c0, c1 + 1, c2, c3), (paths, m0, m1 + h1 * paths, m2, m3)),
-                ((c0, c1, c2 + 1, c3), (paths, m0, m1, m2 + h2 * paths, m3)),
-                ((c0, c1, c2, c3 + 1), (paths, m0, m1, m2, m3 + h3 * paths)),
-            ):
-                reached = get(key)
-                following[key] = state if reached is None else tuple(map(add, reached, state))
-        layer = following
+    total = 0
+    ways = 1  # C(r, t), from t = r down
+    three = two = 1  # 3^s and 2^s, s = r - t
+    pairs_of_missing = z * (z - 1) // 2
+    for t in range(r, -1, -1):
+        free = three - z * two + pairs_of_missing
+        if z == 3 and t == r:
+            free -= 1  # 0^s at s = 0
+        total += ways * free * (scale // (m + t))
+        ways = ways * t // (r - t + 1)
+        three *= 3
+        two *= 2
+    return total
 
+
+def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
+    """:func:`exact_expectations` by closed-form sums over count states.
+
+    A count-driven strategy plays the same assignment on all
+    paths(c) = k!/(c0! c1! c2! c3!) setting prefixes that reach a count
+    vector c of k rounds.  The next pair is uniform whatever the
+    assignment, and so is every later one, so what a round on pair j
+    from c adds over the completions depends on the counts alone: a
+    scoring round on each of its 4^(n-k-1) completions, and 1/C_j(N) on
+    each one that leaves X_N defined, w(n-k-1, c_j+1, z_j) in all
+    (:func:`_pair_weight`), where z_j of the other pairs have count 0.
+    With h_j = 1 where the assignment at c meets pair j's target
+    (:func:`_hit_flags`), summed over all 4^n sequences:
+
+        scoring rounds   = sum_(k,c) paths(c) sum_j h_j 4^(n-k-1)
+        X_N · 1_defined = sum_(k,c) paths(c) sum_j h_j w(n-k-1, c_j+1, z_j)
+
+    and X_N is defined on the 4^n - 4·3^n + 6·2^n - 4 sequences that
+    meet all four pairs.  Each of the C(n+3, 4) states (k, c) with k < n
+    asks for one assignment and does constant work; no layer of states
+    is kept.  The X_N sum is kept in integers scaled by lcm(1..n), which
+    every C_j(N) <= n divides, and becomes one ``Fraction`` at the end.
+    """
+    scale = math.lcm(*range(1, n + 1))
+    factorial = [math.factorial(i) for i in range(n)]
+    hits: dict = {}
     score_sum = 0
-    defined = 0
-    mass_by_count: Counter = Counter()  # pair count -> score mass, defined states only
-    for counts, (paths, *mass) in layer.items():
-        score_sum += sum(mass)
-        if 0 not in counts:
-            defined += paths
-            for count, pair_mass in zip(counts, mass):
-                mass_by_count[count] += pair_mass
-    x_sum = sum((Fraction(m, c) for c, m in mass_by_count.items()), Fraction(0))
-    return _exact_result(n, score_sum, defined, x_sum)
+    x_scaled = 0
+    for k in range(n):
+        rest = n - k - 1
+        # weight[zeros][c]: scale·w for a pair met c times at a state
+        # with ``zeros`` counts of 0, one of them the pair's own if c = 0.
+        # The other three pairs share k - c rounds, so 1 to 3 of them
+        # are met if c < k and none if c = k; no state has the rest.
+        weight = [[0] * (k + 1) for _ in range(5)]
+        for c in range(k + 1):
+            for met in range(1, min(3, k - c) + 1) if c < k else (0,):
+                weight[3 - met + (c == 0)][c] = _pair_weight(rest, c + 1, 3 - met, scale)
+        hit_paths = 0
+        for c0 in range(k + 1):
+            for c1 in range(k + 1 - c0):
+                for c2 in range(k + 1 - c0 - c1):
+                    c3 = k - c0 - c1 - c2
+                    counts = (c0, c1, c2, c3)
+                    h0, h1, h2, h3 = _hit_flags(hits, strategy.assignment(counts, k))
+                    paths = factorial[k] // (factorial[c0] * factorial[c1] * factorial[c2] * factorial[c3])
+                    w = weight[counts.count(0)]
+                    hit_paths += paths * (h0 + h1 + h2 + h3)
+                    x_scaled += paths * (h0 * w[c0] + h1 * w[c1] + h2 * w[c2] + h3 * w[c3])
+        score_sum += hit_paths * 4 ** rest
+    defined = 4 ** n - 4 * 3 ** n + 6 * 2 ** n - 4
+    return _exact_result(n, score_sum, defined, Fraction(x_scaled, scale))
 
 
 def collective_scores(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
@@ -550,7 +601,10 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     all four pairs.  If the caught-up state has a key (``_state_key``)
     and a node of the same depth and key has already been walked clean,
     the node is skipped: the key promises that its subtree plays as that
-    one did.  Otherwise round k is played through the subject's own
+    one did.  A state that names its children's keys (``_child_keys``)
+    lets the walk make the same test before it descends, so a finished
+    child is skipped without being visited or caught up.  Otherwise
+    round k is played through the subject's own
     responders and views for each pair: for the first three from
     snapshots of that state, for the last on the state itself, once a
     comparison needs it.  The walk is depth-first in product order and
@@ -560,9 +614,10 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     recorded only once its whole subtree has come back clean, and the
     walk stops at the first violation, so a skip never hides one.  A
     passing count-driven subject with memory plays 4·C(n+3, 4) rounds,
-    one node per (depth, count vector); one whose key is the same at
-    every depth, constant-plus or a memoryless mixture, plays 4n.  It
-    holds at most four states per depth and one key per walked node.
+    one node per (depth, count vector), and catches up C(k+3, 3) states
+    at depth k; one whose key is the same at every depth, constant-plus
+    or a memoryless mixture, plays 4n.  It holds at most four states per
+    depth and one key per walked node.
     """
     strategy.begin_playout(n, rng)
     full = memory_class is MemoryClass.FULL
@@ -574,8 +629,13 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     own_alice: list = []
     own_bob: list = []
 
-    def descend(child, k: int, pair: SettingPair, a, b) -> NoSignalingReport | None:
-        """Walk the subtree below child ``pair`` of a depth-k node, which played (a, b)."""
+    def descend(child, k: int, pair: SettingPair, a, b, key) -> NoSignalingReport | None:
+        """Walk the subtree below child ``pair`` of a depth-k node, which played (a, b).
+
+        A child whose announced ``key`` was walked clean at its depth is skipped unvisited.
+        """
+        if key is not None and (k + 1, key) in finished:
+            return None
         path.append(pair)
         if full:
             rounds.append(Round(k + 1, pair, int(a), int(b)))
@@ -607,31 +667,33 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
             key = (k, key)
             if key in finished:
                 return None
+        deeper = k + 1 < n
+        child_keys = state._child_keys() if deeper else None
+        c11, c12, c21, c22 = child_keys or (None,) * 4
         s11, s12, s21 = state._snapshot(), state._snapshot(), state._snapshot()
         a11, b11 = _play_round(s11, p11, view_a, view_b)
         a12, b12 = _play_round(s12, p12, view_a, view_b)
         a21, b21 = _play_round(s21, p21, view_a, view_b)
-        deeper = k + 1 < n
         # A toggle of Bob's setting watches Alice's outcome, and the
         # reverse; each child's toggles are compared before its subtree.
         if a11 != a12:
             return _signaling_report(n, path, k, 0, Side.BOB, a11)
         if b11 != b21:
             return _signaling_report(n, path, k, 0, Side.ALICE, b11)
-        if deeper and (report := descend(s11, k, p11, a11, b11)) is not None:
+        if deeper and (report := descend(s11, k, p11, a11, b11, c11)) is not None:
             return report
         # Child 3 is first compared by child 1's Alice toggle, and plays
         # on the node's own state, which no snapshot needs now.
         a22, b22 = _play_round(state, p22, view_a, view_b)
         if b12 != b22:
             return _signaling_report(n, path, k, 1, Side.ALICE, b12)
-        if deeper and (report := descend(s12, k, p12, a12, b12)) is not None:
+        if deeper and (report := descend(s12, k, p12, a12, b12, c12)) is not None:
             return report
         if a21 != a22:
             return _signaling_report(n, path, k, 2, Side.BOB, a21)
-        if deeper and (report := descend(s21, k, p21, a21, b21)) is not None:
+        if deeper and (report := descend(s21, k, p21, a21, b21, c21)) is not None:
             return report
-        if deeper and (report := descend(state, k, p22, a22, b22)) is not None:
+        if deeper and (report := descend(state, k, p22, a22, b22, c22)) is not None:
             return report
         if key is not None:
             finished.add(key)

@@ -42,7 +42,11 @@ Right after the catch-up the walk asks the state for
 two caught-up states at the same depth with equal keys play every
 continuation identically, so the walk checks the subtree below one of
 them and skips the others.  The default, ``None``, promises nothing,
-and such a state is walked in full.
+and such a state is walked in full.  A keyed state may also name the
+keys its four children will read after their own catch-up,
+``strategy._child_keys()``, so the walk skips a child whose key it has
+already walked clean before it descends into it.  The default, ``None``,
+names none, and each child is visited to read its key.
 """
 
 from __future__ import annotations
@@ -176,13 +180,14 @@ class SequentialStrategy(ABC):
     """A sequential responder with a declared memory class.
 
     ``stochastic`` marks strategies that consume the injected randomness
-    source.  Three private hooks serve the no-signaling walk:
+    source.  Four private hooks serve the no-signaling walk:
     ``_snapshot`` copies the state a setting prefix left, ``_catch_up``
     lets the state do once per prefix, from Alice's view alone and before
     the snapshots, what each branch's first responder would otherwise
-    repeat, and ``_state_key`` names the caught-up states whose futures
-    are the same, so the walk checks one subtree for all of them (see the
-    module docstring).
+    repeat, ``_state_key`` names the caught-up states whose futures are
+    the same, so the walk checks one subtree for all of them, and
+    ``_child_keys`` names those keys one round ahead (see the module
+    docstring).
     """
 
     memory_class: ClassVar[MemoryClass] = MemoryClass.NONE
@@ -230,6 +235,18 @@ class SequentialStrategy(ABC):
         then checks the subtree below the first of them and skips the
         rest.  The default, ``None``, keys nothing, so every prefix is
         walked.
+        """
+        return None
+
+    def _child_keys(self):
+        """The keys of this caught-up state's four children, in ``ALL_PAIRS`` order, or ``None``.
+
+        Entry q must equal the ``_state_key`` that the child reached by
+        playing the next round on ``ALL_PAIRS[q]`` from this state reads
+        after its own ``_catch_up``.  The no-signaling walk reads them
+        right after this state's key and skips a child whose key it has
+        already walked clean at that depth without visiting it.  The
+        default, ``None``, names none.
         """
         return None
 
@@ -281,8 +298,12 @@ class CountDriven(SequentialStrategy):
     caught up, the counts are the state's key (``_state_key``): all
     prefixes with equal counts play alike from there on, so the walk
     checks C(n+3, 4) prefixes of a passing n-round check, not
-    (4^n - 1)/3.  A subclass whose play reads anything else of the
-    history must override the key, with ``None`` or a richer one.
+    (4^n - 1)/3.  A child's key is the counts with its pair's count
+    raised by one (``_child_keys``), or the same counts under memory
+    class NONE, whose empty views never advance them, so the walk skips
+    a finished child without visiting it.  A subclass whose play reads
+    anything else of the history must override both keys, with ``None``
+    or richer ones.
     """
 
     memory_class = MemoryClass.FULL
@@ -316,6 +337,13 @@ class CountDriven(SequentialStrategy):
 
     def _state_key(self):
         return self._counts
+
+    def _child_keys(self):
+        counts = self._counts
+        if self.memory_class is MemoryClass.NONE:
+            return (counts,) * 4
+        c0, c1, c2, c3 = counts
+        return (c0 + 1, c1, c2, c3), (c0, c1 + 1, c2, c3), (c0, c1, c2 + 1, c3), (c0, c1, c2, c3 + 1)
 
     def respond_alice(self, setting, view):
         if len(view) != self._round:

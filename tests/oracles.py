@@ -114,6 +114,24 @@ def exact_over_sequences(outcome_rule, n):
     return e_y, e_x, Fraction(total - defined, total), dict(table)
 
 
+def inverse_count_over_completions(n, counts, pair):
+    """Sum of 1/(final count of ``pair``) over the 4^r completions of a round on ``pair``.
+
+    The round follows k = sum(counts) completed rounds with these pair
+    counts and leaves r = n - k - 1 rounds, each of which is tried on
+    every pair; completions that leave some pair unmet add nothing.
+    """
+    total = Fraction(0)
+    for rest in itertools.product(PAIRS, repeat=n - sum(counts) - 1):
+        final = list(counts)
+        final[pair] += 1
+        for p in rest:
+            final[p] += 1
+        if all(final):
+            total += Fraction(1, final[pair])
+    return total
+
+
 def batch_csv_row(batch, seed, n, scores, totals):
     """One per-batch CSV row: batch, seed, n, Y, X defined (0/1), X (empty
     when undefined; Y and X as the repr of the float of the exact

@@ -251,6 +251,37 @@ def test_counts_engine_equals_brute_force(name):
         assert sequence_counts(swept.distribution, n) == table, f"n={n}"
 
 
+@pytest.mark.parametrize("name", COUNT_DRIVEN)
+def test_counts_engine_equals_state_sweep_beyond_brute_force_reach(name):
+    # Past the oracle's reach, the closed-form sums over count states
+    # agree with the forward sweep over (pair counts, per-pair scores)
+    # states, an independent algorithm.
+    for n in (8, 9, 10):
+        by_counts = exact_by_counts(COUNT_DRIVEN[name](), n)
+        swept = enumerator.exact_distribution(COUNT_DRIVEN[name](), n)
+        assert (by_counts.e_y, by_counts.e_x_conditional, by_counts.p_undefined) == (
+            swept.e_y,
+            swept.e_x_conditional,
+            swept.p_undefined,
+        ), f"n={n}"
+
+
+def test_pair_weight_equals_brute_force_over_completions():
+    # For every count state (k, c) of n <= 6 rounds and every pair j of
+    # the next round, scale·w(n-k-1, c_j+1, z_j) over the scale is the
+    # oracle's sum of 1/C_j(N) over the defined completions.
+    for n in range(1, 7):
+        scale = math.lcm(*range(1, n + 1))
+        for k in range(n):
+            for counts in itertools.product(range(k + 1), repeat=4):
+                if sum(counts) != k:
+                    continue
+                for j in range(4):
+                    missing = sum(1 for i in range(4) if i != j and counts[i] == 0)
+                    weight = enumerator._pair_weight(n - k - 1, counts[j] + 1, missing, scale)
+                    assert Fraction(weight, scale) == oracles.inverse_count_over_completions(n, counts, j), (n, counts, j)
+
+
 def test_plays_all_sixteen_reaches_every_assignment_and_moves_e_y():
     # Before round 7 it plays each of the 16 assignments somewhere, so
     # the exact engines see rounds that score on one pair as well as on
@@ -943,9 +974,11 @@ def test_walk_advances_each_prefix_state_once(name, monkeypatch):
     # four children are played or the node is skipped.  Walked in full:
     # one advance per node of depth 1..n-1, (4^n - 4)/3 in all, while
     # every played round still calls both responders, 2 * (4^(n+1) - 4)/3
-    # calls in all.  Keyed by the pair counts: the 4 * C(k+2, 3) children
-    # at depth k of the C(k+2, 3) count vectors walked at depth k - 1
-    # each advance once, and 4 * C(n+3, 4) rounds are played.
+    # calls in all.  Keyed by the pair counts: of the 4 * C(k+2, 3)
+    # children at depth k of the C(k+2, 3) count vectors walked at depth
+    # k - 1, the walk visits, and advances, only the first child of each
+    # count vector of depth k, C(k+3, 3) of them: it skips the others
+    # by the keys the parents announce.  4 * C(n+3, 4) rounds are played.
     advanced = []
     responded = []
     real_advance = CountDriven._advance
@@ -971,7 +1004,10 @@ def test_walk_advances_each_prefix_state_once(name, monkeypatch):
         advanced.clear()
         responded.clear()
         assert no_signaling_check(COUNT_DRIVEN[name](), n).passed, f"keyed, n={n}"
-        assert Counter(advanced) == {k: 4 * math.comb(k + 2, 3) for k in range(1, n)}, f"keyed, n={n}"
+        # A count vector is a sorted sequence of pair indices.
+        vectors = {k: len({tuple(sorted(p)) for p in itertools.product(range(4), repeat=k)}) for k in range(1, n)}
+        assert vectors == {k: math.comb(k + 3, 3) for k in range(1, n)}
+        assert Counter(advanced) == vectors, f"keyed, n={n}"
         assert len(responded) == 2 * 4 * math.comb(n + 3, 4), f"keyed, n={n}"
 
 
@@ -1063,6 +1099,32 @@ def test_equal_state_keys_play_every_continuation_alike(name):
             for tail in itertools.product(range(4), repeat=n - k):
                 outcomes = {tuple(wing[k:] for wing in runs[prefix + tail]) for prefix in prefixes}
                 assert len(outcomes) == 1, (prefixes, tail)
+
+
+@pytest.mark.parametrize("name", KEYED_BY)
+def test_child_keys_are_the_keys_the_children_read(name):
+    # Each key a caught-up state announces for child q is the key that
+    # child reads after its own catch-up, on every prefix a walk of
+    # n <= 5 visits (depth <= 3, children at depth <= 4).  The child is
+    # made as the walk makes it: a snapshot of the caught-up state plays
+    # the next round on ALL_PAIRS[q].  Count-driven subjects announce
+    # keys; the rest announce none.
+    factory, seed = NOSIG_SUBJECTS[name]
+    for k in range(4):
+        for prefix in itertools.product(ALL_PAIRS, repeat=k):
+            state = factory()
+            rounds = list(playout(state, prefix, fresh_rng(seed)).rounds)
+            state._catch_up(view_of(state, rounds))
+            child_keys = state._child_keys()
+            assert (child_keys is not None) == isinstance(state, CountDriven), prefix
+            if child_keys is None:
+                continue
+            assert len(child_keys) == 4
+            for pair, announced in zip(ALL_PAIRS, child_keys):
+                child, history = state._snapshot(), list(rounds)
+                play_on(child, history, pair)
+                child._catch_up(view_of(child, history))
+                assert child._state_key() == announced, (prefix, pair)
 
 
 class NonOutcomeInRoundTwo(SequentialStrategy):
