@@ -7,11 +7,12 @@ count-driven strategy's play depends only on the pair counts so far.
 The expectations are closed-form sums over count states (k, c), the
 k completed rounds and their pair counts c (:func:`exact_by_counts`).
 The k!/(c0! c1! c2! c3!) prefixes that reach c all play one assignment,
-which meets pair j's target or not (h_j = 1 or 0).  The settings are
-uniform whatever is played, so the completions of a round on pair j
-from c are the same for every strategy: 4^(n-k-1) of them, over which
-1/C_j(N) sums to a weight w(n-k-1, c_j+1, z_j) (:func:`_pair_weight`)
-on those that leave X_N defined, z_j being the other pairs still unmet.
+which meets pair j's target or not (its flag h_j = ``hits[j]``, 1 or
+0).  The settings are uniform whatever is played, so the completions of
+a round on pair j from c are the same for every strategy: 4^(n-k-1) of
+them, over which 1/C_j(N) sums to a weight w(n-k-1, c_j+1, z_j)
+(:func:`_pair_weight`) on those that leave X_N defined, z_j being the
+other pairs still unmet.
 So the scoring rounds sum to sum_(k,c) paths(c) sum_j h_j 4^(n-k-1)
 over all sequences, and X_N over the defined ones to
 sum_(k,c) paths(c) sum_j h_j w(n-k-1, c_j+1, z_j).  The joint law of
@@ -23,9 +24,9 @@ evaluates the rigged-101st-round model in closed form and checks
 no-signaling exhaustively: a sequential strategy by a depth-first walk
 of its setting-prefix tree that plays each round of each prefix once,
 from a snapshot of the state the prefix left, and walks below only one
-prefix per (depth, state key), so a count-driven strategy is checked
-over its count vectors; a collective strategy or a callable by a scan
-over all 4^n runs.  Everything returns exact
+prefix per (depth, key its parent names), so a count-driven strategy is
+checked over its count vectors; a collective strategy or a callable by
+a scan over all 4^n runs.  Everything returns exact
 rationals; Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
 enumeration cap.
 """
@@ -119,47 +120,6 @@ def _play_round(strategy, pair: SettingPair, view_a, view_b) -> tuple[int, int]:
     return a, b
 
 
-def _play_rounds(strategy, memory_class: MemoryClass, pairs, rng, rounds=None) -> tuple[int, int]:
-    """A whole playout of checked pairs; returns both wings' outcome masks.
-
-    Bit k of a mask is set where round k gave -1.  Each round is one
-    :func:`_play_round` with views of the completed rounds filtered to
-    ``memory_class``.  A :class:`Round` is appended to ``rounds`` per
-    round when the caller passes a list, and kept anyway for a FULL
-    view, the one view that reads them.
-    """
-    strategy.begin_playout(len(pairs), rng)
-    # Enum members are looked up once per play, not once per round.
-    full = memory_class is MemoryClass.FULL
-    own_side = memory_class is MemoryClass.OWN_SIDE
-    if rounds is None and full:
-        rounds = []
-    own_alice: list = []
-    own_bob: list = []
-    view_a = view_b = EMPTY_VIEW
-    mask_a = mask_b = 0
-    bit = 1
-
-    for k, pair in enumerate(pairs):
-        if full:
-            view_a = view_b = MemoryView(memory_class, None, rounds, k)
-        elif own_side:
-            view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
-            view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
-        a, b = _play_round(strategy, pair, view_a, view_b)
-        if a == -1:
-            mask_a |= bit
-        if b == -1:
-            mask_b |= bit
-        bit <<= 1
-        if rounds is not None:
-            rounds.append(Round(k + 1, pair, int(a), int(b)))
-        if own_side:
-            own_alice.append(OwnSideEntry(pair.alice, a))
-            own_bob.append(OwnSideEntry(pair.bob, b))
-    return mask_a, mask_b
-
-
 def playout(
     strategy: SequentialStrategy, settings, rng=None
 ) -> Transcript:
@@ -174,8 +134,25 @@ def playout(
     """
     memory_class = _memory_class(strategy)
     pairs = _as_pairs(settings)
+    strategy.begin_playout(len(pairs), rng)
+    # Enum members are looked up once per play, not once per round.
+    full = memory_class is MemoryClass.FULL
+    own_side = memory_class is MemoryClass.OWN_SIDE
     rounds: list[Round] = []
-    _play_rounds(strategy, memory_class, pairs, rng, rounds)
+    own_alice: list = []
+    own_bob: list = []
+    view_a = view_b = EMPTY_VIEW
+    for k, pair in enumerate(pairs):
+        if full:
+            view_a = view_b = MemoryView(memory_class, None, rounds, k)
+        elif own_side:
+            view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
+            view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
+        a, b = _play_round(strategy, pair, view_a, view_b)
+        rounds.append(Round(k + 1, pair, int(a), int(b)))
+        if own_side:
+            own_alice.append(OwnSideEntry(pair.alice, a))
+            own_bob.append(OwnSideEntry(pair.bob, b))
     transcript = Transcript.__new__(Transcript)
     transcript.rounds = tuple(rounds)
     return transcript
@@ -247,42 +224,28 @@ def _exact_result(n, score_sum, defined, x_sum, distribution=None) -> ExactResul
     )
 
 
-def _hit_flags(hits: dict, assignment) -> tuple[int, int, int, int]:
-    """Whether ``assignment`` meets each pair's target, as 0/1 in ``ALL_PAIRS`` order.
-
-    ``hits`` caches the flags by the assignment's value, so each distinct
-    assignment is checked once per sweep however many states play it.
-    """
-    flags = hits.get(assignment)
-    if flags is None:
-        flags = hits[assignment] = tuple(int(assignment.satisfies(pair)) for pair in ALL_PAIRS)
-    return flags
-
-
 def exact_distribution(strategy: CountDriven, n: int) -> ExactResult:
     """:func:`exact_expectations` with the joint law of (Y_N, X_N).
 
     A forward sweep whose state is (pair counts, per-pair scores) and
     whose value is the number of sequences reaching it; the assignment
     played from a state depends only on its counts, and which pairs it
-    scores on is looked up in a table of 0/1 flags kept per distinct
-    assignment (:func:`_hit_flags`).  A final state fixes Y_N and X_N,
-    so each adds its sequences to one cell, keyed by its integer score
-    and its per-pair (score, count) pairs in sorted order: X_N is
-    symmetric in the pairs, so states that differ only in the order of
-    their pairs share a cell.  Each cell's X_N is then built once as a
+    scores on is read from its 0/1 flags (``hits``).  A final state fixes
+    Y_N and X_N, so each adds its sequences to one cell, keyed by its
+    integer score and its per-pair (score, count) pairs in sorted order:
+    X_N is symmetric in the pairs, so states that differ only in the
+    order of their pairs share a cell.  Each cell's X_N is then built once as a
     ``Fraction``, and cells of equal (score, X_N) merge into one
     (Y_N, X_N) entry.
     """
     zero = (0, 0, 0, 0)
     layer = {(zero, zero): 1}
-    hits: dict = {}
     for k in range(n):
         following: defaultdict = defaultdict(int)
         for (counts, scores), paths in layer.items():
             c0, c1, c2, c3 = counts
             s0, s1, s2, s3 = scores
-            h0, h1, h2, h3 = _hit_flags(hits, strategy.assignment(counts, k))
+            h0, h1, h2, h3 = strategy.assignment(counts, k).hits
             following[(c0 + 1, c1, c2, c3), (s0 + h0, s1, s2, s3)] += paths
             following[(c0, c1 + 1, c2, c3), (s0, s1 + h1, s2, s3)] += paths
             following[(c0, c1, c2 + 1, c3), (s0, s1, s2 + h2, s3)] += paths
@@ -361,7 +324,7 @@ def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
     each one that leaves X_N defined, w(n-k-1, c_j+1, z_j) in all
     (:func:`_pair_weight`), where z_j of the other pairs have count 0.
     With h_j = 1 where the assignment at c meets pair j's target
-    (:func:`_hit_flags`), summed over all 4^n sequences:
+    (its ``hits``), summed over all 4^n sequences:
 
         scoring rounds   = sum_(k,c) paths(c) sum_j h_j 4^(n-k-1)
         X_N · 1_defined = sum_(k,c) paths(c) sum_j h_j w(n-k-1, c_j+1, z_j)
@@ -374,7 +337,6 @@ def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
     """
     scale = math.lcm(*range(1, n + 1))
     factorial = [math.factorial(i) for i in range(n)]
-    hits: dict = {}
     score_sum = 0
     x_scaled = 0
     for k in range(n):
@@ -393,7 +355,7 @@ def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
                 for c2 in range(k + 1 - c0 - c1):
                     c3 = k - c0 - c1 - c2
                     counts = (c0, c1, c2, c3)
-                    h0, h1, h2, h3 = _hit_flags(hits, strategy.assignment(counts, k))
+                    h0, h1, h2, h3 = strategy.assignment(counts, k).hits
                     paths = factorial[k] // (factorial[c0] * factorial[c1] * factorial[c2] * factorial[c3])
                     w = weight[counts.count(0)]
                     hit_paths += paths * (h0 + h1 + h2 + h3)
@@ -598,26 +560,23 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     passing subject, not n for each of 4^n sequences.  ``begin_playout``
     runs once, at the root.  At a node of depth k the state the prefix
     left is first caught up (``_catch_up``) on Alice's view, once for
-    all four pairs.  If the caught-up state has a key (``_state_key``)
-    and a node of the same depth and key has already been walked clean,
-    the node is skipped: the key promises that its subtree plays as that
-    one did.  A state that names its children's keys (``_child_keys``)
-    lets the walk make the same test before it descends, so a finished
-    child is skipped without being visited or caught up.  Otherwise
-    round k is played through the subject's own
-    responders and views for each pair: for the first three from
-    snapshots of that state, for the last on the state itself, once a
-    comparison needs it.  The walk is depth-first in product order and
-    compares child q's one-wing toggles before descending into q, so
-    violations come in the order of the table scan: by sequence, then
-    round, then Bob's toggle before Alice's.  A node's (depth, key) is
-    recorded only once its whole subtree has come back clean, and the
-    walk stops at the first violation, so a skip never hides one.  A
-    passing count-driven subject with memory plays 4·C(n+3, 4) rounds,
-    one node per (depth, count vector), and catches up C(k+3, 3) states
-    at depth k; one whose key is the same at every depth, constant-plus
-    or a memoryless mixture, plays 4n.  It holds at most four states per
-    depth and one key per walked node.
+    all four pairs, and names its children's keys (``_child_keys``).
+    Round k is then played through the subject's own responders and
+    views for each pair: for the first three from snapshots of that
+    state, for the last on the state itself, once a comparison needs it.
+    The walk is depth-first in product order and compares child q's
+    one-wing toggles before descending into q, so violations come in the
+    order of the table scan: by sequence, then round, then Bob's toggle
+    before Alice's.  A child whose (depth, key) has already been walked
+    clean is not descended into, so it is neither visited nor caught up:
+    the key promises that its subtree plays as that one did.  A child's
+    (depth, key) is recorded only once its whole subtree has come back
+    clean, and the walk stops at the first violation, so a skip never
+    hides one.  A passing count-driven subject with memory plays
+    4·C(n+3, 4) rounds, one node per (depth, count vector), and catches
+    up C(k+3, 3) states at depth k; one whose keys are the same at every
+    depth, constant-plus or a memoryless mixture, plays 4n.  It holds at
+    most four states per depth and one key per walked node.
     """
     strategy.begin_playout(n, rng)
     full = memory_class is MemoryClass.FULL
@@ -632,10 +591,14 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     def descend(child, k: int, pair: SettingPair, a, b, key) -> NoSignalingReport | None:
         """Walk the subtree below child ``pair`` of a depth-k node, which played (a, b).
 
-        A child whose announced ``key`` was walked clean at its depth is skipped unvisited.
+        A child whose announced ``key`` was walked clean at its depth is
+        skipped unvisited; otherwise its key is recorded once its subtree
+        comes back clean.
         """
-        if key is not None and (k + 1, key) in finished:
-            return None
+        if key is not None:
+            key = (k + 1, key)
+            if key in finished:
+                return None
         path.append(pair)
         if full:
             rounds.append(Round(k + 1, pair, int(a), int(b)))
@@ -651,6 +614,8 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
         elif own_side:
             own_alice.pop()
             own_bob.pop()
+        if key is not None:
+            finished.add(key)
         return None
 
     def visit(state, k: int) -> NoSignalingReport | None:
@@ -662,11 +627,6 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
         else:
             view_a = view_b = EMPTY_VIEW
         state._catch_up(view_a)
-        key = state._state_key()
-        if key is not None:
-            key = (k, key)
-            if key in finished:
-                return None
         deeper = k + 1 < n
         child_keys = state._child_keys() if deeper else None
         c11, c12, c21, c22 = child_keys or (None,) * 4
@@ -693,11 +653,7 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
             return _signaling_report(n, path, k, 2, Side.BOB, a21)
         if deeper and (report := descend(s21, k, p21, a21, b21, c21)) is not None:
             return report
-        if deeper and (report := descend(state, k, p22, a22, b22, c22)) is not None:
-            return report
-        if key is not None:
-            finished.add(key)
-        return None
+        return descend(state, k, p22, a22, b22, c22) if deeper else None
 
     return visit(strategy, 0) or NoSignalingReport(passed=True, sequences_checked=4 ** n)
 
@@ -718,10 +674,10 @@ def no_signaling_check(
     A sequential subject is checked once, its type, memory class and
     seed, and then walked by :func:`_walk_prefixes`: each round of each
     setting prefix is played at most once, from a snapshot, through the
-    subject's own responders, and prefixes whose caught-up states share
-    a depth and a key (``_state_key``) are walked below only once.  So a
-    passing count-driven subject plays one node per (depth, count
-    vector), 4·C(n+3, 4) rounds, and a subject without a key all
+    subject's own responders, and prefixes that share a depth and the key
+    their parents name for them (``_child_keys``) are walked below only
+    once.  So a passing count-driven subject plays one node per (depth,
+    count vector), 4·C(n+3, 4) rounds, and a subject without keys all
     (4^(n+1) - 4)/3.  A stochastic subject draws its tape once per
     check, from one generator built from the seed, so toggles compare
     like with like.

@@ -436,8 +436,7 @@ def _kernel_model101(strategy, pairs, uniforms):
             [(head == j).sum(axis=1) == count for j, count in enumerate(MODEL_101_TRIGGER_COUNTS)]
         )
         if triggered.any():
-            hits = [MODEL_101_TRIGGER_ASSIGNMENT.satisfies(pair) for pair in ALL_PAIRS]
-            scores[triggered, k] = np.take(hits, pairs[triggered, k])
+            scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
     return scores
 
 
@@ -462,10 +461,7 @@ def _stochastic_tables(strategy, n: int | None = None):
     support = strategy.lhv.support
     cumulative = np.cumsum([float(w) for w, _ in support])
     cuts = np.array([math.ceil(c * 2 ** 53) for c in cumulative.tolist()], dtype=np.uint64)
-    table = np.array(
-        [[assignment.satisfies(p) for p in ALL_PAIRS] for _, assignment in support],
-        dtype=bool,
-    )
+    table = np.array([assignment.hits for _, assignment in support], dtype=bool)
     return cuts, table.ravel()
 
 

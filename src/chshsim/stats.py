@@ -71,21 +71,14 @@ def x_statistic(transcript: Transcript) -> Fraction | None:
     return x_from_counts(*pair_tallies(transcript))
 
 
-def assignment_chsh(assignment) -> int:
-    """Number of CHSH targets a deterministic assignment satisfies (0..3)."""
-    return sum(assignment.satisfies(pair) for pair in ALL_PAIRS)
-
-
 def chsh_value(lhv: StochasticLHV) -> Fraction:
     """The exact per-round CHSH sum of a stochastic mixture.
 
     Three correlation probabilities plus the (A2,B2) anticorrelation
-    probability; at most 3 for any mixture.
+    probability; at most 3 for any mixture, since each assignment meets
+    at most three of the four targets (``hits``).
     """
-    return sum(
-        (weight * assignment_chsh(assignment) for weight, assignment in lhv.support),
-        Fraction(0),
-    )
+    return sum((weight * sum(assignment.hits) for weight, assignment in lhv.support), Fraction(0))
 
 
 @dataclass(frozen=True)

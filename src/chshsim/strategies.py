@@ -37,16 +37,12 @@ signaling.  The default does nothing.  The responders must not rely on
 it: :func:`~chshsim.enumerator.playout` and direct callers never call
 it, so a responder still does the same work itself when it is due.
 
-Right after the catch-up the walk asks the state for
-``strategy._state_key()``.  A key that is not ``None`` promises that
-two caught-up states at the same depth with equal keys play every
+Right after the catch-up the walk may ask the state for keys of its
+four children, ``strategy._child_keys()``.  Keys that are not ``None``
+promise that two children at the same depth with equal keys play every
 continuation identically, so the walk checks the subtree below one of
-them and skips the others.  The default, ``None``, promises nothing,
-and such a state is walked in full.  A keyed state may also name the
-keys its four children will read after their own catch-up,
-``strategy._child_keys()``, so the walk skips a child whose key it has
-already walked clean before it descends into it.  The default, ``None``,
-names none, and each child is visited to read its key.
+them and skips the others before it descends into them.  The default,
+``None``, promises nothing, and every child is walked in full.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ import csv
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, ClassVar, Sequence, TextIO
@@ -81,18 +77,25 @@ class DeterministicAssignment:
     """A fixed answer to every possible setting in one round.
 
     There are exactly 16 distinct assignments; they play the role of
-    point hidden variables.
+    point hidden variables.  ``hits[i]`` is 1 where the assignment meets
+    the CHSH target of ``ALL_PAIRS[i]`` and 0 where it does not: equal
+    outcomes for (A1,B1), (A1,B2), (A2,B1) and unequal outcomes for
+    (A2,B2).  The flags are worked out once, at construction, and take
+    no part in equality, hashing or repr.
     """
 
     a1: int
     a2: int
     b1: int
     b2: int
+    hits: tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for label, value in (("a1", self.a1), ("a2", self.a2), ("b1", self.b1), ("b2", self.b2)):
             if value not in (PLUS, MINUS):
                 raise ValueError(f"{label}={value!r} must be +1 or -1")
+        a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
+        object.__setattr__(self, "hits", (int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2)))
 
     # Settings compare with the plain values of A1 and B1: an enum member
     # lookup per call would dominate every playout's responses.
@@ -103,14 +106,8 @@ class DeterministicAssignment:
         return self.b1 if setting == 0 else self.b2
 
     def satisfies(self, pair: SettingPair) -> bool:
-        """Whether this assignment meets the pair's CHSH target.
-
-        The target is equal outcomes for (A1,B1), (A1,B2), (A2,B1) and
-        unequal outcomes for (A2,B2).
-        """
-        a = self.alice_outcome(pair.alice)
-        b = self.bob_outcome(pair.bob)
-        return (a == b) if pair.index < 3 else (a != b)
+        """Whether this assignment meets the pair's CHSH target (``hits``)."""
+        return bool(self.hits[pair.index])
 
 
 CONSTANT_PLUS_ASSIGNMENT = DeterministicAssignment(PLUS, PLUS, PLUS, PLUS)
@@ -133,10 +130,9 @@ def solve_sabotage_assignment(target: SettingPair) -> DeterministicAssignment:
     differ by a global sign flip) the one with a1 = +1 is returned, so
     the result is deterministic.
     """
+    hits = tuple(int(p != target) for p in ALL_PAIRS)
     for assignment in all_assignments():
-        if assignment.a1 != PLUS:
-            continue
-        if all(assignment.satisfies(p) == (p != target) for p in ALL_PAIRS):
+        if assignment.a1 == PLUS and assignment.hits == hits:
             return assignment
     raise InvariantViolation(f"no sabotage assignment for target {target}")
 
@@ -184,9 +180,8 @@ class SequentialStrategy(ABC):
     ``_snapshot`` copies the state a setting prefix left, ``_catch_up``
     lets the state do once per prefix, from Alice's view alone and before
     the snapshots, what each branch's first responder would otherwise
-    repeat, ``_state_key`` names the caught-up states whose futures are
-    the same, so the walk checks one subtree for all of them, and
-    ``_child_keys`` names those keys one round ahead (see the module
+    repeat, and ``_child_keys`` names the children whose futures are the
+    same, so the walk checks one subtree for all of them (see the module
     docstring).
     """
 
@@ -226,27 +221,16 @@ class SequentialStrategy(ABC):
         themselves when it has not been done.
         """
 
-    def _state_key(self):
-        """A hashable key for this caught-up state's future play, or ``None``.
-
-        The no-signaling walk reads it right after ``_catch_up``.  Two
-        caught-up states at the same depth with equal keys must give the
-        same outcomes on every continuation of setting pairs; the walk
-        then checks the subtree below the first of them and skips the
-        rest.  The default, ``None``, keys nothing, so every prefix is
-        walked.
-        """
-        return None
-
     def _child_keys(self):
-        """The keys of this caught-up state's four children, in ``ALL_PAIRS`` order, or ``None``.
+        """Hashable keys of this caught-up state's four children, in ``ALL_PAIRS`` order, or ``None``.
 
-        Entry q must equal the ``_state_key`` that the child reached by
-        playing the next round on ``ALL_PAIRS[q]`` from this state reads
-        after its own ``_catch_up``.  The no-signaling walk reads them
-        right after this state's key and skips a child whose key it has
-        already walked clean at that depth without visiting it.  The
-        default, ``None``, names none.
+        Entry q keys the child reached by playing the next round on
+        ``ALL_PAIRS[q]`` from this state.  Two children at the same depth
+        with equal keys, whatever their parents, must give the same
+        outcomes on every continuation of setting pairs.  The no-signaling
+        walk reads the keys right after ``_catch_up``, checks the subtree
+        below the first child of each key and skips the rest unvisited.
+        The default, ``None``, keys nothing, so every prefix is walked.
         """
         return None
 
@@ -294,16 +278,14 @@ class CountDriven(SequentialStrategy):
     count and picks the next assignment (``_advance``) when the view is
     ahead.  ``_catch_up`` makes the same check, so the no-signaling walk
     advances a prefix's state once and its four snapshots share the
-    result; ``playout`` leaves the advance to the responders.  Once
-    caught up, the counts are the state's key (``_state_key``): all
-    prefixes with equal counts play alike from there on, so the walk
-    checks C(n+3, 4) prefixes of a passing n-round check, not
-    (4^n - 1)/3.  A child's key is the counts with its pair's count
-    raised by one (``_child_keys``), or the same counts under memory
-    class NONE, whose empty views never advance them, so the walk skips
-    a finished child without visiting it.  A subclass whose play reads
-    anything else of the history must override both keys, with ``None``
-    or richer ones.
+    result; ``playout`` leaves the advance to the responders.  All
+    prefixes with equal counts play alike from there on, so a child's key
+    (``_child_keys``) is the counts with its pair's count raised by one,
+    or the same counts under memory class NONE, whose empty views never
+    advance them.  The walk then checks C(n+3, 4) prefixes of a passing
+    n-round check, not (4^n - 1)/3, and skips a finished child without
+    visiting it.  A subclass whose play reads anything else of the
+    history must override the keys, with ``None`` or richer ones.
     """
 
     memory_class = MemoryClass.FULL
@@ -334,9 +316,6 @@ class CountDriven(SequentialStrategy):
     def _catch_up(self, view):
         if len(view) != self._round:
             self._advance(view)
-
-    def _state_key(self):
-        return self._counts
 
     def _child_keys(self):
         counts = self._counts
@@ -465,8 +444,8 @@ class StochasticSequential(SequentialStrategy):
     Each round independently draws one assignment according to the
     mixture weights; both wings then answer from it.  The tape is drawn
     once per playout and read by round alone, so every state at a given
-    depth plays every continuation alike and the state key
-    (``_state_key``) is the empty tuple.
+    depth plays every continuation alike and every child's key
+    (``_child_keys``) is the empty tuple.
     """
 
     memory_class = MemoryClass.NONE
@@ -494,8 +473,8 @@ class StochasticSequential(SequentialStrategy):
     def begin_round(self):
         self._round += 1
 
-    def _state_key(self):
-        return ()
+    def _child_keys(self):
+        return ((),) * 4
 
     def respond_alice(self, setting, view):
         return self._tape[self._round].alice_outcome(setting)

@@ -739,8 +739,8 @@ class GuessingSignalsAtCounts(GuessingModel):
     ``SIGNAL_COUNTS`` Bob flips his outcome when Alice's current setting
     is A2.
 
-    Its state key is still its pair counts, and truthfully so: its play
-    reads nothing else of the history.  The walk first reaches those
+    Its children's keys are still their pair counts, and truthfully so:
+    its play reads nothing else of the history.  The walk first reaches those
     counts at the prefix ((A1,B2), (A2,B1)), after it has skipped the
     subtree of ((A1,B2), (A1,B1)), whose counts equal those of
     ((A1,B1), (A1,B2)).
@@ -779,9 +779,9 @@ NOSIG_SUBJECTS = {
     "collective-bob-reads-alice": (CollectiveBobReadsAlice, None),
 }
 
-#: The keyed subjects by what their state key (``_state_key``) groups
-#: prefixes on: the pair counts, or the depth alone.  Every other
-#: subject has no key and is walked in full.
+#: The keyed subjects by what the keys their states name for their
+#: children (``_child_keys``) group prefixes on: the pair counts, or the
+#: depth alone.  Every other subject has no keys and is walked in full.
 KEYED_BY = {
     "constant-plus": "depth",
     "guessing": "counts",
@@ -820,9 +820,9 @@ def keyed_walk_nodes(name, n):
 
 @contextlib.contextmanager
 def unkeyed(monkeypatch, strategy_type):
-    """Run the full walk: ``strategy_type`` keys no state, so no prefix is skipped."""
+    """Run the full walk: ``strategy_type`` keys no child, so no prefix is skipped."""
     with monkeypatch.context() as patch:
-        patch.setattr(strategy_type, "_state_key", lambda self: None)
+        patch.setattr(strategy_type, "_child_keys", lambda self: None)
         yield
 
 
@@ -833,9 +833,9 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
     # seed per call) or the callable itself.  A sequential subject's
     # walk plays each (prefix, pair) node at most once, giving the
     # outcomes a replay through that node gives.  Walked in full, with
-    # no state key, that is all (4^(n+1) - 4)/3 nodes for a passing
+    # no child keys, that is all (4^(n+1) - 4)/3 nodes for a passing
     # subject and no more rounds than the oracle's replays for a failing
-    # one.  With its key the walk gives the same report from the nodes
+    # one.  With its keys the walk gives the same report from the nodes
     # of keyed_walk_nodes for a passing subject, and from fewer nodes
     # than the full walk for a failing keyed one.  Collective and
     # callable subjects are counted by sequence, in the collective
@@ -1073,58 +1073,36 @@ def test_snapshot_continues_like_a_fresh_playout(name):
 @pytest.mark.parametrize("name", KEYED_BY)
 def test_equal_state_keys_play_every_continuation_alike(name):
     # The one assumption behind the walk's skips, checked by plain
-    # playouts: prefixes of one depth whose caught-up states share a key
+    # playouts: prefixes of one depth whose parents name them equal keys
     # give the same outcomes in every later round of every continuation.
-    # Each prefix is played through `playout` with a fresh Generator from
-    # the seed and caught up on the view of its completed rounds; each
+    # Each parent prefix of depth k - 1 is played through `playout` with
+    # a fresh Generator from the seed and caught up on the view of its
+    # completed rounds; it names the keys of its four children.  Each
     # whole sequence is played once more the same way.  Count keys group
-    # the prefixes of depth k into C(k+3, 3) classes, depth keys into one.
+    # the prefixes of depth k >= 1 into C(k+3, 3) classes, depth keys
+    # into one.
     factory, seed = NOSIG_SUBJECTS[name]
     n = 5
     runs = {
         sequence: wings(playout(factory(), [ALL_PAIRS[i] for i in sequence], fresh_rng(seed)))
         for sequence in itertools.product(range(4), repeat=n)
     }
-    for k in range(n):
+    for k in range(1, n):
         groups = defaultdict(list)
-        for prefix in itertools.product(range(4), repeat=k):
-            strategy = factory()
-            rounds = list(playout(strategy, [ALL_PAIRS[i] for i in prefix], fresh_rng(seed)).rounds)
-            strategy._catch_up(view_of(strategy, rounds))
-            key = strategy._state_key()
-            assert key is not None, prefix
-            groups[key].append(prefix)
+        for prefix in itertools.product(range(4), repeat=k - 1):
+            parent = factory()
+            rounds = list(playout(parent, [ALL_PAIRS[i] for i in prefix], fresh_rng(seed)).rounds)
+            parent._catch_up(view_of(parent, rounds))
+            child_keys = parent._child_keys()
+            assert child_keys is not None and len(child_keys) == 4, prefix
+            for pair, key in enumerate(child_keys):
+                assert key is not None, (prefix, pair)
+                groups[key].append(prefix + (pair,))
         assert len(groups) == (math.comb(k + 3, 3) if KEYED_BY[name] == "counts" else 1), f"k={k}"
         for prefixes in groups.values():
             for tail in itertools.product(range(4), repeat=n - k):
                 outcomes = {tuple(wing[k:] for wing in runs[prefix + tail]) for prefix in prefixes}
                 assert len(outcomes) == 1, (prefixes, tail)
-
-
-@pytest.mark.parametrize("name", KEYED_BY)
-def test_child_keys_are_the_keys_the_children_read(name):
-    # Each key a caught-up state announces for child q is the key that
-    # child reads after its own catch-up, on every prefix a walk of
-    # n <= 5 visits (depth <= 3, children at depth <= 4).  The child is
-    # made as the walk makes it: a snapshot of the caught-up state plays
-    # the next round on ALL_PAIRS[q].  Count-driven subjects announce
-    # keys; the rest announce none.
-    factory, seed = NOSIG_SUBJECTS[name]
-    for k in range(4):
-        for prefix in itertools.product(ALL_PAIRS, repeat=k):
-            state = factory()
-            rounds = list(playout(state, prefix, fresh_rng(seed)).rounds)
-            state._catch_up(view_of(state, rounds))
-            child_keys = state._child_keys()
-            assert (child_keys is not None) == isinstance(state, CountDriven), prefix
-            if child_keys is None:
-                continue
-            assert len(child_keys) == 4
-            for pair, announced in zip(ALL_PAIRS, child_keys):
-                child, history = state._snapshot(), list(rounds)
-                play_on(child, history, pair)
-                child._catch_up(view_of(child, history))
-                assert child._state_key() == announced, (prefix, pair)
 
 
 class NonOutcomeInRoundTwo(SequentialStrategy):

@@ -66,6 +66,18 @@ def test_sixteen_distinct_assignments():
     assert len(set(assignments)) == 16
 
 
+def test_hit_flags_are_the_oracle_scores():
+    # Each flag is the oracle's score of the pair's outcomes, and every
+    # assignment meets one or three of the four targets, never all four.
+    for assignment in all_assignments():
+        outcomes = (assignment.a1, assignment.a2, assignment.b1, assignment.b2)
+        for pair in ALL_PAIRS:
+            expected = oracles.score(pair.index, *oracles.assignment_outcomes(outcomes, pair.index))
+            assert assignment.hits[pair.index] == expected, (assignment, pair)
+        assert sum(assignment.hits) in (1, 3), assignment
+        assert repr(assignment) == "DeterministicAssignment(a1={}, a2={}, b1={}, b2={})".format(*outcomes)
+
+
 def test_assignment_validation():
     with pytest.raises(ValueError):
         DeterministicAssignment(1, 1, 0, 1)
