@@ -3,6 +3,10 @@
 Simulation, exact enumeration, and analytic bounds for the linear (Y_N)
 and ratio (X_N) CHSH statistics under hidden-variable response models
 with and without memory, plus the ideal quantum singlet sampler.
+
+The Monte Carlo exports (``EstimateReport``, ``SimulationPlan``,
+``estimate``, ``run_batch``) are resolved on first use, so importing the
+package does not load numpy.
 """
 
 from .core import (
@@ -41,6 +45,15 @@ from .enumerator import (
     no_signaling_check,
     playout,
 )
-from .montecarlo import EstimateReport, SimulationPlan, estimate, run_batch
 
 __version__ = "0.1.0"
+
+_MONTECARLO_EXPORTS = frozenset({"EstimateReport", "SimulationPlan", "estimate", "run_batch"})
+
+
+def __getattr__(name: str):
+    if name in _MONTECARLO_EXPORTS:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,13 +28,6 @@ from .enumerator import (
     exact_expectations,
     no_signaling_check,
 )
-from .montecarlo import (
-    BATCH_CSV_HEADER,
-    SimulationPlan,
-    batch_csv_rows,
-    compare_tails,
-    estimate,
-)
 from .strategies import (
     STRATEGY_NAMES,
     CollectiveStrategy,
@@ -136,6 +129,9 @@ def _resolve_factory(args):
 
 
 def _cmd_simulate(args) -> int:
+    # Imported here so that no other command loads the Monte Carlo layer and numpy.
+    from .montecarlo import BATCH_CSV_HEADER, SimulationPlan, batch_csv_rows, compare_tails, estimate
+
     factory = _resolve_factory(args)
     plan = SimulationPlan(
         factory=factory,

@@ -39,9 +39,7 @@ from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .core import (
     ALL_PAIRS,
@@ -67,6 +65,9 @@ from .strategies import (
     StochasticLHV,
     all_assignments,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ENUM_CAP = 10
 
@@ -373,6 +374,8 @@ def collective_scores(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_E
     whose pair indices, read as a base-4 number with round 1 the most
     significant digit, give i.  Refused like :func:`exact_expectations`.
     """
+    import numpy as np
+
     _check_enumerable(strategy, n, cap)
     table = np.empty((4 ** n, n), dtype=bool)
     for i, pairs in enumerate(itertools.product(ALL_PAIRS, repeat=n)):
@@ -394,6 +397,8 @@ class CollectiveResult:
 
 def exact_collective(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_ENUM_CAP) -> CollectiveResult:
     """Count the score patterns of :func:`collective_scores` over all 4^n sequences."""
+    import numpy as np
+
     patterns = collective_scores(strategy, n, cap) @ (1 << np.arange(n - 1, -1, -1))
     counts = np.bincount(patterns, minlength=2 ** n).tolist()
     return CollectiveResult(
@@ -692,7 +697,14 @@ def no_signaling_check(
         if subject.stochastic and seed is None:
             raise ValueError("stochastic strategies need a seed for the exact check")
         memory_class = _memory_class(subject)
-        rng = None if seed is None else np.random.default_rng(np.random.SeedSequence(seed))
+        rng = None
+        if seed is not None:
+            if seed < 0:
+                raise ValueError(f"seed: expected non-negative integer, got {seed}")
+            # Only a seeded check loads numpy; a deterministic one never does.
+            import numpy as np
+
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
         return _walk_prefixes(subject, memory_class, n, rng)
 
     play = _mask_function(subject, n)

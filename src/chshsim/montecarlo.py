@@ -24,6 +24,11 @@ A batch that needs at most ``_STEP_WORDS`` raw words has all of them
 stepped in numpy too, a word of every batch at a time; a longer stream
 is drawn natively by one reused PCG64 per chunk.  The draws are bit-identical to the per-batch
 generators, which the general engine still builds.
+
+This is the package's numpy layer, and the only module that imports
+numpy when it loads.  The CLI imports it for ``simulate`` alone, and
+the package resolves its exports on first use; elsewhere numpy is
+imported only where random numbers are drawn or arrays built.
 """
 
 from __future__ import annotations

@@ -57,8 +57,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, ClassVar, Sequence, TextIO
 
-import numpy as np
-
 from .core import (
     ALL_PAIRS,
     MINUS,
@@ -412,6 +410,8 @@ class QuantumSingletSampler(SequentialStrategy):
     def begin_playout(self, n, rng=None):
         if rng is None:
             raise ValueError("quantum sampler needs a randomness source")
+        import numpy as np
+
         bits = rng.integers(0, 2, size=n, dtype=np.uint8)
         agree = rng.random(n) < QUANTUM_SCORE_PROBABILITY
         self._a_tape = [PLUS if bit else MINUS for bit in bits]
@@ -454,7 +454,7 @@ class StochasticSequential(SequentialStrategy):
 
     def __init__(self, lhv: StochasticLHV):
         self.lhv = lhv
-        self._cumulative = np.cumsum([float(w) for w, _ in lhv.support])
+        self._cumulative = tuple(itertools.accumulate(float(w) for w, _ in lhv.support))
         self._assignments = tuple(a for _, a in lhv.support)
         self._tape: list[DeterministicAssignment] = []
         self._round = -1
@@ -462,6 +462,8 @@ class StochasticSequential(SequentialStrategy):
     def begin_playout(self, n, rng=None):
         if rng is None:
             raise ValueError("stochastic play needs a randomness source")
+        import numpy as np
+
         draws = rng.random(n)
         picks = np.minimum(
             np.searchsorted(self._cumulative, draws, side="right"),

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +368,73 @@ def test_nosig_signaling_double_exits_one(tmp_path, monkeypatch):
     payload = read_json(out)
     assert payload["passed"] is False
     assert payload["counterexample"]["before"] != payload["counterexample"]["after"]
+
+
+@pytest.mark.parametrize("strategy", ["stochastic-lhv", "quantum"])
+def test_nosig_negative_seed_is_input_error(strategy, tmp_path, capsys):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight,a1,a2,b1,b2\n1/2,+1,+1,+1,+1\n1/2,-1,-1,-1,-1\n")
+    lhv = ("--strategy-file", str(weights)) if strategy == "stochastic-lhv" else ()
+    assert run_cli("nosig", "--strategy", strategy, *lhv, "--n", "2", "--seed", "-1") == 2
+    assert capsys.readouterr().err == "error: seed: expected non-negative integer, got -1\n"
+
+
+def test_nosig_deterministic_subject_ignores_seed(capsys):
+    assert run_cli("nosig", "--strategy", "guessing", "--n", "2", "--seed", "-1") == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this package; fail on a nonzero exit."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+# Each run's commands go through main with stdout swallowed, then the
+# interpreter names which of numpy and the Monte Carlo layer it loaded.
+FRESH_RUN = """
+import contextlib, io, sys
+from chshsim.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in {runs!r}:
+        assert main(argv) == 0, argv
+loaded = sorted({{"numpy", "chshsim.montecarlo"}} & set(sys.modules))
+assert loaded == {expected!r}, loaded
+"""
+
+
+def test_exact_and_bound_commands_never_load_numpy():
+    runs = []
+    for strategy in ("guessing", "constant-plus", "model101"):
+        runs += [
+            ["enumerate", "--strategy", strategy, "--n", "4"],
+            ["enumerate", "--strategy", strategy, "--n", "4", "--distribution"],
+            ["nosig", "--strategy", strategy, "--n", "3"],
+        ]
+    runs += [
+        ["nosig", "--strategy", "collective-n2", "--n", "2"],
+        ["bounds", "--n", "1000", "--delta", "0.1", "--epsilon", "0.25"],
+        ["table", "--n", "1000", "--delta", "0.1"],
+    ]
+    run_fresh(FRESH_RUN.format(runs=runs, expected=[]))
+    # The guard above would pass vacuously if nothing could load numpy.
+    simulate = [["simulate", "--strategy", "guessing", "--n", "4", "--batches", "2"]]
+    run_fresh(FRESH_RUN.format(runs=simulate, expected=["chshsim.montecarlo", "numpy"]))
+
+
+def test_package_resolves_monte_carlo_exports_on_first_use():
+    import chshsim
+    from chshsim import EstimateReport, SimulationPlan, estimate, run_batch
+    from chshsim import montecarlo
+
+    assert EstimateReport is montecarlo.EstimateReport
+    assert SimulationPlan is montecarlo.SimulationPlan
+    assert estimate is montecarlo.estimate
+    assert run_batch is montecarlo.run_batch
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chshsim.no_such_name
+    run_fresh("import sys, chshsim; assert 'chshsim.montecarlo' not in sys.modules")
 
 
 def assert_same_outputs_as_a_fresh_parser(argv, tmp_path):
