@@ -28,7 +28,10 @@ prefix per (depth, key its parent names), so a count-driven strategy is
 checked over its count vectors; a collective strategy or a callable by
 a scan over all 4^n runs.  Everything returns exact
 rationals; Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
-enumeration cap.
+enumeration cap.  A seeded check draws a stochastic subject's tape from
+:class:`~chshsim.stream.Stream`, numpy's seeded draws in plain Python,
+so only the collective score tables (:func:`collective_scores`) load
+numpy here.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ from .strategies import (
     StochasticLHV,
     all_assignments,
 )
+from .stream import Stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -684,8 +688,9 @@ def no_signaling_check(
     once.  So a passing count-driven subject plays one node per (depth,
     count vector), 4·C(n+3, 4) rounds, and a subject without keys all
     (4^(n+1) - 4)/3.  A stochastic subject draws its tape once per
-    check, from one generator built from the seed, so toggles compare
-    like with like.
+    check, from one :class:`~chshsim.stream.Stream` of the seed, so
+    toggles compare like with like; it draws what
+    ``default_rng(SeedSequence(seed))`` would, without loading numpy.
 
     Collective and callable subjects answer whole runs, so they are
     scanned over a table of all 4^n sequences.  Every toggled sequence
@@ -701,10 +706,7 @@ def no_signaling_check(
         if seed is not None:
             if seed < 0:
                 raise ValueError(f"seed: expected non-negative integer, got {seed}")
-            # Only a seeded check loads numpy; a deterministic one never does.
-            import numpy as np
-
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            rng = Stream(seed)
         return _walk_prefixes(subject, memory_class, n, rng)
 
     play = _mask_function(subject, n)

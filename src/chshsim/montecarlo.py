@@ -18,24 +18,25 @@ the CLI catalogue a vectorized scoring kernel reproduces the general
 round-by-round engine exactly; the engine remains the fallback for
 every other strategy and the reference the tests hold the kernels to.
 The kernels seed a whole chunk of batches at once: they recompute each
-batch's PCG64 state in numpy, without building a ``SeedSequence`` or
+batch's PCG64 state in numpy, by SeedSequence's hashing from
+:mod:`chshsim.stream`, without building a ``SeedSequence`` or
 ``Generator`` per batch.
 A batch that needs at most ``_STEP_WORDS`` raw words has all of them
 stepped in numpy too, a word of every batch at a time; a longer stream
 is drawn natively by one reused PCG64 per chunk.  The draws are bit-identical to the per-batch
 generators, which the general engine still builds.
 
-This is the package's numpy layer, and the only module that imports
-numpy when it loads.  The CLI imports it for ``simulate`` alone, and
-the package resolves its exports on first use; elsewhere numpy is
-imported only where random numbers are drawn or arrays built.
+This is the package's numpy layer, the only module that imports numpy
+when it loads, and the only one that builds numpy's ``Generator``.  The
+CLI imports it for ``simulate`` alone, and the package resolves its
+exports on first use; elsewhere numpy is imported only where the
+collective tables are built as arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -46,6 +47,7 @@ from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, collective_scores, playout
 from .stats import pair_tallies, x_from_counts, x_ratio
+from .stream import _M32, _M64, _PCG_MULT, _generate_state, _mix_in, _seed_pool
 from .strategies import (
     MODEL_101_TRIGGER_ASSIGNMENT,
     MODEL_101_TRIGGER_COUNTS,
@@ -213,60 +215,9 @@ def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[str]:
 # spawn-key words differ between batches, and SeedSequence's sequence of
 # hash constants does not depend on the data, so the pool is mixed once
 # for the seed and then for all of a chunk's indices together in uint32
-# arithmetic.  The constants are numpy's (SeedSequence and PCG64).
+# arithmetic, by the hashing of :mod:`chshsim.stream`.
 
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
-def _hashmix(value, const: int, mult: int = _MULT_A):
-    """SeedSequence's hash of a uint32 word (int or uint32 array), and the next constant."""
-    value = value ^ const
-    const = const * mult & _M32
-    value = value * const & _M32
-    return value ^ value >> 16, const
-
-
-def _mix(x, y):
-    r = (_MIX_L * x - _MIX_R * y) & _M32
-    return r ^ r >> 16
-
-
-def _mix_in(pool: list, word, const: int):
-    """Mix one entropy word beyond the pool size into every pool word."""
-    out = []
-    for p in pool:
-        h, const = _hashmix(word, const)
-        out.append(_mix(p, h))
-    return out, const
-
-
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence(seed, spawn_key=(i,))'s pool before the spawn key is mixed in,
-    and the hash constant reached there; neither depends on i."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _M32]
-    while seed := seed >> 32:
-        words.append(seed & _M32)
-    words += [0] * (4 - len(words))  # a spawn key pads the entropy to the pool size
-    const = _INIT_A
-    pool = []
-    for word in words[:4]:
-        h, const = _hashmix(word, const)
-        pool.append(h)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], h)
-    for word in words[4:]:
-        pool, const = _mix_in(pool, word, const)
-    return pool, const
+_PCG_MULT_HI, _PCG_MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _M64
 
 
 def _mulhi64(a, b: int):
@@ -299,12 +250,7 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, 
     if wide.any():
         two_words, _ = _mix_in(mixed, wide.astype(np.uint32), const)
         mixed = [np.where(wide > 0, b, a) for a, b in zip(mixed, two_words)]
-    # generate_state(4, uint64): eight uint32 words, low word first in each uint64.
-    const = _INIT_B
-    words = []
-    for k in range(8):
-        h, const = _hashmix(mixed[k % 4], const, _MULT_B)
-        words.append(h.astype(np.uint64))
+    words = [w.astype(np.uint64) for w in _generate_state(mixed)]
     init_hi, init_lo, seq_hi, seq_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
     # PCG64's seeding: inc = 2 seq + 1, state = (inc + init) * MULT + inc.
     inc_hi = seq_hi << 1 | seq_lo >> 63
@@ -460,13 +406,12 @@ def _stochastic_tables(strategy, n: int | None = None):
     which do not depend on n.
 
     The general engine picks the first assignment whose float cumulative
-    weight c exceeds u; u >= c iff x >> 11 >= ceil(c 2^53), and c 2^53 is
-    exact.  The table is flattened for one index per round.
+    weight c, read from the strategy's own ``_cumulative``, exceeds u; the
+    cuts come from the same tuple.  u >= c iff x >> 11 >= ceil(c 2^53),
+    and c 2^53 is exact.  The table is flattened for one index per round.
     """
-    support = strategy.lhv.support
-    cumulative = np.cumsum([float(w) for w, _ in support])
-    cuts = np.array([math.ceil(c * 2 ** 53) for c in cumulative.tolist()], dtype=np.uint64)
-    table = np.array([assignment.hits for _, assignment in support], dtype=bool)
+    cuts = np.array([math.ceil(c * 2 ** 53) for c in strategy._cumulative], dtype=np.uint64)
+    table = np.array([assignment.hits for _, assignment in strategy.lhv.support], dtype=bool)
     return cuts, table.ravel()
 
 

@@ -47,6 +47,7 @@ them and skips the others before it descends into them.  The default,
 
 from __future__ import annotations
 
+import bisect
 import copy
 import csv
 import itertools
@@ -191,7 +192,12 @@ class SequentialStrategy(ABC):
 
         Hidden-variable draws happen in full before any setting of the
         playout is revealed, which is the defining causal constraint of
-        the model family.
+        the model family.  ``rng`` is duck-typed: a strategy may call only
+        ``rng.integers(0, k, size=n, dtype="uint8")`` for k in {2, 4} and
+        ``rng.random(n)``, and iterate what they return.  Numpy's
+        ``Generator`` supplies them, and so does
+        :class:`~chshsim.stream.Stream`, with the same draws from the
+        same seed.
         """
 
     def begin_round(self) -> None:
@@ -410,12 +416,9 @@ class QuantumSingletSampler(SequentialStrategy):
     def begin_playout(self, n, rng=None):
         if rng is None:
             raise ValueError("quantum sampler needs a randomness source")
-        import numpy as np
-
-        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-        agree = rng.random(n) < QUANTUM_SCORE_PROBABILITY
+        bits = rng.integers(0, 2, size=n, dtype="uint8")
         self._a_tape = [PLUS if bit else MINUS for bit in bits]
-        self._agree_tape = agree.tolist()
+        self._agree_tape = [u < QUANTUM_SCORE_PROBABILITY for u in rng.random(n)]
         self._round = -1
         self._alice_setting = None
 
@@ -462,14 +465,8 @@ class StochasticSequential(SequentialStrategy):
     def begin_playout(self, n, rng=None):
         if rng is None:
             raise ValueError("stochastic play needs a randomness source")
-        import numpy as np
-
-        draws = rng.random(n)
-        picks = np.minimum(
-            np.searchsorted(self._cumulative, draws, side="right"),
-            len(self._assignments) - 1,
-        )
-        self._tape = [self._assignments[i] for i in picks]
+        cumulative, last = self._cumulative, len(self._assignments) - 1
+        self._tape = [self._assignments[min(bisect.bisect_right(cumulative, u), last)] for u in rng.random(n)]
         self._round = -1
 
     def begin_round(self):

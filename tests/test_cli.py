@@ -391,35 +391,42 @@ def run_fresh(code):
     assert done.returncode == 0, done.stderr
 
 
-# Each run's commands go through main with stdout swallowed, then the
-# interpreter names which of numpy and the Monte Carlo layer it loaded.
+# Each run's commands go through main with stdout swallowed, each
+# exiting with its expected code, then the interpreter names which of
+# numpy and the Monte Carlo layer it loaded.
 FRESH_RUN = """
 import contextlib, io, sys
 from chshsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in {runs!r}:
-        assert main(argv) == 0, argv
+    for argv, code in {runs!r}:
+        assert main(argv) == code, argv
 loaded = sorted({{"numpy", "chshsim.montecarlo"}} & set(sys.modules))
 assert loaded == {expected!r}, loaded
 """
 
 
-def test_exact_and_bound_commands_never_load_numpy():
+def test_exact_and_bound_commands_never_load_numpy(tmp_path):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight,a1,a2,b1,b2\n1/3,+1,+1,+1,+1\n2/3,-1,+1,-1,+1\n")
     runs = []
     for strategy in ("guessing", "constant-plus", "model101"):
         runs += [
-            ["enumerate", "--strategy", strategy, "--n", "4"],
-            ["enumerate", "--strategy", strategy, "--n", "4", "--distribution"],
-            ["nosig", "--strategy", strategy, "--n", "3"],
+            (["enumerate", "--strategy", strategy, "--n", "4"], 0),
+            (["enumerate", "--strategy", strategy, "--n", "4", "--distribution"], 0),
+            (["nosig", "--strategy", strategy, "--n", "3"], 0),
         ]
     runs += [
-        ["nosig", "--strategy", "collective-n2", "--n", "2"],
-        ["bounds", "--n", "1000", "--delta", "0.1", "--epsilon", "0.25"],
-        ["table", "--n", "1000", "--delta", "0.1"],
+        (["nosig", "--strategy", "collective-n2", "--n", "2"], 0),
+        (["nosig", "--strategy", "stochastic-lhv", "--strategy-file", str(weights), "--n", "3", "--seed", "9"], 0),
+        # The quantum sampler signals by design, so its check exits 1.
+        (["nosig", "--strategy", "quantum", "--n", "3"], 1),
+        (["nosig", "--strategy", "quantum", "--n", "3", "--seed", str(2 ** 128 + 3)], 1),
+        (["bounds", "--n", "1000", "--delta", "0.1", "--epsilon", "0.25"], 0),
+        (["table", "--n", "1000", "--delta", "0.1"], 0),
     ]
     run_fresh(FRESH_RUN.format(runs=runs, expected=[]))
     # The guard above would pass vacuously if nothing could load numpy.
-    simulate = [["simulate", "--strategy", "guessing", "--n", "4", "--batches", "2"]]
+    simulate = [(["simulate", "--strategy", "guessing", "--n", "4", "--batches", "2"], 0)]
     run_fresh(FRESH_RUN.format(runs=simulate, expected=["chshsim.montecarlo", "numpy"]))
 
 

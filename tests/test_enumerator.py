@@ -547,19 +547,19 @@ def test_no_signaling_stochastic_with_fixed_tape():
     ids=["uniform-mixture", "quantum"],
 )
 def test_stochastic_tape_is_restored_not_rebuilt(subject, monkeypatch):
-    # The check builds one Generator and begins one playout; every round
-    # it plays must then give what a fresh Generator from the seed gives
-    # any whole sequence through that (prefix, pair) node.
+    # The check builds one Stream and begins one playout; every round it
+    # plays must then give what a fresh numpy Generator from the seed
+    # gives any whole sequence through that (prefix, pair) node.
     n, seed = 3, 7
     expected = oracles.no_signaling_by_toggling(
         lambda indices: wings(playout(subject, [ALL_PAIRS[i] for i in indices], fresh_rng(seed))), n
     )
     built = []
     begun = []
-    default_rng = np.random.default_rng
+    stream = enumerator.Stream
     begin_playout = type(subject).begin_playout
     with monkeypatch.context() as patch, walked_rounds(monkeypatch) as played:
-        patch.setattr(np.random, "default_rng", lambda *a: built.append(a) or default_rng(*a))
+        patch.setattr(enumerator, "Stream", lambda *a: built.append(a) or stream(*a))
         patch.setattr(
             type(subject), "begin_playout", lambda self, n, rng=None: begun.append(n) or begin_playout(self, n, rng)
         )
