@@ -21,10 +21,19 @@ The kernels seed a whole chunk of batches at once: they recompute each
 batch's PCG64 state in numpy, by SeedSequence's hashing from
 :mod:`chshsim.stream`, without building a ``SeedSequence`` or
 ``Generator`` per batch.
-A batch that needs at most ``_STEP_WORDS`` raw words has all of them
-stepped in numpy too, a word of every batch at a time; a longer stream
-is drawn natively by one reused PCG64 per chunk.  The draws are bit-identical to the per-batch
-generators, which the general engine still builds.
+
+A kernel chunk is worked a tile at a time: its batches over a range of
+rounds, drawn, scored and tallied before the next tile is drawn, so its
+working arrays are bounded by the tile, not by n.  The chunk's tally is
+the sum of its tiles'.  A batch that needs at most ``_STEP_WORDS`` raw
+words is stepped in numpy, a word of every batch at a time, in tiles of
+``_TILE_ROUNDS`` rounds; the stream states carry over from tile to tile,
+as does what a kernel keeps of the rounds before (the guessing keys,
+model101's counts of its first rounds).  A longer stream is drawn
+natively, whole batches in one tile, or, when one batch alone does not
+fit the budget, that batch alone in tiles that do.  The draws are
+bit-identical to the per-batch generators, which the general engine
+still builds.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads, and the only one that builds numpy's ``Generator``.  The
@@ -47,7 +56,7 @@ from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, collective_scores, playout
 from .stats import pair_tallies, x_from_counts, x_ratio
-from .stream import _M32, _M64, _PCG_MULT, _generate_state, _mix_in, _seed_pool
+from .stream import _M32, _M64, _M128, _PCG_MULT, _generate_state, _mix_in, _seed_pool
 from .strategies import (
     MODEL_101_TRIGGER_ASSIGNMENT,
     MODEL_101_TRIGGER_COUNTS,
@@ -282,112 +291,239 @@ _STEP_WORDS = 128
 _RAW_PIECE = 1 << 16
 
 
-def _raw_block(seed: int, lo: int, hi: int, m: int) -> np.ndarray:
-    """The first m raw uint64 words of batches lo..hi-1, one row per batch."""
-    s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed, lo, hi)
-    block = np.empty((hi - lo, m), dtype=np.uint64)
-    if m <= _STEP_WORDS:
-        # Numpy steps the state, then outputs it by XSL-RR: the xor of its
-        # halves rotated right by its top six bits.
-        for col in range(m):
+def _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, k: int):
+    """The states k PCG64 steps on, in closed form: k steps map s to
+    MULT^k s + (MULT^(k-1) + ... + MULT + 1) inc, whose two constants
+    are built by squaring, in log k Python-int steps."""
+    if not k:
+        return s_hi, s_lo
+    mult, plus = 1, 0
+    step_mult, step_plus = _PCG_MULT, 1
+    while k:
+        if k & 1:
+            mult, plus = mult * step_mult & _M128, (plus * step_mult + step_plus) & _M128
+        step_mult, step_plus = step_mult * step_mult & _M128, (step_mult + 1) * step_plus & _M128
+        k >>= 1
+    a_hi, a_lo = _mul128(s_hi, s_lo, mult)
+    b_hi, b_lo = _mul128(inc_hi, inc_lo, plus)
+    a_lo += b_lo
+    return a_hi + b_hi + (a_lo < b_lo), a_lo
+
+
+def _mul128(hi, lo, c: int):
+    """(hi, lo) * c mod 2^128, on uint64 halves and a Python int c."""
+    c_hi, c_lo = c >> 64, c & _M64
+    return _mulhi64(lo, c_lo) + lo * c_hi + hi * c_lo, lo * c_lo
+
+
+class _Stepped:
+    """Every batch's stream from its current word on, stepped in numpy a
+    word of every batch at a time: each step moves the state on, then
+    outputs it by XSL-RR, the xor of its halves rotated right by its top
+    six bits."""
+
+    def __init__(self, s_hi, s_lo, inc_hi, inc_lo):
+        self.s_hi, self.s_lo, self.inc_hi, self.inc_lo = s_hi, s_lo, inc_hi, inc_lo
+
+    def __call__(self, count: int) -> np.ndarray:
+        """The next ``count`` raw words of every batch, one row per batch."""
+        s_hi, s_lo, inc_hi, inc_lo = self.s_hi, self.s_lo, self.inc_hi, self.inc_lo
+        block = np.empty((len(s_hi), count), dtype=np.uint64)
+        for col in range(count):
             s_hi, s_lo = _pcg64_step(s_hi, s_lo, inc_hi, inc_lo)
             x = s_hi ^ s_lo
             rot = s_hi >> 58
             block[:, col] = x >> rot | x << (-rot & 63)
+        self.s_hi, self.s_lo = s_hi, s_lo
         return block
-    bitgen = np.random.PCG64(0)
-    state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    halves = zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    for row, (sh, sl, ih, il) in enumerate(halves):
-        state["state"] = {"state": sh << 64 | sl, "inc": ih << 64 | il}
-        bitgen.state = state
-        # The stream continues across calls; pieces bound the copy's temporary.
-        for a in range(0, m, _RAW_PIECE):
-            block[row, a : a + _RAW_PIECE] = bitgen.random_raw(min(_RAW_PIECE, m - a))
-    return block
+
+    def ahead(self, k: int) -> _Stepped:
+        """A second reader of the streams, k words further on, set there by
+        :func:`_pcg64_jump`."""
+        return _Stepped(*_pcg64_jump(self.s_hi, self.s_lo, self.inc_hi, self.inc_lo, k), self.inc_hi, self.inc_lo)
 
 
-def _chunk_draws(seed: int, lo: int, hi: int, n: int, coins: bool = False, uniforms: bool = False):
-    """Setting pairs and uniforms of batches lo..hi-1, one row per batch.
+def _set_state(bitgen: np.random.PCG64, state: int, inc: int) -> np.random.PCG64:
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+    return bitgen
 
-    Equal to what ``default_rng(batch_seed_sequence(seed, i))`` gives
-    batch i: ``integers(0, 4, n, uint8)``, then (if ``coins``) an
-    ``integers(0, 2, n, uint8)`` tape, which is skipped, then (if
-    ``uniforms``) ``random(n)``; the uniforms are None otherwise.
-    A batch's raw words are stepped in numpy for the whole chunk at once
-    up to ``_STEP_WORDS`` words, and drawn by a native PCG64 beyond.
-    A uniform comes as the uint64 word ``x >> 11`` whose ``random()`` is
-    ``(x >> 11) * 2**-53``, so kernels compare it with integer cut points
-    and no float copy of the tape is made.
+
+class _Native:
+    """One batch's stream from its current word on, drawn by its own native PCG64."""
+
+    def __init__(self, state: int, inc: int):
+        self.bitgen = _set_state(np.random.PCG64(0), state, inc)
+
+    def __call__(self, count: int) -> np.ndarray:
+        """The next ``count`` raw words, as a row."""
+        return self.bitgen.random_raw(count)[None]
+
+    def ahead(self, k: int) -> _Native:
+        """A second reader of the stream, k words further on, moved there by ``advance``."""
+        state = self.bitgen.state["state"]
+        reader = _Native(state["state"], state["inc"])
+        reader.bitgen.advance(k)
+        return reader
+
+
+def _pairs(words: np.ndarray, count: int) -> np.ndarray:
+    """The pairs of the first ``count`` rounds whose bytes the words hold.
+
     Numpy's buffered Lemire method never rejects for ranges 4 and 2, so
     a pair is the top two bits of one byte of a uint32 word, low byte
     first.  The words are viewed as bytes in a little-endian copy, which
     puts the bytes in that order whatever the host's byte order.
     """
-    start, m = _raw_words(n, coins, uniforms)
-    block = _raw_block(seed, lo, hi, m)
+    return (np.ascontiguousarray(words, dtype="<u8").view(np.uint8) >> 6)[:, :count]
 
-    words = block[:, : -(-n // 8)]  # the words holding the n pair bytes
-    pairs = (np.ascontiguousarray(words, dtype="<u8").view(np.uint8) >> 6)[:, :n]
-    if not uniforms:
-        return pairs, None
-    tape = block[:, start:]
-    tape >>= 11
-    return pairs, tape
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The words as the integers ``x >> 11`` whose ``random()`` is
+    ``(x >> 11) * 2**-53``, shifted in place."""
+    words >>= 11
+    return words
+
+
+def _native_draws(s_hi, s_lo, inc_hi, inc_lo, n: int, coins: bool, uniforms: bool):
+    """Pairs and uniforms of whole batches, drawn by one native PCG64 that
+    is set to each batch's state in turn and skips the coin tape."""
+    start, _ = _raw_words(n, coins, uniforms)
+    pair_words = np.empty((len(s_hi), -(-n // 8)), dtype=np.uint64)
+    tape = np.empty((len(s_hi), n if uniforms else 0), dtype=np.uint64)
+    bitgen = np.random.PCG64(0)
+    halves = zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    for row, (sh, sl, ih, il) in enumerate(halves):
+        _set_state(bitgen, sh << 64 | sl, ih << 64 | il)
+        _fill(bitgen, pair_words[row])
+        if coins:
+            bitgen.advance(start - pair_words.shape[1])
+        _fill(bitgen, tape[row])
+    return _pairs(pair_words, n), _uniforms(tape) if uniforms else None
+
+
+def _fill(bitgen, words: np.ndarray) -> None:
+    """The stream's next raw words, in pieces that bound the copy's temporary."""
+    for a in range(0, len(words), _RAW_PIECE):
+        words[a : a + _RAW_PIECE] = bitgen.random_raw(min(_RAW_PIECE, len(words) - a))
+
+
+def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = False, uniforms: bool = False):
+    """Setting pairs and uniforms of batches lo..hi-1, one row per batch,
+    a tile of ``rounds`` rounds at a time: yields (r0, pairs, uniforms)
+    for rounds r0, r0 + 1, ... of each batch.  ``rounds`` is a multiple
+    of 8, so that a tile's pair bytes start a word, unless it covers n.
+
+    Equal to what ``default_rng(batch_seed_sequence(seed, i))`` gives
+    batch i: ``integers(0, 4, n, uint8)``, then (if ``coins``) an
+    ``integers(0, 2, n, uint8)`` tape, which is skipped, then (if
+    ``uniforms``) ``random(n)``; the uniforms are None otherwise.
+    A uniform comes as the uint64 word ``x >> 11``, so kernels compare it
+    with integer cut points and no float copy of the tape is made.
+
+    A batch that draws at most ``_STEP_WORDS`` words is stepped in numpy
+    for the whole chunk at once; a longer stream is drawn natively, whole
+    batches in one tile, or one batch in tiles.  Tiles are read by two
+    readers of each stream, whose states carry over from tile to tile: one
+    through the pair words, and one through the uniforms, started past the
+    coin tape at word ``start`` from where the first tile's pair words end
+    (by :func:`_pcg64_jump` in numpy, by ``advance`` natively).
+    """
+    start, m = _raw_words(n, coins, uniforms)
+    s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed, lo, hi)
+    if m > _STEP_WORDS and rounds >= n:
+        yield 0, *_native_draws(s_hi, s_lo, inc_hi, inc_lo, n, coins, uniforms)
+        return
+    if m <= _STEP_WORDS:
+        pair_words = _Stepped(s_hi, s_lo, inc_hi, inc_lo)
+    elif hi - lo == 1:
+        pair_words = _Native(int(s_hi[0]) << 64 | int(s_lo[0]), int(inc_hi[0]) << 64 | int(inc_lo[0]))
+    else:
+        raise ValueError("a native stream is read in tiles one batch at a time")
+    del s_hi, s_lo
+    tape_words = None
+    for r0 in range(0, n, rounds):
+        r1 = min(r0 + rounds, n)
+        end = -(-r1 // 8)  # the word after this tile's pair bytes
+        pairs = _pairs(pair_words(end - r0 // 8), r1 - r0)
+        if uniforms and tape_words is None:
+            tape_words = pair_words.ahead(start - end)
+        # No name here holds the uniforms while the caller works on them.
+        yield r0, pairs, _uniforms(tape_words(r1 - r0)) if uniforms else None
+        del pairs  # freed before the next tile is drawn
 
 
 # --- vectorized scoring kernels -------------------------------------------
 #
-# A kernel maps a (batches, n) matrix of pair indices, and the uniforms
-# its strategy draws (as 53-bit integers), to a boolean matrix of round
-# scores.  It receives the strategy, or what its ``prepare`` built from
-# the strategy and n once per plan.  Kernels are registered per concrete
-# strategy type and must reproduce the general engine bit for bit; the
-# test suite asserts this equivalence.
+# A kernel maps a (batches, rounds) matrix of pair indices, and the
+# uniforms its strategy draws (as 53-bit integers), to a boolean matrix
+# of round scores.  It receives the strategy, or what its ``prepare``
+# built from the strategy and n once per plan, then the tile's first
+# round r0 and a dict ``carry`` that it keeps from one tile of a chunk to
+# the next; ``carry`` is None when the tile holds the batches' whole runs.
+# Kernels are registered per concrete strategy type and must reproduce
+# the general engine bit for bit; the test suite asserts this equivalence.
 
 
-def _kernel_constant(strategy, pairs, uniforms):
+def _kernel_constant(strategy, pairs, uniforms, r0=0, carry=None):
     return pairs != 3
 
 
-def _kernel_guessing(strategy, pairs, uniforms):
+def _kernel_guessing(strategy, pairs, uniforms, r0=0, carry=None):
     # A round scores unless its pair is the most measured so far, the
     # first of tied pairs winning.  Pair j of a batch keeps the key
     # 4 count_j + 3 - j: a batch's keys differ mod 4, so its largest key
     # is the canonical target, and a running maximum of the keys tracks
     # it without an argmax per round.  Pairs and scores are walked
-    # round-major, one contiguous column per round.
-    n_batches, n = pairs.shape
+    # round-major, one contiguous column per round.  The keys and the top
+    # key carry over to the next tile.
+    n_batches, width = pairs.shape
+    if r0 == 0:
+        keys = np.tile(np.arange(3, -1, -1, dtype=np.int64), n_batches)
+        top = np.full(n_batches, 3, dtype=np.int64)
+        if carry is not None:
+            carry.update(keys=keys, top=top)
+    else:
+        keys, top = carry["keys"], carry["top"]
     order = np.ascontiguousarray(pairs.T)
-    keys = np.tile(np.arange(3, -1, -1, dtype=np.int64), n_batches)
-    top = np.full(n_batches, 3, dtype=np.int64)
     offsets = np.arange(0, 4 * n_batches, 4)
     idx = np.empty(n_batches, dtype=np.intp)
     key = np.empty(n_batches, dtype=np.int64)
-    scores = np.empty((n, n_batches), dtype=bool)
-    for k in range(n):
+    scores = np.empty((width, n_batches), dtype=bool)
+    for k in range(width):
         np.add(offsets, order[k], out=idx)
         np.take(keys, idx, out=key)
         np.not_equal(key, top, out=scores[k])
         key += 4
         keys[idx] = key
         np.maximum(top, key, out=top)
-    # Round 1 plays the constant assignment, which fails only (A2,B2).
-    np.not_equal(order[0], 3, out=scores[0])
-    del order
-    return np.ascontiguousarray(scores.T)
+    if r0 == 0:
+        # Round 1 plays the constant assignment, which fails only (A2,B2).
+        np.not_equal(order[0], 3, out=scores[0])
+    return scores.T
 
 
-def _kernel_model101(strategy, pairs, uniforms):
+#: The round after the pair counts that trigger model101, counted from 0.
+_MODEL_101_ROUND = sum(MODEL_101_TRIGGER_COUNTS)
+
+
+def _kernel_model101(strategy, pairs, uniforms, r0=0, carry=None):
+    # The trigger reads the pair counts of the first _MODEL_101_ROUND
+    # rounds; a tile that ends before that round adds its counts to those
+    # carried over, and the tile holding it plays the rule.
     scores = pairs != 3
-    k = sum(MODEL_101_TRIGGER_COUNTS)  # the trigger round, counted from 0
-    if pairs.shape[1] > k:
-        head = pairs[:, :k]
-        triggered = np.logical_and.reduce(
-            [(head == j).sum(axis=1) == count for j, count in enumerate(MODEL_101_TRIGGER_COUNTS)]
-        )
-        if triggered.any():
-            scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
+    k = _MODEL_101_ROUND - r0  # the trigger round in this tile
+    if k < 0 or (k >= pairs.shape[1] and carry is None):
+        return scores
+    head = pairs[:, :k]
+    counts = [(head == j).sum(axis=1) for j in range(4)]
+    if r0:
+        counts = [c + carried for c, carried in zip(counts, carry["head"])]
+    if k >= pairs.shape[1]:
+        carry["head"] = counts
+        return scores
+    triggered = np.logical_and.reduce([c == count for c, count in zip(counts, MODEL_101_TRIGGER_COUNTS)])
+    if triggered.any():
+        scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
     return scores
 
 
@@ -396,7 +532,7 @@ def _kernel_model101(strategy, pairs, uniforms):
 _QUANTUM_CUT = int(QUANTUM_SCORE_PROBABILITY * 2 ** 53)
 
 
-def _kernel_quantum(strategy, pairs, uniforms):
+def _kernel_quantum(strategy, pairs, uniforms, r0=0, carry=None):
     # Alice's coin tape comes before the uniforms; scores don't use it.
     return uniforms < _QUANTUM_CUT
 
@@ -415,7 +551,7 @@ def _stochastic_tables(strategy, n: int | None = None):
     return cuts, table.ravel()
 
 
-def _kernel_stochastic(tables, pairs, uniforms):
+def _kernel_stochastic(tables, pairs, uniforms, r0=0, carry=None):
     cuts, table = tables
     picks = np.searchsorted(cuts, uniforms, side="right")
     np.minimum(picks, len(cuts) - 1, out=picks)
@@ -424,7 +560,7 @@ def _kernel_stochastic(tables, pairs, uniforms):
     return table[picks]
 
 
-def _kernel_collective(table, pairs, uniforms):
+def _kernel_collective(table, pairs, uniforms, r0=0, carry=None):
     # A batch's row of the table is its pairs read as a base-4 number.
     return table[pairs @ 4 ** np.arange(pairs.shape[1] - 1, -1, -1)]
 
@@ -433,97 +569,131 @@ class _Kernel(NamedTuple):
     score: Callable
     coins: bool = False  # the strategy draws an n-coin tape after the pairs
     uniforms: bool = False  # ... and then n uniforms, which it scores with
-    round_bytes: int = 0  # bytes per round the score takes beyond its result
-    batch_bytes: int = 0  # ... and per batch
+    round_bytes: int = 3  # bytes per round alive at once while a tile is drawn, scored and tallied
+    batch_bytes: int = 0  # ... and per batch, kept by the score from tile to tile or for a tile
     prepare: Callable | None = None  # (strategy, n) -> what ``score`` receives instead
 
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing, round_bytes=1, batch_bytes=64),
-    Model101: _Kernel(_kernel_model101),
-    QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True),
-    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=16, prepare=_stochastic_tables),
-    CollectiveN2: _Kernel(_kernel_collective, round_bytes=8, batch_bytes=8, prepare=collective_scores),
+    GuessingModel: _Kernel(_kernel_guessing, batch_bytes=64),
+    Model101: _Kernel(_kernel_model101, batch_bytes=32),
+    QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
+    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
+    CollectiveN2: _Kernel(_kernel_collective, round_bytes=10, batch_bytes=8, prepare=collective_scores),
 }
 
 #: Bytes of working arrays one chunk may take; it holds at least one
-#: batch whatever n is.
-_CHUNK_BYTES = 16 << 20
+#: batch whatever n is, and one batch too long for it is drawn, scored
+#: and tallied a tile of rounds at a time.
+_CHUNK_BYTES = 8 << 20
+
+#: Rounds per tile of a chunk whose streams are stepped in numpy: a
+#: multiple of 8, and more than the 10 rounds that ``collective_scores``
+#: admits, so the collective kernel, which reads whole runs, gets them.
+_TILE_ROUNDS = 128
 
 #: A batch's bytes in its chunk's tally and in the aggregation's
 #: per-batch arrays, which a general-engine chunk holds alone.  The CSV
 #: sink's arrays span one slice of ``_CSV_SLICE_ROWS`` rows, not the chunk.
 _TALLY_ROW_BYTES = 256
 
-#: What a kernel chunk's PCG64 seeding takes per batch beyond the tally's
-#: share.  Seeding ends before the tally exists and peaks, under
-#: tracemalloc, at about 250 B per batch of numpy words.  Beyond the raw
-#: words, stepping the states in numpy then takes about 120 B per batch,
-#: and handing them to a native PCG64 as 128-bit Python ints about 210 B.
+#: The peak of a kernel chunk's PCG64 seeding per batch, about 250 B of
+#: numpy words under tracemalloc.  It ends before the first tile is drawn.
 _SEED_ROW_BYTES = 256
 
+#: What a kernel chunk's tiles keep per batch beside the score's arrays:
+#: the stream states and increments, (hi, lo) uint64 halves of each.
+_STATE_ROW_BYTES = 48
 
-def _row_bytes(n: int, kernel: _Kernel) -> int:
-    """One batch's share of a kernel chunk: the per-batch arrays, and per
-    round its raw words, its pair bytes with a contiguous copy of the
-    words holding them, its scores, the tally's bool plane (padded like
-    the pair bytes to whole words), its three packed bit planes of n/8 B
-    each, and what the score takes besides.  The planes the tally counts
-    from the packed ones are formed after the pairs and scores are freed.
 
-    The guessing kernel takes 1 B per round for its round-major pair
-    copy, which is freed before its round-major scores are copied into
-    the result, and 64 B per batch for its int64 buffers: four pair keys,
-    the top key, the round's key and index, and the row offsets.  The
-    collective kernel takes 8 B per round for an int64 copy of the pairs
-    and 8 B per batch for the sequence index.
+def _row_bytes(rounds: int, kernel: _Kernel) -> int:
+    """One batch's share of a kernel chunk whose tiles hold ``rounds``
+    rounds: what is alive at once at the chunk's peak, which is either
+    the seeding or a tile.  A tile's arrays are counted per round, padded
+    like the pair bytes to whole words.
+
+    The tally's peak is the pair bytes, the scores, and the bool plane
+    they are copied into, 3 B a round; its packed bit planes come after
+    the scores are freed.  That is the constant and model101 kernels'
+    peak, and the guessing kernel's, which holds a round-major pair copy
+    beside the pairs and its scores while it loops.  The quantum kernel
+    holds its uniforms (8 B a round), the pair words (1 B) and the pairs
+    while it draws, or the uniforms, pairs and scores while it scores;
+    the mixture its uniforms, its int64 assignment picks, the pairs and
+    the scores; the collective kernel an int64 copy of the pairs beside
+    the pairs and its scores.  Per batch, the guessing kernel keeps four
+    int64 pair keys and the top key, and takes the round's key and index
+    and the row offsets per tile; model101 keeps the four pair counts of
+    its first rounds, and the collective kernel takes a sequence index.
     """
-    _, m = _raw_words(n, kernel.coins, kernel.uniforms)
-    plane_bytes = -(-n // 8)
-    pair_bytes = 8 * plane_bytes
-    per_batch = _SEED_ROW_BYTES + _TALLY_ROW_BYTES + kernel.batch_bytes
-    return per_batch + 8 * m + 3 * pair_bytes + (1 + kernel.round_bytes) * n + 3 * plane_bytes
+    tile = _STATE_ROW_BYTES + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
+    return _TALLY_ROW_BYTES + max(_SEED_ROW_BYTES, tile)
+
+
+def _chunk_shape(n: int, kernel: _Kernel) -> tuple[int, int]:
+    """Batches per chunk and rounds per tile, so that a chunk's working
+    arrays fit ``_CHUNK_BYTES``.
+
+    Streams stepped in numpy carry over between tiles at no cost, so
+    their tiles hold ``_TILE_ROUNDS`` rounds, and their chunks as many
+    batches as fit at that length.  Native streams would be set again
+    for each tile, so their tiles hold whole batches, unless one batch
+    alone does not fit: then it runs alone, in the longest tiles that do.
+    """
+    if _raw_words(n, kernel.coins, kernel.uniforms)[1] <= _STEP_WORDS:
+        rounds = min(n, _TILE_ROUNDS)
+        return max(1, _CHUNK_BYTES // _row_bytes(rounds, kernel)), rounds
+    rows = _CHUNK_BYTES // _row_bytes(n, kernel)
+    if rows:
+        return rows, n
+    spare = _CHUNK_BYTES - _row_bytes(0, kernel)
+    return 1, max(8, spare // (8 * kernel.round_bytes) * 8)
 
 
 def _find_kernel(strategy):
     return _KERNELS.get(type(strategy))
 
 
-def _popcount_rows(plane: np.ndarray) -> np.ndarray:
-    """The set bits of each row of a packed bit plane."""
-    return np.bitwise_count(plane).sum(axis=1, dtype=np.int64)
+def _add_popcounts(total: np.ndarray, plane: np.ndarray) -> None:
+    """Adds the set bits of each row of a packed bit plane to ``total``, in place."""
+    total += np.bitwise_count(plane).sum(axis=1, dtype=np.int64)
 
 
-def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int) -> Tally:
-    pairs, uniforms = _chunk_draws(seed, lo, hi, n, kernel.coins, kernel.uniforms)
-    scores = kernel.score(scorer, pairs, uniforms)
-    del uniforms  # the tally needs only pairs and scores
-    # Bit planes, eight rounds a byte: a pair's high and low bit, and the
-    # score.  Each is packed from one bool plane whose rows are padded with
-    # zeros to whole bytes; every plane counted below has a zero high or
-    # low bit or score there, so pair 0, whose bits are both zero, is what
-    # the other pairs leave.  The padded plane is packed whole, not along
-    # its rows: packbits loops over rows, which dominates at small n.
-    width = -(-n // 8)  # bytes of a packed row
-    padded = np.zeros((hi - lo, 8 * width), dtype=bool)
-    bits = padded[:, :n]
-    bits[...] = scores
-    del scores
-    scored = np.packbits(padded).reshape(hi - lo, width)
-    np.greater_equal(pairs, 2, out=bits)
-    high = np.packbits(padded).reshape(hi - lo, width)
-    np.bitwise_and(pairs, 1, out=bits, casting="unsafe")
-    low = np.packbits(padded).reshape(hi - lo, width)
-    del pairs, padded, bits
-    score_counts = np.empty((hi - lo, 4), dtype=np.int64)
-    pair_counts = np.empty((hi - lo, 4), dtype=np.int64)
-    for p, plane in enumerate((~high & low, high & ~low, high & low), start=1):
-        pair_counts[:, p] = _popcount_rows(plane)
-        plane &= scored
-        score_counts[:, p] = _popcount_rows(plane)
+def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, rounds: int) -> Tally:
+    """The tally of batches lo..hi-1, summed over tiles of ``rounds`` rounds."""
+    carry = None if rounds >= n else {}
+    for r0, pairs, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
+        if r0 == 0:  # once the seeding's peak is over
+            score_counts, pair_counts = np.zeros((2, hi - lo, 4), dtype=np.int64)
+        scores = kernel.score(scorer, pairs, uniforms, r0, carry)
+        del uniforms  # the tally needs only pairs and scores
+        # Bit planes, eight rounds a byte: a pair's high and low bit, and
+        # the score.  Each is packed from one bool plane whose rows are
+        # padded with zeros to whole bytes; every plane counted below has
+        # a zero high or low bit or score there, so pair 0, whose bits are
+        # both zero, is what the other pairs leave.  The padded plane is
+        # packed whole, not along its rows: packbits loops over rows,
+        # which dominates at small n.
+        width = -(-pairs.shape[1] // 8)  # bytes of a packed row
+        padded = np.zeros((hi - lo, 8 * width), dtype=bool)
+        bits = padded[:, : pairs.shape[1]]
+        bits[...] = scores
+        del scores
+        scored = np.packbits(padded).reshape(hi - lo, width)
+        np.greater_equal(pairs, 2, out=bits)
+        high = np.packbits(padded).reshape(hi - lo, width)
+        np.bitwise_and(pairs, 1, out=bits, casting="unsafe")
+        low = np.packbits(padded).reshape(hi - lo, width)
+        del pairs, padded, bits
+        for p, plane in enumerate((~high & low, high & ~low, high & low), start=1):
+            _add_popcounts(pair_counts[:, p], plane)
+            plane &= scored
+            _add_popcounts(score_counts[:, p], plane)
+        _add_popcounts(score_counts[:, 0], scored)  # all scores, until the other pairs' are taken off
+        del scored, high, low, plane
     pair_counts[:, 0] = n - pair_counts[:, 1:].sum(axis=1)
-    score_counts[:, 0] = _popcount_rows(scored) - score_counts[:, 1:].sum(axis=1)
+    score_counts[:, 0] -= score_counts[:, 1:].sum(axis=1)
     return Tally(lo, score_counts, pair_counts)
 
 
@@ -548,9 +718,9 @@ def _iter_tallies(plan: SimulationPlan, force_general: bool = False) -> Iterator
         return
 
     scorer = strategy if kernel.prepare is None else kernel.prepare(strategy, n)
-    rows = max(1, _CHUNK_BYTES // _row_bytes(n, kernel))
+    rows, rounds = _chunk_shape(n, kernel)
     for lo in range(0, batches, rows):
-        yield _kernel_tally(kernel, scorer, n, seed, lo, min(lo + rows, batches))
+        yield _kernel_tally(kernel, scorer, n, seed, lo, min(lo + rows, batches), rounds)
 
 
 def iter_batch_counts(plan: SimulationPlan, force_general: bool = False) -> Iterable[BatchCounts]:

@@ -31,12 +31,13 @@ from chshsim.montecarlo import (
     wilson_interval,
 )
 from chshsim.montecarlo import (
-    _chunk_draws,
+    _chunk_shape,
     _find_kernel,
     _kernel_guessing,
     _kernel_model101,
     _row_bytes,
     _se_y,
+    _tile_draws,
 )
 from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
@@ -111,6 +112,15 @@ def test_kernel_matches_general_engine(name):
     assert fast == slow
 
 
+def chunk_draws(seed, lo, hi, n, coins=False, uniforms=False, rounds=None):
+    """Pairs and uniforms of batches lo..hi-1, their tiles of ``rounds``
+    rounds (whole batches by default) joined along the rounds."""
+    tiles = list(_tile_draws(seed, lo, hi, n, rounds or n, coins, uniforms))
+    assert [r0 for r0, _, _ in tiles] == list(range(0, n, rounds or n))
+    pairs = np.concatenate([pairs for _, pairs, _ in tiles], axis=1)
+    return pairs, np.concatenate([tape for _, _, tape in tiles], axis=1) if uniforms else None
+
+
 def numpy_batch_draws(seed, index, n, coins):
     """Batch ``index``'s pairs, coin tape (if ``coins``) and uniforms, from numpy's own Generator."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
@@ -134,19 +144,19 @@ SEEDS = hs.one_of(hs.integers(0, 2 ** 128 - 1), hs.integers(2 ** 128, 2 ** 200 -
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=SEEDS, n=hs.integers(1, 70), window=INDEX_WINDOWS)
-def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window):
+@given(seed=SEEDS, n=hs.integers(1, 70), window=INDEX_WINDOWS, rounds=hs.sampled_from((None, 8, 16, 24, 64)))
+def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window, rounds):
     base, offset, width = window
     lo = base + offset
     hi = lo + width
-    pairs, none = _chunk_draws(seed, lo, hi, n)
-    quantum_pairs, after_coins = _chunk_draws(seed, lo, hi, n, coins=True, uniforms=True)
-    stochastic_pairs, after_pairs = _chunk_draws(seed, lo, hi, n, uniforms=True)
+    pairs, none = chunk_draws(seed, lo, hi, n, rounds=rounds)
+    quantum_pairs, after_coins = chunk_draws(seed, lo, hi, n, coins=True, uniforms=True, rounds=rounds)
+    stochastic_pairs, after_pairs = chunk_draws(seed, lo, hi, n, uniforms=True, rounds=rounds)
     # The coin tape is skipped, not returned.  Its bytes are the ceil(n/4)
     # uint32 words after the pairs' and a coin is a byte's top bit, so
     # reading pairs at a longer n exposes the coins as pair >> 1.
     pad = 4 * -(-n // 4)
-    longer, _ = _chunk_draws(seed, lo, hi, pad + n)
+    longer, _ = chunk_draws(seed, lo, hi, pad + n, rounds=rounds)
     assert none is None
     for row, index in enumerate(range(lo, hi)):
         want_pairs, want_coins, want_uniforms = numpy_batch_draws(seed, index, n, coins=True)
@@ -173,31 +183,79 @@ def test_negative_seed_is_rejected_on_both_engines():
     n=hs.integers(1, 120),
     seed=hs.integers(0, 2 ** 70),
     batches=hs.integers(2, 12),
+    tile=hs.sampled_from((8, 16, 40, 128)),
     data=hs.data(),
 )
-def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, data):
+def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, tile, data):
     factory = FACTORIES[name]
+    kernel = _find_kernel(factory())
     plan = SimulationPlan(factory=factory, n=n, batches=batches, seed=seed)
     rows = data.draw(hs.integers(1, batches - 1), label="rows per chunk")
-    chunks = []
+    # Streams stepped in numpy are read a tile at a time; native ones,
+    # which the quantum and mixture kernels draw from n = 103 and 114
+    # on, a whole batch at a time while one fits the budget.
+    native = montecarlo._raw_words(n, kernel.coins, kernel.uniforms)[1] > montecarlo._STEP_WORDS
+    rounds = n if native else min(n, tile)
+    tiles = []
+    tile_draws = montecarlo._tile_draws
 
-    def recording_draws(seed, lo, hi, *args):
-        chunks.append((lo, hi))
-        return _chunk_draws(seed, lo, hi, *args)
+    def recording_draws(seed, lo, hi, n, rounds, *args):
+        for r0, pairs, uniforms in tile_draws(seed, lo, hi, n, rounds, *args):
+            tiles.append((lo, hi, r0, r0 + pairs.shape[1]))
+            yield r0, pairs, uniforms
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(n, _find_kernel(factory())))
-        mp.setattr(montecarlo, "_chunk_draws", recording_draws)
+        mp.setattr(montecarlo, "_TILE_ROUNDS", tile)
+        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(rounds, kernel))
+        mp.setattr(montecarlo, "_tile_draws", recording_draws)
         fast = list(iter_batch_counts(plan))
-    assert chunks == [(lo, min(lo + rows, batches)) for lo in range(0, batches, rows)]
+    assert tiles == [
+        (lo, min(lo + rows, batches), r0, min(r0 + rounds, n))
+        for lo in range(0, batches, rows)
+        for r0 in range(0, n, rounds)
+    ]
     assert fast == list(iter_batch_counts(plan, force_general=True))
+
+
+def run_outputs(plan):
+    """A run's per-batch counts in batch order, its report and its per-batch CSV text."""
+    tallies = []
+    report = estimate(plan, batch_sink=tallies.append)
+    text = "".join(line for tally in tallies for line in batch_csv_rows(tally, plan.n, plan.seed))
+    sizes = [len(tally.pair_counts) for tally in tallies]
+    assert [tally.first for tally in tallies] == [sum(sizes[:i]) for i in range(len(sizes))]
+    scores = np.concatenate([tally.score_counts for tally in tallies])
+    totals = np.concatenate([tally.pair_counts for tally in tallies])
+    return scores.tolist(), totals.tolist(), report, text
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in sorted(FACTORIES) for n in (9, 101, 150, 1000, 1025)] + [("collective-n2", 2)],
+)
+def test_tiled_runs_equal_untiled_runs(name, n, monkeypatch):
+    factory = FACTORIES.get(name, REGISTRY.get(name))
+    kernel = _find_kernel(factory())
+    plan = SimulationPlan(factory=factory, n=n, batches=7, seed=2 ** 70 + 9, strategy_name=name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_TILE_ROUNDS", 2 ** 40)
+        assert _chunk_shape(n, kernel) == (max(1, montecarlo._CHUNK_BYTES // _row_bytes(n, kernel)), n)
+        whole = run_outputs(plan)
+    # 8-round tiles where the streams are stepped in numpy.  Native
+    # streams get a budget that fits a 40-round tile and no whole batch,
+    # so each batch runs alone, in tiles of 16 (quantum) or 24 rounds.
+    monkeypatch.setattr(montecarlo, "_TILE_ROUNDS", 8)
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _row_bytes(40, kernel))
+    _, rounds = _chunk_shape(n, kernel)
+    assert rounds < n or name == "collective-n2"
+    assert run_outputs(plan) == whole
 
 
 def test_raw_words_drawn_in_pieces_equal_numpy_per_batch_generators(monkeypatch):
     monkeypatch.setattr(montecarlo, "_RAW_PIECE", 5)
     n = 150
     assert montecarlo._raw_words(n, True, True)[1] > montecarlo._STEP_WORDS  # the native path
-    pairs, uniforms = _chunk_draws(11, 4, 7, n, coins=True, uniforms=True)
+    pairs, uniforms = chunk_draws(11, 4, 7, n, coins=True, uniforms=True)
     for row, index in enumerate(range(4, 7)):
         want_pairs, _, want_uniforms = numpy_batch_draws(11, index, n, coins=True)
         assert np.array_equal(pairs[row], want_pairs)
@@ -214,24 +272,29 @@ def test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold(coins, unif
     assert {words[n] for n in ns} >= {step, step + 1}
     seed, lo, hi = 2 ** 100 + 7, 2 ** 32 - 2, 2 ** 32 + 1
     for n in ns:
-        pairs, tape = _chunk_draws(seed, lo, hi, n, coins, uniforms)
-        assert (tape is None) == (not uniforms)
-        for row, index in enumerate(range(lo, hi)):
-            want_pairs, _, want_uniforms = numpy_batch_draws(seed, index, n, coins)
-            assert np.array_equal(pairs[row], want_pairs)
-            if uniforms:
-                assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
+        native = words[n] > step
+        for rounds in (None, 16, 40):
+            # A native stream is read in tiles one batch at a time.
+            for a, b in [(lo, hi)] if rounds is None or not native else [(i, i + 1) for i in range(lo, hi)]:
+                pairs, tape = chunk_draws(seed, a, b, n, coins, uniforms, rounds)
+                assert (tape is None) == (not uniforms)
+                for row, index in enumerate(range(a, b)):
+                    want_pairs, _, want_uniforms = numpy_batch_draws(seed, index, n, coins)
+                    assert np.array_equal(pairs[row], want_pairs)
+                    if uniforms:
+                        assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
 
 
 @pytest.mark.parametrize("coins, uniforms", list(itertools.product((False, True), repeat=2)))
 def test_chunk_draws_do_not_depend_on_the_byte_order_of_the_words(coins, uniforms, monkeypatch):
     # The same word values stored big-endian must give the same pair bytes.
     seed, lo, hi = 2 ** 80 + 5, 3, 7
-    native = {n: _chunk_draws(seed, lo, hi, n, coins, uniforms) for n in (1, 7, 9, 64, 300)}
-    raw_block = montecarlo._raw_block
-    monkeypatch.setattr(montecarlo, "_raw_block", lambda *args: raw_block(*args).astype(">u8"))
+    native = {n: chunk_draws(seed, lo, hi, n, coins, uniforms) for n in (1, 7, 9, 64, 300)}
+    as_pairs, as_uniforms = montecarlo._pairs, montecarlo._uniforms
+    monkeypatch.setattr(montecarlo, "_pairs", lambda words, count: as_pairs(words.astype(">u8"), count))
+    monkeypatch.setattr(montecarlo, "_uniforms", lambda words: as_uniforms(words.astype(">u8")))
     for n, (want_pairs, want_tape) in native.items():
-        pairs, tape = _chunk_draws(seed, lo, hi, n, coins, uniforms)
+        pairs, tape = chunk_draws(seed, lo, hi, n, coins, uniforms)
         assert np.array_equal(pairs, want_pairs)
         assert (tape is None) == (want_tape is None)
         if uniforms:
@@ -248,9 +311,9 @@ def kernel_tally_of_scores(monkeypatch, n, seed, scores):
     and the batches' pairs from numpy's own per-batch Generators."""
     kernel = montecarlo._KERNELS[ConstantPlus]
 
-    def fixed_scores(scorer, pairs, uniforms):
-        assert pairs.shape == scores.shape
-        return scores.copy()
+    def fixed_scores(scorer, pairs, uniforms, r0, carry):
+        assert pairs.shape == (len(scores), min(n - r0, montecarlo._TILE_ROUNDS))
+        return scores[:, r0 : r0 + pairs.shape[1]].copy()
 
     monkeypatch.setitem(montecarlo._KERNELS, ConstantPlus, kernel._replace(score=fixed_scores))
     plan = SimulationPlan(factory=constant_plus, n=n, batches=len(scores), seed=seed)
@@ -355,6 +418,13 @@ def test_model101_kernel_on_crafted_trigger_history():
     # Triggered batch scores the (A2,B2) finale but not an (A1,B2) finale.
     assert scores[0][100]
     assert not scores[1][100]
+    # The same rows in two tiles, the first ending inside the counted
+    # rounds, on the trigger round or after it; the head counts carry over.
+    for split in (8, 40, 99, 100, 101):
+        carry = {}
+        first = _kernel_model101(Model101(), rows[:, :split].copy(), None, 0, carry)
+        second = _kernel_model101(Model101(), rows[:, split:].copy(), None, split, carry)
+        assert np.array_equal(np.concatenate([first, second], axis=1), scores), split
 
 
 def _guessing_oracle_scores(pairs):
@@ -623,6 +693,10 @@ def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
         ("model101", 1000),
         ("quantum", 1000),
         ("stochastic-lhv", 300),
+        # One batch alone needs far more than the budget; it runs alone,
+        # in tiles drawn by native streams.
+        ("constant-plus", 10 ** 7),
+        ("quantum", 10 ** 7),
     ],
 )
 def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatch):
@@ -634,9 +708,11 @@ def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatc
     """
     budget = 2 << 20
     factory = FACTORIES[name]
-    rows = budget // _row_bytes(n, _find_kernel(factory()))
-    plan = SimulationPlan(factory=factory, n=n, batches=3 * rows + 1, seed=9)
+    kernel = _find_kernel(factory())
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", budget)
+    rows, rounds = _chunk_shape(n, kernel)
+    assert rows * _row_bytes(rounds, kernel) <= budget
+    plan = SimulationPlan(factory=factory, n=n, batches=3 * rows + 1, seed=9)
     chunks = 0
     with open(tmp_path / "batches.csv", "w", newline="") as fp:
 
