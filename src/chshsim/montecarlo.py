@@ -25,15 +25,15 @@ batch's PCG64 state in numpy, by SeedSequence's hashing from
 A kernel chunk is worked a tile at a time: its batches over a range of
 rounds, drawn, scored and tallied before the next tile is drawn, so its
 working arrays are bounded by the tile, not by n.  The chunk's tally is
-the sum of its tiles'.  A batch that needs at most ``_STEP_WORDS`` raw
-words is stepped in numpy, a word of every batch at a time, in tiles of
-``_TILE_ROUNDS`` rounds; the stream states carry over from tile to tile,
-as does what a kernel keeps of the rounds before (the guessing keys,
-model101's counts of its first rounds).  A longer stream is drawn
-natively, whole batches in one tile, or, when one batch alone does not
-fit the budget, that batch alone in tiles that do.  The draws are
-bit-identical to the per-batch generators, which the general engine
-still builds.
+the sum of its tiles'.  One function reads every tile's words: it steps
+a batch that needs at most ``_STEP_WORDS`` raw words in numpy, a word of
+every batch at a time, and draws a longer stream natively.  The stream
+states carry over from tile to tile, as does what a kernel keeps of the
+rounds before (the guessing keys, model101's counts of its first
+rounds).  Stepped chunks run tiles of ``_TILE_ROUNDS`` rounds, native
+ones whole batches, or one batch alone in tiles when it does not fit
+the budget.  The draws are bit-identical to the per-batch generators,
+which the general engine still builds.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads, and the only one that builds numpy's ``Generator``.  The
@@ -316,54 +316,49 @@ def _mul128(hi, lo, c: int):
     return _mulhi64(lo, c_lo) + lo * c_hi + hi * c_lo, lo * c_lo
 
 
-class _Stepped:
-    """Every batch's stream from its current word on, stepped in numpy a
-    word of every batch at a time: each step moves the state on, then
-    outputs it by XSL-RR, the xor of its halves rotated right by its top
-    six bits."""
-
-    def __init__(self, s_hi, s_lo, inc_hi, inc_lo):
-        self.s_hi, self.s_lo, self.inc_hi, self.inc_lo = s_hi, s_lo, inc_hi, inc_lo
-
-    def __call__(self, count: int) -> np.ndarray:
-        """The next ``count`` raw words of every batch, one row per batch."""
-        s_hi, s_lo, inc_hi, inc_lo = self.s_hi, self.s_lo, self.inc_hi, self.inc_lo
-        block = np.empty((len(s_hi), count), dtype=np.uint64)
-        for col in range(count):
-            s_hi, s_lo = _pcg64_step(s_hi, s_lo, inc_hi, inc_lo)
-            x = s_hi ^ s_lo
-            rot = s_hi >> 58
-            block[:, col] = x >> rot | x << (-rot & 63)
-        self.s_hi, self.s_lo = s_hi, s_lo
-        return block
-
-    def ahead(self, k: int) -> _Stepped:
-        """A second reader of the streams, k words further on, set there by
-        :func:`_pcg64_jump`."""
-        return _Stepped(*_pcg64_jump(self.s_hi, self.s_lo, self.inc_hi, self.inc_lo, k), self.inc_hi, self.inc_lo)
+def _stepped_words(s_hi, s_lo, inc_hi, inc_lo, count: int):
+    """The next ``count`` raw words of every batch, one row per batch,
+    stepped in numpy a word of every batch at a time, and the states
+    after them.  Each step moves the state on, then outputs it by XSL-RR,
+    the xor of its halves rotated right by its top six bits."""
+    block = np.empty((len(s_hi), count), dtype=np.uint64)
+    for col in range(count):
+        s_hi, s_lo = _pcg64_step(s_hi, s_lo, inc_hi, inc_lo)
+        x = s_hi ^ s_lo
+        rot = s_hi >> 58
+        block[:, col] = x >> rot | x << (-rot & 63)
+    return block, s_hi, s_lo
 
 
-def _set_state(bitgen: np.random.PCG64, state: int, inc: int) -> np.random.PCG64:
-    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
-    return bitgen
+def _read_words(states, pair_count: int, gap: int, tape_count: int, native: bool):
+    """Each batch's next ``pair_count`` raw words and, ``gap`` words after
+    those, its next ``tape_count``, one row per batch, and the states after
+    the pair words.  ``states`` holds the (hi, lo) uint64 halves of the
+    batches' PCG64 states, then of their increments.
 
-
-class _Native:
-    """One batch's stream from its current word on, drawn by its own native PCG64."""
-
-    def __init__(self, state: int, inc: int):
-        self.bitgen = _set_state(np.random.PCG64(0), state, inc)
-
-    def __call__(self, count: int) -> np.ndarray:
-        """The next ``count`` raw words, as a row."""
-        return self.bitgen.random_raw(count)[None]
-
-    def ahead(self, k: int) -> _Native:
-        """A second reader of the stream, k words further on, moved there by ``advance``."""
-        state = self.bitgen.state["state"]
-        reader = _Native(state["state"], state["inc"])
-        reader.bitgen.advance(k)
-        return reader
+    Stepped, the tape's states are reached by :func:`_pcg64_jump`.
+    Natively, one PCG64 is set to each batch's state in turn and skips
+    the gap by ``advance``; the state arrays are moved on by the jump.
+    """
+    s_hi, s_lo, inc_hi, inc_lo = states
+    if native:
+        words = np.empty((len(s_hi), pair_count), dtype=np.uint64)
+        tape = np.empty((len(s_hi), tape_count), dtype=np.uint64)
+        bitgen = np.random.PCG64(0)
+        halves = zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+        for row, (sh, sl, ih, il) in enumerate(halves):
+            state = {"state": sh << 64 | sl, "inc": ih << 64 | il}
+            bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+            _fill(bitgen, words[row])
+            if gap:  # none in a whole batch without a coin tape, and advance(0) is not free
+                bitgen.advance(gap)
+            _fill(bitgen, tape[row])
+        s_hi, s_lo = _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, pair_count)
+    else:
+        words, s_hi, s_lo = _stepped_words(s_hi, s_lo, inc_hi, inc_lo, pair_count)
+        t_hi, t_lo = _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, gap) if tape_count else (s_hi, s_lo)
+        tape, _, _ = _stepped_words(t_hi, t_lo, inc_hi, inc_lo, tape_count)
+    return words, tape, (s_hi, s_lo, inc_hi, inc_lo)
 
 
 def _pairs(words: np.ndarray, count: int) -> np.ndarray:
@@ -382,23 +377,6 @@ def _uniforms(words: np.ndarray) -> np.ndarray:
     ``(x >> 11) * 2**-53``, shifted in place."""
     words >>= 11
     return words
-
-
-def _native_draws(s_hi, s_lo, inc_hi, inc_lo, n: int, coins: bool, uniforms: bool):
-    """Pairs and uniforms of whole batches, drawn by one native PCG64 that
-    is set to each batch's state in turn and skips the coin tape."""
-    start, _ = _raw_words(n, coins, uniforms)
-    pair_words = np.empty((len(s_hi), -(-n // 8)), dtype=np.uint64)
-    tape = np.empty((len(s_hi), n if uniforms else 0), dtype=np.uint64)
-    bitgen = np.random.PCG64(0)
-    halves = zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    for row, (sh, sl, ih, il) in enumerate(halves):
-        _set_state(bitgen, sh << 64 | sl, ih << 64 | il)
-        _fill(bitgen, pair_words[row])
-        if coins:
-            bitgen.advance(start - pair_words.shape[1])
-        _fill(bitgen, tape[row])
-    return _pairs(pair_words, n), _uniforms(tape) if uniforms else None
 
 
 def _fill(bitgen, words: np.ndarray) -> None:
@@ -420,35 +398,25 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
     A uniform comes as the uint64 word ``x >> 11``, so kernels compare it
     with integer cut points and no float copy of the tape is made.
 
-    A batch that draws at most ``_STEP_WORDS`` words is stepped in numpy
-    for the whole chunk at once; a longer stream is drawn natively, whole
-    batches in one tile, or one batch in tiles.  Tiles are read by two
-    readers of each stream, whose states carry over from tile to tile: one
-    through the pair words, and one through the uniforms, started past the
-    coin tape at word ``start`` from where the first tile's pair words end
-    (by :func:`_pcg64_jump` in numpy, by ``advance`` natively).
+    Only the states after the pair words carry over from tile to tile;
+    from them a tile skips to its first uniform, past the coin tape.  A
+    batch that draws at most ``_STEP_WORDS`` words is stepped in numpy; a
+    longer stream is drawn natively.
     """
+    if rounds < n and rounds % 8:
+        raise ValueError(f"a tile shorter than n must hold a multiple of 8 rounds, got {rounds}")
     start, m = _raw_words(n, coins, uniforms)
-    s_hi, s_lo, inc_hi, inc_lo = _pcg64_states(seed, lo, hi)
-    if m > _STEP_WORDS and rounds >= n:
-        yield 0, *_native_draws(s_hi, s_lo, inc_hi, inc_lo, n, coins, uniforms)
-        return
-    if m <= _STEP_WORDS:
-        pair_words = _Stepped(s_hi, s_lo, inc_hi, inc_lo)
-    elif hi - lo == 1:
-        pair_words = _Native(int(s_hi[0]) << 64 | int(s_lo[0]), int(inc_hi[0]) << 64 | int(inc_lo[0]))
-    else:
-        raise ValueError("a native stream is read in tiles one batch at a time")
-    del s_hi, s_lo
-    tape_words = None
+    native = m > _STEP_WORDS
+    states = _pcg64_states(seed, lo, hi)
     for r0 in range(0, n, rounds):
         r1 = min(r0 + rounds, n)
         end = -(-r1 // 8)  # the word after this tile's pair bytes
-        pairs = _pairs(pair_words(end - r0 // 8), r1 - r0)
-        if uniforms and tape_words is None:
-            tape_words = pair_words.ahead(start - end)
-        # No name here holds the uniforms while the caller works on them.
-        yield r0, pairs, _uniforms(tape_words(r1 - r0)) if uniforms else None
+        tape_count = r1 - r0 if uniforms else 0
+        *drawn, states = _read_words(states, end - r0 // 8, start + r0 - end, tape_count, native)
+        # Taken out of ``drawn`` as they are handed on: no name here holds
+        # the pair words or the uniforms while the caller works on them.
+        pairs = _pairs(drawn.pop(0), r1 - r0)
+        yield r0, pairs, _uniforms(drawn.pop()) if uniforms else None
         del pairs  # freed before the next tile is drawn
 
 

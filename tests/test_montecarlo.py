@@ -272,17 +272,24 @@ def test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold(coins, unif
     assert {words[n] for n in ns} >= {step, step + 1}
     seed, lo, hi = 2 ** 100 + 7, 2 ** 32 - 2, 2 ** 32 + 1
     for n in ns:
-        native = words[n] > step
         for rounds in (None, 16, 40):
-            # A native stream is read in tiles one batch at a time.
-            for a, b in [(lo, hi)] if rounds is None or not native else [(i, i + 1) for i in range(lo, hi)]:
-                pairs, tape = chunk_draws(seed, a, b, n, coins, uniforms, rounds)
-                assert (tape is None) == (not uniforms)
-                for row, index in enumerate(range(a, b)):
-                    want_pairs, _, want_uniforms = numpy_batch_draws(seed, index, n, coins)
-                    assert np.array_equal(pairs[row], want_pairs)
-                    if uniforms:
-                        assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
+            pairs, tape = chunk_draws(seed, lo, hi, n, coins, uniforms, rounds)
+            assert (tape is None) == (not uniforms)
+            for row, index in enumerate(range(lo, hi)):
+                want_pairs, _, want_uniforms = numpy_batch_draws(seed, index, n, coins)
+                assert np.array_equal(pairs[row], want_pairs)
+                if uniforms:
+                    assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
+
+
+@pytest.mark.parametrize("n, rounds", [(30, 12), (30, 1), (9, 4), (1000, 129)])
+def test_tiles_shorter_than_n_must_hold_whole_words_of_pairs(n, rounds):
+    # A tile's pair bytes must start a word; a tile as long as n or longer is the whole run.
+    with pytest.raises(ValueError, match="multiple of 8 rounds"):
+        next(_tile_draws(5, 0, 2, n, rounds))
+    for whole in (n, n + 3):
+        ((r0, pairs, _),) = _tile_draws(5, 0, 2, n, whole)
+        assert r0 == 0 and pairs.shape == (2, n)
 
 
 @pytest.mark.parametrize("coins, uniforms", list(itertools.product((False, True), repeat=2)))
