@@ -10,7 +10,7 @@ strategy needs.
 
 Batches run in chunks, and everything after the draws works on a whole
 chunk at once: a :class:`Tally` of per-pair counts, one row per batch
-(counted on the kernel path as set bits of packed planes of the pair
+(on the kernel path, one popcount per tile of word planes of the pair
 bits and scores), feeds both the aggregation in :func:`estimate` and
 the per-batch CSV text, which :func:`batch_csv_rows` formats once per
 distinct count row of each slice of batches.  For every strategy of
@@ -582,8 +582,10 @@ def _row_bytes(rounds: int, kernel: _Kernel) -> int:
     like the pair bytes to whole words.
 
     The tally's peak is the pair bytes, the scores, and the bool plane
-    they are copied into, 3 B a round; its packed bit planes come after
-    the scores are freed.  That is the constant and model101 kernels'
+    they are copied into, 3 B a round; its three packed rows (3/8 B)
+    come after the scores are freed, its seven planes of words (7/8 B,
+    and 56 B a batch at least, under the seeding's share) after the
+    pairs and bool plane.  That is the constant and model101 kernels'
     peak, and the guessing kernel's, which holds a round-major pair copy
     beside the pairs and its scores while it loops.  The quantum kernel
     holds its uniforms (8 B a round), the pair words (1 B) and the pairs
@@ -623,45 +625,43 @@ def _find_kernel(strategy):
     return _KERNELS.get(type(strategy))
 
 
-def _add_popcounts(total: np.ndarray, plane: np.ndarray) -> None:
-    """Adds the set bits of each row of a packed bit plane to ``total``, in place."""
-    total += np.bitwise_count(plane).sum(axis=1, dtype=np.int64)
-
-
 def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, rounds: int) -> Tally:
     """The tally of batches lo..hi-1, summed over tiles of ``rounds`` rounds."""
     carry = None if rounds >= n else {}
     for r0, pairs, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
         if r0 == 0:  # once the seeding's peak is over
-            score_counts, pair_counts = np.zeros((2, hi - lo, 4), dtype=np.int64)
+            counts = np.zeros((2, 4, hi - lo), dtype=np.int64)  # rounds, scored ones: all, H, L, H & L
         scores = kernel.score(scorer, pairs, uniforms, r0, carry)
         del uniforms  # the tally needs only pairs and scores
-        # Bit planes, eight rounds a byte: a pair's high and low bit, and
-        # the score.  Each is packed from one bool plane whose rows are
-        # padded with zeros to whole bytes; every plane counted below has
-        # a zero high or low bit or score there, so pair 0, whose bits are
-        # both zero, is what the other pairs leave.  The padded plane is
-        # packed whole, not along its rows: packbits loops over rows,
-        # which dominates at small n.
+        # Bit planes, eight rounds a byte, of the score S and a pair's high
+        # and low bits H and L, packed whole from a bool plane with rows
+        # zero-padded to whole bytes (packbits loops over rows), then to words.
         width = -(-pairs.shape[1] // 8)  # bytes of a packed row
+        words = -(-width // 8)  # uint64 words of a padded row
         padded = np.zeros((hi - lo, 8 * width), dtype=bool)
         bits = padded[:, : pairs.shape[1]]
         bits[...] = scores
         del scores
-        scored = np.packbits(padded).reshape(hi - lo, width)
-        np.greater_equal(pairs, 2, out=bits)
-        high = np.packbits(padded).reshape(hi - lo, width)
-        np.bitwise_and(pairs, 1, out=bits, casting="unsafe")
-        low = np.packbits(padded).reshape(hi - lo, width)
+        rows = np.zeros((3, hi - lo, 8 * words), dtype=np.uint8)  # scored, high, low
+        for k, mask in enumerate((0, 2, 1)):  # no view of the rows outlives the tile
+            if mask:  # a pair's high bit, then its low bit
+                np.bitwise_and(pairs, mask, out=bits, casting="unsafe")
+            rows[k, :, :width] = np.packbits(padded).reshape(hi - lo, width)
         del pairs, padded, bits
-        for p, plane in enumerate((~high & low, high & ~low, high & low), start=1):
-            _add_popcounts(pair_counts[:, p], plane)
-            plane &= scored
-            _add_popcounts(score_counts[:, p], plane)
-        _add_popcounts(score_counts[:, 0], scored)  # all scores, until the other pairs' are taken off
-        del scored, high, low, plane
-    pair_counts[:, 0] = n - pair_counts[:, 1:].sum(axis=1)
-    score_counts[:, 0] -= score_counts[:, 1:].sum(axis=1)
+        # Seven planes laid out plane, word, batch: H, L, H & L, S, S & H,
+        # S & L and S & H & L.  One popcount of them all is summed along the
+        # words, a row of every batch at a time, or a lone batch's whole row.
+        planes = np.empty((7, words, hi - lo), dtype=np.uint64)
+        planes[[3, 0, 1]] = rows.view(np.uint64).transpose(0, 2, 1)
+        del rows
+        np.bitwise_and(planes[0], planes[1], out=planes[2])
+        np.bitwise_and(planes[3], planes[:3], out=planes[4:])
+        counts.reshape(8, hi - lo)[1:] += np.bitwise_count(planes).sum(axis=1, dtype=np.int64)
+        del planes
+    # Pair j has high bit j & 2 and low bit j & 1, so its counts follow by inclusion and exclusion.
+    counts[0, 0] = n
+    every, high, low, both = counts.transpose(1, 0, 2)
+    pair_counts, score_counts = np.stack((every - high - low + both, low - both, high - both, both), axis=2)
     return Tally(lo, score_counts, pair_counts)
 
 

@@ -103,10 +103,26 @@ def test_run_batch_settings_uniform_ish():
         assert abs(f - 0.25) < 0.025
 
 
-@pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_kernel_matches_general_engine(name):
+# The first n at which each strategy's streams are drawn natively: the
+# quantum kernel's from 103 rounds, the mixture's from 114, and those of
+# the kernels that draw only pairs from 1025.
+NATIVE_NS = {"quantum": 103, "stochastic-lhv": 114, "constant-plus": 1025, "guessing": 1025, "model101": 1025}
+
+
+@pytest.mark.parametrize(
+    "name, n, batches",
+    [pytest.param(name, 37, 50, id=name) for name in sorted(FACTORIES)]
+    + [pytest.param(name, n, 4, id=f"{name}-{n}") for name, n in sorted(NATIVE_NS.items())],
+)
+def test_kernel_matches_general_engine(name, n, batches):
     factory = FACTORIES[name]
-    plan = SimulationPlan(factory=factory, n=37, batches=50, seed=5, strategy_name=name)
+    kernel = _find_kernel(factory())
+
+    def native(rounds):
+        return montecarlo._raw_words(rounds, kernel.coins, kernel.uniforms)[1] > montecarlo._STEP_WORDS
+
+    assert native(n) == (n == NATIVE_NS[name]) and not native(NATIVE_NS[name] - 1)
+    plan = SimulationPlan(factory=factory, n=n, batches=batches, seed=5, strategy_name=name)
     fast = list(iter_batch_counts(plan))
     slow = list(iter_batch_counts(plan, force_general=True))
     assert fast == slow
@@ -309,17 +325,20 @@ def test_chunk_draws_do_not_depend_on_the_byte_order_of_the_words(coins, uniform
 
 
 # Round counts on both sides of a byte and of a 64-bit word, so that
-# the zero bits padding a packed row's last byte are exercised.
-TALLY_NS = (1, 7, 8, 9, 63, 64, 65, 1000)
+# the zeros padding a packed row's last byte and word are exercised, in
+# tiles of streams stepped in numpy and in native whole-batch tiles
+# (1025 and 1031 rounds, one and seven rounds past 16 words).
+TALLY_NS = (1, 7, 8, 9, 63, 64, 65, 1000, 1025, 1031)
 
 
 def kernel_tally_of_scores(monkeypatch, n, seed, scores):
     """The kernel path's one-chunk tally when its scores are ``scores``,
     and the batches' pairs from numpy's own per-batch Generators."""
     kernel = montecarlo._KERNELS[ConstantPlus]
+    _, rounds = _chunk_shape(n, kernel)
 
     def fixed_scores(scorer, pairs, uniforms, r0, carry):
-        assert pairs.shape == (len(scores), min(n - r0, montecarlo._TILE_ROUNDS))
+        assert pairs.shape == (len(scores), min(n - r0, rounds))
         return scores[:, r0 : r0 + pairs.shape[1]].copy()
 
     monkeypatch.setitem(montecarlo._KERNELS, ConstantPlus, kernel._replace(score=fixed_scores))
@@ -359,6 +378,20 @@ def test_kernel_tally_of_drawn_scores_equals_bincounts(n, batches, seed, data):
     scores = data.draw(hnp.arrays(np.bool_, (batches, n)), label="scores")
     with pytest.MonkeyPatch.context() as mp:
         tally, pairs = kernel_tally_of_scores(mp, n, seed, scores)
+    assert_tally_equals_bincounts(tally, pairs, scores)
+
+
+@pytest.mark.parametrize("fill", [True, False, None])
+def test_kernel_tally_of_one_native_batch_in_tiles_equals_bincounts(fill, monkeypatch):
+    # A budget that holds no whole batch: the batch runs alone, on native
+    # streams, in tiles of 1000 rounds, not a multiple of 64, the last of 321.
+    n = 4321
+    kernel = montecarlo._KERNELS[ConstantPlus]
+    assert montecarlo._raw_words(n, False, False)[1] > montecarlo._STEP_WORDS
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _row_bytes(0, kernel) + 3000)
+    assert _chunk_shape(n, kernel) == (1, 1000)
+    scores = np.random.default_rng(3).random((1, n)) < 0.75 if fill is None else np.full((1, n), fill)
+    tally, pairs = kernel_tally_of_scores(monkeypatch, n, 2 ** 80 + 5, scores)
     assert_tally_equals_bincounts(tally, pairs, scores)
 
 
