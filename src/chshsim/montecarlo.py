@@ -27,13 +27,13 @@ rounds, drawn, scored and tallied before the next tile is drawn, so its
 working arrays are bounded by the tile, not by n.  The chunk's tally is
 the sum of its tiles'.  One function reads every tile's words: it steps
 a batch that needs at most ``_STEP_WORDS`` raw words in numpy, a word of
-every batch at a time, and draws a longer stream natively.  The stream
-states carry over from tile to tile, as does what a kernel keeps of the
-rounds before (the guessing keys, model101's counts of its first
-rounds).  Stepped chunks run tiles of ``_TILE_ROUNDS`` rounds, native
-ones whole batches, or one batch alone in tiles when it does not fit
-the budget.  The draws are bit-identical to the per-batch generators,
-which the general engine still builds.
+every batch at a time, and draws a longer stream natively.  The engine
+owns what a tile needs of the rounds before it: the stream states, and
+the pair counts that it hands to the kernels that read them (guessing,
+model101); kernels keep nothing.  Stepped chunks run tiles of
+``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
+in tiles when it does not fit the budget.  The draws are bit-identical
+to the per-batch generators, which the general engine still builds.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads, and the only one that builds numpy's ``Generator``.  The
@@ -398,8 +398,8 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
     A uniform comes as the uint64 word ``x >> 11``, so kernels compare it
     with integer cut points and no float copy of the tape is made.
 
-    Only the states after the pair words carry over from tile to tile;
-    from them a tile skips to its first uniform, past the coin tape.  A
+    Only the states after the pair words pass from tile to tile; from
+    them a tile skips to its first uniform, past the coin tape.  A
     batch that draws at most ``_STEP_WORDS`` words is stepped in numpy; a
     longer stream is drawn natively.
     """
@@ -426,32 +426,31 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 # uniforms its strategy draws (as 53-bit integers), to a boolean matrix
 # of round scores.  It receives the strategy, or what its ``prepare``
 # built from the strategy and n once per plan, then the tile's first
-# round r0 and a dict ``carry`` that it keeps from one tile of a chunk to
-# the next; ``carry`` is None when the tile holds the batches' whole runs.
-# Kernels are registered per concrete strategy type and must reproduce
-# the general engine bit for bit; the test suite asserts this equivalence.
+# round r0 and, if it reads them, the pair counts of the rounds before
+# the tile, a (batches, 4) int64 array (None when r0 is 0); it keeps
+# nothing between tiles.  Kernels are registered per concrete strategy
+# type and must reproduce the general engine bit for bit; the test suite
+# asserts this equivalence.
 
 
-def _kernel_constant(strategy, pairs, uniforms, r0=0, carry=None):
+def _kernel_constant(strategy, pairs, uniforms, r0=0, counts=None):
     return pairs != 3
 
 
-def _kernel_guessing(strategy, pairs, uniforms, r0=0, carry=None):
+def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
     # A round scores unless its pair is the most measured so far, the
     # first of tied pairs winning.  Pair j of a batch keeps the key
     # 4 count_j + 3 - j: a batch's keys differ mod 4, so its largest key
     # is the canonical target, and a running maximum of the keys tracks
     # it without an argmax per round.  Pairs and scores are walked
-    # round-major, one contiguous column per round.  The keys and the top
-    # key carry over to the next tile.
+    # round-major, one contiguous column per round.
     n_batches, width = pairs.shape
-    if r0 == 0:
+    if r0:
+        keys = (4 * counts + np.arange(3, -1, -1)).ravel()
+        top = np.maximum(np.maximum(keys[::4], keys[1::4]), np.maximum(keys[2::4], keys[3::4]))
+    else:
         keys = np.tile(np.arange(3, -1, -1, dtype=np.int64), n_batches)
         top = np.full(n_batches, 3, dtype=np.int64)
-        if carry is not None:
-            carry.update(keys=keys, top=top)
-    else:
-        keys, top = carry["keys"], carry["top"]
     order = np.ascontiguousarray(pairs.T)
     offsets = np.arange(0, 4 * n_batches, 4)
     idx = np.empty(n_batches, dtype=np.intp)
@@ -474,24 +473,16 @@ def _kernel_guessing(strategy, pairs, uniforms, r0=0, carry=None):
 _MODEL_101_ROUND = sum(MODEL_101_TRIGGER_COUNTS)
 
 
-def _kernel_model101(strategy, pairs, uniforms, r0=0, carry=None):
-    # The trigger reads the pair counts of the first _MODEL_101_ROUND
-    # rounds; a tile that ends before that round adds its counts to those
-    # carried over, and the tile holding it plays the rule.
+def _kernel_model101(strategy, pairs, uniforms, r0=0, counts=None):
+    # The tile holding round _MODEL_101_ROUND adds the pair counts of its
+    # rounds before it to those it receives, and plays the trigger rule.
     scores = pairs != 3
     k = _MODEL_101_ROUND - r0  # the trigger round in this tile
-    if k < 0 or (k >= pairs.shape[1] and carry is None):
-        return scores
-    head = pairs[:, :k]
-    counts = [(head == j).sum(axis=1) for j in range(4)]
-    if r0:
-        counts = [c + carried for c, carried in zip(counts, carry["head"])]
-    if k >= pairs.shape[1]:
-        carry["head"] = counts
-        return scores
-    triggered = np.logical_and.reduce([c == count for c, count in zip(counts, MODEL_101_TRIGGER_COUNTS)])
-    if triggered.any():
-        scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
+    if 0 <= k < pairs.shape[1]:
+        tallied = [(pairs[:, :k] == j).sum(axis=1) + (counts[:, j] if r0 else 0) for j in range(4)]
+        triggered = np.logical_and.reduce([c == count for c, count in zip(tallied, MODEL_101_TRIGGER_COUNTS)])
+        if triggered.any():
+            scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
     return scores
 
 
@@ -500,7 +491,7 @@ def _kernel_model101(strategy, pairs, uniforms, r0=0, carry=None):
 _QUANTUM_CUT = int(QUANTUM_SCORE_PROBABILITY * 2 ** 53)
 
 
-def _kernel_quantum(strategy, pairs, uniforms, r0=0, carry=None):
+def _kernel_quantum(strategy, pairs, uniforms, r0=0, counts=None):
     # Alice's coin tape comes before the uniforms; scores don't use it.
     return uniforms < _QUANTUM_CUT
 
@@ -519,7 +510,7 @@ def _stochastic_tables(strategy, n: int | None = None):
     return cuts, table.ravel()
 
 
-def _kernel_stochastic(tables, pairs, uniforms, r0=0, carry=None):
+def _kernel_stochastic(tables, pairs, uniforms, r0=0, counts=None):
     cuts, table = tables
     picks = np.searchsorted(cuts, uniforms, side="right")
     np.minimum(picks, len(cuts) - 1, out=picks)
@@ -528,7 +519,7 @@ def _kernel_stochastic(tables, pairs, uniforms, r0=0, carry=None):
     return table[picks]
 
 
-def _kernel_collective(table, pairs, uniforms, r0=0, carry=None):
+def _kernel_collective(table, pairs, uniforms, r0=0, counts=None):
     # A batch's row of the table is its pairs read as a base-4 number.
     return table[pairs @ 4 ** np.arange(pairs.shape[1] - 1, -1, -1)]
 
@@ -537,15 +528,16 @@ class _Kernel(NamedTuple):
     score: Callable
     coins: bool = False  # the strategy draws an n-coin tape after the pairs
     uniforms: bool = False  # ... and then n uniforms, which it scores with
+    counted: bool = False  # the score reads the pair counts of the rounds before its tile
     round_bytes: int = 3  # bytes per round alive at once while a tile is drawn, scored and tallied
-    batch_bytes: int = 0  # ... and per batch, kept by the score from tile to tile or for a tile
+    batch_bytes: int = 0  # ... and per batch, taken by the score for a tile
     prepare: Callable | None = None  # (strategy, n) -> what ``score`` receives instead
 
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing, batch_bytes=64),
-    Model101: _Kernel(_kernel_model101, batch_bytes=32),
+    GuessingModel: _Kernel(_kernel_guessing, counted=True, batch_bytes=96),
+    Model101: _Kernel(_kernel_model101, counted=True, batch_bytes=64),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
     CollectiveN2: _Kernel(_kernel_collective, round_bytes=10, batch_bytes=8, prepare=collective_scores),
@@ -553,7 +545,8 @@ _KERNELS = {
 
 #: Bytes of working arrays one chunk may take; it holds at least one
 #: batch whatever n is, and one batch too long for it is drawn, scored
-#: and tallied a tile of rounds at a time.
+#: and tallied a tile of rounds at a time.  Outside it, the first native
+#: stream of a process imports numpy.random, 0.74 MiB of Python objects.
 _CHUNK_BYTES = 8 << 20
 
 #: Rounds per tile of a chunk whose streams are stepped in numpy: a
@@ -592,10 +585,11 @@ def _row_bytes(rounds: int, kernel: _Kernel) -> int:
     while it draws, or the uniforms, pairs and scores while it scores;
     the mixture its uniforms, its int64 assignment picks, the pairs and
     the scores; the collective kernel an int64 copy of the pairs beside
-    the pairs and its scores.  Per batch, the guessing kernel keeps four
-    int64 pair keys and the top key, and takes the round's key and index
-    and the row offsets per tile; model101 keeps the four pair counts of
-    its first rounds, and the collective kernel takes a sequence index.
+    the pairs and its scores.  Per batch, the guessing and model101
+    kernels receive four int64 pair counts of the tiles before; from them
+    the guessing kernel builds four keys and the top key, and takes the
+    round's key and index and the row offsets; model101 counts its first
+    rounds' pairs; the collective kernel takes a sequence index.
     """
     tile = _STATE_ROW_BYTES + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
     return _TALLY_ROW_BYTES + max(_SEED_ROW_BYTES, tile)
@@ -605,7 +599,7 @@ def _chunk_shape(n: int, kernel: _Kernel) -> tuple[int, int]:
     """Batches per chunk and rounds per tile, so that a chunk's working
     arrays fit ``_CHUNK_BYTES``.
 
-    Streams stepped in numpy carry over between tiles at no cost, so
+    Streams stepped in numpy pass from tile to tile at no cost, so
     their tiles hold ``_TILE_ROUNDS`` rounds, and their chunks as many
     batches as fit at that length.  Native streams would be set again
     for each tile, so their tiles hold whole batches, unless one batch
@@ -625,14 +619,21 @@ def _find_kernel(strategy):
     return _KERNELS.get(type(strategy))
 
 
+def _pair_counts(every, high, low, both) -> np.ndarray:
+    """The four pairs' counts, on a new last axis, from the counts of all
+    rounds and of those whose pair j has its high bit (j & 2), its low bit
+    (j & 1) and both, by inclusion and exclusion."""
+    return np.stack((every - high - low + both, low - both, high - both, both), axis=-1)
+
+
 def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, rounds: int) -> Tally:
     """The tally of batches lo..hi-1, summed over tiles of ``rounds`` rounds."""
-    carry = None if rounds >= n else {}
     for r0, pairs, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
         if r0 == 0:  # once the seeding's peak is over
             counts = np.zeros((2, 4, hi - lo), dtype=np.int64)  # rounds, scored ones: all, H, L, H & L
-        scores = kernel.score(scorer, pairs, uniforms, r0, carry)
-        del uniforms  # the tally needs only pairs and scores
+        before = _pair_counts(r0, *counts[0, 1:]) if r0 and kernel.counted else None
+        scores = kernel.score(scorer, pairs, uniforms, r0, before)
+        del uniforms, before  # the tally needs only pairs and scores
         # Bit planes, eight rounds a byte, of the score S and a pair's high
         # and low bits H and L, packed whole from a bool plane with rows
         # zero-padded to whole bytes (packbits loops over rows), then to words.
@@ -658,10 +659,8 @@ def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, 
         np.bitwise_and(planes[3], planes[:3], out=planes[4:])
         counts.reshape(8, hi - lo)[1:] += np.bitwise_count(planes).sum(axis=1, dtype=np.int64)
         del planes
-    # Pair j has high bit j & 2 and low bit j & 1, so its counts follow by inclusion and exclusion.
     counts[0, 0] = n
-    every, high, low, both = counts.transpose(1, 0, 2)
-    pair_counts, score_counts = np.stack((every - high - low + both, low - both, high - both, both), axis=2)
+    pair_counts, score_counts = _pair_counts(*counts.transpose(1, 0, 2))
     return Tally(lo, score_counts, pair_counts)
 
 
@@ -673,11 +672,11 @@ def _general_tally(strategy, n: int, seed: int, lo: int, hi: int) -> Tally:
     return Tally(lo, score_counts, pair_counts)
 
 
-def _iter_tallies(plan: SimulationPlan, force_general: bool = False) -> Iterator[Tally]:
+def _iter_tallies(plan: SimulationPlan) -> Iterator[Tally]:
     """Tallies of all batches in batch order, one per chunk, via kernel or general engine."""
     strategy = plan.factory()
     n, batches, seed = plan.n, plan.batches, plan.seed
-    kernel = None if force_general else _find_kernel(strategy)
+    kernel = _find_kernel(strategy)
 
     if kernel is None:
         rows = max(1, _CHUNK_BYTES // _TALLY_ROW_BYTES)
@@ -691,10 +690,10 @@ def _iter_tallies(plan: SimulationPlan, force_general: bool = False) -> Iterator
         yield _kernel_tally(kernel, scorer, n, seed, lo, min(lo + rows, batches), rounds)
 
 
-def iter_batch_counts(plan: SimulationPlan, force_general: bool = False) -> Iterable[BatchCounts]:
+def iter_batch_counts(plan: SimulationPlan) -> Iterable[BatchCounts]:
     """Per-batch tallies in batch order, via kernel or general engine: the
     chunk tallies one batch at a time."""
-    for tally in _iter_tallies(plan, force_general):
+    for tally in _iter_tallies(plan):
         counts = zip(tally.score_counts.tolist(), tally.pair_counts.tolist())
         for b, (scores, totals) in enumerate(counts, start=tally.first):
             yield BatchCounts(b, tuple(scores), tuple(totals))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from general_engine import general_batch_counts
 from guessing_last_tie import GuessingLastTie
 from chshsim import enumerator, montecarlo
 from chshsim.bounds import x_mean_bound
@@ -486,7 +487,7 @@ def test_collective_kernel_matches_general_engine_at_three_rounds(monkeypatch):
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 13 * montecarlo._row_bytes(3, kernel))
     plan = montecarlo.SimulationPlan(factory=ThreeRoundCollective, n=3, batches=100, seed=2 ** 70 + 3)
     fast = list(montecarlo.iter_batch_counts(plan))
-    assert fast == list(montecarlo.iter_batch_counts(plan, force_general=True))
+    assert fast == general_batch_counts(plan)
 
 
 def test_exact_collective_refusals():

@@ -4,8 +4,12 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import example, given, settings, strategies as hs
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from general_engine import general_batch_counts
 from guessing_last_tie import GuessingLastTie
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
@@ -124,7 +129,7 @@ def test_kernel_matches_general_engine(name, n, batches):
     assert native(n) == (n == NATIVE_NS[name]) and not native(NATIVE_NS[name] - 1)
     plan = SimulationPlan(factory=factory, n=n, batches=batches, seed=5, strategy_name=name)
     fast = list(iter_batch_counts(plan))
-    slow = list(iter_batch_counts(plan, force_general=True))
+    slow = general_batch_counts(plan)
     assert fast == slow
 
 
@@ -187,10 +192,10 @@ def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window, rounds):
 
 
 def test_negative_seed_is_rejected_on_both_engines():
-    for force_general in (False, True):
+    for engine in (iter_batch_counts, general_batch_counts):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             plan = SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=-1)
-            list(iter_batch_counts(plan, force_general=force_general))
+            list(engine(plan))
 
 
 @settings(max_examples=40, deadline=None)
@@ -230,7 +235,7 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, til
         for lo in range(0, batches, rows)
         for r0 in range(0, n, rounds)
     ]
-    assert fast == list(iter_batch_counts(plan, force_general=True))
+    assert fast == general_batch_counts(plan)
 
 
 def run_outputs(plan):
@@ -337,7 +342,7 @@ def kernel_tally_of_scores(monkeypatch, n, seed, scores):
     kernel = montecarlo._KERNELS[ConstantPlus]
     _, rounds = _chunk_shape(n, kernel)
 
-    def fixed_scores(scorer, pairs, uniforms, r0, carry):
+    def fixed_scores(scorer, pairs, uniforms, r0, counts):
         assert pairs.shape == (len(scores), min(n - r0, rounds))
         return scores[:, r0 : r0 + pairs.shape[1]].copy()
 
@@ -348,9 +353,14 @@ def kernel_tally_of_scores(monkeypatch, n, seed, scores):
     return tally, pairs
 
 
+def bincounts(pairs):
+    """Each row's count of every pair, one (batches, 4) int64 row per batch."""
+    return np.array([np.bincount(row, minlength=4) for row in pairs], dtype=np.int64)
+
+
 def assert_tally_equals_bincounts(tally, pairs, scores):
     n = pairs.shape[1]
-    pair_counts = np.array([np.bincount(row, minlength=4) for row in pairs])
+    pair_counts = bincounts(pairs)
     score_counts = np.array([np.bincount(row[hit], minlength=4) for row, hit in zip(pairs, scores)])
     assert tally.first == 0
     assert np.array_equal(tally.pair_counts, pair_counts)
@@ -426,7 +436,7 @@ def test_collective_kernel_matches_general_engine_across_chunks(monkeypatch):
     kernel = _find_kernel(collective_n2())
     assert kernel is not None
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 7 * _row_bytes(2, kernel))
-    assert list(iter_batch_counts(plan)) == list(iter_batch_counts(plan, force_general=True))
+    assert list(iter_batch_counts(plan)) == general_batch_counts(plan)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY) + ["stochastic-lhv"])
@@ -443,7 +453,7 @@ def test_no_cli_strategy_reaches_the_general_engine(name, monkeypatch):
 
 def test_kernel_matches_general_engine_past_trigger_length():
     plan = SimulationPlan(factory=model_101, n=130, batches=20, seed=8)
-    assert list(iter_batch_counts(plan)) == list(iter_batch_counts(plan, force_general=True))
+    assert list(iter_batch_counts(plan)) == general_batch_counts(plan)
 
 
 def test_model101_kernel_on_crafted_trigger_history():
@@ -459,12 +469,64 @@ def test_model101_kernel_on_crafted_trigger_history():
     assert scores[0][100]
     assert not scores[1][100]
     # The same rows in two tiles, the first ending inside the counted
-    # rounds, on the trigger round or after it; the head counts carry over.
+    # rounds, on the trigger round or after it; the second gets the pair
+    # counts of the first.
     for split in (8, 40, 99, 100, 101):
-        carry = {}
-        first = _kernel_model101(Model101(), rows[:, :split].copy(), None, 0, carry)
-        second = _kernel_model101(Model101(), rows[:, split:].copy(), None, split, carry)
+        first = _kernel_model101(Model101(), rows[:, :split].copy(), None)
+        second = _kernel_model101(Model101(), rows[:, split:].copy(), None, split, bincounts(rows[:, :split]))
         assert np.array_equal(np.concatenate([first, second], axis=1), scores), split
+
+
+#: A history that triggers model101 on its round 101: 33 rounds on each
+#: of the first three pairs and one on (A2,B2), in any order.
+TRIGGER_HISTORY = [0] * 33 + [1] * 33 + [2] * 33 + [3]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    name=hs.sampled_from(("guessing", "model101")),
+    alphabet=hs.sampled_from([(2, 3), (1, 2, 3), (0,)]),
+    prefix=hs.one_of(hs.just(0), hs.integers(8, 96), hs.integers(96, 104)),
+    shape=hs.tuples(hs.integers(1, 4), hs.integers(1, 120)),
+    data=hs.data(),
+)
+def test_tile_scored_from_prefix_counts_equals_whole_run(name, alphabet, prefix, shape, data):
+    # A tile T scored with the pair counts of the rounds P before it
+    # gives the last |T| columns of P + T scored whole.  Rows may open
+    # with a shuffled trigger history and a round 101 on (A1,B2) or
+    # (A2,B2), where model101's rule and the constant assignment differ.
+    batches, width = shape
+    n = prefix + width
+    rows = []
+    for _ in range(batches):
+        tail = data.draw(hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n), label="pairs")
+        head = []
+        if data.draw(hs.booleans(), label="trigger"):
+            head = data.draw(hs.permutations(TRIGGER_HISTORY)) + [data.draw(hs.sampled_from((1, 3)))]
+        rows.append((head + tail)[:n])
+    pairs = np.array(rows, dtype=np.uint8)
+    score = _find_kernel(FACTORIES[name]()).score
+    whole = score(None, pairs.copy(), None)
+    counts = bincounts(pairs[:, :prefix]) if prefix else None
+    assert np.array_equal(score(None, pairs[:, prefix:].copy(), None, prefix, counts), whole[:, prefix:])
+
+
+def test_engine_hands_model101_the_pair_counts_of_earlier_tiles(monkeypatch):
+    # Crafted pairs in 8-round tiles: the trigger round falls in the tile
+    # from round 97, whose scores depend on the counts the engine hands it.
+    rows = np.array(
+        [TRIGGER_HISTORY + [3] * 20, TRIGGER_HISTORY[::-1] + [1] * 20, [0] * 120], dtype=np.uint8
+    )
+
+    def crafted_draws(seed, lo, hi, n, rounds, *args):
+        for r0 in range(0, n, rounds):
+            yield r0, rows[lo:hi, r0 : r0 + rounds].copy(), None
+
+    monkeypatch.setattr(montecarlo, "_tile_draws", crafted_draws)
+    tally = montecarlo._kernel_tally(montecarlo._KERNELS[Model101], Model101(), 120, 0, 0, 3, 8)
+    scores = _kernel_model101(Model101(), rows.copy(), None)
+    assert scores[:, 100].tolist() == [True, False, True]  # the first two triggered
+    assert_tally_equals_bincounts(tally, rows, scores)
 
 
 def _guessing_oracle_scores(pairs):
@@ -521,7 +583,7 @@ def test_guessing_custom_tie_break_uses_general_path():
     assert _find_kernel(GuessingLastTie()) is None
     plan = SimulationPlan(factory=GuessingLastTie, n=20, batches=10, seed=3)
     records = list(iter_batch_counts(plan))
-    assert records == list(iter_batch_counts(plan, force_general=True))
+    assert records == general_batch_counts(plan)
 
 
 def test_estimate_reports_are_reproducible():
@@ -577,7 +639,7 @@ def test_estimate_tail_thresholds_exact_at_boundary(monkeypatch, n, delta, score
     # 0.3 and 0.12 both exceed their nearest binary floats, so cuts built
     # from Fraction(delta) would count the on-threshold batches as beyond.
     tally = Tally(0, np.array([score_counts]), np.array([(n // 4,) * 4]))
-    monkeypatch.setattr(montecarlo, "_iter_tallies", lambda plan, force_general=False: iter([tally]))
+    monkeypatch.setattr(montecarlo, "_iter_tallies", lambda plan: iter([tally]))
     report = estimate(SimulationPlan(factory=constant_plus, n=n, batches=1, delta=delta))
     assert (report.tail_freq_y, report.tail_freq_x) == (y_tail, x_tail)
 
@@ -671,7 +733,7 @@ def test_estimate_equals_per_batch_fraction_fold(run):
     tallies = as_tallies(batches, starts)
     plan = SimulationPlan(factory=constant_plus, n=n, batches=len(batches), delta=float(delta))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_iter_tallies", lambda plan, force_general=False: iter(tallies))
+        mp.setattr(montecarlo, "_iter_tallies", lambda plan: iter(tallies))
         report = estimate(plan)
     for field, value in oracles.fold_batches(batches, n, delta).items():
         assert getattr(report, field) == value, field
@@ -770,6 +832,29 @@ def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatc
             tracemalloc.stop()
     assert chunks == 4
     assert peak <= 2 * budget
+
+
+def fresh_peak(setup, work):
+    """The tracemalloc peak of ``work`` in a fresh interpreter that first runs ``setup``."""
+    code = f"import tracemalloc\n{setup}\ntracemalloc.start()\n{work}\nprint(tracemalloc.get_traced_memory()[1])"
+    env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout)
+
+
+def test_fresh_process_peaks_within_the_budget_plus_the_numpy_random_import():
+    # One batch at n = 10^7 runs alone in native tiles that fill the
+    # budget.  Its first native stream imports numpy.random, whose Python
+    # objects (about 0.74 MiB) the budget does not count.
+    imported = fresh_peak("import numpy", "import numpy.random")
+    assert imported <= montecarlo._CHUNK_BYTES // 4
+    plan = "SimulationPlan(factory=constant_plus, n=10 ** 7, batches=1, seed=2 ** 80 + 5)"
+    peak = fresh_peak(
+        "from chshsim.montecarlo import SimulationPlan, estimate\nfrom chshsim.strategies import constant_plus",
+        f"estimate({plan})",
+    )
+    assert peak <= montecarlo._CHUNK_BYTES + imported
 
 
 def test_estimate_quantum_matches_known_mean():
