@@ -1,11 +1,12 @@
 """Catalogue of response models for sequential CHSH experiments.
 
 Includes classical hidden-variable responders (memoryless, with shared
-memory, collective) and an ideal quantum singlet sampler.  Sequential
-strategies answer one round at a time through a protocol that
-structurally enforces locality: a responder is handed its own current
-setting plus a :class:`~chshsim.core.MemoryView` no richer than its
-declared memory class, and nothing else.
+memory, collective) and an ideal quantum singlet sampler; the two
+stochastic ones share :class:`_TapePlay`, which states the tape
+contract.  Sequential strategies answer one round at a time through a
+protocol that structurally enforces locality: a responder is handed its
+own current setting plus a :class:`~chshsim.core.MemoryView` no richer
+than its declared memory class, and nothing else.
 
 Playout engines drive a strategy as::
 
@@ -175,30 +176,20 @@ class SequentialStrategy(ABC):
     """A sequential responder with a declared memory class.
 
     ``stochastic`` marks strategies that consume the injected randomness
-    source.  Four private hooks serve the no-signaling walk:
-    ``_snapshot`` copies the state a setting prefix left, ``_catch_up``
-    lets the state do once per prefix, from Alice's view alone and before
-    the snapshots, what each branch's first responder would otherwise
-    repeat, and ``_child_keys`` names the children whose futures are the
-    same, so the walk checks one subtree for all of them (see the module
-    docstring).
+    source (:class:`_TapePlay`).  Four private hooks serve the no-signaling
+    walk: ``_snapshot`` copies the state a setting prefix left,
+    ``_catch_up`` lets the state do once per prefix, from Alice's view
+    alone and before the snapshots, what each branch's first responder
+    would otherwise repeat, and ``_child_keys`` names the children whose
+    futures are the same, so the walk checks one subtree for all of them
+    (see the module docstring).
     """
 
     memory_class: ClassVar[MemoryClass] = MemoryClass.NONE
     stochastic: ClassVar[bool] = False
 
     def begin_playout(self, n: int, rng=None) -> None:
-        """Reset per-playout state; stochastic strategies draw their tape here.
-
-        Hidden-variable draws happen in full before any setting of the
-        playout is revealed, which is the defining causal constraint of
-        the model family.  ``rng`` is duck-typed: a strategy may call only
-        ``rng.integers(0, k, size=n, dtype="uint8")`` for k in {2, 4} and
-        ``rng.random(n)``, and iterate what they return.  Numpy's
-        ``Generator`` supplies them, and so does
-        :class:`~chshsim.stream.Stream`, with the same draws from the
-        same seed.
-        """
+        """Reset per-playout state; a stochastic strategy draws its tape here (``rng``: see ``_TapePlay``)."""
 
     def begin_round(self) -> None:
         """Hook called once per round before either responder."""
@@ -393,7 +384,47 @@ class Model101(CountDriven):
 QUANTUM_SCORE_PROBABILITY = (2.0 + math.sqrt(2.0)) / 4.0
 
 
-class QuantumSingletSampler(SequentialStrategy):
+class _TapePlay(SequentialStrategy):
+    """Memoryless play from a tape drawn in full before any setting is revealed.
+
+    That is the defining causal constraint of these models.
+    ``begin_playout`` refuses ``rng=None`` with ``ValueError``, draws the
+    tape (``_draw``) and resets the round counter that ``begin_round``
+    advances.  ``rng`` is duck-typed: a draw may call only
+    ``rng.integers(0, k, size=n, dtype="uint8")`` for k in {2, 4} and
+    ``rng.random(n)``, and iterate what they return.  Numpy's
+    ``Generator`` supplies them, and so does
+    :class:`~chshsim.stream.Stream`, with the same draws from the same
+    seed.  The responders read the tape at the current round and the
+    current settings alone, so every state at a given depth plays every
+    continuation alike, and every child's key (``_child_keys``) is the
+    empty tuple.  The tape is replaced, never mutated, so a snapshot may
+    share it.
+    """
+
+    memory_class = MemoryClass.NONE
+    stochastic = True
+    _snapshot = _shallow_snapshot
+    _round = -1
+
+    def begin_playout(self, n, rng=None):
+        if rng is None:
+            raise ValueError(f"{type(self).__name__} needs a randomness source")
+        self._draw(n, rng)
+        self._round = -1
+
+    @abstractmethod
+    def _draw(self, n: int, rng) -> None:
+        """Draw this playout's tape of n rounds from ``rng``."""
+
+    def begin_round(self):
+        self._round += 1
+
+    def _child_keys(self):
+        return ((),) * 4
+
+
+class QuantumSingletSampler(_TapePlay):
     """Samples the ideal quantum singlet statistics round by round.
 
     Alice's outcome is a fair coin; Bob's outcome agrees with Alice's
@@ -403,27 +434,16 @@ class QuantumSingletSampler(SequentialStrategy):
     settings, so this is a simulation aid, not a hidden-variable model.
     """
 
-    memory_class = MemoryClass.NONE
-    stochastic = True
-    _snapshot = _shallow_snapshot
+    _alice_setting = None
 
-    def __init__(self):
-        self._a_tape: list[int] = []
-        self._agree_tape: list[bool] = []
-        self._round = -1
-        self._alice_setting = None
-
-    def begin_playout(self, n, rng=None):
-        if rng is None:
-            raise ValueError("quantum sampler needs a randomness source")
+    def _draw(self, n, rng):
         bits = rng.integers(0, 2, size=n, dtype="uint8")
         self._a_tape = [PLUS if bit else MINUS for bit in bits]
         self._agree_tape = [u < QUANTUM_SCORE_PROBABILITY for u in rng.random(n)]
-        self._round = -1
         self._alice_setting = None
 
     def begin_round(self):
-        self._round += 1
+        super().begin_round()
         self._alice_setting = None
 
     def respond_alice(self, setting, view):
@@ -441,39 +461,21 @@ class QuantumSingletSampler(SequentialStrategy):
         return a if agree else -a
 
 
-class StochasticSequential(SequentialStrategy):
+class StochasticSequential(_TapePlay):
     """Memoryless play from a fixed mixture of deterministic assignments.
 
     Each round independently draws one assignment according to the
-    mixture weights; both wings then answer from it.  The tape is drawn
-    once per playout and read by round alone, so every state at a given
-    depth plays every continuation alike and every child's key
-    (``_child_keys``) is the empty tuple.
+    mixture weights; both wings then answer from it.
     """
-
-    memory_class = MemoryClass.NONE
-    stochastic = True
-    _snapshot = _shallow_snapshot
 
     def __init__(self, lhv: StochasticLHV):
         self.lhv = lhv
         self._cumulative = tuple(itertools.accumulate(float(w) for w, _ in lhv.support))
         self._assignments = tuple(a for _, a in lhv.support)
-        self._tape: list[DeterministicAssignment] = []
-        self._round = -1
 
-    def begin_playout(self, n, rng=None):
-        if rng is None:
-            raise ValueError("stochastic play needs a randomness source")
+    def _draw(self, n, rng):
         cumulative, last = self._cumulative, len(self._assignments) - 1
         self._tape = [self._assignments[min(bisect.bisect_right(cumulative, u), last)] for u in rng.random(n)]
-        self._round = -1
-
-    def begin_round(self):
-        self._round += 1
-
-    def _child_keys(self):
-        return ((),) * 4
 
     def respond_alice(self, setting, view):
         return self._tape[self._round].alice_outcome(setting)
@@ -504,45 +506,23 @@ class CollectiveN2(CollectiveStrategy):
         return self._respond(tuple(settings), (BobSetting.B2, BobSetting.B1), (MINUS, PLUS))
 
 
-def constant_plus() -> SequentialStrategy:
-    """Memoryless strategy answering +1 everywhere."""
-    return ConstantPlus()
+#: The catalogue's classes under their factory names.
+constant_plus = ConstantPlus
+guessing_model = GuessingModel
+model_101 = Model101
+collective_n2 = CollectiveN2
+quantum_singlet_sampler = QuantumSingletSampler
+from_stochastic = StochasticSequential
 
 
-def guessing_model() -> SequentialStrategy:
-    """Full-memory strategy sabotaging the most-measured pair."""
-    return GuessingModel()
-
-
-def model_101() -> SequentialStrategy:
-    """Full-memory strategy with the rigged 101st round."""
-    return Model101()
-
-
-def collective_n2() -> CollectiveStrategy:
-    """Collective two-round model; both wings answer their run at once."""
-    return CollectiveN2()
-
-
-def quantum_singlet_sampler() -> SequentialStrategy:
-    """Ideal quantum singlet statistics (simulation aid, not an LHV)."""
-    return QuantumSingletSampler()
-
-
-def from_stochastic(lhv: StochasticLHV) -> SequentialStrategy:
-    """Memoryless sequential play from a stochastic mixture."""
-    return StochasticSequential(lhv)
-
-
-#: CLI strategy names mapped to zero-argument factories.  ``stochastic-lhv``
-#: is absent because it needs a parsed weights file; see
-#: :func:`make_factory`.
+#: CLI strategy names mapped to their classes, each its own factory.
+#: ``stochastic-lhv`` needs a weights file; see :func:`make_factory`.
 REGISTRY: dict[str, Callable[[], SequentialStrategy | CollectiveStrategy]] = {
-    "constant-plus": constant_plus,
-    "guessing": guessing_model,
-    "model101": model_101,
-    "collective-n2": collective_n2,
-    "quantum": quantum_singlet_sampler,
+    "constant-plus": ConstantPlus,
+    "guessing": GuessingModel,
+    "model101": Model101,
+    "collective-n2": CollectiveN2,
+    "quantum": QuantumSingletSampler,
 }
 
 STRATEGY_NAMES = tuple(REGISTRY) + ("stochastic-lhv",)
@@ -553,7 +533,7 @@ def make_factory(name: str, lhv: StochasticLHV | None = None):
     if name == "stochastic-lhv":
         if lhv is None:
             raise ValueError("strategy 'stochastic-lhv' requires a weights file")
-        return lambda: from_stochastic(lhv)
+        return lambda: StochasticSequential(lhv)
     try:
         return REGISTRY[name]
     except KeyError:

@@ -57,7 +57,7 @@ def _seed_pool(seed: int) -> tuple[list[int], int]:
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = [seed & _M32]
-    while seed := seed >> 32:
+    while (seed := seed >> 32) > 0:
         words.append(seed & _M32)
     words += [0] * (4 - len(words))  # missing pool words hash 0, as a spawn key's padding does
     const = _INIT_A

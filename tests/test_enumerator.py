@@ -41,6 +41,7 @@ from chshsim.strategies import (
     CountDriven,
     DeterministicAssignment,
     GuessingModel,
+    QuantumSingletSampler,
     SequentialStrategy,
     StochasticLHV,
     all_assignments,
@@ -782,7 +783,10 @@ NOSIG_SUBJECTS = {
 
 #: The keyed subjects by what the keys their states name for their
 #: children (``_child_keys``) group prefixes on: the pair counts, or the
-#: depth alone.  Every other subject has no keys and is walked in full.
+#: depth alone.  Every other subject has no keys and is walked in full,
+#: except ``quantum``: it keys by depth, but it fails before any subtree
+#: comes back clean, so its keyed walk is its full walk's
+#: (test_quantum_keyed_walk_is_its_unkeyed_walk).
 KEYED_BY = {
     "constant-plus": "depth",
     "guessing": "counts",
@@ -920,6 +924,27 @@ def test_no_signaling_check_equals_toggle_and_replay_oracle(name, monkeypatch):
                 assert len(played) == 4 ** n, f"n={n}"
             else:
                 assert len(played) <= len(replays), f"n={n}"
+
+
+def test_quantum_keyed_walk_is_its_unkeyed_walk(monkeypatch):
+    # The sampler's tape is read by round alone, so it keys every child
+    # by depth.  Bob's answer on (A1,B2) always differs from his answer
+    # on (A2,B2), so the walk stops at round n of the all-(A1,B1) path,
+    # before any subtree has come back clean: no key is consulted.
+    for seed in (0, 7):
+        for n in range(1, 7):
+            walks = []
+            for keyed in (False, True):
+                with contextlib.ExitStack() as stack:
+                    if not keyed:
+                        stack.enter_context(unkeyed(monkeypatch, QuantumSingletSampler))
+                    walked = stack.enter_context(walked_rounds(monkeypatch))
+                    report = no_signaling_check(quantum_singlet_sampler(), n, seed=seed)
+                walks.append((report, [node for node, _, _ in walked]))
+            (report, nodes), (keyed_report, keyed_nodes) = walks
+            assert keyed_report == report, (seed, n)
+            assert not report.passed and report.counterexample.round_index == n, (seed, n)
+            assert keyed_nodes == nodes, (seed, n)
 
 
 def test_no_signaling_reports_late_first_violation():

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as hs
 import oracles
 from chshsim.core import (
     ALL_PAIRS,
+    EMPTY_VIEW,
     AliceSetting,
     BobSetting,
     MemoryClass,
@@ -24,9 +25,16 @@ from chshsim.strategies import (
     CONSTANT_PLUS_ASSIGNMENT,
     MODEL_101_TRIGGER_ASSIGNMENT,
     QUANTUM_SCORE_PROBABILITY,
+    REGISTRY,
+    CollectiveN2,
+    ConstantPlus,
     DeterministicAssignment,
+    GuessingModel,
+    Model101,
+    QuantumSingletSampler,
     SequentialStrategy,
     StochasticLHV,
+    StochasticSequential,
     all_assignments,
     collective_n2,
     constant_plus,
@@ -291,6 +299,86 @@ def test_own_side_machinery_feeds_each_wing_only_its_history():
     assert [r.a for r in t1.rounds] == [r.a for r in t2.rounds]
     views_seen = [r.b for r in t1.rounds]
     assert views_seen[0] == -1  # empty history parity, negated
+
+
+UNIFORM_MIXTURE = StochasticLHV.uniform(all_assignments())
+
+#: Every sequential strategy of the catalogue, by CLI name.
+CATALOGUE_SEQUENTIAL = {
+    "constant-plus": constant_plus,
+    "guessing": guessing_model,
+    "model101": model_101,
+    "quantum": quantum_singlet_sampler,
+    "stochastic-lhv": lambda: from_stochastic(UNIFORM_MIXTURE),
+}
+
+TAPE_STRATEGIES = ("quantum", "stochastic-lhv")
+
+
+def child_keys_after(strategy, pairs, rng):
+    """``strategy``'s child keys once it has played ``pairs`` and caught up on the next round's view.
+
+    The view is the one the no-signaling walk hands the state: the full
+    history under FULL memory and the empty view under NONE.
+    """
+    t = playout(strategy, pairs, rng)
+    full = strategy.memory_class is MemoryClass.FULL
+    strategy._catch_up(MemoryView(MemoryClass.FULL, None, t.rounds, t.n_total) if full else EMPTY_VIEW)
+    return strategy._child_keys()
+
+
+@pytest.mark.parametrize("name", CATALOGUE_SEQUENTIAL)
+def test_catalogue_child_keys_after_a_short_playout(name):
+    # The keys the no-signaling walk skips equal children by: the pair
+    # counts with the child's pair raised by one under memory, the same
+    # counts for every child of constant-plus (its empty views never
+    # advance them from zero), and the empty tuple for the tape
+    # strategies, whose tape is read by round alone.
+    for pairs in ([], [P11], [P22, P12, P22], [P21, P11, P21, P22, P21]):
+        keys = child_keys_after(CATALOGUE_SEQUENTIAL[name](), pairs, np.random.default_rng(3))
+        counts = tuple(sum(p == q for p in pairs) for q in ALL_PAIRS)
+        if name in ("guessing", "model101"):
+            expected = tuple(tuple(c + (i == j) for i, c in enumerate(counts)) for j in range(4))
+        elif name == "constant-plus":
+            expected = ((0, 0, 0, 0),) * 4
+        else:
+            expected = ((),) * 4
+        assert keys == expected, pairs
+
+
+@pytest.mark.parametrize("name", TAPE_STRATEGIES)
+def test_tape_strategies_refuse_no_rng_and_replay_a_reused_instance(name):
+    # The tape is drawn in begin_playout, which resets the round counter,
+    # so one instance replays a seed's playout whatever it played before.
+    strategy = CATALOGUE_SEQUENTIAL[name]()
+    with pytest.raises(ValueError, match="needs a randomness source"):
+        strategy.begin_playout(3, None)
+    pairs = [ALL_PAIRS[i % 4] for i in range(9)]
+    first = playout(strategy, pairs, np.random.default_rng(5))
+    playout(strategy, pairs[:4], np.random.default_rng(6))
+    assert playout(strategy, pairs, np.random.default_rng(5)).rounds == first.rounds
+
+
+def test_catalogue_classes_are_their_own_factories():
+    assert (constant_plus, guessing_model, model_101, collective_n2, quantum_singlet_sampler, from_stochastic) == (
+        ConstantPlus,
+        GuessingModel,
+        Model101,
+        CollectiveN2,
+        QuantumSingletSampler,
+        StochasticSequential,
+    )
+    assert REGISTRY == {
+        "constant-plus": ConstantPlus,
+        "guessing": GuessingModel,
+        "model101": Model101,
+        "collective-n2": CollectiveN2,
+        "quantum": QuantumSingletSampler,
+    }
+    factories = [make_factory(name) for name in REGISTRY] + [make_factory("stochastic-lhv", UNIFORM_MIXTURE)]
+    for factory in factories:
+        first, second = factory(), factory()
+        assert type(first) is type(second) and first is not second
 
 
 def test_make_factory_rejects_unknown_name():

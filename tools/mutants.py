@@ -1,0 +1,256 @@
+#!/usr/bin/env python3
+"""The committed mutant table: faults the test suite must catch.
+
+Each mutant is an exact text patch on one file under ``src/chshsim``, an
+old string that must occur there exactly once and its replacement,
+together with the tests expected to kill it.  The runner copies the
+package, the tests, the benchmark harness (``tests/test_bench_boundaries.py``
+imports it) and ``pyproject.toml`` to a temporary directory, checks that
+the unmutated copy passes every selection, and then, one mutant at a
+time, patches the copy, runs the mutant's selection with plain
+``pytest`` in a subprocess and restores the file.  A mutant is killed
+when a selected test fails or cannot be collected.  Hypothesis runs with
+a fixed seed, so a table run is reproducible.
+
+It prints each mutant's verdict, the number of failing tests and the
+time taken, and exits 1 if a mutant survives, a patch no longer applies,
+a run crashes or times out, or the unmutated copy fails.  Each run is
+capped at 2 GiB of address space and 10 minutes.  The repository's own
+files are never modified.  Run it from anywhere::
+
+    python3 tools/mutants.py
+
+A surviving mutant is a finding to record, not a mutant to delete.  A
+patch that no longer applies is re-targeted to the same fault.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/chshsim
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+
+
+MUTANTS = (
+    # A tile's draws, stepped in numpy or read by native PCG64s.
+    Mutant(
+        "native-states-not-moved-on",
+        "montecarlo.py",
+        "        s_hi, s_lo = _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, pair_count)\n",
+        "",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
+            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
+        ),
+    ),
+    Mutant(
+        "native-gap-advanced-one-too-far",
+        "montecarlo.py",
+        "bitgen.advance(gap)",
+        "bitgen.advance(gap + 1)",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
+            "tests/test_montecarlo.py::test_raw_words_drawn_in_pieces_equal_numpy_per_batch_generators",
+        ),
+    ),
+    Mutant(
+        "stepped-tape-jumped-one-too-far",
+        "montecarlo.py",
+        "_pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, gap)",
+        "_pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, gap + 1)",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+        ),
+    ),
+    # Kernels fed by the engine's pair counts of the earlier tiles.
+    Mutant(
+        "counts-withheld-after-the-first-tile",
+        "montecarlo.py",
+        "before = _pair_counts(r0, *counts[0, 1:]) if r0 and kernel.counted else None",
+        "before = np.zeros((hi - lo, 4), dtype=np.int64) if r0 and kernel.counted else None",
+        (
+            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
+            "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
+        ),
+    ),
+    Mutant(
+        "model101-in-tile-head-dropped",
+        "montecarlo.py",
+        "tallied = [(pairs[:, :k] == j).sum(axis=1)",
+        "tallied = [(pairs[:, :0] == j).sum(axis=1)",
+        (
+            "tests/test_montecarlo.py::test_model101_kernel_on_crafted_trigger_history",
+            "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
+        ),
+    ),
+    Mutant(
+        "guessing-rebuilt-tie-break-reversed",
+        "montecarlo.py",
+        "keys = (4 * counts + np.arange(3, -1, -1)).ravel()",
+        "keys = (4 * counts + np.arange(4)).ravel()",
+        ("tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",),
+    ),
+    Mutant(
+        "pair-counts-high-and-low-swapped",
+        "montecarlo.py",
+        "(every - high - low + both, low - both, high - both, both)",
+        "(every - high - low + both, high - both, low - both, both)",
+        ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
+    ),
+    Mutant(
+        "batch-x-renamed",
+        "montecarlo.py",
+        "def batch_x(record: BatchCounts)",
+        "def batch_x_of(record: BatchCounts)",
+        ("tests/test_bench_boundaries.py",),
+    ),
+    # The tile tally's bit planes.
+    Mutant(
+        "score-padding-left-uninitialised",
+        "montecarlo.py",
+        "padded = np.zeros((hi - lo, 8 * width), dtype=bool)",
+        "padded = np.empty((hi - lo, 8 * width), dtype=bool)",
+        (
+            "tests/test_montecarlo.py::test_kernel_matches_general_engine",
+            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
+        ),
+    ),
+    Mutant(
+        "high-and-low-masks-swapped",
+        "montecarlo.py",
+        "for k, mask in enumerate((0, 2, 1)):",
+        "for k, mask in enumerate((0, 1, 2)):",
+        ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
+    ),
+    Mutant(
+        "all-scores-plane-zeroed",
+        "montecarlo.py",
+        "        del rows\n",
+        "        del rows\n        planes[3] = 0\n",
+        ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
+    ),
+    # The tape base of the memoryless stochastic strategies.
+    Mutant(
+        "tape-round-counter-not-reset",
+        "strategies.py",
+        "        self._draw(n, rng)\n        self._round = -1\n",
+        "        self._draw(n, rng)\n",
+        (
+            "tests/test_strategies.py::test_tape_strategies_refuse_no_rng_and_replay_a_reused_instance",
+            "tests/test_enumerator.py::test_stochastic_tape_is_restored_not_rebuilt",
+        ),
+    ),
+    Mutant(
+        "quantum-begin-round-skips-the-base",
+        "strategies.py",
+        "        super().begin_round()\n        self._alice_setting = None\n",
+        "        self._alice_setting = None\n",
+        (
+            "tests/test_strategies.py",
+            "tests/test_montecarlo.py::test_kernel_matches_general_engine",
+        ),
+    ),
+    Mutant(
+        "alias-bound-to-the-wrong-class",
+        "strategies.py",
+        "model_101 = Model101\n",
+        "model_101 = GuessingModel\n",
+        ("tests/test_strategies.py",),
+    ),
+)
+
+
+#: Each pytest run's address space and wall time.  A mutant may turn a
+#: bounded loop into an unbounded one; the run must then fail alone,
+#: not exhaust the machine's memory.
+MEMORY_LIMIT = 2 << 30
+TIMEOUT_S = 600
+
+
+def limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_pytest(workdir: Path, tests) -> tuple[int | None, str]:
+    """Run ``pytest`` on ``tests`` in ``workdir``; its exit code (None on timeout) and output."""
+    # One BLAS thread: OpenBLAS reserves buffers per thread at import,
+    # which on a many-core host would not fit under MEMORY_LIMIT.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    try:
+        done = subprocess.run(
+            command, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=limit_memory
+        )
+    except subprocess.TimeoutExpired:
+        return None, ""
+    return done.returncode, done.stdout + done.stderr
+
+
+def failures(output: str) -> int:
+    """Failed plus erroring tests from pytest's summary line."""
+    summary = output.splitlines()[-1] if output else ""
+    return sum(int(count) for count in re.findall(r"(\d+) (?:failed|errors?)\b", summary))
+
+
+def main() -> int:
+    bad = 0
+    started = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="chshsim-mutants-") as tmp:
+        workdir = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, workdir / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(source, workdir / name)
+        selections = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        code, output = run_pytest(workdir, selections)
+        if code != 0:
+            print(f"the unmutated copy fails its selections:\n{output}", file=sys.stderr)
+            return 1
+        for mutant in MUTANTS:
+            target = workdir / "src" / "chshsim" / mutant.path
+            text = target.read_text()
+            found = text.count(mutant.old)
+            if found != 1:
+                print(f"STALE     {mutant.name}: old text found {found} times in {mutant.path}")
+                bad += 1
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new))
+            t0 = time.perf_counter()
+            try:
+                code, output = run_pytest(workdir, mutant.tests)
+            finally:
+                target.write_text(text)
+            # pytest exits 1 when tests failed and 2 when collection failed;
+            # anything else (a crash, a timeout) needs a look, not a verdict.
+            verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(code, f"CRASHED ({code})")
+            if verdict.startswith("CRASHED"):
+                print(output, file=sys.stderr)
+            print(f"{verdict:9} {mutant.name}: {failures(output)} failing, {time.perf_counter() - t0:.1f} s", flush=True)
+            bad += verdict != "killed"
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed in {time.perf_counter() - started:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
