@@ -123,7 +123,7 @@ def _resolve_factory(args):
     if args.strategy_file is not None:
         if args.strategy != "stochastic-lhv":
             raise ValueError("--strategy-file applies only to --strategy stochastic-lhv")
-        with open(args.strategy_file, encoding="utf-8") as fp:
+        with open(args.strategy_file, encoding="utf-8-sig") as fp:
             lhv = parse_weights_csv(fp)
     return make_factory(args.strategy, lhv)
 

@@ -1,8 +1,9 @@
 """Domain vocabulary for sequential CHSH experiments.
 
 Settings, outcomes, rounds, transcripts, and the memory views that
-control how much of the past history a responder is allowed to see.
-All types here are immutable values once constructed.
+control how much of the past history a responder is allowed to see;
+:func:`views` cuts every view from the rounds of a play.  All types
+here are immutable values once constructed.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ class OwnSideEntry(NamedTuple):
 class MemoryView:
     """Bounded read-only window onto the history a responder may consult.
 
-    FULL views expose whole rounds, OWN_SIDE views expose only that
-    wing's (setting, outcome) entries, NONE views are empty.  A view of
-    the first k rounds can never reveal anything from round k+1 onward,
+    Cut from a play's rounds by :func:`views`: FULL views expose whole
+    rounds, OWN_SIDE views build that wing's (setting, outcome) entry
+    from each round as it is read, NONE views are empty.  A view of the
+    first k rounds can never reveal anything from round k+1 onward,
     even when the backing sequence keeps growing behind it.
     """
 
@@ -190,11 +192,15 @@ class MemoryView:
             i += self._length
         if not 0 <= i < self._length:
             raise IndexError("memory view index out of range")
-        return self._backing[i]
+        if self.side is None:
+            return self._backing[i]
+        rnd = self._backing[i]
+        if self.side is Side.ALICE:
+            return OwnSideEntry(rnd.pair.alice, rnd.a)
+        return OwnSideEntry(rnd.pair.bob, rnd.b)
 
     def __iter__(self):
-        for i in range(self._length):
-            yield self._backing[i]
+        return map(self.__getitem__, range(self._length))
 
     def entries(self) -> tuple:
         return tuple(self)
@@ -206,3 +212,18 @@ class MemoryView:
 
 #: The view every memoryless responder receives.
 EMPTY_VIEW = MemoryView(MemoryClass.NONE, None, (), 0)
+
+
+def views(memory_class: MemoryClass, rounds: Sequence[Round], k: int) -> tuple[MemoryView, MemoryView]:
+    """Alice's and Bob's views of the first k of ``rounds`` under ``memory_class``.
+
+    FULL gives both wings one shared view of the rounds, OWN_SIDE each
+    wing a view of its own entries, NONE both :data:`EMPTY_VIEW`.
+    """
+    # Values, not members: Python 3.11 finds ``MemoryClass.FULL`` through EnumType.__getattr__, slowly.
+    if memory_class._value_ == "full":
+        view = MemoryView(memory_class, None, rounds, k)
+        return view, view
+    if memory_class._value_ == "own-side":
+        return MemoryView(memory_class, Side.ALICE, rounds, k), MemoryView(memory_class, Side.BOB, rounds, k)
+    return EMPTY_VIEW, EMPTY_VIEW

@@ -46,16 +46,14 @@ from typing import TYPE_CHECKING, Callable
 
 from .core import (
     ALL_PAIRS,
-    EMPTY_VIEW,
     InvariantViolation,
     MemoryClass,
-    MemoryView,
-    OwnSideEntry,
     Round,
     SettingPair,
     Side,
     Transcript,
     _check_pair,
+    views,
 )
 from .stats import chsh_value, round_score, x_from_counts, x_statistic
 from .strategies import (
@@ -125,39 +123,25 @@ def _play_round(strategy, pair: SettingPair, view_a, view_b) -> tuple[int, int]:
     return a, b
 
 
-def playout(
-    strategy: SequentialStrategy, settings, rng=None
-) -> Transcript:
+def playout(strategy: SequentialStrategy, settings, rng=None) -> Transcript:
     """Drive a sequential strategy through the given setting sequence.
 
     Each round both responders see their own current setting and a
-    memory view of the completed rounds, filtered to the strategy's
-    declared memory class.  The strategy, its memory class and the
-    settings are checked on every call; each round is played by the same
-    one-round body as :func:`no_signaling_check`'s walk.  Collective
-    strategies have their own path, :func:`collective_playout`.
+    memory view of the completed rounds, cut to the strategy's declared
+    memory class by :func:`~chshsim.core.views`.  The strategy, its
+    memory class and the settings are checked on every call; each round
+    is played by the same one-round body as :func:`no_signaling_check`'s
+    walk.  Collective strategies have their own path,
+    :func:`collective_playout`.
     """
     memory_class = _memory_class(strategy)
     pairs = _as_pairs(settings)
     strategy.begin_playout(len(pairs), rng)
-    # Enum members are looked up once per play, not once per round.
-    full = memory_class is MemoryClass.FULL
-    own_side = memory_class is MemoryClass.OWN_SIDE
     rounds: list[Round] = []
-    own_alice: list = []
-    own_bob: list = []
-    view_a = view_b = EMPTY_VIEW
     for k, pair in enumerate(pairs):
-        if full:
-            view_a = view_b = MemoryView(memory_class, None, rounds, k)
-        elif own_side:
-            view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
-            view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
+        view_a, view_b = views(memory_class, rounds, k)
         a, b = _play_round(strategy, pair, view_a, view_b)
         rounds.append(Round(k + 1, pair, int(a), int(b)))
-        if own_side:
-            own_alice.append(OwnSideEntry(pair.alice, a))
-            own_bob.append(OwnSideEntry(pair.bob, b))
     transcript = Transcript.__new__(Transcript)
     transcript.rounds = tuple(rounds)
     return transcript
@@ -547,14 +531,14 @@ def _violation(settings, sequences_checked: int, round_index: int, toggled_side:
     )
 
 
-def _signaling_report(n: int, path, k: int, q: int, toggled_side: Side, before) -> NoSignalingReport:
-    """The report for a round-k violation at child q of the prefix ``path``.
+def _signaling_report(n: int, rounds, k: int, q: int, toggled_side: Side, before) -> NoSignalingReport:
+    """The report for a round-k violation at child q of the prefix played as ``rounds``.
 
     Every sequence through that child violates, since round k's outcomes
     depend on the first k + 1 pairs alone; the earliest one in sequence
     order extends it with (A1,B1) pairs.
     """
-    settings = (*path, ALL_PAIRS[q]) + (ALL_PAIRS[0],) * (n - 1 - k)
+    settings = (*(r.pair for r in rounds), ALL_PAIRS[q]) + (ALL_PAIRS[0],) * (n - 1 - k)
     index = 0
     for pair in settings:
         index = 4 * index + pair.index
@@ -571,7 +555,8 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     left is first caught up (``_catch_up``) on Alice's view, once for
     all four pairs, and names its children's keys (``_child_keys``).
     Round k is then played through the subject's own responders and
-    views for each pair: for the first three from snapshots of that
+    views, cut from the prefix's rounds (:func:`~chshsim.core.views`),
+    for each pair: for the first three from snapshots of that
     state, for the last on the state itself, once a comparison needs it.
     The walk is depth-first in product order and compares child q's
     one-wing toggles before descending into q, so violations come in the
@@ -588,14 +573,9 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     most four states per depth and one key per walked node.
     """
     strategy.begin_playout(n, rng)
-    full = memory_class is MemoryClass.FULL
-    own_side = memory_class is MemoryClass.OWN_SIDE
     p11, p12, p21, p22 = ALL_PAIRS
     finished: set = set()  # (depth, key) of the nodes walked clean
-    path: list[SettingPair] = []
-    rounds: list[Round] = []
-    own_alice: list = []
-    own_bob: list = []
+    rounds: list[Round] = []  # the prefix being walked
 
     def descend(child, k: int, pair: SettingPair, a, b, key) -> NoSignalingReport | None:
         """Walk the subtree below child ``pair`` of a depth-k node, which played (a, b).
@@ -608,33 +588,17 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
             key = (k + 1, key)
             if key in finished:
                 return None
-        path.append(pair)
-        if full:
-            rounds.append(Round(k + 1, pair, int(a), int(b)))
-        elif own_side:
-            own_alice.append(OwnSideEntry(pair.alice, a))
-            own_bob.append(OwnSideEntry(pair.bob, b))
+        rounds.append(Round(k + 1, pair, int(a), int(b)))
         report = visit(child, k + 1)
         if report is not None:
             return report
-        path.pop()
-        if full:
-            rounds.pop()
-        elif own_side:
-            own_alice.pop()
-            own_bob.pop()
+        rounds.pop()
         if key is not None:
             finished.add(key)
         return None
 
     def visit(state, k: int) -> NoSignalingReport | None:
-        if full:
-            view_a = view_b = MemoryView(memory_class, None, rounds, k)
-        elif own_side:
-            view_a = MemoryView(memory_class, Side.ALICE, own_alice, k)
-            view_b = MemoryView(memory_class, Side.BOB, own_bob, k)
-        else:
-            view_a = view_b = EMPTY_VIEW
+        view_a, view_b = views(memory_class, rounds, k)
         state._catch_up(view_a)
         deeper = k + 1 < n
         child_keys = state._child_keys() if deeper else None
@@ -646,20 +610,20 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
         # A toggle of Bob's setting watches Alice's outcome, and the
         # reverse; each child's toggles are compared before its subtree.
         if a11 != a12:
-            return _signaling_report(n, path, k, 0, Side.BOB, a11)
+            return _signaling_report(n, rounds, k, 0, Side.BOB, a11)
         if b11 != b21:
-            return _signaling_report(n, path, k, 0, Side.ALICE, b11)
+            return _signaling_report(n, rounds, k, 0, Side.ALICE, b11)
         if deeper and (report := descend(s11, k, p11, a11, b11, c11)) is not None:
             return report
         # Child 3 is first compared by child 1's Alice toggle, and plays
         # on the node's own state, which no snapshot needs now.
         a22, b22 = _play_round(state, p22, view_a, view_b)
         if b12 != b22:
-            return _signaling_report(n, path, k, 1, Side.ALICE, b12)
+            return _signaling_report(n, rounds, k, 1, Side.ALICE, b12)
         if deeper and (report := descend(s12, k, p12, a12, b12, c12)) is not None:
             return report
         if a21 != a22:
-            return _signaling_report(n, path, k, 2, Side.BOB, a21)
+            return _signaling_report(n, rounds, k, 2, Side.BOB, a21)
         if deeper and (report := descend(s21, k, p21, a21, b21, c21)) is not None:
             return report
         return descend(state, k, p22, a22, b22, c22) if deeper else None

@@ -224,6 +224,26 @@ def test_simulate_stochastic_lhv_from_weights_file(tmp_path):
     assert read_json(out)["strategy"] == "stochastic-lhv"
 
 
+def test_weights_file_with_byte_order_mark_reads_as_without(tmp_path):
+    # Spreadsheet tools save CSV as UTF-8 with a byte-order mark.
+    text = "weight,a1,a2,b1,b2\n1/3,+1,+1,+1,+1\n2/3,-1,+1,-1,+1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for command in (
+        ("nosig", "--n", "3", "--seed", "4"),
+        ("simulate", "--n", "40", "--batches", "10", "--seed", "4"),
+    ):
+        outputs = []
+        for weights in (plain, marked):
+            out = tmp_path / f"{weights.stem}-{command[0]}.json"
+            args = (*command, "--strategy", "stochastic-lhv", "--strategy-file", str(weights), "--out", str(out))
+            assert run_cli(*args) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 def test_simulate_stochastic_lhv_without_file_is_input_error(capsys):
     assert run_cli("simulate", "--strategy", "stochastic-lhv", "--n", "10") == 2
     assert "weights" in capsys.readouterr().err

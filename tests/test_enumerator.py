@@ -947,6 +947,40 @@ def test_quantum_keyed_walk_is_its_unkeyed_walk(monkeypatch):
             assert keyed_nodes == nodes, (seed, n)
 
 
+@pytest.mark.parametrize("name", ("guessing", "own-side-parity", "constant-plus"))
+def test_walk_hands_each_node_the_views_playout_hands_its_round(name, monkeypatch):
+    # FULL, OWN_SIDE and NONE memory: at every (prefix, pair) node the
+    # walk plays, keyed or in full, both wings see the entries that
+    # ``playout`` shows them at that round of the node's sequence padded
+    # with (A1,B1) pairs.  Nodes are carried by the played states, as in
+    # walked_rounds, so a playout's round k is recorded at its first
+    # k + 1 pairs.
+    factory, _ = NOSIG_SUBJECTS[name]
+    seen = []
+    real_play_round = enumerator._play_round
+
+    def recorded(strategy, pair, view_a, view_b):
+        node = getattr(strategy, "_walked_node", ()) + (pair.index,)
+        seen.append((node, view_a.entries(), view_b.entries()))
+        strategy._walked_node = node
+        return real_play_round(strategy, pair, view_a, view_b)
+
+    monkeypatch.setattr(enumerator, "_play_round", recorded)
+    for n in range(1, 5):
+        for keyed in (False, True):
+            seen.clear()
+            with contextlib.ExitStack() as stack:
+                if not keyed:
+                    stack.enter_context(unkeyed(monkeypatch, type(factory())))
+                assert no_signaling_check(factory(), n).passed, (n, keyed)
+            walked = list(seen)
+            assert any(entries for _, entries, _ in walked) == (n > 1 and name != "constant-plus")
+            for node, view_a, view_b in walked:
+                seen.clear()
+                playout(factory(), [ALL_PAIRS[i] for i in node + (0,) * (n - len(node))])
+                assert seen[len(node) - 1] == (node, view_a, view_b), (n, keyed)
+
+
 def test_no_signaling_reports_late_first_violation():
     for n, first_failure in zip(range(1, 5), (3, 9, 33, 129)):
         report = no_signaling_check(signals_late, n)

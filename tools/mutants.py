@@ -49,6 +49,10 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest arguments, relative to the repository root
 
 
+#: Selections several mutants share.
+ORACLE_TEST = "tests/test_enumerator.py::test_no_signaling_check_equals_toggle_and_replay_oracle"
+NUMPY_GUARD = "tests/test_cli.py::test_exact_and_bound_commands_never_load_numpy"
+
 MUTANTS = (
     # A tile's draws, stepped in numpy or read by native PCG64s.
     Mutant(
@@ -176,6 +180,122 @@ MUTANTS = (
         "model_101 = GuessingModel\n",
         ("tests/test_strategies.py",),
     ),
+    # The no-signaling walk's snapshots, catch-up and child keys.
+    Mutant(
+        "snapshot-returns-the-state-itself",
+        "strategies.py",
+        "    return twin\n",
+        "    return strategy\n",
+        (ORACLE_TEST,),
+    ),
+    Mutant(
+        "catch-up-does-nothing",
+        "strategies.py",
+        "    def _catch_up(self, view):\n        if len(view) != self._round:\n            self._advance(view)\n",
+        "    def _catch_up(self, view):\n        pass\n",
+        ("tests/test_enumerator.py::test_walk_advances_each_prefix_state_once",),
+    ),
+    Mutant(
+        "count-driven-child-keys-empty",
+        "strategies.py",
+        "        return (c0 + 1, c1, c2, c3), (c0, c1 + 1, c2, c3), (c0, c1, c2 + 1, c3), (c0, c1, c2, c3 + 1)\n",
+        "        return ((),) * 4\n",
+        (ORACLE_TEST,),
+    ),
+    Mutant(
+        "tape-child-keys-none",
+        "strategies.py",
+        "    def _child_keys(self):\n        return ((),) * 4\n",
+        "    def _child_keys(self):\n        return None\n",
+        (ORACLE_TEST,),
+    ),
+    Mutant(
+        "memoryless-child-keys-of-counts-plus-pair",
+        "strategies.py",
+        "        if self.memory_class is MemoryClass.NONE:\n            return (counts,) * 4\n",
+        "",
+        (ORACLE_TEST,),
+    ),
+    Mutant(
+        "child-keys-of-pairs-0-and-1-swapped",
+        "strategies.py",
+        "return (c0 + 1, c1, c2, c3), (c0, c1 + 1, c2, c3),",
+        "return (c0, c1 + 1, c2, c3), (c0 + 1, c1, c2, c3),",
+        (ORACLE_TEST,),
+    ),
+    # The exact sums over count states.
+    Mutant(
+        "hit-flags-in-reversed-pair-order",
+        "strategies.py",
+        "(int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2))",
+        "(int(a2 != b2), int(a2 == b1), int(a1 == b2), int(a1 == b1))",
+        ("tests/test_strategies.py", "tests/test_golden.py"),
+    ),
+    Mutant(
+        "hit-flags-1-and-2-swapped",
+        "strategies.py",
+        "(int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2))",
+        "(int(a1 == b1), int(a2 == b1), int(a1 == b2), int(a2 != b2))",
+        ("tests/test_strategies.py", "tests/test_golden.py"),
+    ),
+    Mutant(
+        "zero-power-term-dropped-from-g3",
+        "enumerator.py",
+        "        if z == 3 and t == r:\n            free -= 1  # 0^s at s = 0\n",
+        "",
+        ("tests/test_golden.py",),
+    ),
+    Mutant(
+        "weight-table-without-own-zero-shift",
+        "enumerator.py",
+        "weight[3 - met + (c == 0)][c]",
+        "weight[3 - met][c]",
+        ("tests/test_golden.py",),
+    ),
+    # Startup: the exact commands never load numpy.
+    Mutant(
+        "numpy-imported-by-enumerator",
+        "enumerator.py",
+        "from .stream import Stream\n",
+        "from .stream import Stream\nimport numpy as np\n",
+        (NUMPY_GUARD,),
+    ),
+    Mutant(
+        "numpy-imported-by-strategies",
+        "strategies.py",
+        "from .core import (\n",
+        "import numpy as np\nfrom .core import (\n",
+        (NUMPY_GUARD,),
+    ),
+    # Both wings' views, cut from one list of rounds.
+    Mutant(
+        "own-side-bob-given-alices-entries",
+        "core.py",
+        "return MemoryView(memory_class, Side.ALICE, rounds, k), MemoryView(memory_class, Side.BOB, rounds, k)",
+        "return MemoryView(memory_class, Side.ALICE, rounds, k), MemoryView(memory_class, Side.ALICE, rounds, k)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "own-side-given-the-full-view",
+        "core.py",
+        'if memory_class._value_ == "full":',
+        'if memory_class._value_ != "none":',
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "walk-never-pops-its-last-round",
+        "enumerator.py",
+        "        rounds.pop()\n",
+        "",
+        ("tests/test_enumerator.py::test_walk_hands_each_node_the_views_playout_hands_its_round",),
+    ),
+    Mutant(
+        "report-prefix-shifted-by-one",
+        "enumerator.py",
+        "(*(r.pair for r in rounds), ALL_PAIRS[q]) + (ALL_PAIRS[0],) * (n - 1 - k)",
+        "(*(r.pair for r in rounds[1:]), ALL_PAIRS[q]) + (ALL_PAIRS[0],) * (n - k)",
+        (ORACLE_TEST,),
+    ),
 )
 
 
@@ -195,7 +315,7 @@ def run_pytest(workdir: Path, tests) -> tuple[int | None, str]:
     # One BLAS thread: OpenBLAS reserves buffers per thread at import,
     # which on a many-core host would not fit under MEMORY_LIMIT.
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src", OPENBLAS_NUM_THREADS="1")
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *tests]
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--hypothesis-profile=mutants", *tests]
     try:
         done = subprocess.run(
             command, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, preexec_fn=limit_memory
