@@ -22,12 +22,7 @@ from pathlib import Path
 
 from .bounds import MODEL_CLASSES, bounds_table, f_delta, x_mean_bound, x_tail_bound
 from .core import InvariantViolation
-from .enumerator import (
-    DEFAULT_ENUM_CAP,
-    exact_collective,
-    exact_expectations,
-    no_signaling_check,
-)
+from .enumerator import exact_collective, exact_expectations, no_signaling_check
 from .strategies import (
     STRATEGY_NAMES,
     CollectiveStrategy,
@@ -185,7 +180,7 @@ def _cmd_enumerate(args) -> int:
     if isinstance(strategy, CollectiveStrategy):
         if args.distribution:
             raise ValueError("--distribution is not available for collective strategies")
-        result = exact_collective(strategy, args.n, cap=args.enum_cap)
+        result = exact_collective(strategy, args.n)
         n_sequences = 4 ** result.n
         payload = {
             "command": "enumerate",
@@ -198,9 +193,7 @@ def _cmd_enumerate(args) -> int:
             "independent_rounds_ceiling": rational(result.independent_ceiling),
         }
     else:
-        result = exact_expectations(
-            strategy, args.n, cap=args.enum_cap, collect_distribution=args.distribution
-        )
+        result = exact_expectations(strategy, args.n, collect_distribution=args.distribution)
         payload = {
             "command": "enumerate",
             "strategy": args.strategy,
@@ -260,7 +253,7 @@ def _cmd_table(args) -> int:
 def _cmd_nosig(args) -> int:
     subject = _resolve_factory(args)()
     seed = args.seed if getattr(subject, "stochastic", False) else None
-    report = no_signaling_check(subject, args.n, cap=args.enum_cap, seed=seed)
+    report = no_signaling_check(subject, args.n, seed=seed)
     counterexample = None
     if report.counterexample is not None:
         ce = report.counterexample
@@ -322,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[strat, output], help="exact expectations over all setting sequences")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--distribution", action="store_true", help="include the exact (Y, X) distribution")
 
     p = sub.add_parser("bounds", parents=[output], help="closed-form bound values")
@@ -337,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nosig", parents=[strat, output], help="exhaustive no-signaling check")
     p.add_argument("--n", type=int, default=4)
-    p.add_argument("--enum-cap", type=int, default=DEFAULT_ENUM_CAP)
     p.add_argument("--seed", type=int, default=0, help="fixed tape for stochastic strategies")
 
     return parser

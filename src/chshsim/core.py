@@ -195,7 +195,7 @@ class MemoryView:
         if self.side is None:
             return self._backing[i]
         rnd = self._backing[i]
-        if self.side is Side.ALICE:
+        if self.side._value_ == "alice":  # the value, as in views()
             return OwnSideEntry(rnd.pair.alice, rnd.a)
         return OwnSideEntry(rnd.pair.bob, rnd.b)
 

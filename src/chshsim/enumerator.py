@@ -27,8 +27,10 @@ from a snapshot of the state the prefix left, and walks below only one
 prefix per (depth, key its parent names), so a count-driven strategy is
 checked over its count vectors; a collective strategy or a callable by
 a scan over all 4^n runs.  Everything returns exact
-rationals; Monte Carlo (:mod:`chshsim.montecarlo`) takes over beyond the
-enumeration cap.  A seeded check draws a stochastic subject's tape from
+rationals.  Each entry point predicts its work from n and the subject's
+type before it starts and refuses work above one budget
+(:data:`_WORK_BUDGET`); Monte Carlo (:mod:`chshsim.montecarlo`) takes
+over beyond it.  A seeded check draws a stochastic subject's tape from
 :class:`~chshsim.stream.Stream`, numpy's seeded draws in plain Python,
 so only the collective score tables (:func:`collective_scores`) load
 numpy here.
@@ -71,24 +73,30 @@ from .stream import Stream
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_ENUM_CAP = 10
+#: The most work an exact computation may do, in its engine's units:
+#: states summed, sequences played or rounds walked.  It is the
+#: (4^11 - 4)/3 rounds of a walk without keys at n = 10.
+_WORK_BUDGET = (4 ** 11 - 4) // 3
 
 
 class EnumerationCapError(ValueError):
-    """The requested run length exceeds the exhaustive-enumeration cap."""
+    """An exact computation's predicted work exceeds :data:`_WORK_BUDGET`."""
 
 
-def _check_cap(n: int, cap: int) -> None:
-    """Refuse n < 1 and n above the cap."""
+def _check_n(n: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds enumeration cap {cap} (4^n sequences)")
 
 
-def _check_enumerable(strategy, n: int, cap: int) -> None:
-    """Refuse n < 1, n above the cap and a stochastic strategy."""
-    _check_cap(n, cap)
+def _admit(n: int, work: int, unit: str) -> None:
+    """Refuse a computation at n whose predicted ``work``, counted in ``unit``, is over the budget."""
+    if work > _WORK_BUDGET:
+        raise EnumerationCapError(f"n={n} needs {work:,} {unit}, over the work budget of {_WORK_BUDGET:,}")
+
+
+def _check_enumerable(strategy, n: int) -> None:
+    """Refuse n < 1 and a stochastic strategy."""
+    _check_n(n)
     if strategy.stochastic:
         raise ValueError("exact enumeration requires a deterministic strategy")
 
@@ -174,12 +182,7 @@ class ExactResult:
     distribution: tuple[tuple[Fraction, Fraction | None, Fraction], ...] | None = None
 
 
-def exact_expectations(
-    strategy: CountDriven,
-    n: int,
-    cap: int = DEFAULT_ENUM_CAP,
-    collect_distribution: bool = False,
-) -> ExactResult:
+def exact_expectations(strategy: CountDriven, n: int, collect_distribution: bool = False) -> ExactResult:
     """Exact expectations over all 4^n setting sequences for a count-driven strategy.
 
     Returns exact E(Y_N), E(X_N | X_N defined), P(X_N undefined), and
@@ -188,15 +191,20 @@ def exact_expectations(
     The expectations are closed-form sums over count states
     (:func:`exact_by_counts`), the distribution over (pair counts,
     per-pair scores) states (:func:`exact_distribution`); no sequence is
-    played out.  Raises ``ValueError`` for n < 1, n above the cap or a
-    stochastic strategy, and then ``TypeError`` for a strategy that is
-    not :class:`CountDriven`.
+    played out.  Raises ``ValueError`` for n < 1 or a stochastic
+    strategy, then ``TypeError`` for a strategy that is not
+    :class:`CountDriven`, and then :class:`EnumerationCapError` when the
+    engine's states are over the budget: C(n+3, 4) count states (n <= 74)
+    or, with the distribution, at most C(n+8, 8) (counts, scores) states
+    (n <= 17).
     """
-    _check_enumerable(strategy, n, cap)
+    _check_enumerable(strategy, n)
     if not isinstance(strategy, CountDriven):
         raise TypeError(f"exact enumeration requires a count-driven strategy, got {strategy!r}")
     if collect_distribution:
+        _admit(n, math.comb(n + 8, 8), "(counts, scores) states")
         return exact_distribution(strategy, n)
+    _admit(n, math.comb(n + 3, 4), "count states")
     return exact_by_counts(strategy, n)
 
 
@@ -354,17 +362,19 @@ def exact_by_counts(strategy: CountDriven, n: int) -> ExactResult:
     return _exact_result(n, score_sum, defined, Fraction(x_scaled, scale))
 
 
-def collective_scores(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def collective_scores(strategy: CollectiveStrategy, n: int) -> np.ndarray:
     """A deterministic collective strategy's round scores on every setting sequence.
 
     Row i of the (4^n, n) bool array is the strategy's own playout of
     sequence i of ``itertools.product(ALL_PAIRS, repeat=n)``: the one
     whose pair indices, read as a base-4 number with round 1 the most
-    significant digit, give i.  Refused like :func:`exact_expectations`.
+    significant digit, give i.  Refused like :func:`exact_expectations`,
+    and over the budget for its 4^n playouts (n > 10).
     """
     import numpy as np
 
-    _check_enumerable(strategy, n, cap)
+    _check_enumerable(strategy, n)
+    _admit(n, 4 ** n, "sequences")
     table = np.empty((4 ** n, n), dtype=bool)
     for i, pairs in enumerate(itertools.product(ALL_PAIRS, repeat=n)):
         table[i] = [round_score(r) for r in collective_playout(strategy, pairs).rounds]
@@ -383,11 +393,11 @@ class CollectiveResult:
     independent_ceiling: Fraction
 
 
-def exact_collective(strategy: CollectiveStrategy, n: int, cap: int = DEFAULT_ENUM_CAP) -> CollectiveResult:
+def exact_collective(strategy: CollectiveStrategy, n: int) -> CollectiveResult:
     """Count the score patterns of :func:`collective_scores` over all 4^n sequences."""
     import numpy as np
 
-    patterns = collective_scores(strategy, n, cap) @ (1 << np.arange(n - 1, -1, -1))
+    patterns = collective_scores(strategy, n) @ (1 << np.arange(n - 1, -1, -1))
     counts = np.bincount(patterns, minlength=2 ** n).tolist()
     return CollectiveResult(
         n=n,
@@ -501,17 +511,6 @@ def _outcome_mask(outcomes, n: int) -> int:
         elif outcome != 1:
             raise InvariantViolation(f"subject produced non-outcome {outcome!r}")
     return mask
-
-
-def _run_table(n: int) -> array:
-    """One entry per setting sequence, -1 until that sequence is played.
-
-    A played entry holds both wings' outcome masks in 2n bits, so the
-    narrowest signed type that fits is used: 2 bytes per sequence up to
-    n = 7, 4 bytes up to n = 15 (4 MB at n = 10).
-    """
-    typecode = "h" if n <= 7 else "i" if n <= 15 else "q"
-    return array(typecode, [-1]) * 4 ** n
 
 
 def _violation(settings, sequences_checked: int, round_index: int, toggled_side: Side, before) -> NoSignalingReport:
@@ -631,9 +630,7 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     return visit(strategy, 0) or NoSignalingReport(passed=True, sequences_checked=4 ** n)
 
 
-def no_signaling_check(
-    subject, n: int, cap: int = DEFAULT_ENUM_CAP, seed=None
-) -> NoSignalingReport:
+def no_signaling_check(subject, n: int, seed=None) -> NoSignalingReport:
     """Exhaustively verify that neither wing reacts to the other's current setting.
 
     For sequential subjects, toggling round k's setting on one wing must
@@ -660,8 +657,14 @@ def no_signaling_check(
     scanned over a table of all 4^n sequences.  Every toggled sequence
     is itself one of the 4^n, so each is played at most once, when the
     scan first needs it, and its two wings kept as outcome masks.
+
+    Once the subject is checked, and before any of it is played, the
+    work is predicted and refused (:class:`EnumerationCapError`) over the
+    budget: 4·C(n+3, 4) rounds for a :class:`CountDriven` subject that
+    keeps its pair-count keys (n <= 52), (4^(n+1) - 4)/3 for any other
+    sequential one, and 4^n sequences for a scan (both n <= 10).
     """
-    _check_cap(n, cap)
+    _check_n(n)
     if isinstance(subject, SequentialStrategy):
         if subject.stochastic and seed is None:
             raise ValueError("stochastic strategies need a seed for the exact check")
@@ -671,16 +674,20 @@ def no_signaling_check(
             if seed < 0:
                 raise ValueError(f"seed: expected non-negative integer, got {seed}")
             rng = Stream(seed)
+        keyed = isinstance(subject, CountDriven) and type(subject)._child_keys is CountDriven._child_keys
+        _admit(n, 4 * math.comb(n + 3, 4) if keyed else (4 ** (n + 1) - 4) // 3, "walked rounds")
         return _walk_prefixes(subject, memory_class, n, rng)
 
     play = _mask_function(subject, n)
+    _admit(n, 4 ** n, "sequences")
     collective = isinstance(subject, CollectiveStrategy)
 
     # Sequence i in product order plays pair index (i >> 2 * (n-1-k)) & 3
     # in round k; Bob's setting is bit 0 of that digit and Alice's bit 1,
     # so adding `step` to i toggles one wing's round-k setting.  A table
-    # entry holds Alice's mask above Bob's.
-    table = _run_table(n)
+    # entry is -1 until its sequence is played, then Alice's mask above
+    # Bob's: 2n <= 20 bits within the budget, so 4 bytes (4 MB at n = 10).
+    table = array("i", [-1]) * 4 ** n
     toggles = []  # in scan order: by round, Bob's toggle before Alice's
     for k in range(n):
         watched = (1 << n) - 1 if collective else 1 << k

@@ -550,8 +550,8 @@ _KERNELS = {
 _CHUNK_BYTES = 8 << 20
 
 #: Rounds per tile of a chunk whose streams are stepped in numpy: a
-#: multiple of 8, and more than the 10 rounds that ``collective_scores``
-#: admits, so the collective kernel, which reads whole runs, gets them.
+#: multiple of 8, and more than the 10 rounds the work budget admits for
+#: ``collective_scores``, so the collective kernel, which reads whole runs, gets them.
 _TILE_ROUNDS = 128
 
 #: A batch's bytes in its chunk's tally and in the aggregation's

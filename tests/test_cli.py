@@ -133,9 +133,13 @@ def test_enumerate_collective_requires_n2(capsys):
     assert capsys.readouterr().err == "error: collective-n2 is defined for exactly 2 rounds, got 3\n"
 
 
-def test_enumerate_collective_honours_enum_cap(capsys):
-    assert run_cli("enumerate", "--strategy", "collective-n2", "--n", "2", "--enum-cap", "1") == 2
-    assert capsys.readouterr().err == "error: n=2 exceeds enumeration cap 1 (4^n sequences)\n"
+def test_enumerate_collective_honours_work_budget(capsys):
+    # 4^n playouts: n = 10 is admitted, and collective-n2 itself refuses
+    # it in play; n = 11 is refused before any play.
+    assert run_cli("enumerate", "--strategy", "collective-n2", "--n", "10") == 2
+    assert capsys.readouterr().err == "error: collective-n2 is defined for exactly 2 rounds, got 10\n"
+    assert run_cli("enumerate", "--strategy", "collective-n2", "--n", "11") == 2
+    assert capsys.readouterr().err == "error: n=11 needs 4,194,304 sequences, over the work budget of 1,398,100\n"
 
 
 def test_enumerate_collective_refuses_distribution(capsys):
@@ -166,8 +170,16 @@ def test_enumerate_distribution_flag(tmp_path):
 
 
 def test_enumerate_over_cap_is_input_error(capsys):
-    assert run_cli("enumerate", "--strategy", "guessing", "--n", "12") == 2
-    assert "cap" in capsys.readouterr().err
+    # The first n over the work budget of each engine: C(n+3, 4) count
+    # states, or C(n+8, 8) (counts, scores) states with the distribution.
+    assert run_cli("enumerate", "--strategy", "guessing", "--n", "75") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=75 needs 1,426,425 count states, over the work budget of 1,398,100\n"
+    assert run_cli("enumerate", "--strategy", "guessing", "--n", "18", "--distribution") == 2
+    assert capsys.readouterr().err == (
+        "error: n=18 needs 1,562,275 (counts, scores) states, over the work budget of 1,398,100\n"
+    )
 
 
 def test_enumerate_stochastic_is_input_error(capsys):
@@ -365,9 +377,26 @@ def test_nosig_passes_for_local_strategy(tmp_path):
     assert payload["counterexample"] is None
 
 
-def test_nosig_honours_enum_cap(capsys):
-    assert run_cli("nosig", "--strategy", "guessing", "--n", "11") == 2
-    assert capsys.readouterr().err == "error: n=11 exceeds enumeration cap 10 (4^n sequences)\n"
+def test_nosig_honours_work_budget(tmp_path, capsys):
+    # A count-driven walk plays 4 C(n+3, 4) rounds, any other (4^(n+1) - 4)/3:
+    # 52 and 10 rounds deep at most.  Refusals come before any play, so no
+    # walk can be asked to recurse deeper than that.
+    weights = tmp_path / "weights.csv"
+    weights.write_text("weight,a1,a2,b1,b2\n1/2,+1,+1,+1,+1\n1/2,-1,-1,-1,-1\n")
+    lhv = ("--strategy", "stochastic-lhv", "--strategy-file", str(weights))
+    assert run_cli("nosig", "--strategy", "quantum", "--n", "10", "--out", str(tmp_path / "q.json")) == 1
+    assert run_cli("nosig", *lhv, "--n", "10", "--out", str(tmp_path / "lhv.json")) == 0
+    for args, n, work in (
+        (("--strategy", "guessing"), 53, "1,469,160 walked rounds"),
+        (("--strategy", "constant-plus"), 600, "21,816,660,600 walked rounds"),
+        (("--strategy", "quantum"), 11, "5,592,404 walked rounds"),
+        (lhv, 11, "5,592,404 walked rounds"),
+        (("--strategy", "collective-n2"), 11, "4,194,304 sequences"),
+    ):
+        assert run_cli("nosig", *args, "--n", str(n)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n={n} needs {work}, over the work budget of 1,398,100\n"
 
 
 def test_nosig_quantum_fails_as_nonlocal(tmp_path):

@@ -339,10 +339,11 @@ def test_engine_follows_strategy_type_and_request(monkeypatch):
     monkeypatch.setattr(enumerator, "playout", counted_playout)
     exact_expectations(GuessingLastTie(), 5)
     assert played == []
-    with pytest.raises(EnumerationCapError):
-        exact_expectations(EchoesLastRound(), 12)
-    with pytest.raises(TypeError, match="count-driven"):
-        exact_expectations(EchoesLastRound(), 3)
+    # No engine takes it, so there is no work to predict: refused by
+    # type however large n is.
+    for n in (3, 12):
+        with pytest.raises(TypeError, match="count-driven"):
+            exact_expectations(EchoesLastRound(), n)
     with pytest.raises(TypeError, match="count-driven"):
         exact_expectations(EchoesLastRound(), 3, collect_distribution=True)
     exact_expectations(guessing_model(), 3, collect_distribution=True)
@@ -354,7 +355,7 @@ def test_guessing_beats_three_in_x_beyond_brute_force_reach():
     # its excess shrinks as N grows.
     previous = None
     for n in (12, 16, 20, 24, 32):
-        result = exact_expectations(guessing_model(), n, cap=n)
+        result = exact_expectations(guessing_model(), n)
         assert result.e_y == 3, f"n={n}"
         assert 3 < result.e_x_conditional <= x_mean_bound(n, 0.25), f"n={n}"
         assert previous is None or result.e_x_conditional < previous, f"n={n}"
@@ -391,12 +392,17 @@ def test_catalogue_e_y_at_most_three_exactly():
             assert exact_expectations(factory(), n).e_y <= 3
 
 
+def over_budget(n, work):
+    """The refusal of a computation at n whose predicted work is ``work``."""
+    return pytest.raises(EnumerationCapError, match=rf"^n={n} needs {work}, over the work budget of 1,398,100$")
+
+
 def test_exact_respects_cap():
-    with pytest.raises(EnumerationCapError):
-        exact_expectations(constant_plus(), 12)
-    with pytest.raises(EnumerationCapError):
-        exact_expectations(constant_plus(), 4, cap=3)
-    with pytest.raises(ValueError):
+    with over_budget(75, "1,426,425 count states"):
+        exact_expectations(constant_plus(), 75)
+    with over_budget(18, r"1,562,275 \(counts, scores\) states"):
+        exact_expectations(constant_plus(), 18, collect_distribution=True)
+    with pytest.raises(ValueError, match="n must be >= 1"):
         exact_expectations(constant_plus(), 0)
 
 
@@ -495,10 +501,10 @@ def test_exact_collective_refusals():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             exact_collective(ThreeRoundCollective(), n)
-    with pytest.raises(EnumerationCapError):
-        exact_collective(ThreeRoundCollective(), 4, cap=3)
-    with pytest.raises(EnumerationCapError):
-        collective_scores(ConstantCollective(), enumerator.DEFAULT_ENUM_CAP + 1)
+    with over_budget(11, "4,194,304 sequences"):
+        exact_collective(ThreeRoundCollective(), 11)
+    with over_budget(11, "4,194,304 sequences"):
+        collective_scores(ConstantCollective(), 11)
     with pytest.raises(ValueError, match="deterministic"):
         exact_collective(CoinCollective(), 2)
     with pytest.raises(ValueError, match="exactly 2 rounds, got 3"):
@@ -624,9 +630,13 @@ def test_no_signaling_catches_backchannel_strategy():
 
 
 def test_no_signaling_cap_and_domain():
-    with pytest.raises(EnumerationCapError):
-        no_signaling_check(constant_plus(), 12)
-    with pytest.raises(ValueError):
+    with over_budget(53, "1,469,160 walked rounds"):
+        no_signaling_check(constant_plus(), 53)
+    with over_budget(11, "5,592,404 walked rounds"):
+        no_signaling_check(quantum_singlet_sampler(), 11, seed=0)
+    with over_budget(11, "4,194,304 sequences"):
+        no_signaling_check(wings_copy_each_other, 11)
+    with pytest.raises(ValueError, match="n must be >= 1"):
         no_signaling_check(constant_plus(), 0)
     with pytest.raises(TypeError):
         no_signaling_check(object(), 2)
@@ -1069,6 +1079,158 @@ def test_walk_advances_each_prefix_state_once(name, monkeypatch):
         assert vectors == {k: math.comb(k + 3, 3) for k in range(1, n)}
         assert Counter(advanced) == vectors, f"keyed, n={n}"
         assert len(responded) == 2 * 4 * math.comb(n + 3, 4), f"keyed, n={n}"
+
+
+class GuessingWithoutKeys(GuessingModel):
+    """The guessing model naming no child keys: its check walks every prefix."""
+
+    def _child_keys(self):
+        return None
+
+
+def passes_every_toggle(pairs):
+    """A callable subject whose wings answer +1 throughout."""
+    return (1,) * len(pairs), (1,) * len(pairs)
+
+
+@contextlib.contextmanager
+def predictions(monkeypatch):
+    """Record the work each entry point predicts, and is admitted to do, before it starts."""
+    predicted = []
+    real_admit = enumerator._admit
+
+    def recorded(n, work, unit):
+        predicted.append(work)
+        real_admit(n, work, unit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumerator, "_admit", recorded)
+        yield predicted
+
+
+def test_each_prediction_is_the_work_a_passing_run_does(monkeypatch):
+    # The count engine asks one assignment per count state, a walk plays
+    # one round per node it visits, and a collective table or a scan
+    # plays each sequence once.  The distribution's (counts, scores)
+    # states are bounded, not counted, by its prediction: which scores
+    # a strategy reaches depends on its play.
+    playouts = []
+    real_collective_playout = enumerator.collective_playout
+    monkeypatch.setattr(
+        enumerator,
+        "collective_playout",
+        lambda strategy, settings: playouts.append(settings) or real_collective_playout(strategy, settings),
+    )
+    for n in range(1, 7):
+        for distribution in (False, True):
+            subject = guessing_model()
+            asked = []
+            subject.assignment = lambda counts, k: asked.append(k) or GuessingModel.assignment(subject, counts, k)
+            with predictions(monkeypatch) as predicted:
+                exact_expectations(subject, n, collect_distribution=distribution)
+            if distribution:
+                assert predicted == [math.comb(n + 8, 8)] and len(asked) < predicted[0], f"n={n}"
+            else:
+                assert predicted == [len(asked)] == [math.comb(n + 3, 4)], f"n={n}"
+
+        for factory, rounds in (
+            (guessing_model, 4 * math.comb(n + 3, 4)),
+            (GuessingWithoutKeys, (4 ** (n + 1) - 4) // 3),
+            (OwnSideParity, (4 ** (n + 1) - 4) // 3),
+        ):
+            with predictions(monkeypatch) as predicted, walked_rounds(monkeypatch) as walked:
+                assert no_signaling_check(factory(), n).passed, f"n={n}"
+            assert predicted == [len(walked)] == [rounds], (factory, n)
+
+        for check in (collective_scores, no_signaling_check):
+            playouts.clear()
+            with predictions(monkeypatch) as predicted:
+                check(ConstantCollective(), n)
+            assert predicted == [len(playouts)] == [4 ** n], (check, n)
+        runs = []
+        with predictions(monkeypatch) as predicted:
+            assert no_signaling_check(lambda pairs: runs.append(pairs) or passes_every_toggle(pairs), n).passed
+        assert predicted == [len(runs)] == [4 ** n], f"n={n}"
+
+
+class Admitted(Exception):
+    """Raised by a subject's first piece of work: its request was admitted."""
+
+
+def trip(*args, **kwargs):
+    raise Admitted
+
+
+def tripped(subject, method):
+    """``subject`` whose ``method`` raises :class:`Admitted`."""
+    setattr(subject, method, trip)
+    return subject
+
+
+#: Each engine's run of a subject at n, the last n the budget admits,
+#: and the work predicted one n up.
+BUDGET_EDGES = {
+    "count states": (
+        lambda n: exact_expectations(tripped(guessing_model(), "assignment"), n),
+        74,
+        "1,426,425 count states",
+    ),
+    "(counts, scores) states": (
+        lambda n: exact_expectations(tripped(guessing_model(), "assignment"), n, collect_distribution=True),
+        17,
+        r"1,562,275 \(counts, scores\) states",
+    ),
+    "keyed walk": (
+        lambda n: no_signaling_check(tripped(guessing_model(), "begin_playout"), n),
+        52,
+        "1,469,160 walked rounds",
+    ),
+    "count-driven walk without keys": (
+        lambda n: no_signaling_check(tripped(GuessingWithoutKeys(), "begin_playout"), n),
+        10,
+        "5,592,404 walked rounds",
+    ),
+    "tape walk": (
+        lambda n: no_signaling_check(tripped(quantum_singlet_sampler(), "begin_playout"), n, seed=0),
+        10,
+        "5,592,404 walked rounds",
+    ),
+    "own-side walk": (
+        lambda n: no_signaling_check(tripped(OwnSideParity(), "begin_playout"), n),
+        10,
+        "5,592,404 walked rounds",
+    ),
+    "collective table": (
+        lambda n: collective_scores(tripped(ConstantCollective(), "respond_alice"), n),
+        10,
+        "4,194,304 sequences",
+    ),
+    "collective scan": (
+        lambda n: no_signaling_check(tripped(ConstantCollective(), "respond_alice"), n),
+        10,
+        "4,194,304 sequences",
+    ),
+    "callable scan": (lambda n: no_signaling_check(trip, n), 10, "4,194,304 sequences"),
+}
+
+
+@pytest.mark.parametrize("name", BUDGET_EDGES)
+def test_each_entry_point_admits_up_to_the_budget(name):
+    # At the edge the subject's first piece of work is reached; one n up
+    # the request is refused before any.
+    run, edge, work = BUDGET_EDGES[name]
+    with pytest.raises(Admitted):
+        run(edge)
+    with over_budget(edge + 1, work):
+        run(edge + 1)
+
+
+def test_deepest_admitted_walk_passes(monkeypatch):
+    # 52 rounds deep, the deepest walk the budget admits: constant-plus
+    # keys each child by its depth, so it plays four rounds a depth.
+    with walked_rounds(monkeypatch) as walked:
+        assert no_signaling_check(constant_plus(), 52).passed
+    assert len(walked) == 208
 
 
 def view_of(strategy, rounds):

@@ -131,8 +131,8 @@ ENUMERATE_GOLDEN = {
         "c4f38d9871da8d0d44d7d0f9eb7d9a51e3cee2d01c8d266f652c9c24acf6c5af",
         "e67ea9e3a404d1da3bd08dc7c88e03ed9813af2cd1873cc0ea8f0f1a92744c7d",
     ),
-    # At the cap, the plain expectations sum over all 286 count vectors
-    # of ten rounds.
+    # At n = 10 the plain expectations sum over all 286 count vectors of
+    # ten rounds.
     ("constant-plus", 10, False): (
         "823dd37c44b1cdaa58081b1073ba52cab032dd5588469a485aff3ada499d2031",
         "9974a4711ba9730254424816b38ebfe2cfd10c712d8afedd7316c2202d0c73cd",

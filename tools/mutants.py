@@ -52,6 +52,7 @@ class Mutant(NamedTuple):
 #: Selections several mutants share.
 ORACLE_TEST = "tests/test_enumerator.py::test_no_signaling_check_equals_toggle_and_replay_oracle"
 NUMPY_GUARD = "tests/test_cli.py::test_exact_and_bound_commands_never_load_numpy"
+BUDGET_EDGES = "tests/test_enumerator.py::test_each_entry_point_admits_up_to_the_budget"
 
 MUTANTS = (
     # A tile's draws, stepped in numpy or read by native PCG64s.
@@ -212,7 +213,8 @@ MUTANTS = (
     Mutant(
         "memoryless-child-keys-of-counts-plus-pair",
         "strategies.py",
-        "        if self.memory_class is MemoryClass.NONE:\n            return (counts,) * 4\n",
+        '        if self.memory_class._value_ == "none":  # the value: Python 3.11 finds members slowly\n'
+        "            return (counts,) * 4\n",
         "",
         (ORACLE_TEST,),
     ),
@@ -251,6 +253,28 @@ MUTANTS = (
         "weight[3 - met + (c == 0)][c]",
         "weight[3 - met][c]",
         ("tests/test_golden.py",),
+    ),
+    # Each exact computation's predicted work, against one budget.
+    Mutant(
+        "budget-refuses-its-own-edge",
+        "enumerator.py",
+        "    if work > _WORK_BUDGET:\n",
+        "    if work >= _WORK_BUDGET:\n",
+        (BUDGET_EDGES, "tests/test_cli.py::test_nosig_honours_work_budget"),
+    ),
+    Mutant(
+        "overridden-child-keys-predicted-keyed",
+        "enumerator.py",
+        "keyed = isinstance(subject, CountDriven) and type(subject)._child_keys is CountDriven._child_keys",
+        "keyed = isinstance(subject, CountDriven)",
+        (BUDGET_EDGES, "tests/test_enumerator.py::test_each_prediction_is_the_work_a_passing_run_does"),
+    ),
+    Mutant(
+        "distribution-predicted-by-count-states",
+        "enumerator.py",
+        '_admit(n, math.comb(n + 8, 8), "(counts, scores) states")',
+        '_admit(n, math.comb(n + 3, 4), "(counts, scores) states")',
+        (BUDGET_EDGES, "tests/test_cli.py::test_enumerate_over_cap_is_input_error"),
     ),
     # Startup: the exact commands never load numpy.
     Mutant(
