@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_3 = math.sqrt(3.0)
@@ -73,8 +73,7 @@ def x_mean_bound(n: int, epsilon: float) -> float:
     return 3.0 + poly + exp_term
 
 
-@dataclass(frozen=True)
-class ModelBounds:
+class ModelBounds(NamedTuple):
     """One table row; ``None`` marks entries with no known proof."""
 
     e_x: float | None
@@ -83,8 +82,7 @@ class ModelBounds:
     p_y_tail: float | None
 
 
-@dataclass(frozen=True)
-class ModelBoundsTable:
+class ModelBoundsTable(NamedTuple):
     """Proven bounds per model class at one (n, delta, epsilon)."""
 
     n: int

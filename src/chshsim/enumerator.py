@@ -42,9 +42,8 @@ import itertools
 import math
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import (
     ALL_PAIRS,
@@ -171,8 +170,7 @@ def collective_playout(strategy: CollectiveStrategy, settings) -> Transcript:
     return Transcript(rounds)
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Exact expectations over all equally likely setting sequences."""
 
     n: int
@@ -381,8 +379,7 @@ def collective_scores(strategy: CollectiveStrategy, n: int) -> np.ndarray:
     return table
 
 
-@dataclass(frozen=True)
-class CollectiveResult:
+class CollectiveResult(NamedTuple):
     """Sequences per round-score pattern (0/1 tuples, in product order), the
     chance that every round scores, and (3/4)^n, its most for independent
     rounds that each score with probability at most 3/4."""
@@ -416,8 +413,7 @@ def chsh_exhaustive_max() -> tuple[Fraction, tuple[DeterministicAssignment, ...]
     return best, tuple(a for v, a in values if v == best)
 
 
-@dataclass(frozen=True)
-class Model101Exact:
+class Model101Exact(NamedTuple):
     """Exact analysis of the rigged-101st-round model."""
 
     p_trigger: Fraction
@@ -458,8 +454,7 @@ def model101_exact() -> Model101Exact:
     )
 
 
-@dataclass(frozen=True)
-class SignalingCounterexample:
+class SignalingCounterexample(NamedTuple):
     """A concrete violation: toggling one wing's setting moved the other wing."""
 
     settings: tuple[SettingPair, ...]
@@ -470,8 +465,7 @@ class SignalingCounterexample:
     after: int
 
 
-@dataclass(frozen=True)
-class NoSignalingReport:
+class NoSignalingReport(NamedTuple):
     passed: bool
     sequences_checked: int
     counterexample: SignalingCounterexample | None = None

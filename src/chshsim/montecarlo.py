@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -72,26 +71,30 @@ from .strategies import (
 )
 
 
-@dataclass(frozen=True)
-class SimulationPlan:
-    """One simulation request: r batches of n rounds from one master seed."""
-
+class _SimulationPlanFields(NamedTuple):
     factory: Callable[[], SequentialStrategy | CollectiveStrategy]
     n: int
     batches: int
-    seed: int = 0
-    delta: float = 0.1
-    strategy_name: str = ""
+    seed: int
+    delta: float
+    strategy_name: str
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.batches < 1:
-            raise ValueError(f"batches must be >= 1, got {self.batches}")
-        if self.seed < 0:
-            raise ValueError(f"seed: expected non-negative integer, got {self.seed}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+
+class SimulationPlan(_SimulationPlanFields):
+    """One simulation request: r batches of n rounds from one master seed."""
+
+    __slots__ = ()
+
+    def __new__(cls, factory, n, batches, seed=0, delta=0.1, strategy_name=""):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if batches < 1:
+            raise ValueError(f"batches must be >= 1, got {batches}")
+        if seed < 0:
+            raise ValueError(f"seed: expected non-negative integer, got {seed}")
+        if not 0 < delta < 1:
+            raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        return super().__new__(cls, factory, n, batches, seed, delta, strategy_name)
 
 
 def batch_seed_sequence(seed: int, batch_index: int) -> np.random.SeedSequence:
@@ -713,8 +716,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """Aggregated simulation results for one plan.
 
     ``mean_y`` and the tail frequencies are exact rationals; the ratio
@@ -843,8 +845,7 @@ def estimate(plan: SimulationPlan, batch_sink: Callable[[Tally], None] | None = 
     )
 
 
-@dataclass(frozen=True)
-class TailComparison:
+class TailComparison(NamedTuple):
     """Empirical tail frequencies next to their analytic bounds.
 
     A ratio is 0 when its tail was never seen, and ``None`` (undefined)

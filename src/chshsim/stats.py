@@ -10,9 +10,8 @@ formed from per-pair scores and totals by :func:`x_ratio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .core import ALL_PAIRS, PairCounts, Round, SettingPair, Transcript
 from .strategies import StochasticLHV
@@ -81,20 +80,24 @@ def chsh_value(lhv: StochasticLHV) -> Fraction:
     return sum((weight * sum(assignment.hits) for weight, assignment in lhv.support), Fraction(0))
 
 
-@dataclass(frozen=True)
-class BatchStatistics:
-    """Summary of one transcript: both CHSH statistics and the tallies."""
-
+class _BatchStatisticsFields(NamedTuple):
     n: int
     y_value: Fraction
     x_value: Fraction | None
     counts: Mapping[SettingPair, PairCounts]
 
-    def __post_init__(self):
-        if not 0 <= self.y_value <= 4:
-            raise ValueError(f"y value {self.y_value} outside [0, 4]")
-        if self.x_value is not None and not 0 <= self.x_value <= 4:
-            raise ValueError(f"x value {self.x_value} outside [0, 4]")
+
+class BatchStatistics(_BatchStatisticsFields):
+    """Summary of one transcript: both CHSH statistics and the tallies."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, y_value, x_value, counts):
+        if not 0 <= y_value <= 4:
+            raise ValueError(f"y value {y_value} outside [0, 4]")
+        if x_value is not None and not 0 <= x_value <= 4:
+            raise ValueError(f"x value {x_value} outside [0, 4]")
+        return super().__new__(cls, n, y_value, x_value, counts)
 
 
 def batch_statistics(transcript: Transcript) -> BatchStatistics:

@@ -54,10 +54,9 @@ import csv
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, ClassVar, Sequence, TextIO
+from typing import Callable, ClassVar, NamedTuple, Sequence, TextIO
 
 from .core import (
     ALL_PAIRS,
@@ -72,7 +71,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
 class DeterministicAssignment:
     """A fixed answer to every possible setting in one round.
 
@@ -81,21 +79,45 @@ class DeterministicAssignment:
     the CHSH target of ``ALL_PAIRS[i]`` and 0 where it does not: equal
     outcomes for (A1,B1), (A1,B2), (A2,B1) and unequal outcomes for
     (A2,B2).  The flags are worked out once, at construction, and take
-    no part in equality, hashing or repr.
+    no part in equality, hashing or repr.  An assignment is immutable.
+    Its values live in slots, which the responders of every playout
+    read as fast as plain instance attributes (a tuple field's getter
+    is slower).
     """
 
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-    hits: tuple[int, int, int, int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("a1", "a2", "b1", "b2", "hits")
 
-    def __post_init__(self):
-        for label, value in (("a1", self.a1), ("a2", self.a2), ("b1", self.b1), ("b2", self.b2)):
+    def __init__(self, a1: int, a2: int, b1: int, b2: int):
+        for label, value in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
             if value not in (PLUS, MINUS):
                 raise ValueError(f"{label}={value!r} must be +1 or -1")
-        a1, a2, b1, b2 = self.a1, self.a2, self.b1, self.b2
-        object.__setattr__(self, "hits", (int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2)))
+        hits = (int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2))
+        for name, value in zip(self.__slots__, (a1, a2, b1, b2, hits)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _outcomes(self) -> tuple[int, int, int, int]:
+        return self.a1, self.a2, self.b1, self.b2
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._outcomes() == other._outcomes()
+
+    def __hash__(self):
+        return hash(self._outcomes())
+
+    def __repr__(self):
+        a1, a2, b1, b2 = self._outcomes()
+        return f"{type(self).__qualname__}(a1={a1!r}, a2={a2!r}, b1={b1!r}, b2={b2!r})"
+
+    def __reduce__(self):
+        return type(self), self._outcomes()
 
     # Settings compare with the plain values of A1 and B1: an enum member
     # lookup per call would dominate every playout's responses.
@@ -137,21 +159,24 @@ def solve_sabotage_assignment(target: SettingPair) -> DeterministicAssignment:
     raise InvariantViolation(f"no sabotage assignment for target {target}")
 
 
-@dataclass(frozen=True)
-class StochasticLHV:
-    """A finite mixture of deterministic assignments with exact weights."""
-
+class _StochasticLHVFields(NamedTuple):
     support: tuple[tuple[Fraction, DeterministicAssignment], ...]
 
-    def __post_init__(self):
-        support = tuple((Fraction(w), assignment) for w, assignment in self.support)
-        object.__setattr__(self, "support", support)
+
+class StochasticLHV(_StochasticLHVFields):
+    """A finite mixture of deterministic assignments with exact weights."""
+
+    __slots__ = ()
+
+    def __new__(cls, support):
+        support = tuple((Fraction(w), assignment) for w, assignment in support)
         for weight, _ in support:
             if weight < 0:
                 raise ValueError(f"negative weight {weight}")
         total = sum((w for w, _ in support), Fraction(0))
         if total != 1:
             raise ValueError(f"weights must sum to exactly 1, got {total}")
+        return super().__new__(cls, support)
 
     @classmethod
     def point_mass(cls, assignment: DeterministicAssignment) -> "StochasticLHV":

@@ -442,19 +442,25 @@ def run_fresh(code):
 
 # Each run's commands go through main with stdout swallowed, each
 # exiting with its expected code, then the interpreter names which of
-# numpy and the Monte Carlo layer it loaded.
+# numpy, the Monte Carlo layer, ``dataclasses`` and ``inspect`` were
+# loaded after its start-up (so a ``site`` hook that loads one cannot
+# fail the check).  ``dataclasses`` alone costs a fresh process about
+# 12 ms, mostly the ``inspect``, ``ast``, ``dis`` and ``tokenize`` it
+# imports; numpy imports ``inspect`` itself.
 FRESH_RUN = """
 import contextlib, io, sys
+before = set(sys.modules)
 from chshsim.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     for argv, code in {runs!r}:
         assert main(argv) == code, argv
-loaded = sorted({{"numpy", "chshsim.montecarlo"}} & set(sys.modules))
+watched = {{"numpy", "chshsim.montecarlo", "dataclasses", "inspect"}}
+loaded = sorted(watched & (set(sys.modules) - before))
 assert loaded == {expected!r}, loaded
 """
 
 
-def test_exact_and_bound_commands_never_load_numpy(tmp_path):
+def test_only_simulate_loads_numpy_and_no_command_loads_dataclasses(tmp_path):
     weights = tmp_path / "weights.csv"
     weights.write_text("weight,a1,a2,b1,b2\n1/3,+1,+1,+1,+1\n2/3,-1,+1,-1,+1\n")
     runs = []
@@ -476,7 +482,7 @@ def test_exact_and_bound_commands_never_load_numpy(tmp_path):
     run_fresh(FRESH_RUN.format(runs=runs, expected=[]))
     # The guard above would pass vacuously if nothing could load numpy.
     simulate = [(["simulate", "--strategy", "guessing", "--n", "4", "--batches", "2"], 0)]
-    run_fresh(FRESH_RUN.format(runs=simulate, expected=["chshsim.montecarlo", "numpy"]))
+    run_fresh(FRESH_RUN.format(runs=simulate, expected=["chshsim.montecarlo", "inspect", "numpy"]))
 
 
 def test_package_resolves_monte_carlo_exports_on_first_use():

@@ -194,9 +194,10 @@ def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window, rounds):
 def test_negative_seed_is_rejected_on_both_engines():
     with pytest.raises(ValueError, match="expected non-negative integer"):
         SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=-1)
-    # A plan that skipped its own validation still reaches each engine's.
-    plan = SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=0)
-    object.__setattr__(plan, "seed", -1)
+    # A plan that skipped its own validation (``_replace`` does not run
+    # ``__new__``) still reaches each engine's.
+    plan = SimulationPlan(factory=quantum_singlet_sampler, n=5, batches=3, seed=0)._replace(seed=-1)
+    assert plan.seed == -1
     for engine in (iter_batch_counts, general_batch_counts):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             list(engine(plan))

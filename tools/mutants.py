@@ -51,8 +51,13 @@ class Mutant(NamedTuple):
 
 #: Selections several mutants share.
 ORACLE_TEST = "tests/test_enumerator.py::test_no_signaling_check_equals_toggle_and_replay_oracle"
-NUMPY_GUARD = "tests/test_cli.py::test_exact_and_bound_commands_never_load_numpy"
+STARTUP_GUARD = "tests/test_cli.py::test_only_simulate_loads_numpy_and_no_command_loads_dataclasses"
 BUDGET_EDGES = "tests/test_enumerator.py::test_each_entry_point_admits_up_to_the_budget"
+
+
+def record(kind: str) -> str:
+    """The contract test of one record type."""
+    return f"tests/test_records.py::test_record_contract[{kind}]"
 
 MUTANTS = (
     # A tile's draws, stepped in numpy or read by native PCG64s.
@@ -276,20 +281,98 @@ MUTANTS = (
         '_admit(n, math.comb(n + 3, 4), "(counts, scores) states")',
         (BUDGET_EDGES, "tests/test_cli.py::test_enumerate_over_cap_is_input_error"),
     ),
-    # Startup: the exact commands never load numpy.
+    # Startup: the exact commands never load numpy, and no command dataclasses.
     Mutant(
         "numpy-imported-by-enumerator",
         "enumerator.py",
         "from .stream import Stream\n",
         "from .stream import Stream\nimport numpy as np\n",
-        (NUMPY_GUARD,),
+        (STARTUP_GUARD,),
     ),
     Mutant(
         "numpy-imported-by-strategies",
         "strategies.py",
         "from .core import (\n",
         "import numpy as np\nfrom .core import (\n",
-        (NUMPY_GUARD,),
+        (STARTUP_GUARD,),
+    ),
+    Mutant(
+        "dataclasses-imported-by-bounds",
+        "bounds.py",
+        "from typing import NamedTuple\n",
+        "from dataclasses import dataclass\nfrom typing import NamedTuple\n",
+        (STARTUP_GUARD,),
+    ),
+    # The records' validations, run when a record is built.
+    Mutant(
+        "assignment-admits-zero",
+        "strategies.py",
+        "if value not in (PLUS, MINUS):",
+        "if value not in (PLUS, 0, MINUS):",
+        (record("DeterministicAssignment"), "tests/test_strategies.py::test_assignment_validation"),
+    ),
+    Mutant(
+        "mixture-admits-negative-weights",
+        "strategies.py",
+        "if weight < 0:",
+        "if weight < -1:",
+        (record("StochasticLHV"), "tests/test_strategies.py::test_stochastic_lhv_weight_validation"),
+    ),
+    Mutant(
+        "mixture-admits-weights-summing-below-one",
+        "strategies.py",
+        "if total != 1:",
+        "if total > 1:",
+        (record("StochasticLHV"), "tests/test_strategies.py::test_parse_weights_csv_rejects_bad_sum"),
+    ),
+    Mutant(
+        "batch-statistics-admit-y-above-four",
+        "stats.py",
+        "if not 0 <= y_value <= 4:",
+        "if not 0 <= y_value:",
+        (record("BatchStatistics"), "tests/test_stats.py::test_batch_statistics_validation"),
+    ),
+    Mutant(
+        "batch-statistics-admit-negative-x",
+        "stats.py",
+        "if x_value is not None and not 0 <= x_value <= 4:",
+        "if x_value is not None and not x_value <= 4:",
+        (record("BatchStatistics"),),
+    ),
+    Mutant(
+        "plan-admits-zero-rounds",
+        "montecarlo.py",
+        "if n < 1:",
+        "if n < 0:",
+        (record("SimulationPlan"), "tests/test_montecarlo.py::test_plan_validation"),
+    ),
+    Mutant(
+        "plan-admits-zero-batches",
+        "montecarlo.py",
+        "if batches < 1:",
+        "if batches < 0:",
+        (record("SimulationPlan"), "tests/test_montecarlo.py::test_plan_validation"),
+    ),
+    Mutant(
+        "plan-admits-a-negative-seed",
+        "montecarlo.py",
+        "if seed < 0:",
+        "if seed < -1:",
+        (record("SimulationPlan"), "tests/test_montecarlo.py::test_negative_seed_is_rejected_on_both_engines"),
+    ),
+    Mutant(
+        "plan-admits-delta-zero",
+        "montecarlo.py",
+        "if not 0 < delta < 1:",
+        "if not 0 <= delta < 1:",
+        (record("SimulationPlan"), "tests/test_montecarlo.py::test_plan_validation"),
+    ),
+    Mutant(
+        "plan-admits-delta-one",
+        "montecarlo.py",
+        "if not 0 < delta < 1:",
+        "if not 0 < delta <= 1:",
+        (record("SimulationPlan"),),
     ),
     # Both wings' views, cut from one list of rounds.
     Mutant(
