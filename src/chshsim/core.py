@@ -1,9 +1,9 @@
 """Domain vocabulary for sequential CHSH experiments.
 
-Settings, outcomes, rounds, transcripts, and the memory views that
-control how much of the past history a responder is allowed to see;
-:func:`views` cuts every view from the rounds of a play.  All types
-here are immutable values once constructed.
+Settings, outcomes, the CHSH win rule, rounds, transcripts, and the
+memory views that control how much of the past history a responder is
+allowed to see; :func:`views` cuts every view from the rounds of a
+play.  All types here are immutable values once constructed.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ class SettingPair(NamedTuple):
 ALL_PAIRS: tuple[SettingPair, ...] = tuple(
     SettingPair(a, b) for a in AliceSetting for b in BobSetting
 )
+
+#: The CHSH game's win rule, indexed like ALL_PAIRS: a round on pair i
+#: wins on equal outcomes if WINS_ON_EQUAL[i], else on unequal ones.
+WINS_ON_EQUAL: tuple[bool, ...] = (True, True, True, False)
 
 
 class Round(NamedTuple):

@@ -57,6 +57,7 @@ from .enumerator import collective_playout, collective_scores, playout
 from .stats import pair_tallies, x_from_counts, x_ratio
 from .stream import _M32, _M64, _M128, _PCG_MULT, _generate_state, _mix_in, _seed_pool
 from .strategies import (
+    CONSTANT_PLUS_ASSIGNMENT,
     MODEL_101_TRIGGER_ASSIGNMENT,
     MODEL_101_TRIGGER_COUNTS,
     QUANTUM_SCORE_PROBABILITY,
@@ -436,8 +437,13 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 # asserts this equivalence.
 
 
+#: The one pair the constant assignment misses: every round of ConstantPlus,
+#: guessing's round 1 and model101's rounds but the trigger play it.
+_MISSED = CONSTANT_PLUS_ASSIGNMENT.hits.index(0)
+
+
 def _kernel_constant(strategy, pairs, uniforms, r0=0, counts=None):
-    return pairs != 3
+    return pairs != _MISSED
 
 
 def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
@@ -467,8 +473,7 @@ def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
         keys[idx] = key
         np.maximum(top, key, out=top)
     if r0 == 0:
-        # Round 1 plays the constant assignment, which fails only (A2,B2).
-        np.not_equal(order[0], 3, out=scores[0])
+        np.not_equal(order[0], _MISSED, out=scores[0])
     return scores.T
 
 
@@ -479,7 +484,7 @@ _MODEL_101_ROUND = sum(MODEL_101_TRIGGER_COUNTS)
 def _kernel_model101(strategy, pairs, uniforms, r0=0, counts=None):
     # The tile holding round _MODEL_101_ROUND adds the pair counts of its
     # rounds before it to those it receives, and plays the trigger rule.
-    scores = pairs != 3
+    scores = pairs != _MISSED
     k = _MODEL_101_ROUND - r0  # the trigger round in this tile
     if 0 <= k < pairs.shape[1]:
         tallied = [(pairs[:, :k] == j).sum(axis=1) + (counts[:, j] if r0 else 0) for j in range(4)]

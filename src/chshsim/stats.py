@@ -13,26 +13,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .core import ALL_PAIRS, PairCounts, Round, SettingPair, Transcript
+from .core import ALL_PAIRS, WINS_ON_EQUAL, PairCounts, Round, SettingPair, Transcript
 from .strategies import StochasticLHV
 
 
 def round_score(rnd: Round) -> int:
-    """1 if the round meets its CHSH target, else 0.
-
-    The target is equal outcomes for (A1,B1), (A1,B2), (A2,B1) and
-    unequal outcomes for (A2,B2).
-    """
-    if rnd.pair.index < 3:
-        return int(rnd.a == rnd.b)
-    return int(rnd.a != rnd.b)
+    """1 if the round meets its CHSH target (``WINS_ON_EQUAL``), else 0."""
+    return int((rnd.a == rnd.b) == WINS_ON_EQUAL[rnd.pair.index])
 
 
 def pair_tallies(transcript: Transcript) -> tuple[list[int], list[int]]:
     """Per-pair scoring rounds and total rounds, canonical order."""
     table = transcript.counts()
-    scores = [table[p].correlated if p.index < 3 else table[p].anticorrelated for p in ALL_PAIRS]
-    return scores, [table[p].total for p in ALL_PAIRS]
+    counts = [table[p] for p in ALL_PAIRS]
+    scores = [c.correlated if equal else c.anticorrelated for c, equal in zip(counts, WINS_ON_EQUAL)]
+    return scores, [c.total for c in counts]
 
 
 def x_ratio(scores, totals):

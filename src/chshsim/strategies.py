@@ -68,6 +68,7 @@ from .core import (
     MemoryClass,
     MemoryView,
     SettingPair,
+    WINS_ON_EQUAL,
 )
 
 
@@ -76,10 +77,9 @@ class DeterministicAssignment:
 
     There are exactly 16 distinct assignments; they play the role of
     point hidden variables.  ``hits[i]`` is 1 where the assignment meets
-    the CHSH target of ``ALL_PAIRS[i]`` and 0 where it does not: equal
-    outcomes for (A1,B1), (A1,B2), (A2,B1) and unequal outcomes for
-    (A2,B2).  The flags are worked out once, at construction, and take
-    no part in equality, hashing or repr.  An assignment is immutable.
+    the CHSH target of ``ALL_PAIRS[i]`` (``WINS_ON_EQUAL``) and 0 where
+    it does not.  The flags are worked out once, at construction, and
+    take no part in equality, hashing or repr.  An assignment is immutable.
     Its values live in slots, which the responders of every playout
     read as fast as plain instance attributes (a tuple field's getter
     is slower).
@@ -91,7 +91,7 @@ class DeterministicAssignment:
         for label, value in (("a1", a1), ("a2", a2), ("b1", b1), ("b2", b2)):
             if value not in (PLUS, MINUS):
                 raise ValueError(f"{label}={value!r} must be +1 or -1")
-        hits = (int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2))
+        hits = tuple(int((a == b) == equal) for a, b, equal in zip((a1, a1, a2, a2), (b1, b2, b1, b2), WINS_ON_EQUAL))
         for name, value in zip(self.__slots__, (a1, a2, b1, b2, hits)):
             object.__setattr__(self, name, value)
 
@@ -453,11 +453,10 @@ class _TapePlay(SequentialStrategy):
 class QuantumSingletSampler(_TapePlay):
     """Samples the ideal quantum singlet statistics round by round.
 
-    Alice's outcome is a fair coin; Bob's outcome agrees with Alice's
-    with probability (2+sqrt(2))/4 for the three correlation-target
-    pairs and disagrees with that probability for (A2,B2).  Marginals on
-    each side are uniform, but the joint rule reads both current
-    settings, so this is a simulation aid, not a hidden-variable model.
+    Alice's outcome is a fair coin; with probability (2+sqrt(2))/4 Bob's
+    meets the round's CHSH target (``WINS_ON_EQUAL``).  Marginals on each
+    side are uniform, but the joint rule reads both current settings,
+    so this is a simulation aid, not a hidden-variable model.
     """
 
     _alice_setting = None
@@ -465,7 +464,7 @@ class QuantumSingletSampler(_TapePlay):
     def _draw(self, n, rng):
         bits = rng.integers(0, 2, size=n, dtype="uint8")
         self._a_tape = [PLUS if bit else MINUS for bit in bits]
-        self._agree_tape = [u < QUANTUM_SCORE_PROBABILITY for u in rng.random(n)]
+        self._score_tape = [u < QUANTUM_SCORE_PROBABILITY for u in rng.random(n)]
         self._alice_setting = None
 
     def begin_round(self):
@@ -480,11 +479,8 @@ class QuantumSingletSampler(_TapePlay):
         if self._alice_setting is None:
             raise InvariantViolation("respond_bob called before respond_alice")
         a = self._a_tape[self._round]
-        agree = self._agree_tape[self._round]
-        pair_index = 2 * self._alice_setting + setting
-        if pair_index == 3:
-            return -a if agree else a
-        return a if agree else -a
+        scores = self._score_tape[self._round]
+        return a if scores == WINS_ON_EQUAL[2 * self._alice_setting + setting] else -a
 
 
 class StochasticSequential(_TapePlay):

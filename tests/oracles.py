@@ -22,6 +22,14 @@ def score(pair, a, b):
     return 1 if a != b else 0
 
 
+def quantum_bob(pair, a, scores):
+    """Bob's outcome in the ideal singlet sampler: the one of +1, -1 whose
+    round meets the target exactly when the round's tape entry ``scores``."""
+    for b in (1, -1):
+        if score(pair, a, b) == (1 if scores else 0):
+            return b
+
+
 def assignment_outcomes(assignment, pair):
     """(a, b) an assignment (a1, a2, b1, b2) produces on a pair index."""
     a1, a2, b1, b2 = assignment

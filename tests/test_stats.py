@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, strategies as hs
 
 import oracles
-from chshsim.core import ALL_PAIRS, Round, Transcript
+from chshsim.core import ALL_PAIRS, EMPTY_VIEW, Round, Transcript
+from chshsim.montecarlo import BATCH_CSV_HEADER
 from chshsim.stats import (
     BatchStatistics,
     batch_statistics,
     chsh_value,
+    pair_tallies,
     round_score,
     x_statistic,
     y_statistic,
 )
-from chshsim.strategies import DeterministicAssignment, StochasticLHV, all_assignments
+from chshsim.strategies import DeterministicAssignment, QuantumSingletSampler, StochasticLHV, all_assignments
 
 P11, P12, P21, P22 = ALL_PAIRS
 
@@ -42,6 +44,81 @@ def test_round_score_correlated_target():
 def test_round_score_anticorrelated_target():
     assert round_score(Round(1, P22, 1, -1)) == 1
     assert round_score(Round(1, P22, 1, 1)) == 0
+
+
+ROUNDS = [(p, a, b) for p in ALL_PAIRS for a in (1, -1) for b in (1, -1)]
+
+
+def round_score_readings():
+    return [(round_score(Round(1, p, a, b)), oracles.score(p.index, a, b)) for p, a, b in ROUNDS]
+
+
+def pair_tallies_readings():
+    runs = [[r] for r in ROUNDS] + [[r, s] for r in ROUNDS for s in ROUNDS]
+    return [
+        (
+            pair_tallies(build(rows)),
+            (
+                [sum(oracles.score(p.index, a, b) for p, a, b in rows if p == q) for q in ALL_PAIRS],
+                [sum(p == q for p, _, _ in rows) for q in ALL_PAIRS],
+            ),
+        )
+        for rows in runs
+    ]
+
+
+class OneRoundTape:
+    """An rng that gives a tape strategy Alice's coin for outcome ``a`` and
+    a uniform below the singlet's score probability exactly when ``scores``."""
+
+    def __init__(self, a, scores):
+        self.a, self.scores = a, scores
+
+    def integers(self, low, high, size, dtype):
+        return [int(self.a == 1)]
+
+    def random(self, size):
+        return [0.0 if self.scores else 0.999]
+
+
+def quantum_bob_readings():
+    readings = []
+    for p in ALL_PAIRS:
+        for a in (1, -1):
+            for scores in (True, False):
+                sampler = QuantumSingletSampler()
+                sampler.begin_playout(1, OneRoundTape(a, scores))
+                sampler.begin_round()
+                played_a = sampler.respond_alice(p.alice, EMPTY_VIEW)
+                b = sampler.respond_bob(p.bob, EMPTY_VIEW)
+                readings.append(
+                    ((played_a, b, oracles.score(p.index, a, b)), (a, oracles.quantum_bob(p.index, a, scores), int(scores)))
+                )
+    return readings
+
+
+def batch_csv_header_readings():
+    # A pair's score column counts correlated rounds ("c") or anticorrelated ones ("a").
+    return [
+        (name, ("c" if oracles.score(p.index, 1, 1) else "a") + f"{p.alice + 1}{p.bob + 1}")
+        for p, name in zip(ALL_PAIRS, BATCH_CSV_HEADER[6:10])
+    ]
+
+
+WIN_RULE_READERS = {
+    "round_score": round_score_readings,
+    "pair_tallies": pair_tallies_readings,
+    "quantum_bob": quantum_bob_readings,
+    "batch_csv_header": batch_csv_header_readings,
+}
+
+
+@pytest.mark.parametrize("reader", WIN_RULE_READERS)
+def test_every_reader_of_the_win_rule_agrees_with_the_oracle(reader):
+    """Each reading is (what the package gives, what ``oracles.score`` implies), over every input."""
+    readings = WIN_RULE_READERS[reader]()
+    assert readings
+    assert [r for r in readings if r[0] != r[1]] == []
 
 
 def test_y_single_scoring_round():

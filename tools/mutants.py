@@ -53,11 +53,18 @@ class Mutant(NamedTuple):
 ORACLE_TEST = "tests/test_enumerator.py::test_no_signaling_check_equals_toggle_and_replay_oracle"
 STARTUP_GUARD = "tests/test_cli.py::test_only_simulate_loads_numpy_and_no_command_loads_dataclasses"
 BUDGET_EDGES = "tests/test_enumerator.py::test_each_entry_point_admits_up_to_the_budget"
+WIN_RULE_ORACLE = "tests/test_stats.py::test_every_reader_of_the_win_rule_agrees_with_the_oracle"
 
 
 def record(kind: str) -> str:
     """The contract test of one record type."""
     return f"tests/test_records.py::test_record_contract[{kind}]"
+
+
+def win_rule_oracle(reader: str) -> str:
+    """The oracle test of one reader of the win rule."""
+    return f"{WIN_RULE_ORACLE}[{reader}]"
+
 
 MUTANTS = (
     # A tile's draws, stepped in numpy or read by native PCG64s.
@@ -230,19 +237,55 @@ MUTANTS = (
         "return (c0, c1 + 1, c2, c3), (c0 + 1, c1, c2, c3),",
         (ORACLE_TEST,),
     ),
+    # The CHSH win rule, defined once in core, and each of its readers.
+    Mutant(
+        "win-rule-entry-flipped",
+        "core.py",
+        "WINS_ON_EQUAL: tuple[bool, ...] = (True, True, True, False)",
+        "WINS_ON_EQUAL: tuple[bool, ...] = (True, True, False, False)",
+        (WIN_RULE_ORACLE, "tests/test_golden.py"),
+    ),
+    Mutant(
+        "round-score-inverted",
+        "stats.py",
+        "return int((rnd.a == rnd.b) == WINS_ON_EQUAL[rnd.pair.index])",
+        "return int((rnd.a == rnd.b) != WINS_ON_EQUAL[rnd.pair.index])",
+        (win_rule_oracle("round_score"), "tests/test_stats.py::test_round_score_correlated_target"),
+    ),
+    Mutant(
+        "pair-tallies-take-the-other-count",
+        "stats.py",
+        "c.correlated if equal else c.anticorrelated",
+        "c.anticorrelated if equal else c.correlated",
+        (win_rule_oracle("pair_tallies"), "tests/test_stats.py::test_y_matches_per_round_score_sum"),
+    ),
+    Mutant(
+        "quantum-agreement-inverted",
+        "strategies.py",
+        "return a if scores == WINS_ON_EQUAL",
+        "return a if scores != WINS_ON_EQUAL",
+        (win_rule_oracle("quantum_bob"), "tests/test_montecarlo.py::test_kernel_matches_general_engine"),
+    ),
+    Mutant(
+        "kernels-missed-pair-off-by-one",
+        "montecarlo.py",
+        "_MISSED = CONSTANT_PLUS_ASSIGNMENT.hits.index(0)",
+        "_MISSED = CONSTANT_PLUS_ASSIGNMENT.hits.index(0) - 1",
+        ("tests/test_montecarlo.py::test_kernel_matches_general_engine", "tests/test_golden.py"),
+    ),
     # The exact sums over count states.
     Mutant(
         "hit-flags-in-reversed-pair-order",
         "strategies.py",
-        "(int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2))",
-        "(int(a2 != b2), int(a2 == b1), int(a1 == b2), int(a1 == b1))",
+        "(b1, b2, b1, b2), WINS_ON_EQUAL))",
+        "(b1, b2, b1, b2), WINS_ON_EQUAL))[::-1]",
         ("tests/test_strategies.py", "tests/test_golden.py"),
     ),
     Mutant(
         "hit-flags-1-and-2-swapped",
         "strategies.py",
-        "(int(a1 == b1), int(a1 == b2), int(a2 == b1), int(a2 != b2))",
-        "(int(a1 == b1), int(a2 == b1), int(a1 == b2), int(a2 != b2))",
+        "zip((a1, a1, a2, a2), (b1, b2, b1, b2),",
+        "zip((a1, a2, a1, a2), (b1, b1, b2, b2),",
         ("tests/test_strategies.py", "tests/test_golden.py"),
     ),
     Mutant(
