@@ -2,8 +2,8 @@
 
 Each batch is one n-round experiment with independently uniform setting
 pairs.  Batch i draws everything from a dedicated stream,
-``default_rng(SeedSequence(master_seed, spawn_key=(i,)))``, so results
-do not depend on execution order or on how batches are partitioned, and
+``Stream(master_seed, i)`` (see :mod:`chshsim.stream`), so results do
+not depend on execution order or on how batches are partitioned, and
 any single batch can be replayed in isolation.  Within a batch the draw
 order is fixed: the n setting pairs first, then whatever tape the
 strategy needs.
@@ -17,10 +17,9 @@ distinct count row of each slice of batches.  For every strategy of
 the CLI catalogue a vectorized scoring kernel reproduces the general
 round-by-round engine exactly; the engine remains the fallback for
 every other strategy and the reference the tests hold the kernels to.
-The kernels seed a whole chunk of batches at once: they recompute each
-batch's PCG64 state in numpy, by SeedSequence's hashing from
-:mod:`chshsim.stream`, without building a ``SeedSequence`` or
-``Generator`` per batch.
+The kernels seed a whole chunk of batches at once: they compute each
+batch's PCG64 state in numpy, by the hashing of :mod:`chshsim.stream`,
+without building a ``Stream`` per batch.
 
 A kernel chunk is worked a tile at a time: its batches over a range of
 rounds, drawn, scored and tallied before the next tile is drawn, so its
@@ -33,13 +32,13 @@ the pair counts that it hands to the kernels that read them (guessing,
 model101); kernels keep nothing.  Stepped chunks run tiles of
 ``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
 in tiles when it does not fit the budget.  The draws are bit-identical
-to the per-batch generators, which the general engine still builds.
+to the per-batch ``Stream`` the general engine draws from.
 
 This is the package's numpy layer, the only module that imports numpy
-when it loads, and the only one that builds numpy's ``Generator``.  The
-CLI imports it for ``simulate`` alone, and the package resolves its
-exports on first use; elsewhere numpy is imported only where the
-collective tables are built as arrays.
+when it loads; of numpy's generators it uses only the PCG64 bit
+generator.  The CLI imports it for ``simulate`` alone, and the package
+resolves its exports on first use; elsewhere numpy is imported only
+where the collective tables are built as arrays.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, collective_scores, playout
 from .stats import pair_tallies, x_from_counts, x_ratio
-from .stream import _M32, _M64, _M128, _PCG_MULT, _generate_state, _mix_in, _seed_pool
+from .stream import _M32, _M64, _M128, _PCG_MULT, Stream, _generate_state, _mix_in, _seed_pool
 from .strategies import (
     CONSTANT_PLUS_ASSIGNMENT,
     MODEL_101_TRIGGER_ASSIGNMENT,
@@ -98,19 +97,14 @@ class SimulationPlan(_SimulationPlanFields):
         return super().__new__(cls, factory, n, batches, seed, delta, strategy_name)
 
 
-def batch_seed_sequence(seed: int, batch_index: int) -> np.random.SeedSequence:
-    """The stream root for one batch; depends only on (seed, batch_index)."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
-
-
 def run_batch(strategy, n: int, seed: int, batch_index: int = 0) -> Transcript:
-    """Simulate one batch; identical arguments give identical transcripts."""
-    rng = np.random.default_rng(batch_seed_sequence(seed, batch_index))
-    idx = rng.integers(0, 4, size=n, dtype=np.uint8)
-    pairs = [ALL_PAIRS[i] for i in idx]
+    """Simulate one batch from ``Stream(seed, batch_index)``, its pairs and
+    then the strategy's tape; identical arguments give identical transcripts."""
+    stream = Stream(seed, batch_index)
+    pairs = [ALL_PAIRS[i] for i in stream.integers(0, 4, size=n, dtype="uint8")]
     if isinstance(strategy, CollectiveStrategy):
         return collective_playout(strategy, pairs)
-    return playout(strategy, pairs, rng)
+    return playout(strategy, pairs, stream)
 
 
 class BatchCounts(NamedTuple):
@@ -223,9 +217,8 @@ def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[str]:
 
 # --- per-batch streams, a chunk at a time --------------------------------
 #
-# Batch i's stream is a PCG64 seeded from
-# SeedSequence(seed, spawn_key=(i,)).generate_state(4, uint64).  Only the
-# spawn-key words differ between batches, and SeedSequence's sequence of
+# Batch i's stream is the PCG64 that Stream(seed, i) steps.  Only the
+# spawn-index words differ between batches, and SeedSequence's sequence of
 # hash constants does not depend on the data, so the pool is mixed once
 # for the seed and then for all of a chunk's indices together in uint32
 # arithmetic, by the hashing of :mod:`chshsim.stream`.
@@ -252,9 +245,8 @@ def _pcg64_step(s_hi, s_lo, inc_hi, inc_lo):
 
 
 def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """PCG64 states and increments of batches lo..hi-1, as
-    ``default_rng(batch_seed_sequence(seed, i))`` sets them: the (hi, lo)
-    uint64 halves of the states, then of the increments."""
+    """PCG64 states and increments of batches lo..hi-1, as ``Stream(seed, i)``
+    sets them: the (hi, lo) uint64 halves of the states, then of the increments."""
     pool, const = _seed_pool(seed)
     index = np.arange(lo, hi, dtype=np.uint64)
     pool = [np.full(hi - lo, p, dtype=np.uint32) for p in pool]
@@ -395,10 +387,10 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
     for rounds r0, r0 + 1, ... of each batch.  ``rounds`` is a multiple
     of 8, so that a tile's pair bytes start a word, unless it covers n.
 
-    Equal to what ``default_rng(batch_seed_sequence(seed, i))`` gives
-    batch i: ``integers(0, 4, n, uint8)``, then (if ``coins``) an
-    ``integers(0, 2, n, uint8)`` tape, which is skipped, then (if
-    ``uniforms``) ``random(n)``; the uniforms are None otherwise.
+    Equal to what ``Stream(seed, i)`` gives batch i: ``integers(0, 4, n,
+    uint8)``, then (if ``coins``) an ``integers(0, 2, n, uint8)`` tape,
+    which is skipped, then (if ``uniforms``) ``random(n)``; the uniforms
+    are None otherwise.
     A uniform comes as the uint64 word ``x >> 11``, so kernels compare it
     with integer cut points and no float copy of the tape is made.
 

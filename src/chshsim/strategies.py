@@ -418,11 +418,11 @@ class _TapePlay(SequentialStrategy):
     tape (``_draw``) and resets the round counter that ``begin_round``
     advances.  ``rng`` is duck-typed: a draw may call only
     ``rng.integers(0, k, size=n, dtype="uint8")`` for k in {2, 4} and
-    ``rng.random(n)``, and iterate what they return.  Numpy's
-    ``Generator`` supplies them, and so does
-    :class:`~chshsim.stream.Stream`, with the same draws from the same
-    seed.  The responders read the tape at the current round and the
-    current settings alone, so every state at a given depth plays every
+    ``rng.random(n)``, and iterate what they return.  The engines pass
+    a :class:`~chshsim.stream.Stream`; numpy's ``Generator`` gives the
+    same draws from the same seed, and the tests hold the two equal.
+    The responders read the tape at the current round and the current
+    settings alone, so every state at a given depth plays every
     continuation alike, and every child's key (``_child_keys``) is the
     empty tuple.  The tape is replaced, never mutated, so a snapshot may
     share it.

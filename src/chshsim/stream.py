@@ -1,15 +1,16 @@
-"""Numpy's seeded streams in plain Python: SeedSequence's hashing and a PCG64.
+"""The package's stream format in plain Python: SeedSequence's hashing and a PCG64.
 
-``default_rng(SeedSequence(seed))`` seeds a PCG64 from
-``SeedSequence(seed).generate_state(4, uint64)``.  The hashing here is
-SeedSequence's, with numpy's constants, and works on Python ints and on
-uint32 arrays alike, so :mod:`chshsim.montecarlo` derives a whole chunk
-of batch streams from it at once.  :class:`Stream` steps PCG64 with the
-XSL-RR output (M. E. O'Neill, "PCG: A Family of Simple Fast
-Space-Efficient Statistically Good Algorithms for Random Number
-Generation", HMC-CS-2014-0905, 2014) in Python ints, and gives the
-draws the strategies make bit for bit as numpy's ``Generator`` does.
-This module imports no numpy.
+The stream of a seed, and of batch i of a master seed, is what numpy's
+``default_rng(SeedSequence(seed, spawn_key=(i,)))`` draws.  Numpy keeps
+a bit generator's stream across releases, but not ``Generator``'s draws,
+so the package defines the format here and the tests hold it to numpy.
+The hashing is SeedSequence's, on Python ints and uint32 arrays alike,
+so :mod:`chshsim.montecarlo` seeds a whole chunk of batches from it at
+once.  :class:`Stream` steps PCG64 with the XSL-RR output (M. E. O'Neill,
+"PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905, 2014) in
+Python ints, and lays its draws out in numpy's bytes and words.  This
+module imports no numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_TOP_BITS = {2: bytes(b >> 7 for b in range(256)), 4: bytes(b >> 6 for b in range(256))}  # a byte's draw, by high
 
 
 def _hashmix(value, const: int, mult: int = _MULT_A):
@@ -47,18 +49,24 @@ def _mix_in(pool: list, word, const: int):
     return out, const
 
 
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int's uint32 words, low word first; 0 takes one word."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _M32]
+    while (value := value >> 32) > 0:
+        words.append(value & _M32)
+    return words
+
+
 def _seed_pool(seed: int) -> tuple[list[int], int]:
     """SeedSequence(seed)'s pool and the hash constant reached there.
 
     They are also SeedSequence(seed, spawn_key=(i,))'s before the spawn
     key is mixed in, so neither depends on i.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed & _M32]
-    while (seed := seed >> 32) > 0:
-        words.append(seed & _M32)
+    words = _uint32_words(seed)
     words += [0] * (4 - len(words))  # missing pool words hash 0, as a spawn key's padding does
     const = _INIT_A
     pool = []
@@ -90,56 +98,56 @@ def _generate_state(pool: list) -> list:
 
 
 class Stream:
-    """The draws of ``default_rng(SeedSequence(seed))`` that strategies make.
+    """The draws of ``default_rng(SeedSequence(seed, spawn_key=(spawn_index,)))``,
+    or with no spawn key if ``spawn_index`` is None, that the package makes.
 
     ``integers(0, k, size=n, dtype="uint8")`` for k in {2, 4} and
     ``random(n)`` return lists equal to numpy's arrays, in any order of
     calls.  Any other ``integers`` request raises ``ValueError``, so no
-    draw can silently differ from numpy's.
+    draw can silently differ from numpy's.  A seed or spawn index that
+    ``SeedSequence`` refuses is refused alike.
     """
 
-    def __init__(self, seed: int):
-        w = _generate_state(_seed_pool(seed)[0])
+    def __init__(self, seed: int, spawn_index: int | None = None):
+        pool, const = _seed_pool(seed)
+        for word in _uint32_words(spawn_index) if spawn_index is not None else ():
+            pool, const = _mix_in(pool, word, const)
+        w = _generate_state(pool)
         init_hi, init_lo, seq_hi, seq_lo = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
         # PCG64's seeding: inc = 2 seq + 1, state = (inc + init) * MULT + inc.
         self._inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
         self._state = ((self._inc + (init_hi << 64 | init_lo)) * _PCG_MULT + self._inc) & _M128
-        self._half = None  # the unused high half of a word that gave a uint32
+        self._half = b""  # the bytes of a uint64's high half, not yet drawn from
 
-    def _next64(self) -> int:
-        """Step the state, then output it by XSL-RR: the xor of its halves
-        rotated right by its top six bits."""
-        self._state = state = (self._state * _PCG_MULT + self._inc) & _M128
-        hi = state >> 64
-        x = (hi ^ state) & _M64
-        rot = hi >> 58
-        return (x >> rot | x << (64 - rot)) & _M64
-
-    def _next32(self) -> int:
-        """A uint32 word: a fresh word's low half, its high half the next time."""
-        if self._half is not None:
-            word, self._half = self._half, None
-            return word
-        word = self._next64()
-        self._half = word >> 32
-        return word & _M32
+    def _random_raw(self, count: int) -> list[int]:
+        """The next ``count`` uint64 words; each steps the state and outputs
+        it by XSL-RR, the xor of its halves rotated right by its top six bits."""
+        state, inc, words = self._state, self._inc, []
+        for _ in range(count):
+            state = (state * _PCG_MULT + inc) & _M128
+            hi = state >> 64
+            x = (hi ^ state) & _M64
+            rot = hi >> 58
+            words.append((x >> rot | x << (64 - rot)) & _M64)
+        self._state = state
+        return words
 
     def integers(self, low, high, size, dtype) -> list[int]:
         """``size`` draws from [0, high) for high in {2, 4}, as uint8.
 
         Numpy draws a byte per value from buffered uint32 words, low byte
         first, and scales it by Lemire's method, which never rejects for
-        these ranges: each draw is the top bit(s) of its byte.
+        these ranges: each draw is the top bit(s) of its byte.  A uint64
+        gives two uint32 words, low half first, the high one kept for later.
         """
-        if low != 0 or high not in (2, 4) or dtype != "uint8":
+        if low != 0 or high not in _TOP_BITS or dtype != "uint8":
             raise ValueError(f"unsupported integers({low!r}, {high!r}, dtype={dtype!r})")
-        shift = 7 if high == 2 else 6
-        out = []
-        for i in range(size):
-            word = self._next32() if i % 4 == 0 else word >> 8
-            out.append((word & 0xFF) >> shift)
-        return out
+        end = 4 * -(-size // 4)  # the bytes of whole uint32 words
+        words = self._random_raw(-(-(end - len(self._half)) // 8))
+        data = self._half + b"".join([word.to_bytes(8, "little") for word in words])
+        self._half = data[end:]
+        return list(data[:size].translate(_TOP_BITS[high]))
 
     def random(self, size) -> list[float]:
         """``size`` uniforms in [0, 1), each a word's top 53 bits times 2^-53."""
-        return [(self._next64() >> 11) * 2.0 ** -53 for _ in range(size)]
+        return [(word >> 11) * 2.0 ** -53 for word in self._random_raw(size)]

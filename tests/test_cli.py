@@ -1,5 +1,6 @@
 """End-to-end CLI tests: parsing, dispatch, formats, exit codes."""
 
+import ast
 import csv
 import json
 import os
@@ -483,6 +484,32 @@ def test_only_simulate_loads_numpy_and_no_command_loads_dataclasses(tmp_path):
     # The guard above would pass vacuously if nothing could load numpy.
     simulate = [(["simulate", "--strategy", "guessing", "--n", "4", "--batches", "2"], 0)]
     run_fresh(FRESH_RUN.format(runs=simulate, expected=["chshsim.montecarlo", "inspect", "numpy"]))
+
+
+#: Numpy's seeding and drawing API.  The package draws from its own
+#: ``Stream``; these stay in the tests, the reference it is held to.
+NUMPY_GENERATORS = {"default_rng", "SeedSequence", "Generator"}
+
+
+def test_no_module_names_numpy_generators():
+    # Names and attributes in code, and names imported; docstrings and
+    # comments are no code, so they may still name them.
+    modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+    assert {"montecarlo.py", "stream.py"} <= {path.name for path in modules}
+    found = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name.rpartition(".")[2]
+            else:
+                continue
+            if name in NUMPY_GENERATORS:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_package_resolves_monte_carlo_exports_on_first_use():

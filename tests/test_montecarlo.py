@@ -108,6 +108,31 @@ def test_run_batch_settings_uniform_ish():
         assert abs(f - 0.25) < 0.025
 
 
+def numpy_replay(strategy, n, seed, index):
+    """Batch ``index`` played from numpy's own per-batch Generator: its
+    pairs, then the strategy's tape, as ``run_batch`` draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    pairs = [ALL_PAIRS[i] for i in rng.integers(0, 4, size=n, dtype=np.uint8)]
+    return playout(strategy, pairs, rng)
+
+
+@pytest.mark.parametrize("index", [0, 5, 2 ** 32 + 1])
+@pytest.mark.parametrize("name", sorted(FACTORIES) + ["guessing-last-tie"])
+def test_run_batch_equals_a_replay_on_numpy_generators(name, index):
+    factory = FACTORIES.get(name, GuessingLastTie)
+    # The pairs of n = 41 take 11 uint32 words, so a tape starts on the
+    # high half of the pairs' last uint64 word.
+    for n in (1, 41, 300):
+        for seed in (0, 2 ** 128 + 3):
+            assert run_batch(factory(), n, seed, index) == numpy_replay(factory(), n, seed, index), (n, seed)
+
+
+@pytest.mark.parametrize("index, error", [(-1, ValueError), (3.0, TypeError)])
+def test_run_batch_refuses_a_batch_index_seed_sequence_refuses(index, error):
+    with pytest.raises(error):
+        run_batch(constant_plus(), 5, seed=0, batch_index=index)
+
+
 # The first n at which each strategy's streams are drawn natively: the
 # quantum kernel's from 103 rounds, the mixture's from 114, and those of
 # the kernels that draw only pairs from 1025.

@@ -54,6 +54,8 @@ ORACLE_TEST = "tests/test_enumerator.py::test_no_signaling_check_equals_toggle_a
 STARTUP_GUARD = "tests/test_cli.py::test_only_simulate_loads_numpy_and_no_command_loads_dataclasses"
 BUDGET_EDGES = "tests/test_enumerator.py::test_each_entry_point_admits_up_to_the_budget"
 WIN_RULE_ORACLE = "tests/test_stats.py::test_every_reader_of_the_win_rule_agrees_with_the_oracle"
+STREAM_TEST = "tests/test_stream.py::test_stream_draws_what_numpy_draws"
+REPLAY_TEST = "tests/test_montecarlo.py::test_run_batch_equals_a_replay_on_numpy_generators"
 
 
 def record(kind: str) -> str:
@@ -67,6 +69,44 @@ def win_rule_oracle(reader: str) -> str:
 
 
 MUTANTS = (
+    # The package's per-batch stream, and the general engine's draws from it.
+    Mutant(
+        "spawn-index-mixes-only-its-low-word",
+        "stream.py",
+        "for word in _uint32_words(spawn_index) if",
+        "for word in _uint32_words(spawn_index)[:1] if",
+        (STREAM_TEST, REPLAY_TEST),
+    ),
+    Mutant(
+        "spawn-index-mixed-before-the-seeds-fifth-word",
+        "stream.py",
+        "        pool, const = _seed_pool(seed)\n"
+        "        for word in _uint32_words(spawn_index) if spawn_index is not None else ():\n",
+        "        pool, const = _seed_pool(seed & _M128)\n"
+        "        for word in (_uint32_words(spawn_index) if spawn_index is not None else []) + _uint32_words(seed)[4:]:\n",
+        (STREAM_TEST, REPLAY_TEST),
+    ),
+    Mutant(
+        "pending-half-word-dropped",
+        "stream.py",
+        "        self._half = data[end:]\n",
+        '        self._half = b""\n',
+        (STREAM_TEST, REPLAY_TEST),
+    ),
+    Mutant(
+        "tape-drawn-from-a-fresh-stream",
+        "montecarlo.py",
+        "return playout(strategy, pairs, stream)",
+        "return playout(strategy, pairs, Stream(seed, batch_index))",
+        (REPLAY_TEST, "tests/test_montecarlo.py::test_kernel_matches_general_engine"),
+    ),
+    Mutant(
+        "general-engine-draws-from-numpy-generators",
+        "montecarlo.py",
+        "    stream = Stream(seed, batch_index)\n",
+        "    stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(batch_index,)))\n",
+        ("tests/test_cli.py::test_no_module_names_numpy_generators",),
+    ),
     # A tile's draws, stepped in numpy or read by native PCG64s.
     Mutant(
         "native-states-not-moved-on",
