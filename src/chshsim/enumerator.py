@@ -163,10 +163,11 @@ def collective_playout(strategy: CollectiveStrategy, settings) -> Transcript:
     b_outs = strategy.respond_bob(tuple(p.bob for p in pairs))
     if len(a_outs) != len(pairs) or len(b_outs) != len(pairs):
         raise InvariantViolation("collective strategy returned wrong-length outcome list")
-    rounds = [
-        Round(k + 1, pair, int(a), int(b))
-        for k, (pair, a, b) in enumerate(zip(pairs, a_outs, b_outs))
-    ]
+    rounds = []
+    for k, (pair, a, b) in enumerate(zip(pairs, a_outs, b_outs)):
+        if (a != 1 and a != -1) or (b != 1 and b != -1):
+            raise InvariantViolation(f"strategy produced non-outcome ({a!r}, {b!r})")
+        rounds.append(Round(k + 1, pair, int(a), int(b)))
     return Transcript(rounds)
 
 

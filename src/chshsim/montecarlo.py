@@ -26,8 +26,9 @@ rounds, drawn, scored and tallied before the next tile is drawn, so its
 working arrays are bounded by the tile, not by n.  The chunk's tally is
 the sum of its tiles'.  One function reads every tile's words: it steps
 a batch that needs at most ``_STEP_WORDS`` raw words in numpy, a word of
-every batch at a time, and draws a longer stream natively.  The engine
-owns what a tile needs of the rounds before it: the stream states, and
+every batch at a time, and draws a longer stream natively, from each
+batch's seed state advanced to the tile's words.  The engine owns what
+a tile needs of the rounds before it: the stepped streams' states, and
 the pair counts that it hands to the kernels that read them (guessing,
 model101); kernels keep nothing.  Stepped chunks run tiles of
 ``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
@@ -54,7 +55,7 @@ from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, collective_scores, playout
 from .stats import pair_tallies, x_from_counts, x_ratio
-from .stream import _M32, _M64, _M128, _PCG_MULT, Stream, _generate_state, _mix_in, _seed_pool
+from .stream import _M32, _M64, _PCG_MULT, Stream, _generate_state, _mix_in, _seed_pool
 from .strategies import (
     CONSTANT_PLUS_ASSIGNMENT,
     MODEL_101_TRIGGER_ASSIGNMENT,
@@ -277,39 +278,15 @@ def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
     return start, start + (n if uniforms else 0)
 
 
-#: Most raw words per batch that are stepped in numpy.  Emulated 128-bit
-#: arithmetic costs 14-17 ns a word of every batch; a native PCG64 draws
-#: a word in about 3 ns but takes about 2.2 us to set each batch's state.
+#: Most raw words per batch that are stepped in numpy, coin words included:
+#: a stepped batch steps through every word up to its last.  Emulated
+#: 128-bit arithmetic costs 14-17 ns a step of every batch; a native PCG64
+#: draws a word in about 3 ns but takes about 2.2 us to set each batch's state.
 #: The two break even at 150-190 words, on a 2-core x86 machine.
 _STEP_WORDS = 128
 
 #: Raw words one ``random_raw`` call returns at most.
 _RAW_PIECE = 1 << 16
-
-
-def _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, k: int):
-    """The states k PCG64 steps on, in closed form: k steps map s to
-    MULT^k s + (MULT^(k-1) + ... + MULT + 1) inc, whose two constants
-    are built by squaring, in log k Python-int steps."""
-    if not k:
-        return s_hi, s_lo
-    mult, plus = 1, 0
-    step_mult, step_plus = _PCG_MULT, 1
-    while k:
-        if k & 1:
-            mult, plus = mult * step_mult & _M128, (plus * step_mult + step_plus) & _M128
-        step_mult, step_plus = step_mult * step_mult & _M128, (step_mult + 1) * step_plus & _M128
-        k >>= 1
-    a_hi, a_lo = _mul128(s_hi, s_lo, mult)
-    b_hi, b_lo = _mul128(inc_hi, inc_lo, plus)
-    a_lo += b_lo
-    return a_hi + b_hi + (a_lo < b_lo), a_lo
-
-
-def _mul128(hi, lo, c: int):
-    """(hi, lo) * c mod 2^128, on uint64 halves and a Python int c."""
-    c_hi, c_lo = c >> 64, c & _M64
-    return _mulhi64(lo, c_lo) + lo * c_hi + hi * c_lo, lo * c_lo
 
 
 def _stepped_words(s_hi, s_lo, inc_hi, inc_lo, count: int):
@@ -326,15 +303,16 @@ def _stepped_words(s_hi, s_lo, inc_hi, inc_lo, count: int):
     return block, s_hi, s_lo
 
 
-def _read_words(states, pair_count: int, gap: int, tape_count: int, native: bool):
-    """Each batch's next ``pair_count`` raw words and, ``gap`` words after
-    those, its next ``tape_count``, one row per batch, and the states after
-    the pair words.  ``states`` holds the (hi, lo) uint64 halves of the
-    batches' PCG64 states, then of their increments.
+def _read_words(states, skip: int, pair_count: int, gap: int, tape_count: int, native: bool):
+    """Each batch's ``pair_count`` raw words after its first ``skip`` and,
+    ``gap`` words after those, its next ``tape_count``, one row per batch,
+    and the states the next tile reads from.  ``states`` holds the (hi, lo)
+    uint64 halves of the batches' PCG64 states, then of their increments.
 
-    Stepped, the tape's states are reached by :func:`_pcg64_jump`.
-    Natively, one PCG64 is set to each batch's state in turn and skips
-    the gap by ``advance``; the state arrays are moved on by the jump.
+    Natively, one PCG64 is set to each batch's state in turn and advanced
+    to the words and the tape; the states are handed back unmoved.
+    Stepped, ``skip`` is 0, the gap is stepped as states only, and the
+    states after the pair words are handed on.
     """
     s_hi, s_lo, inc_hi, inc_lo = states
     if native:
@@ -345,15 +323,18 @@ def _read_words(states, pair_count: int, gap: int, tape_count: int, native: bool
         for row, (sh, sl, ih, il) in enumerate(halves):
             state = {"state": sh << 64 | sl, "inc": ih << 64 | il}
             bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+            if skip:  # advance(0) is not free
+                bitgen.advance(skip)
             _fill(bitgen, words[row])
-            if gap:  # none in a whole batch without a coin tape, and advance(0) is not free
+            if gap:  # none in a whole batch without a coin tape
                 bitgen.advance(gap)
             _fill(bitgen, tape[row])
-        s_hi, s_lo = _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, pair_count)
-    else:
-        words, s_hi, s_lo = _stepped_words(s_hi, s_lo, inc_hi, inc_lo, pair_count)
-        t_hi, t_lo = _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, gap) if tape_count else (s_hi, s_lo)
-        tape, _, _ = _stepped_words(t_hi, t_lo, inc_hi, inc_lo, tape_count)
+        return words, tape, states
+    words, s_hi, s_lo = _stepped_words(s_hi, s_lo, inc_hi, inc_lo, pair_count)
+    t_hi, t_lo = s_hi, s_lo
+    for _ in range(gap if tape_count else 0):
+        t_hi, t_lo = _pcg64_step(t_hi, t_lo, inc_hi, inc_lo)
+    tape, _, _ = _stepped_words(t_hi, t_lo, inc_hi, inc_lo, tape_count)
     return words, tape, (s_hi, s_lo, inc_hi, inc_lo)
 
 
@@ -394,10 +375,12 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
     A uniform comes as the uint64 word ``x >> 11``, so kernels compare it
     with integer cut points and no float copy of the tape is made.
 
-    Only the states after the pair words pass from tile to tile; from
-    them a tile skips to its first uniform, past the coin tape.  A
-    batch that draws at most ``_STEP_WORDS`` words is stepped in numpy; a
-    longer stream is drawn natively.
+    A batch that draws at most ``_STEP_WORDS`` words is stepped in numpy:
+    only the states after its pair words pass from tile to tile, and from
+    them a tile steps to its first uniform, past the coin tape.  A longer
+    stream is drawn natively: on every tile each batch's PCG64 is set to
+    its seed state and advanced to the tile's first pair word, then past
+    the coin tape to its first uniform.
     """
     if rounds < n and rounds % 8:
         raise ValueError(f"a tile shorter than n must hold a multiple of 8 rounds, got {rounds}")
@@ -408,7 +391,8 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
         r1 = min(r0 + rounds, n)
         end = -(-r1 // 8)  # the word after this tile's pair bytes
         tape_count = r1 - r0 if uniforms else 0
-        *drawn, states = _read_words(states, end - r0 // 8, start + r0 - end, tape_count, native)
+        skip = r0 // 8 if native else 0
+        *drawn, states = _read_words(states, skip, end - r0 // 8, start + r0 - end, tape_count, native)
         # Taken out of ``drawn`` as they are handed on: no name here holds
         # the pair words or the uniforms while the caller works on them.
         pairs = _pairs(drawn.pop(0), r1 - r0)

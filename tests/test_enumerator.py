@@ -1348,6 +1348,31 @@ def test_sequential_non_outcome_is_refused():
         no_signaling_check(NonOutcomeInRoundTwo(), 2)
 
 
+class NonOutcomeOnB2(CollectiveStrategy):
+    """Alice answers +1 throughout; Bob answers 0 wherever his setting is B2."""
+
+    def respond_alice(self, settings):
+        return (1,) * len(settings)
+
+    def respond_bob(self, settings):
+        return tuple(0 if setting == 1 else 1 for setting in settings)
+
+
+def test_collective_non_outcome_is_refused():
+    assert wings(collective_playout(NonOutcomeOnB2(), [P11, P21])) == ((1, 1), (1, 1))
+    # No kernel is registered for the subject: ``estimate`` plays it on the general engine.
+    assert montecarlo._find_kernel(NonOutcomeOnB2()) is None
+    plan = montecarlo.SimulationPlan(factory=NonOutcomeOnB2, n=5, batches=3, seed=7)
+    for run in (
+        lambda: collective_playout(NonOutcomeOnB2(), [P11, P22]),
+        lambda: exact_collective(NonOutcomeOnB2(), 2),
+        lambda: montecarlo.estimate(plan),
+        lambda: no_signaling_check(NonOutcomeOnB2(), 2),
+    ):
+        with pytest.raises(InvariantViolation, match=r"strategy produced non-outcome \(1, 0\)"):
+            run()
+
+
 class UnknownMemoryClass(SequentialStrategy):
     """Declares a memory class that is not a ``MemoryClass``; records each playout it begins."""
 

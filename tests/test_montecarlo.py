@@ -190,7 +190,7 @@ SEEDS = hs.one_of(hs.integers(0, 2 ** 128 - 1), hs.integers(2 ** 128, 2 ** 200 -
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=SEEDS, n=hs.integers(1, 70), window=INDEX_WINDOWS, rounds=hs.sampled_from((None, 8, 16, 24, 64)))
+@given(seed=SEEDS, n=hs.integers(1, 110), window=INDEX_WINDOWS, rounds=hs.sampled_from((None, 8, 16, 24, 64)))
 def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window, rounds):
     base, offset, width = window
     lo = base + offset

@@ -109,10 +109,10 @@ MUTANTS = (
     ),
     # A tile's draws, stepped in numpy or read by native PCG64s.
     Mutant(
-        "native-states-not-moved-on",
+        "native-row-not-advanced-to-its-tile",
         "montecarlo.py",
-        "        s_hi, s_lo = _pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, pair_count)\n",
-        "",
+        "skip = r0 // 8 if native else 0",
+        "skip = 0",
         (
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
@@ -129,10 +129,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "stepped-tape-jumped-one-too-far",
+        "stepped-gap-one-word-too-far",
         "montecarlo.py",
-        "_pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, gap)",
-        "_pcg64_jump(s_hi, s_lo, inc_hi, inc_lo, gap + 1)",
+        "range(gap if tape_count else 0)",
+        "range(gap + 1 if tape_count else 0)",
         (
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
@@ -456,6 +456,16 @@ MUTANTS = (
         "if not 0 < delta < 1:",
         "if not 0 < delta <= 1:",
         (record("SimulationPlan"),),
+    ),
+    # The outcomes a collective strategy returns, checked as they are played.
+    Mutant(
+        "collective-non-outcome-admitted",
+        "enumerator.py",
+        "        if (a != 1 and a != -1) or (b != 1 and b != -1):\n"
+        '            raise InvariantViolation(f"strategy produced non-outcome ({a!r}, {b!r})")\n'
+        "        rounds.append(",
+        "        rounds.append(",
+        ("tests/test_enumerator.py::test_collective_non_outcome_is_refused",),
     ),
     # Both wings' views, cut from one list of rounds.
     Mutant(
