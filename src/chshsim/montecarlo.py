@@ -25,12 +25,12 @@ A kernel chunk is worked a tile at a time: its batches over a range of
 rounds, drawn, scored and tallied before the next tile is drawn, so its
 working arrays are bounded by the tile, not by n.  The chunk's tally is
 the sum of its tiles'.  One function reads every tile's words: it steps
-a batch that needs at most ``_STEP_WORDS`` raw words in numpy, a word of
-every batch at a time, and draws a longer stream natively, from each
-batch's seed state advanced to the tile's words.  The engine owns what
-a tile needs of the rounds before it: the stepped streams' states, and
-the pair counts that it hands to the kernels that read them (guessing,
-model101); kernels keep nothing.  Stepped chunks run tiles of
+a batch that needs at most ``_STEP_WORDS`` raw words in numpy, eight
+words of every batch a call, and draws a longer stream natively, from
+each batch's seed state advanced to the tile's words.  The engine owns
+what a tile needs of the rounds before it: the stepped streams' lanes,
+and the pair counts that it hands to the kernels that read them
+(guessing, model101); kernels keep nothing.  Stepped chunks run tiles of
 ``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
 in tiles when it does not fit the budget.  The draws are bit-identical
 to the per-batch ``Stream`` the general engine draws from.
@@ -55,7 +55,7 @@ from .core import ALL_PAIRS, Transcript
 from .bounds import f_delta, x_tail_bound
 from .enumerator import collective_playout, collective_scores, playout
 from .stats import pair_tallies, x_from_counts, x_ratio
-from .stream import _M32, _M64, _PCG_MULT, Stream, _generate_state, _mix_in, _seed_pool
+from .stream import _M32, _M64, _M128, _PCG_MULT, Stream, _generate_state, _mix_in, _seed_pool
 from .strategies import (
     CONSTANT_PLUS_ASSIGNMENT,
     MODEL_101_TRIGGER_ASSIGNMENT,
@@ -224,25 +224,44 @@ def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[str]:
 # for the seed and then for all of a chunk's indices together in uint32
 # arithmetic, by the hashing of :mod:`chshsim.stream`.
 
-_PCG_MULT_HI, _PCG_MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _M64
+#: Words of a batch that one numpy call steps, when a read spans more.
+_LANES = 8
 
 
-def _mulhi64(a, b: int):
-    """High 64 bits of the 128-bit products a * b for a uint64 array a."""
-    a0, a1 = a & _M32, a >> 32
-    b0, b1 = b & _M32, b >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+def _halves(values) -> np.ndarray:
+    """128-bit ints as a (2, len, 1) array of their (hi, lo) uint64 halves."""
+    return np.array([[[v >> 64] for v in values], [[v & _M64] for v in values]], dtype=np.uint64)
 
 
-def _pcg64_step(s_hi, s_lo, inc_hi, inc_lo):
-    """One PCG64 step, state * MULT + inc mod 2^128, on (hi, lo) uint64 halves."""
-    t_lo = s_lo * _PCG_MULT_LO
-    t_hi = _mulhi64(s_lo, _PCG_MULT_LO) + s_lo * _PCG_MULT_HI + s_hi * _PCG_MULT_LO
-    t_lo += inc_lo
-    t_hi += inc_hi + (t_lo < inc_lo)
-    return t_hi, t_lo
+#: A PCG64 state moves j words on by s -> MULT^j s + inc (1 + MULT + ...
+#: + MULT^(j-1)) mod 2^128; row j - 1 holds the halves of MULT^j and the sum.
+_MULT_POWERS = _halves([pow(_PCG_MULT, j, 1 << 128) for j in range(1, _LANES + 1)])
+_MULT_SUMS = _halves([sum(pow(_PCG_MULT, i, 1 << 128) for i in range(j)) & _M128 for j in range(1, _LANES + 1)])
+
+
+def _affine(s_hi, s_lo, a_hi, a_lo, c_hi=0, c_lo=0):
+    """a s + c mod 2^128 on (hi, lo) uint64 halves broadcast to the states'
+    shape, four arrays of it alive at most: a PCG64 step when a is MULT and c
+    the increment.  s_lo a_lo's high half sums 32-bit halves' products."""
+    a0, a1 = a_lo & _M32, a_lo >> 32
+    s0, s1 = s_lo & _M32, s_lo >> 32
+    mid = s0 * a0 >> 32
+    s0 = s0 * a1
+    hi = s1 * a1
+    s1 = s1 * a0
+    mid += s1
+    s0 += np.bitwise_and(mid, _M32, out=s1)
+    s0 >>= 32
+    mid >>= 32
+    hi += mid
+    hi += s0
+    hi += np.multiply(s_lo, a_hi, out=mid)
+    hi += np.multiply(s_hi, a_lo, out=mid)
+    lo = np.multiply(s_lo, a_lo, out=mid)
+    lo += c_lo
+    hi += c_hi
+    hi += lo < c_lo
+    return hi, lo
 
 
 def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -263,7 +282,7 @@ def _pcg64_states(seed: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, 
     inc_lo = seq_lo << 1 | 1
     s_lo = inc_lo + init_lo
     s_hi = inc_hi + init_hi + (s_lo < inc_lo)
-    return *_pcg64_step(s_hi, s_lo, inc_hi, inc_lo), inc_hi, inc_lo
+    return *_affine(s_hi, s_lo, *_MULT_POWERS[:, 0, 0], inc_hi, inc_lo), inc_hi, inc_lo
 
 
 def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
@@ -279,43 +298,59 @@ def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
 
 
 #: Most raw words per batch that are stepped in numpy, coin words included:
-#: a stepped batch steps through every word up to its last.  Emulated
-#: 128-bit arithmetic costs 14-17 ns a step of every batch; a native PCG64
-#: draws a word in about 3 ns but takes about 2.2 us to set each batch's state.
-#: The two break even at 150-190 words, on a 2-core x86 machine.
+#: a stepped batch steps through every word up to its last.  In lanes a
+#: word costs 18-20 ns a batch, a native read 4.5-5 us a batch at 112-144
+#: words: they break even near 320 words, on a loaded 2-core x86 machine.
+#: More would let a stepped row with a tape span tiles.
 _STEP_WORDS = 128
 
 #: Raw words one ``random_raw`` call returns at most.
 _RAW_PIECE = 1 << 16
 
 
-def _stepped_words(s_hi, s_lo, inc_hi, inc_lo, count: int):
-    """The next ``count`` raw words of every batch, one row per batch,
-    stepped in numpy a word of every batch at a time, and the states
-    after them.  Each step moves the state on, then outputs it by XSL-RR,
-    the xor of its halves rotated right by its top six bits."""
-    block = np.empty((len(s_hi), count), dtype=np.uint64)
-    for col in range(count):
-        s_hi, s_lo = _pcg64_step(s_hi, s_lo, inc_hi, inc_lo)
+def _lanes(s_hi, s_lo, inc_hi, inc_lo, width: int):
+    """Stepped streams' first lanes and increment c, (hi, lo) halves of shape
+    (width, B) and (1, B), from the seed states and increments: lane j
+    holds the state that outputs a batch's word j.  A call moves every lane
+    ``width`` words on, by a = MULT^width and c = inc (1 + ... + MULT^(width-1))."""
+    c_hi, c_lo = _affine(inc_hi, inc_lo, *_MULT_SUMS[:, :width]) if width > 1 else (inc_hi[None], inc_lo[None])
+    l_hi, l_lo = _affine(s_hi, s_lo, *_MULT_POWERS[:, :width], c_hi, c_lo)
+    return l_hi, l_lo, c_hi[width - 1 :].copy(), c_lo[width - 1 :].copy()
+
+
+def _stepped_words(lanes, count: int):
+    """The next ``count`` raw words of every batch, one row per batch, and
+    the lanes after them.  Each pass outputs every lane's word by XSL-RR (a
+    state's xored halves rotated right by its top six bits), then jumps the
+    r lanes it read, which become the last; the others hold words r on."""
+    s_hi, s_lo, c_hi, c_lo = lanes
+    width = len(s_hi)
+    a_hi, a_lo = _MULT_POWERS[:, width - 1, 0]
+    block = np.empty((s_hi.shape[1], count), dtype=np.uint64)
+    for col in range(0, count, width):
         x = s_hi ^ s_lo
         rot = s_hi >> 58
-        block[:, col] = x >> rot | x << (-rot & 63)
-    return block, s_hi, s_lo
+        block[:, col : col + width] = (x >> rot | x << (-rot & 63))[: count - col].T
+        del x, rot  # freed before the lanes are moved
+        r = min(width, count - col)
+        t_hi, t_lo = _affine(s_hi[:r], s_lo[:r], a_hi, a_lo, c_hi, c_lo)
+        if r < width:
+            t_hi, t_lo = np.concatenate((s_hi[r:], t_hi)), np.concatenate((s_lo[r:], t_lo))
+        s_hi, s_lo = t_hi, t_lo
+    return block, (s_hi, s_lo, c_hi, c_lo)
 
 
 def _read_words(states, skip: int, pair_count: int, gap: int, tape_count: int, native: bool):
     """Each batch's ``pair_count`` raw words after its first ``skip`` and,
     ``gap`` words after those, its next ``tape_count``, one row per batch,
-    and the states the next tile reads from.  ``states`` holds the (hi, lo)
-    uint64 halves of the batches' PCG64 states, then of their increments.
-
-    Natively, one PCG64 is set to each batch's state in turn and advanced
-    to the words and the tape; the states are handed back unmoved.
-    Stepped, ``skip`` is 0, the gap is stepped as states only, and the
-    states after the pair words are handed on.
-    """
-    s_hi, s_lo, inc_hi, inc_lo = states
+    and the states the next tile reads from.  Natively, ``states`` holds
+    the (hi, lo) uint64 halves of the seed states, then of the increments,
+    handed back unmoved; one PCG64 is set to each batch's in turn and
+    advanced to the words and the tape.  Stepped, they are lanes (see
+    ``_lanes``), ``skip`` is 0, and the lanes after the pair words are
+    handed on."""
     if native:
+        s_hi, s_lo, inc_hi, inc_lo = states
         words = np.empty((len(s_hi), pair_count), dtype=np.uint64)
         tape = np.empty((len(s_hi), tape_count), dtype=np.uint64)
         bitgen = np.random.PCG64(0)
@@ -330,12 +365,9 @@ def _read_words(states, skip: int, pair_count: int, gap: int, tape_count: int, n
                 bitgen.advance(gap)
             _fill(bitgen, tape[row])
         return words, tape, states
-    words, s_hi, s_lo = _stepped_words(s_hi, s_lo, inc_hi, inc_lo, pair_count)
-    t_hi, t_lo = s_hi, s_lo
-    for _ in range(gap if tape_count else 0):
-        t_hi, t_lo = _pcg64_step(t_hi, t_lo, inc_hi, inc_lo)
-    tape, _, _ = _stepped_words(t_hi, t_lo, inc_hi, inc_lo, tape_count)
-    return words, tape, (s_hi, s_lo, inc_hi, inc_lo)
+    words, moved = _stepped_words(states, pair_count)
+    past_gap = _stepped_words(moved, gap if tape_count else 0)[1]
+    return words, _stepped_words(past_gap, tape_count)[0], moved
 
 
 def _pairs(words: np.ndarray, count: int) -> np.ndarray:
@@ -370,23 +402,23 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 
     Equal to what ``Stream(seed, i)`` gives batch i: ``integers(0, 4, n,
     uint8)``, then (if ``coins``) an ``integers(0, 2, n, uint8)`` tape,
-    which is skipped, then (if ``uniforms``) ``random(n)``; the uniforms
-    are None otherwise.
-    A uniform comes as the uint64 word ``x >> 11``, so kernels compare it
+    which is skipped, then (if ``uniforms``) ``random(n)``, else None.  A
+    uniform comes as the uint64 word ``x >> 11``, so kernels compare it
     with integer cut points and no float copy of the tape is made.
 
-    A batch that draws at most ``_STEP_WORDS`` words is stepped in numpy:
-    only the states after its pair words pass from tile to tile, and from
-    them a tile steps to its first uniform, past the coin tape.  A longer
-    stream is drawn natively: on every tile each batch's PCG64 is set to
-    its seed state and advanced to the tile's first pair word, then past
-    the coin tape to its first uniform.
+    A batch that draws at most ``_STEP_WORDS`` words is stepped in numpy,
+    in ``_LANES`` lanes if it draws more, else in one, and the lanes after
+    its pair words pass from tile to tile.  A longer stream is drawn
+    natively: on every tile each batch's PCG64 is set to its seed state
+    and advanced to the tile's words, then past the coin tape.
     """
     if rounds < n and rounds % 8:
         raise ValueError(f"a tile shorter than n must hold a multiple of 8 rounds, got {rounds}")
     start, m = _raw_words(n, coins, uniforms)
     native = m > _STEP_WORDS
     states = _pcg64_states(seed, lo, hi)
+    if not native:
+        states = _lanes(*states, _LANES if m > _LANES else 1)
     for r0 in range(0, n, rounds):
         r1 = min(r0 + rounds, n)
         end = -(-r1 // 8)  # the word after this tile's pair bytes
@@ -422,32 +454,38 @@ def _kernel_constant(strategy, pairs, uniforms, r0=0, counts=None):
     return pairs != _MISSED
 
 
+#: Rounds whose key indices the guessing kernel builds in one call; a
+#: whole tile's would take 8 B a round of a batch beside its pairs.
+_INDEX_ROUNDS = 16
+
+
 def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
     # A round scores unless its pair is the most measured so far, the
     # first of tied pairs winning.  Pair j of a batch keeps the key
     # 4 count_j + 3 - j: a batch's keys differ mod 4, so its largest key
     # is the canonical target, and a running maximum of the keys tracks
     # it without an argmax per round.  Pairs and scores are walked
-    # round-major, one contiguous column per round.
+    # round-major, a contiguous column a round, key indices a block at once.
     n_batches, width = pairs.shape
+    dtype = np.int32 if r0 + width < 1 << 28 else np.int64  # keys stay below 4 (r0 + width) + 8
     if r0:
-        keys = (4 * counts + np.arange(3, -1, -1)).ravel()
+        keys = (4 * counts + np.arange(3, -1, -1)).astype(dtype).ravel()
         top = np.maximum(np.maximum(keys[::4], keys[1::4]), np.maximum(keys[2::4], keys[3::4]))
     else:
-        keys = np.tile(np.arange(3, -1, -1, dtype=np.int64), n_batches)
-        top = np.full(n_batches, 3, dtype=np.int64)
+        keys = np.tile(np.arange(3, -1, -1, dtype=dtype), n_batches)
+        top = np.full(n_batches, 3, dtype=dtype)
     order = np.ascontiguousarray(pairs.T)
     offsets = np.arange(0, 4 * n_batches, 4)
-    idx = np.empty(n_batches, dtype=np.intp)
-    key = np.empty(n_batches, dtype=np.int64)
     scores = np.empty((width, n_batches), dtype=bool)
-    for k in range(width):
-        np.add(offsets, order[k], out=idx)
-        np.take(keys, idx, out=key)
-        np.not_equal(key, top, out=scores[k])
-        key += 4
-        keys[idx] = key
-        np.maximum(top, key, out=top)
+    index = np.empty((min(width, _INDEX_ROUNDS), n_batches), dtype=np.intp)
+    for k0 in range(0, width, _INDEX_ROUNDS):
+        block = np.add(order[k0 : k0 + _INDEX_ROUNDS], offsets, out=index[: width - k0])
+        for k, idx in enumerate(block, start=k0):
+            key = keys[idx]
+            np.not_equal(key, top, out=scores[k])
+            key += 4
+            keys[idx] = key
+            np.maximum(top, key, out=top)
     if r0 == 0:
         np.not_equal(order[0], _MISSED, out=scores[0])
     return scores.T
@@ -520,7 +558,7 @@ class _Kernel(NamedTuple):
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing, counted=True, batch_bytes=96),
+    GuessingModel: _Kernel(_kernel_guessing, counted=True, batch_bytes=88 + 8 * _INDEX_ROUNDS),
     Model101: _Kernel(_kernel_model101, counted=True, batch_bytes=64),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
@@ -547,9 +585,10 @@ _TALLY_ROW_BYTES = 256
 #: numpy words under tracemalloc.  It ends before the first tile is drawn.
 _SEED_ROW_BYTES = 256
 
-#: What a kernel chunk's tiles keep per batch beside the score's arrays:
-#: the stream states and increments, (hi, lo) uint64 halves of each.
-_STATE_ROW_BYTES = 48
+#: What a kernel chunk's streams take per batch: the lanes and increment,
+#: (hi, lo) uint64 halves, and while the lanes move, the lanes they become
+#: and four temporaries of their shape (native: 32 B of states, increments).
+_STATE_ROW_BYTES = 64 * _LANES + 16
 
 
 def _row_bytes(rounds: int, kernel: _Kernel) -> int:
@@ -572,8 +611,10 @@ def _row_bytes(rounds: int, kernel: _Kernel) -> int:
     the pairs and its scores.  Per batch, the guessing and model101
     kernels receive four int64 pair counts of the tiles before; from them
     the guessing kernel builds four keys and the top key, and takes the
-    round's key and index and the row offsets; model101 counts its first
-    rounds' pairs; the collective kernel takes a sequence index.
+    round's key, the row offsets and the key indices of ``_INDEX_ROUNDS``
+    rounds; model101 counts its first rounds' pairs; the collective
+    kernel takes a sequence index.  The streams' share is counted beside
+    all of these.
     """
     tile = _STATE_ROW_BYTES + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
     return _TALLY_ROW_BYTES + max(_SEED_ROW_BYTES, tile)

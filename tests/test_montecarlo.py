@@ -189,8 +189,16 @@ INDEX_WINDOWS = hs.tuples(
 SEEDS = hs.one_of(hs.integers(0, 2 ** 128 - 1), hs.integers(2 ** 128, 2 ** 200 - 1))
 
 
+# Up to n = 1,024 a pair-only stream is stepped, in lanes carried from
+# tile to tile; tiles of 128 and 136 rounds read 16 and 17 words, and a
+# tile is read in whole lane widths and a remainder of any width.
 @settings(max_examples=80, deadline=None)
-@given(seed=SEEDS, n=hs.integers(1, 110), window=INDEX_WINDOWS, rounds=hs.sampled_from((None, 8, 16, 24, 64)))
+@given(
+    seed=SEEDS,
+    n=hs.integers(1, 1100),
+    window=INDEX_WINDOWS,
+    rounds=hs.sampled_from((None, 8, 16, 24, 64, 128, 136)),
+)
 def test_chunk_draws_equal_numpy_per_batch_generators(seed, n, window, rounds):
     base, offset, width = window
     lo = base + offset
@@ -607,6 +615,19 @@ def test_guessing_kernel_on_drawn_histories_matches_oracle(alphabet, shape, data
     picks = hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n)
     pairs = np.array(data.draw(hs.lists(picks, min_size=batches, max_size=batches)), dtype=np.uint8)
     assert np.array_equal(_kernel_guessing(None, pairs.copy(), None), _guessing_oracle_scores(pairs))
+
+
+@pytest.mark.parametrize("shift", [0, 2 ** 26, 2 ** 29 - 3, 2 ** 40])
+def test_guessing_kernel_scores_depend_only_on_count_differences(shift):
+    # Adding the same count to every pair keeps each batch's target.  The
+    # keys are int32 while they fit, int64 from 2^28 rounds on: at counts
+    # near 2^29 - 3 some int32 keys would wrap and others not.
+    rng = np.random.default_rng(43)
+    pairs = rng.integers(0, 4, (6, 50), dtype=np.uint8)
+    counts = rng.integers(0, 5, (6, 4))
+    want = _kernel_guessing(None, pairs.copy(), None, int(counts.sum(axis=1).max()), counts)
+    got = _kernel_guessing(None, pairs.copy(), None, int(counts.sum(axis=1).max()) + 4 * shift, counts + shift)
+    assert np.array_equal(got, want)
 
 
 def test_guessing_custom_tie_break_uses_general_path():

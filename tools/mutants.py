@@ -131,11 +131,42 @@ MUTANTS = (
     Mutant(
         "stepped-gap-one-word-too-far",
         "montecarlo.py",
-        "range(gap if tape_count else 0)",
-        "range(gap + 1 if tape_count else 0)",
+        "_stepped_words(moved, gap if tape_count else 0)",
+        "_stepped_words(moved, gap + 1 if tape_count else 0)",
         (
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+        ),
+    ),
+    # Stepped streams' lanes: the map that moves them, and its carrying.
+    Mutant(
+        "lane-jump-one-word-short",
+        "montecarlo.py",
+        "a_hi, a_lo = _MULT_POWERS[:, width - 1, 0]",
+        "a_hi, a_lo = _MULT_POWERS[:, max(width - 2, 0), 0]",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
+        ),
+    ),
+    Mutant(
+        "lane-increment-one-term-short",
+        "montecarlo.py",
+        "c_hi[width - 1 :].copy(), c_lo[width - 1 :].copy()",
+        "c_hi[width - 2 :][:1].copy(), c_lo[width - 2 :][:1].copy()",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
+        ),
+    ),
+    Mutant(
+        "lanes-not-jumped-between-tiles",
+        "montecarlo.py",
+        "_stepped_words(past_gap, tape_count)[0], moved\n",
+        "_stepped_words(past_gap, tape_count)[0], states\n",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
         ),
     ),
     # Kernels fed by the engine's pair counts of the earlier tiles.
@@ -160,10 +191,27 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "guessing-index-block-off-by-one-round",
+        "montecarlo.py",
+        "for k, idx in enumerate(block, start=k0):",
+        "for k, idx in enumerate(block, start=k0 - 1):",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_drawn_histories_matches_oracle",
+            "tests/test_montecarlo.py::test_kernel_matches_general_engine",
+        ),
+    ),
+    Mutant(
+        "guessing-keys-int32-past-their-range",
+        "montecarlo.py",
+        "dtype = np.int32 if r0 + width < 1 << 28 else np.int64",
+        "dtype = np.int32",
+        ("tests/test_montecarlo.py::test_guessing_kernel_scores_depend_only_on_count_differences",),
+    ),
+    Mutant(
         "guessing-rebuilt-tie-break-reversed",
         "montecarlo.py",
-        "keys = (4 * counts + np.arange(3, -1, -1)).ravel()",
-        "keys = (4 * counts + np.arange(4)).ravel()",
+        "keys = (4 * counts + np.arange(3, -1, -1)).astype(dtype).ravel()",
+        "keys = (4 * counts + np.arange(4)).astype(dtype).ravel()",
         ("tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",),
     ),
     Mutant(
