@@ -24,16 +24,16 @@ without building a ``Stream`` per batch.
 A kernel chunk is worked a tile at a time: its batches over a range of
 rounds, drawn, scored and tallied before the next tile is drawn, so its
 working arrays are bounded by the tile, not by n.  The chunk's tally is
-the sum of its tiles'.  One function reads every tile's words: it steps
-a batch that needs at most ``_STEP_WORDS`` raw words in numpy, eight
-words of every batch a call, and draws a longer stream natively, from
-each batch's seed state advanced to the tile's words.  The engine owns
-what a tile needs of the rounds before it: the stepped streams' lanes,
-and the pair counts that it hands to the kernels that read them
-(guessing, model101); kernels keep nothing.  Stepped chunks run tiles of
-``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
-in tiles when it does not fit the budget.  The draws are bit-identical
-to the per-batch ``Stream`` the general engine draws from.
+the sum of its tiles'.  One function reads every tile's words by their
+positions: it steps a batch that needs at most ``_STEP_WORDS`` raw words
+in numpy, eight words of every batch a call, and draws a longer stream
+natively, from each batch's seed state advanced to the tile's words.
+The engine owns what a tile needs of the rounds before it: the stepped
+streams' lanes, and the pair counts that it hands to the kernels that
+read them (guessing, model101); kernels keep nothing.  Stepped chunks
+run tiles of ``_TILE_ROUNDS`` rounds, native ones whole batches, or one
+batch alone in tiles when it does not fit the budget.  The draws are
+bit-identical to the per-batch ``Stream`` the general engine draws from.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads; of numpy's generators it uses only the PCG64 bit
@@ -298,76 +298,82 @@ def _raw_words(n: int, coins: bool, uniforms: bool) -> tuple[int, int]:
 
 
 #: Most raw words per batch that are stepped in numpy, coin words included:
-#: a stepped batch steps through every word up to its last.  In lanes a
-#: word costs 18-20 ns a batch, a native read 4.5-5 us a batch at 112-144
-#: words: they break even near 320 words, on a loaded 2-core x86 machine.
-#: More would let a stepped row with a tape span tiles.
+#: the lanes jump over every word up to the last.  In lanes a word costs
+#: 18-20 ns a batch, a native read 4.5-5 us a batch at 112-144 words: they
+#: break even near 320 words, on a loaded 2-core x86 machine.
 _STEP_WORDS = 128
 
 #: Raw words one ``random_raw`` call returns at most.
 _RAW_PIECE = 1 << 16
 
 
+def _lane_width(m: int) -> int:
+    return _LANES if m > _LANES else 1
+
+
 def _lanes(s_hi, s_lo, inc_hi, inc_lo, width: int):
-    """Stepped streams' first lanes and increment c, (hi, lo) halves of shape
-    (width, B) and (1, B), from the seed states and increments: lane j
-    holds the state that outputs a batch's word j.  A call moves every lane
-    ``width`` words on, by a = MULT^width and c = inc (1 + ... + MULT^(width-1))."""
+    """Stepped streams' lanes and increment c, (hi, lo) halves of shape
+    (width, B) and (1, B), and pos = 0, from the seed states and increments:
+    lane j holds the state that outputs a batch's word pos + j.  A jump moves
+    every lane ``width`` words on, by a = MULT^width and c = inc (1 + ... +
+    MULT^(width-1))."""
     c_hi, c_lo = _affine(inc_hi, inc_lo, *_MULT_SUMS[:, :width]) if width > 1 else (inc_hi[None], inc_lo[None])
     l_hi, l_lo = _affine(s_hi, s_lo, *_MULT_POWERS[:, :width], c_hi, c_lo)
-    return l_hi, l_lo, c_hi[width - 1 :].copy(), c_lo[width - 1 :].copy()
+    return l_hi, l_lo, c_hi[width - 1 :].copy(), c_lo[width - 1 :].copy(), 0
 
 
-def _stepped_words(lanes, count: int):
-    """The next ``count`` raw words of every batch, one row per batch, and
-    the lanes after them.  Each pass outputs every lane's word by XSL-RR (a
-    state's xored halves rotated right by its top six bits), then jumps the
-    r lanes it read, which become the last; the others hold words r on."""
-    s_hi, s_lo, c_hi, c_lo = lanes
+def _stepped_words(lanes, first: int, count: int):
+    """Every batch's raw words first..first + count - 1, one row per batch,
+    and the lanes after them, which carry pos, the word lane 0 holds, not
+    past ``first``, and jump only while the next word lies past them.  A
+    word is its lane's XSL-RR output (xored halves rotated right by the top
+    six bits)."""
+    s_hi, s_lo, c_hi, c_lo, pos = lanes
     width = len(s_hi)
     a_hi, a_lo = _MULT_POWERS[:, width - 1, 0]
     block = np.empty((s_hi.shape[1], count), dtype=np.uint64)
-    for col in range(0, count, width):
-        x = s_hi ^ s_lo
-        rot = s_hi >> 58
-        block[:, col : col + width] = (x >> rot | x << (-rot & 63))[: count - col].T
-        del x, rot  # freed before the lanes are moved
-        r = min(width, count - col)
-        t_hi, t_lo = _affine(s_hi[:r], s_lo[:r], a_hi, a_lo, c_hi, c_lo)
-        if r < width:
-            t_hi, t_lo = np.concatenate((s_hi[r:], t_hi)), np.concatenate((s_lo[r:], t_lo))
-        s_hi, s_lo = t_hi, t_lo
-    return block, (s_hi, s_lo, c_hi, c_lo)
+    at = first  # the next word to read
+    while at < first + count:
+        while at >= pos + width:
+            s_hi, s_lo = _affine(s_hi, s_lo, a_hi, a_lo, c_hi, c_lo)
+            pos += width
+        stop = min(first + count, pos + width)
+        held = slice(at - pos, stop - pos)
+        x = s_hi[held] ^ s_lo[held]
+        rot = s_hi[held] >> 58
+        block[:, at - first : stop - first] = (x >> rot | x << (-rot & 63)).T
+        del x, rot  # freed before the lanes jump
+        at = stop
+    return block, (s_hi, s_lo, c_hi, c_lo, pos)
 
 
-def _read_words(states, skip: int, pair_count: int, gap: int, tape_count: int, native: bool):
-    """Each batch's ``pair_count`` raw words after its first ``skip`` and,
-    ``gap`` words after those, its next ``tape_count``, one row per batch,
-    and the states the next tile reads from.  Natively, ``states`` holds
-    the (hi, lo) uint64 halves of the seed states, then of the increments,
-    handed back unmoved; one PCG64 is set to each batch's in turn and
-    advanced to the words and the tape.  Stepped, they are lanes (see
-    ``_lanes``), ``skip`` is 0, and the lanes after the pair words are
-    handed on."""
+def _read_words(states, pair_first: int, pair_count: int, tape_first: int, tape_count: int, native: bool):
+    """Every batch's ``pair_count`` raw words from word ``pair_first`` on and
+    ``tape_count`` from word ``tape_first`` on, one row per batch, and the
+    states the next tile reads from.  Natively, ``states`` holds the (hi,
+    lo) uint64 halves of the seed states, then of the increments, handed
+    back unmoved; one PCG64 is set to each batch's in turn and advanced to
+    the words.  Stepped, they are lanes (see ``_lanes``), and those after
+    the pair words are handed on."""
     if native:
         s_hi, s_lo, inc_hi, inc_lo = states
         words = np.empty((len(s_hi), pair_count), dtype=np.uint64)
         tape = np.empty((len(s_hi), tape_count), dtype=np.uint64)
+        gap = tape_first - pair_first - pair_count
         bitgen = np.random.PCG64(0)
         halves = zip(s_hi.tolist(), s_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
         for row, (sh, sl, ih, il) in enumerate(halves):
             state = {"state": sh << 64 | sl, "inc": ih << 64 | il}
             bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-            if skip:  # advance(0) is not free
-                bitgen.advance(skip)
+            if pair_first:  # advance(0) is not free
+                bitgen.advance(pair_first)
             _fill(bitgen, words[row])
-            if gap:  # none in a whole batch without a coin tape
+            if tape_count and gap:
                 bitgen.advance(gap)
             _fill(bitgen, tape[row])
         return words, tape, states
-    words, moved = _stepped_words(states, pair_count)
-    past_gap = _stepped_words(moved, gap if tape_count else 0)[1]
-    return words, _stepped_words(past_gap, tape_count)[0], moved
+    words, lanes = _stepped_words(states, pair_first, pair_count)
+    return words, _stepped_words(lanes, tape_first, tape_count)[0], lanes
 
 
 def _pairs(words: np.ndarray, count: int) -> np.ndarray:
@@ -410,7 +416,7 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
     in ``_LANES`` lanes if it draws more, else in one, and the lanes after
     its pair words pass from tile to tile.  A longer stream is drawn
     natively: on every tile each batch's PCG64 is set to its seed state
-    and advanced to the tile's words, then past the coin tape.
+    and advanced to the tile's words.
     """
     if rounds < n and rounds % 8:
         raise ValueError(f"a tile shorter than n must hold a multiple of 8 rounds, got {rounds}")
@@ -418,13 +424,11 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
     native = m > _STEP_WORDS
     states = _pcg64_states(seed, lo, hi)
     if not native:
-        states = _lanes(*states, _LANES if m > _LANES else 1)
+        states = _lanes(*states, _lane_width(m))
     for r0 in range(0, n, rounds):
         r1 = min(r0 + rounds, n)
-        end = -(-r1 // 8)  # the word after this tile's pair bytes
         tape_count = r1 - r0 if uniforms else 0
-        skip = r0 // 8 if native else 0
-        *drawn, states = _read_words(states, skip, end - r0 // 8, start + r0 - end, tape_count, native)
+        *drawn, states = _read_words(states, r0 // 8, -(-r1 // 8) - r0 // 8, start + r0, tape_count, native)
         # Taken out of ``drawn`` as they are handed on: no name here holds
         # the pair words or the uniforms while the caller works on them.
         pairs = _pairs(drawn.pop(0), r1 - r0)
@@ -585,17 +589,17 @@ _TALLY_ROW_BYTES = 256
 #: numpy words under tracemalloc.  It ends before the first tile is drawn.
 _SEED_ROW_BYTES = 256
 
-#: What a kernel chunk's streams take per batch: the lanes and increment,
-#: (hi, lo) uint64 halves, and while the lanes move, the lanes they become
-#: and four temporaries of their shape (native: 32 B of states, increments).
-_STATE_ROW_BYTES = 64 * _LANES + 16
+#: A stepped chunk's stream bytes per batch and lane: its (hi, lo) halves,
+#: and while the lanes jump the lane it becomes and four temporaries; 16 B
+#: of increment besides (native: 32 B of states and increments).
+_STATE_ROW_BYTES = 64
 
 
-def _row_bytes(rounds: int, kernel: _Kernel) -> int:
-    """One batch's share of a kernel chunk whose tiles hold ``rounds``
-    rounds: what is alive at once at the chunk's peak, which is either
-    the seeding or a tile.  A tile's arrays are counted per round, padded
-    like the pair bytes to whole words.
+def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
+    """One batch's share of a kernel chunk of n-round batches (n = ``rounds``
+    by default) whose tiles hold ``rounds`` rounds: what is alive at once
+    at the chunk's peak, which is either the seeding or a tile.  A tile's
+    arrays are counted per round, padded like the pair bytes to whole words.
 
     The tally's peak is the pair bytes, the scores, and the bool plane
     they are copied into, 3 B a round; its three packed rows (3/8 B)
@@ -613,10 +617,12 @@ def _row_bytes(rounds: int, kernel: _Kernel) -> int:
     the guessing kernel builds four keys and the top key, and takes the
     round's key, the row offsets and the key indices of ``_INDEX_ROUNDS``
     rounds; model101 counts its first rounds' pairs; the collective
-    kernel takes a sequence index.  The streams' share is counted beside
-    all of these.
+    kernel takes a sequence index.  The streams' share, by the lanes a
+    stepped batch keeps, is counted beside all of these.
     """
-    tile = _STATE_ROW_BYTES + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
+    m = _raw_words(rounds if n is None else n, kernel.coins, kernel.uniforms)[1]
+    streams = 32 if m > _STEP_WORDS else _STATE_ROW_BYTES * _lane_width(m) + 16
+    tile = streams + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
     return _TALLY_ROW_BYTES + max(_SEED_ROW_BYTES, tile)
 
 
@@ -632,11 +638,11 @@ def _chunk_shape(n: int, kernel: _Kernel) -> tuple[int, int]:
     """
     if _raw_words(n, kernel.coins, kernel.uniforms)[1] <= _STEP_WORDS:
         rounds = min(n, _TILE_ROUNDS)
-        return max(1, _CHUNK_BYTES // _row_bytes(rounds, kernel)), rounds
+        return max(1, _CHUNK_BYTES // _row_bytes(rounds, kernel, n)), rounds
     rows = _CHUNK_BYTES // _row_bytes(n, kernel)
     if rows:
         return rows, n
-    spare = _CHUNK_BYTES - _row_bytes(0, kernel)
+    spare = _CHUNK_BYTES - _row_bytes(0, kernel, n)
     return 1, max(8, spare // (8 * kernel.round_bytes) * 8)
 
 

@@ -265,7 +265,7 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, til
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_TILE_ROUNDS", tile)
-        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(rounds, kernel))
+        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(rounds, kernel, n))
         mp.setattr(montecarlo, "_tile_draws", recording_draws)
         fast = list(iter_batch_counts(plan))
     assert tiles == [
@@ -301,8 +301,8 @@ def test_tiled_runs_equal_untiled_runs(name, n, monkeypatch):
         assert _chunk_shape(n, kernel) == (max(1, montecarlo._CHUNK_BYTES // _row_bytes(n, kernel)), n)
         whole = run_outputs(plan)
     # 8-round tiles where the streams are stepped in numpy.  Native
-    # streams get a budget that fits a 40-round tile and no whole batch,
-    # so each batch runs alone, in tiles of 16 (quantum) or 24 rounds.
+    # streams get the budget of one 40-round batch, which holds none of
+    # their whole batches, so each batch runs alone, in tiles of 8 to 64 rounds.
     monkeypatch.setattr(montecarlo, "_TILE_ROUNDS", 8)
     monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _row_bytes(40, kernel))
     _, rounds = _chunk_shape(n, kernel)
@@ -339,6 +339,42 @@ def test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold(coins, unif
                 assert np.array_equal(pairs[row], want_pairs)
                 if uniforms:
                     assert np.array_equal(tape[row] * 2.0 ** -53, want_uniforms)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("constant-plus", 1000), ("guessing", 1024), ("quantum", 100), ("stochastic-lhv", 100)]
+    + [("quantum", 6), ("stochastic-lhv", 6)]
+    + [("model101", n) for n in range(1, 7)],
+)
+def test_stepped_chunk_jumps_its_lanes_only_to_the_words_it_reads(name, n, monkeypatch):
+    # A chunk that reads words 0..m-1 of every batch, its coin words
+    # jumped over, moves its lanes of width W ceil(m/W) - 1 times, each
+    # jump all W lanes, and none after its last word.  Seeding and lane
+    # building are not counted.
+    kernel = _find_kernel(FACTORIES[name]())
+    m = montecarlo._raw_words(n, kernel.coins, kernel.uniforms)[1]
+    assert m <= montecarlo._STEP_WORDS
+    width = montecarlo._LANES if m > montecarlo._LANES else 1
+    jumps = []
+    affine, lanes = montecarlo._affine, montecarlo._lanes
+
+    def counted_affine(s_hi, *args):
+        jumps.append(s_hi.shape)
+        return affine(s_hi, *args)
+
+    def built_lanes(*args):
+        built = lanes(*args)
+        jumps.clear()
+        return built
+
+    monkeypatch.setattr(montecarlo, "_affine", counted_affine)
+    monkeypatch.setattr(montecarlo, "_lanes", built_lanes)
+    batches = 5
+    _, rounds = _chunk_shape(n, kernel)
+    for _ in _tile_draws(11, 0, batches, n, rounds, kernel.coins, kernel.uniforms):
+        pass
+    assert jumps == [(width, batches)] * (-(-m // width) - 1)
 
 
 @pytest.mark.parametrize("n, rounds", [(30, 12), (30, 1), (9, 4), (1000, 129)])

@@ -111,8 +111,8 @@ MUTANTS = (
     Mutant(
         "native-row-not-advanced-to-its-tile",
         "montecarlo.py",
-        "skip = r0 // 8 if native else 0",
-        "skip = 0",
+        "bitgen.advance(pair_first)",
+        "bitgen.advance(0)",
         (
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
@@ -131,8 +131,8 @@ MUTANTS = (
     Mutant(
         "stepped-gap-one-word-too-far",
         "montecarlo.py",
-        "_stepped_words(moved, gap if tape_count else 0)",
-        "_stepped_words(moved, gap + 1 if tape_count else 0)",
+        "_stepped_words(lanes, tape_first, tape_count)",
+        "_stepped_words(lanes, tape_first + 1, tape_count)",
         (
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
@@ -162,8 +162,48 @@ MUTANTS = (
     Mutant(
         "lanes-not-jumped-between-tiles",
         "montecarlo.py",
-        "_stepped_words(past_gap, tape_count)[0], moved\n",
-        "_stepped_words(past_gap, tape_count)[0], states\n",
+        "return block, (s_hi, s_lo, c_hi, c_lo, pos)",
+        "return block, (*lanes[:4], pos)",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
+        ),
+    ),
+    Mutant(
+        "lane-position-advanced-short",
+        "montecarlo.py",
+        "            pos += width\n",
+        "            pos += 1\n",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_stepped_chunk_jumps_its_lanes_only_to_the_words_it_reads",
+        ),
+    ),
+    Mutant(
+        "lane-jump-one-word-early",
+        "montecarlo.py",
+        "while at >= pos + width:",
+        "while at + 1 >= pos + width:",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_stepped_chunk_jumps_its_lanes_only_to_the_words_it_reads",
+        ),
+    ),
+    Mutant(
+        "tape-read-one-word-late",
+        "montecarlo.py",
+        "start + r0, tape_count, native)",
+        "start + r0 + 1, tape_count, native)",
+        (
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
+            "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_on_both_sides_of_the_step_threshold",
+        ),
+    ),
+    Mutant(
+        "lanes-after-the-tape-handed-on",
+        "montecarlo.py",
+        "return words, _stepped_words(lanes, tape_first, tape_count)[0], lanes",
+        "return (words, *_stepped_words(lanes, tape_first, tape_count))",
         (
             "tests/test_montecarlo.py::test_chunk_draws_equal_numpy_per_batch_generators",
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
