@@ -458,38 +458,86 @@ def _kernel_constant(strategy, pairs, uniforms, r0=0, counts=None):
     return pairs != _MISSED
 
 
-#: Rounds whose key indices the guessing kernel builds in one call; a
-#: whole tile's would take 8 B a round of a batch beside its pairs.
-_INDEX_ROUNDS = 16
+#: How far behind the leader a pair's count is kept in its byte lane, and
+#: the rounds of a block, after which the lanes are re-based: a lane
+#: starts at 128 at most and is read after at most 127 more rounds, 255.
+_LEAD = 128
+
+#: Rounds whose lanes and keys the guessing kernel works out at once.
+_PASS_ROUNDS = 16
+
+
+def _rebase(counts, lanes, top) -> None:
+    """Fill ``lanes`` with each batch's four pair counts, a byte lane each
+    (pair j in bits 8j..8j+7), counted from ``_LEAD`` behind its leader
+    and capped there, and ``top`` with the leader's key, from the exact
+    (B, 4) counts.  A pair capped ``_LEAD`` behind cannot catch up within
+    a block: it reads below the leader's lane until the next re-base."""
+    lead = np.maximum(np.maximum(counts[:, 0], counts[:, 1]), np.maximum(counts[:, 2], counts[:, 3]))
+    lane = np.empty_like(lanes)
+    key = np.empty_like(top)
+    lanes[...] = 0
+    top[...] = 0
+    for j in range(4):
+        np.add(np.maximum(counts[:, j] - lead, -_LEAD), _LEAD, out=lane, casting="unsafe")
+        np.left_shift(lane, 5, out=key)
+        key += 24 - 8 * j
+        np.maximum(top, key, out=top)
+        lane <<= 8 * j
+        lanes |= lane
 
 
 def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
     # A round scores unless its pair is the most measured so far, the
-    # first of tied pairs winning.  Pair j of a batch keeps the key
-    # 4 count_j + 3 - j: a batch's keys differ mod 4, so its largest key
-    # is the canonical target, and a running maximum of the keys tracks
-    # it without an argmax per round.  Pairs and scores are walked
-    # round-major, a contiguous column a round, key indices a block at once.
+    # first of tied pairs winning.  Pair j's key is 32 count_j + 24 - 8j,
+    # eight times 4 count_j + 3 - j: a batch's keys differ mod 32, so its
+    # largest key is the canonical target, and a running maximum of the
+    # rounds' own keys tracks it without an argmax.  A pass adds each
+    # round's 1 << 8j to the byte lanes of the round before it, one call
+    # a round, then reads every round's own count out of its lanes at
+    # once, by the shift 8j, with no gather or scatter.  Pairs and scores
+    # are walked round-major, a contiguous row a round.
     n_batches, width = pairs.shape
-    dtype = np.int32 if r0 + width < 1 << 28 else np.int64  # keys stay below 4 (r0 + width) + 8
-    if r0:
-        keys = (4 * counts + np.arange(3, -1, -1)).astype(dtype).ravel()
-        top = np.maximum(np.maximum(keys[::4], keys[1::4]), np.maximum(keys[2::4], keys[3::4]))
-    else:
-        keys = np.tile(np.arange(3, -1, -1, dtype=dtype), n_batches)
-        top = np.full(n_batches, 3, dtype=dtype)
     order = np.ascontiguousarray(pairs.T)
-    offsets = np.arange(0, 4 * n_batches, 4)
     scores = np.empty((width, n_batches), dtype=bool)
-    index = np.empty((min(width, _INDEX_ROUNDS), n_batches), dtype=np.intp)
-    for k0 in range(0, width, _INDEX_ROUNDS):
-        block = np.add(order[k0 : k0 + _INDEX_ROUNDS], offsets, out=index[: width - k0])
-        for k, idx in enumerate(block, start=k0):
-            key = keys[idx]
-            np.not_equal(key, top, out=scores[k])
-            key += 4
-            keys[idx] = key
-            np.maximum(top, key, out=top)
+    # Row i of a pass: the lanes before its round i, then that round's
+    # key; the leader's key before round i, less 32, then that key; the
+    # round's shift 8j.
+    rounds = min(width, _PASS_ROUNDS)
+    lanes = np.empty((rounds + 1, n_batches), dtype=np.uint32)
+    top = np.empty((rounds + 1, n_batches), dtype=np.uint32)
+    shifts = np.empty((rounds, n_batches), dtype=np.uint32)
+    for b0 in range(0, width, _LEAD):
+        if counts is None:  # no rounds yet: every lane at _LEAD, pair 0 leading
+            lanes[0] = _LEAD * 0x01010101
+            top[0] = 32 * _LEAD + 24
+        else:
+            _rebase(counts, lanes[0], top[0])
+        top[0] -= 32
+        start = lanes[0].copy()
+        for p0 in range(b0, min(b0 + _LEAD, width), _PASS_ROUNDS):
+            k = min(_PASS_ROUNDS, width - p0)
+            shift = np.multiply(order[p0 : p0 + k], 8, out=shifts[:k])
+            np.left_shift(1, shift, out=lanes[1 : k + 1])
+            for before, after in zip(lanes[:k], lanes[1 : k + 1]):
+                np.add(before, after, out=after)
+            keys = np.right_shift(lanes[:k], shift, out=lanes[:k])
+            keys &= 255
+            keys <<= 5
+            keys |= 24
+            keys -= shift
+            for before, key, after in zip(top[:k], keys, top[1 : k + 1]):
+                np.maximum(before, key, out=after)
+            top[:k] += 32
+            np.not_equal(keys, top[:k], out=scores[p0 : p0 + k])
+            lanes[0] = lanes[k]
+            top[0] = top[k]
+        if b0 + _LEAD < width:
+            # The block's rounds on each pair, at most 128 a lane, so the
+            # lanes' difference carries into no other lane; byte j of a
+            # little-endian word is lane j.
+            added = (lanes[0] - start).astype("<u4").view(np.uint8).reshape(n_batches, 4)
+            counts = added.astype(np.int64) if counts is None else counts + added
     if r0 == 0:
         np.not_equal(order[0], _MISSED, out=scores[0])
     return scores.T
@@ -562,7 +610,7 @@ class _Kernel(NamedTuple):
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing, counted=True, batch_bytes=88 + 8 * _INDEX_ROUNDS),
+    GuessingModel: _Kernel(_kernel_guessing, counted=True, batch_bytes=4 * (3 * _PASS_ROUNDS + 2) + 128),
     Model101: _Kernel(_kernel_model101, counted=True, batch_bytes=64),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
@@ -613,10 +661,12 @@ def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     the mixture its uniforms, its int64 assignment picks, the pairs and
     the scores; the collective kernel an int64 copy of the pairs beside
     the pairs and its scores.  Per batch, the guessing and model101
-    kernels receive four int64 pair counts of the tiles before; from them
-    the guessing kernel builds four keys and the top key, and takes the
-    round's key, the row offsets and the key indices of ``_INDEX_ROUNDS``
-    rounds; model101 counts its first rounds' pairs; the collective
+    kernels receive four int64 pair counts of the tiles before (32 B).
+    The guessing kernel holds a pass's lanes and top keys, ``_PASS_ROUNDS``
+    + 1 uint32 rows of each, and its shifts, ``_PASS_ROUNDS`` rows; besides
+    them, 96 B: its own int64 counts in a tile longer than ``_LEAD``
+    rounds, and while it re-bases the leader's count and the temporaries
+    of a lane.  Model101 counts its first rounds' pairs; the collective
     kernel takes a sequence index.  The streams' share, by the lanes a
     stepped batch keeps, is counted beside all of these.
     """
@@ -650,11 +700,16 @@ def _find_kernel(strategy):
     return _KERNELS.get(type(strategy))
 
 
-def _pair_counts(every, high, low, both) -> np.ndarray:
-    """The four pairs' counts, on a new last axis, from the counts of all
-    rounds and of those whose pair j has its high bit (j & 2), its low bit
-    (j & 1) and both, by inclusion and exclusion."""
-    return np.stack((every - high - low + both, low - both, high - both, both), axis=-1)
+def _pair_counts(every, high, low, both, out: np.ndarray) -> np.ndarray:
+    """The four pairs' counts, written along the last axis of ``out``, from
+    the counts of all rounds and of those whose pair j has its high bit
+    (j & 2), its low bit (j & 1) and both, by inclusion and exclusion."""
+    np.subtract(low, both, out=out[..., 1])
+    np.subtract(high, both, out=out[..., 2])
+    out[..., 3] = both
+    np.add(out[..., 1], high, out=out[..., 0])
+    np.subtract(every, out[..., 0], out=out[..., 0])
+    return out
 
 
 def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, rounds: int) -> Tally:
@@ -662,9 +717,11 @@ def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, 
     for r0, pairs, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
         if r0 == 0:  # once the seeding's peak is over
             counts = np.zeros((2, 4, hi - lo), dtype=np.int64)  # rounds, scored ones: all, H, L, H & L
-        before = _pair_counts(r0, *counts[0, 1:]) if r0 and kernel.counted else None
-        scores = kernel.score(scorer, pairs, uniforms, r0, before)
-        del uniforms, before  # the tally needs only pairs and scores
+            # The pair counts before each later tile, refilled in place, a contiguous column a pair.
+            before = np.empty((4, hi - lo), dtype=np.int64).T if kernel.counted and rounds < n else None
+        handed = _pair_counts(r0, *counts[0, 1:], before) if r0 and kernel.counted else None
+        scores = kernel.score(scorer, pairs, uniforms, r0, handed)
+        del uniforms, handed  # the tally needs only pairs and scores
         # Bit planes, eight rounds a byte, of the score S and a pair's high
         # and low bits H and L, packed whole from a bool plane with rows
         # zero-padded to whole bytes (packbits loops over rows), then to words.
@@ -691,7 +748,7 @@ def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, 
         counts.reshape(8, hi - lo)[1:] += np.bitwise_count(planes).sum(axis=1, dtype=np.int64)
         del planes
     counts[0, 0] = n
-    pair_counts, score_counts = _pair_counts(*counts.transpose(1, 0, 2))
+    pair_counts, score_counts = _pair_counts(*counts.transpose(1, 0, 2), np.empty((2, hi - lo, 4), dtype=np.int64))
     return Tally(lo, score_counts, pair_counts)
 
 

@@ -560,23 +560,32 @@ TRIGGER_HISTORY = [0] * 33 + [1] * 33 + [2] * 33 + [3]
 @given(
     name=hs.sampled_from(("guessing", "model101")),
     alphabet=hs.sampled_from([(2, 3), (1, 2, 3), (0,)]),
-    prefix=hs.one_of(hs.just(0), hs.integers(8, 96), hs.integers(96, 104)),
-    shape=hs.tuples(hs.integers(1, 4), hs.integers(1, 120)),
+    prefix=hs.one_of(hs.just(0), hs.integers(8, 96), hs.integers(96, 104), hs.integers(128, 140)),
+    shape=hs.tuples(hs.integers(1, 4), hs.one_of(hs.integers(1, 120), hs.integers(120, 300))),
     data=hs.data(),
 )
 def test_tile_scored_from_prefix_counts_equals_whole_run(name, alphabet, prefix, shape, data):
     # A tile T scored with the pair counts of the rounds P before it
     # gives the last |T| columns of P + T scored whole.  Rows may open
     # with a shuffled trigger history and a round 101 on (A1,B2) or
-    # (A2,B2), where model101's rule and the constant assignment differ.
+    # (A2,B2), where model101's rule and the constant assignment differ,
+    # or with a run of one pair over the prefix and at least 128 rounds,
+    # then 128 rounds of a pair before it: with no prefix or one of 128
+    # to 140 rounds, that pair is as far behind where the guessing kernel
+    # re-bases its lanes, 128 rounds in or at the tile's start, and then
+    # plays every round of the block.
     batches, width = shape
     n = prefix + width
     rows = []
     for _ in range(batches):
         tail = data.draw(hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n), label="pairs")
         head = []
-        if data.draw(hs.booleans(), label="trigger"):
+        opening = data.draw(hs.sampled_from(("none", "trigger", "run")), label="opening")
+        if opening == "trigger":
             head = data.draw(hs.permutations(TRIGGER_HISTORY)) + [data.draw(hs.sampled_from((1, 3)))]
+        elif opening == "run":
+            leader = data.draw(hs.sampled_from((1, 2, 3)), label="leader")
+            head = [leader] * max(prefix, 128) + [data.draw(hs.integers(0, leader - 1), label="chaser")] * 128
         rows.append((head + tail)[:n])
     pairs = np.array(rows, dtype=np.uint8)
     score = _find_kernel(FACTORIES[name]()).score
@@ -628,6 +637,7 @@ TIE_HEAVY = {
         _cycle((3, 2, 1), 60),
         *_RNG.choice([1, 2, 3], (4, 60)).tolist(),
     ],
+    "a pair 128 behind catches up": [[3] * 128 + [0] * 200, [2] * 128 + [1] * 200, [1] * 130 + [0] * 198],
     "n = 1": [[p] for p in range(4)],
     "n = 2": [[p, q] for p in range(4) for q in range(4)],
     "one batch": [_RNG.integers(0, 4, 30).tolist()],
@@ -656,8 +666,9 @@ def test_guessing_kernel_on_drawn_histories_matches_oracle(alphabet, shape, data
 @pytest.mark.parametrize("shift", [0, 2 ** 26, 2 ** 29 - 3, 2 ** 40])
 def test_guessing_kernel_scores_depend_only_on_count_differences(shift):
     # Adding the same count to every pair keeps each batch's target.  The
-    # keys are int32 while they fit, int64 from 2^28 rounds on: at counts
-    # near 2^29 - 3 some int32 keys would wrap and others not.
+    # kernel re-bases each batch's counts on its leader's, so no count,
+    # however large, reaches the uint32 lanes or keys: kept whole, a count
+    # of 2^29 - 3 would wrap a key 32 count + 24 - 8j, and 2^40 an int32.
     rng = np.random.default_rng(43)
     pairs = rng.integers(0, 4, (6, 50), dtype=np.uint8)
     counts = rng.integers(0, 5, (6, 4))

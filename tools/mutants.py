@@ -213,8 +213,8 @@ MUTANTS = (
     Mutant(
         "counts-withheld-after-the-first-tile",
         "montecarlo.py",
-        "before = _pair_counts(r0, *counts[0, 1:]) if r0 and kernel.counted else None",
-        "before = np.zeros((hi - lo, 4), dtype=np.int64) if r0 and kernel.counted else None",
+        "handed = _pair_counts(r0, *counts[0, 1:], before) if r0 and kernel.counted else None",
+        "handed = np.zeros((hi - lo, 4), dtype=np.int64) if r0 and kernel.counted else None",
         (
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
             "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
@@ -231,34 +231,47 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "guessing-index-block-off-by-one-round",
+        "guessing-prefix-count-read-one-round-late",
         "montecarlo.py",
-        "for k, idx in enumerate(block, start=k0):",
-        "for k, idx in enumerate(block, start=k0 - 1):",
+        "keys = np.right_shift(lanes[:k], shift, out=lanes[:k])",
+        "keys = np.right_shift(lanes[1 : k + 1], shift, out=lanes[:k])",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_drawn_histories_matches_oracle",
             "tests/test_montecarlo.py::test_kernel_matches_general_engine",
         ),
     ),
     Mutant(
-        "guessing-keys-int32-past-their-range",
+        "guessing-lanes-capped-127-behind",
         "montecarlo.py",
-        "dtype = np.int32 if r0 + width < 1 << 28 else np.int64",
-        "dtype = np.int32",
-        ("tests/test_montecarlo.py::test_guessing_kernel_scores_depend_only_on_count_differences",),
+        "np.maximum(counts[:, j] - lead, -_LEAD)",
+        "np.maximum(counts[:, j] - lead, 1 - _LEAD)",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
+            "tests/test_montecarlo.py::test_tile_scored_from_prefix_counts_equals_whole_run",
+        ),
     ),
     Mutant(
-        "guessing-rebuilt-tie-break-reversed",
+        "guessing-counts-not-carried-past-a-block",
         "montecarlo.py",
-        "keys = (4 * counts + np.arange(3, -1, -1)).astype(dtype).ravel()",
-        "keys = (4 * counts + np.arange(4)).astype(dtype).ravel()",
+        "if b0 + _LEAD < width:",
+        "if b0 + _LEAD < 0:",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
+            "tests/test_montecarlo.py::test_tile_scored_from_prefix_counts_equals_whole_run",
+        ),
+    ),
+    Mutant(
+        "guessing-rebased-tie-break-reversed",
+        "montecarlo.py",
+        "key += 24 - 8 * j",
+        "key += 8 * j",
         ("tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",),
     ),
     Mutant(
         "pair-counts-high-and-low-swapped",
         "montecarlo.py",
-        "(every - high - low + both, low - both, high - both, both)",
-        "(every - high - low + both, high - both, low - both, both)",
+        "np.subtract(low, both, out=out[..., 1])\n    np.subtract(high, both, out=out[..., 2])",
+        "np.subtract(high, both, out=out[..., 1])\n    np.subtract(low, both, out=out[..., 2])",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
     ),
     Mutant(
