@@ -29,11 +29,11 @@ positions: it steps a batch that needs at most ``_STEP_WORDS`` raw words
 in numpy, eight words of every batch a call, and draws a longer stream
 natively, from each batch's seed state advanced to the tile's words.
 The engine owns what a tile needs of the rounds before it: the stepped
-streams' lanes, and the pair counts that it hands to the kernels that
-read them (guessing, model101); kernels keep nothing.  Stepped chunks
-run tiles of ``_TILE_ROUNDS`` rounds, native ones whole batches, or one
-batch alone in tiles when it does not fit the budget.  The draws are
-bit-identical to the per-batch ``Stream`` the general engine draws from.
+streams' lanes, and the pair counts that it hands to every kernel;
+kernels keep nothing.  Stepped chunks run tiles of ``_TILE_ROUNDS``
+rounds, native ones whole batches, or one batch alone in tiles when it
+does not fit the budget.  The draws are bit-identical to the per-batch
+``Stream`` the general engine draws from.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads; of numpy's generators it uses only the PCG64 bit
@@ -442,11 +442,11 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 # uniforms its strategy draws (as 53-bit integers), to a boolean matrix
 # of round scores.  It receives the strategy, or what its ``prepare``
 # built from the strategy and n once per plan, then the tile's first
-# round r0 and, if it reads them, the pair counts of the rounds before
-# the tile, a (batches, 4) int64 array (None when r0 is 0); it keeps
-# nothing between tiles.  Kernels are registered per concrete strategy
-# type and must reproduce the general engine bit for bit; the test suite
-# asserts this equivalence.
+# round r0 and the pair counts of the rounds before the tile, a
+# (batches, 4) int64 array (zeros when r0 is 0); it keeps nothing
+# between tiles.  Kernels are registered per concrete strategy type and
+# must reproduce the general engine bit for bit; the test suite asserts
+# this equivalence.
 
 
 #: The one pair the constant assignment misses: every round of ConstantPlus,
@@ -454,7 +454,7 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 _MISSED = CONSTANT_PLUS_ASSIGNMENT.hits.index(0)
 
 
-def _kernel_constant(strategy, pairs, uniforms, r0=0, counts=None):
+def _kernel_constant(strategy, pairs, uniforms, r0, counts):
     return pairs != _MISSED
 
 
@@ -470,24 +470,28 @@ _PASS_ROUNDS = 16
 def _rebase(counts, lanes, top) -> None:
     """Fill ``lanes`` with each batch's four pair counts, a byte lane each
     (pair j in bits 8j..8j+7), counted from ``_LEAD`` behind its leader
-    and capped there, and ``top`` with the leader's key, from the exact
-    (B, 4) counts.  A pair capped ``_LEAD`` behind cannot catch up within
-    a block: it reads below the leader's lane until the next re-base."""
+    and capped there, from the exact (B, 4) counts, and ``top`` with the
+    first leader's key, from the lanes.  A pair capped ``_LEAD`` behind
+    cannot catch up within a block: it reads below the leader's lane
+    until the next re-base."""
     lead = np.maximum(np.maximum(counts[:, 0], counts[:, 1]), np.maximum(counts[:, 2], counts[:, 3]))
-    lane = np.empty_like(lanes)
-    key = np.empty_like(top)
-    lanes[...] = 0
-    top[...] = 0
-    for j in range(4):
-        np.add(np.maximum(counts[:, j] - lead, -_LEAD), _LEAD, out=lane, casting="unsafe")
-        np.left_shift(lane, 5, out=key)
-        key += 24 - 8 * j
-        np.maximum(top, key, out=top)
-        lane <<= 8 * j
-        lanes |= lane
+    floor = lead - _LEAD
+    # Byte j of a little-endian word is lane j; the counts are walked a
+    # pair at a time, as the engine's buffer holds them.
+    packed = np.empty((len(lanes), 4), dtype="<u1")
+    np.subtract(np.maximum(counts.T, floor), floor, out=packed.T, casting="unsafe")
+    lanes[...] = packed.view("<u4")[:, 0]
+    # Only a leader's lane reads _LEAD, bit 7 of its byte, so the lowest
+    # such bit is the first leader j's, 1 << 8j + 7, with 8j + 7 bits
+    # below it: the key 32 _LEAD + 24 - 8j is 32 _LEAD + 31 less those.
+    leaders = np.bitwise_and(lanes, 0x80808080)
+    np.negative(leaders, out=top)
+    top &= leaders
+    top -= 1
+    np.subtract(32 * _LEAD + 31, np.bitwise_count(top, out=top), out=top)
 
 
-def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
+def _kernel_guessing(strategy, pairs, uniforms, r0, counts):
     # A round scores unless its pair is the most measured so far, the
     # first of tied pairs winning.  Pair j's key is 32 count_j + 24 - 8j,
     # eight times 4 count_j + 3 - j: a batch's keys differ mod 32, so its
@@ -508,11 +512,7 @@ def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
     top = np.empty((rounds + 1, n_batches), dtype=np.uint32)
     shifts = np.empty((rounds, n_batches), dtype=np.uint32)
     for b0 in range(0, width, _LEAD):
-        if counts is None:  # no rounds yet: every lane at _LEAD, pair 0 leading
-            lanes[0] = _LEAD * 0x01010101
-            top[0] = 32 * _LEAD + 24
-        else:
-            _rebase(counts, lanes[0], top[0])
+        _rebase(counts, lanes[0], top[0])
         top[0] -= 32
         start = lanes[0].copy()
         for p0 in range(b0, min(b0 + _LEAD, width), _PASS_ROUNDS):
@@ -537,7 +537,7 @@ def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
             # lanes' difference carries into no other lane; byte j of a
             # little-endian word is lane j.
             added = (lanes[0] - start).astype("<u4").view(np.uint8).reshape(n_batches, 4)
-            counts = added.astype(np.int64) if counts is None else counts + added
+            counts = counts + added
     if r0 == 0:
         np.not_equal(order[0], _MISSED, out=scores[0])
     return scores.T
@@ -547,13 +547,13 @@ def _kernel_guessing(strategy, pairs, uniforms, r0=0, counts=None):
 _MODEL_101_ROUND = sum(MODEL_101_TRIGGER_COUNTS)
 
 
-def _kernel_model101(strategy, pairs, uniforms, r0=0, counts=None):
+def _kernel_model101(strategy, pairs, uniforms, r0, counts):
     # The tile holding round _MODEL_101_ROUND adds the pair counts of its
     # rounds before it to those it receives, and plays the trigger rule.
     scores = pairs != _MISSED
     k = _MODEL_101_ROUND - r0  # the trigger round in this tile
     if 0 <= k < pairs.shape[1]:
-        tallied = [(pairs[:, :k] == j).sum(axis=1) + (counts[:, j] if r0 else 0) for j in range(4)]
+        tallied = [(pairs[:, :k] == j).sum(axis=1) + counts[:, j] for j in range(4)]
         triggered = np.logical_and.reduce([c == count for c, count in zip(tallied, MODEL_101_TRIGGER_COUNTS)])
         if triggered.any():
             scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
@@ -565,7 +565,7 @@ def _kernel_model101(strategy, pairs, uniforms, r0=0, counts=None):
 _QUANTUM_CUT = int(QUANTUM_SCORE_PROBABILITY * 2 ** 53)
 
 
-def _kernel_quantum(strategy, pairs, uniforms, r0=0, counts=None):
+def _kernel_quantum(strategy, pairs, uniforms, r0, counts):
     # Alice's coin tape comes before the uniforms; scores don't use it.
     return uniforms < _QUANTUM_CUT
 
@@ -584,7 +584,7 @@ def _stochastic_tables(strategy, n: int | None = None):
     return cuts, table.ravel()
 
 
-def _kernel_stochastic(tables, pairs, uniforms, r0=0, counts=None):
+def _kernel_stochastic(tables, pairs, uniforms, r0, counts):
     cuts, table = tables
     picks = np.searchsorted(cuts, uniforms, side="right")
     np.minimum(picks, len(cuts) - 1, out=picks)
@@ -593,7 +593,7 @@ def _kernel_stochastic(tables, pairs, uniforms, r0=0, counts=None):
     return table[picks]
 
 
-def _kernel_collective(table, pairs, uniforms, r0=0, counts=None):
+def _kernel_collective(table, pairs, uniforms, r0, counts):
     # A batch's row of the table is its pairs read as a base-4 number.
     return table[pairs @ 4 ** np.arange(pairs.shape[1] - 1, -1, -1)]
 
@@ -602,16 +602,15 @@ class _Kernel(NamedTuple):
     score: Callable
     coins: bool = False  # the strategy draws an n-coin tape after the pairs
     uniforms: bool = False  # ... and then n uniforms, which it scores with
-    counted: bool = False  # the score reads the pair counts of the rounds before its tile
     round_bytes: int = 3  # bytes per round alive at once while a tile is drawn, scored and tallied
-    batch_bytes: int = 0  # ... and per batch, taken by the score for a tile
+    batch_bytes: int = 0  # ... and per batch, taken by the score for a tile beside the counts it is handed
     prepare: Callable | None = None  # (strategy, n) -> what ``score`` receives instead
 
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing, counted=True, batch_bytes=4 * (3 * _PASS_ROUNDS + 2) + 128),
-    Model101: _Kernel(_kernel_model101, counted=True, batch_bytes=64),
+    GuessingModel: _Kernel(_kernel_guessing, batch_bytes=4 * (3 * _PASS_ROUNDS + 2) + 96),
+    Model101: _Kernel(_kernel_model101, batch_bytes=32),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
     CollectiveN2: _Kernel(_kernel_collective, round_bytes=10, batch_bytes=8, prepare=collective_scores),
@@ -628,9 +627,10 @@ _CHUNK_BYTES = 8 << 20
 #: ``collective_scores``, so the collective kernel, which reads whole runs, gets them.
 _TILE_ROUNDS = 128
 
-#: A batch's bytes in its chunk's tally and in the aggregation's
-#: per-batch arrays, which a general-engine chunk holds alone.  The CSV
-#: sink's arrays span one slice of ``_CSV_SLICE_ROWS`` rows, not the chunk.
+#: A batch's bytes in its chunk's tally, the pair counts a kernel chunk
+#: hands its kernel included, and in the aggregation's per-batch arrays,
+#: which a general-engine chunk holds alone.  The CSV sink's arrays span
+#: one slice of ``_CSV_SLICE_ROWS`` rows, not the chunk.
 _TALLY_ROW_BYTES = 256
 
 #: The peak of a kernel chunk's PCG64 seeding per batch, about 250 B of
@@ -660,15 +660,16 @@ def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     while it draws, or the uniforms, pairs and scores while it scores;
     the mixture its uniforms, its int64 assignment picks, the pairs and
     the scores; the collective kernel an int64 copy of the pairs beside
-    the pairs and its scores.  Per batch, the guessing and model101
-    kernels receive four int64 pair counts of the tiles before (32 B).
-    The guessing kernel holds a pass's lanes and top keys, ``_PASS_ROUNDS``
-    + 1 uint32 rows of each, and its shifts, ``_PASS_ROUNDS`` rows; besides
-    them, 96 B: its own int64 counts in a tile longer than ``_LEAD``
-    rounds, and while it re-bases the leader's count and the temporaries
-    of a lane.  Model101 counts its first rounds' pairs; the collective
-    kernel takes a sequence index.  The streams' share, by the lanes a
-    stepped batch keeps, is counted beside all of these.
+    the pairs and its scores.  The four int64 pair counts of the tiles
+    before, which every kernel receives (32 B a batch), are in the
+    tally's share.  The guessing kernel holds a pass's lanes and top
+    keys, ``_PASS_ROUNDS`` + 1 uint32 rows of each, and its shifts,
+    ``_PASS_ROUNDS`` rows; besides them, 96 B: its own int64 counts in a
+    tile longer than ``_LEAD`` rounds, and while it re-bases the leader's
+    count and its floor, the counts raised to the floor and their bytes.
+    Model101 counts its first rounds' pairs; the collective kernel takes
+    a sequence index.  The streams' share, by the lanes a stepped batch
+    keeps, is counted beside all of these.
     """
     m = _raw_words(rounds if n is None else n, kernel.coins, kernel.uniforms)[1]
     streams = 32 if m > _STEP_WORDS else _STATE_ROW_BYTES * _lane_width(m) + 16
@@ -717,11 +718,10 @@ def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, 
     for r0, pairs, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
         if r0 == 0:  # once the seeding's peak is over
             counts = np.zeros((2, 4, hi - lo), dtype=np.int64)  # rounds, scored ones: all, H, L, H & L
-            # The pair counts before each later tile, refilled in place, a contiguous column a pair.
-            before = np.empty((4, hi - lo), dtype=np.int64).T if kernel.counted and rounds < n else None
-        handed = _pair_counts(r0, *counts[0, 1:], before) if r0 and kernel.counted else None
-        scores = kernel.score(scorer, pairs, uniforms, r0, handed)
-        del uniforms, handed  # the tally needs only pairs and scores
+            # The pair counts before each tile, refilled in place, a contiguous column a pair.
+            before = np.empty((4, hi - lo), dtype=np.int64).T
+        scores = kernel.score(scorer, pairs, uniforms, r0, _pair_counts(r0, *counts[0, 1:], before))
+        del uniforms  # the tally needs only pairs and scores
         # Bit planes, eight rounds a byte, of the score S and a pair's high
         # and low bits H and L, packed whole from a bool plane with rows
         # zero-padded to whole bytes (packbits loops over rows), then to words.

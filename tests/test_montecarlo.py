@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as hs
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from general_engine import general_batch_counts
+from general_engine import general_batch_counts, whole_run_scores
 from guessing_last_tie import GuessingLastTie
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
@@ -535,7 +535,7 @@ def test_model101_kernel_on_crafted_trigger_history():
     rows = np.array(
         [trigger + [3], trigger + [1], [0] * 101], dtype=np.uint8
     )
-    scores = _kernel_model101(Model101(), rows.copy(), None)
+    scores = whole_run_scores(_kernel_model101, Model101(), rows.copy())
     for row, pairs in zip(scores, rows):
         t = playout(Model101(), [ALL_PAIRS[i] for i in pairs])
         assert row.tolist() == [bool(round_score(r)) for r in t.rounds]
@@ -546,7 +546,7 @@ def test_model101_kernel_on_crafted_trigger_history():
     # rounds, on the trigger round or after it; the second gets the pair
     # counts of the first.
     for split in (8, 40, 99, 100, 101):
-        first = _kernel_model101(Model101(), rows[:, :split].copy(), None)
+        first = whole_run_scores(_kernel_model101, Model101(), rows[:, :split].copy())
         second = _kernel_model101(Model101(), rows[:, split:].copy(), None, split, bincounts(rows[:, :split]))
         assert np.array_equal(np.concatenate([first, second], axis=1), scores), split
 
@@ -589,8 +589,8 @@ def test_tile_scored_from_prefix_counts_equals_whole_run(name, alphabet, prefix,
         rows.append((head + tail)[:n])
     pairs = np.array(rows, dtype=np.uint8)
     score = _find_kernel(FACTORIES[name]()).score
-    whole = score(None, pairs.copy(), None)
-    counts = bincounts(pairs[:, :prefix]) if prefix else None
+    whole = whole_run_scores(score, None, pairs.copy())
+    counts = bincounts(pairs[:, :prefix])
     assert np.array_equal(score(None, pairs[:, prefix:].copy(), None, prefix, counts), whole[:, prefix:])
 
 
@@ -607,9 +607,46 @@ def test_engine_hands_model101_the_pair_counts_of_earlier_tiles(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_tile_draws", crafted_draws)
     tally = montecarlo._kernel_tally(montecarlo._KERNELS[Model101], Model101(), 120, 0, 0, 3, 8)
-    scores = _kernel_model101(Model101(), rows.copy(), None)
+    scores = whole_run_scores(_kernel_model101, Model101(), rows.copy())
     assert scores[:, 100].tolist() == [True, False, True]  # the first two triggered
     assert_tally_equals_bincounts(tally, rows, scores)
+
+
+#: A strategy of each type that has a kernel, with the rounds its batches play.
+KERNEL_STRATEGIES = {
+    type(strategy): (strategy, n)
+    for strategy, n in (
+        (constant_plus(), 40),
+        (guessing_model(), 300),
+        (model_101(), 120),
+        (quantum_singlet_sampler(), 40),
+        (from_stochastic(MIXTURE), 40),
+        (collective_n2(), 2),
+    )
+}
+
+
+@pytest.mark.parametrize("batches", [1, 5, 300])
+@pytest.mark.parametrize("kind", montecarlo._KERNELS, ids=lambda kind: kind.__name__)
+def test_engine_hands_every_kernel_the_pair_counts_of_earlier_tiles(kind, batches):
+    # Every call of every kernel, in 16-round tiles, receives the (B, 4)
+    # int64 counts of its batches' pairs in the rounds before its tile:
+    # zeros on the first tile.
+    strategy, n = KERNEL_STRATEGIES[kind]
+    kernel = _find_kernel(strategy)
+    scorer = strategy if kernel.prepare is None else kernel.prepare(strategy, n)
+    calls = []
+
+    def spy(scorer, pairs, uniforms, r0, counts):
+        calls.append((r0, pairs.copy(), counts.copy()))
+        return kernel.score(scorer, pairs, uniforms, r0, counts)
+
+    montecarlo._kernel_tally(kernel._replace(score=spy), scorer, n, 2 ** 70 + 9, 0, batches, 16)
+    assert [r0 for r0, _, _ in calls] == list(range(0, n, 16))
+    pairs = np.concatenate([tile for _, tile, _ in calls], axis=1)
+    for r0, _, counts in calls:
+        assert counts.shape == (batches, 4) and counts.dtype == np.int64
+        assert np.array_equal(counts, bincounts(pairs[:, :r0])), r0
 
 
 def _guessing_oracle_scores(pairs):
@@ -647,7 +684,7 @@ TIE_HEAVY = {
 @pytest.mark.parametrize("rows", TIE_HEAVY.values(), ids=TIE_HEAVY.keys())
 def test_guessing_kernel_on_tie_heavy_histories_matches_oracle(rows):
     pairs = np.array(rows, dtype=np.uint8)
-    assert np.array_equal(_kernel_guessing(None, pairs.copy(), None), _guessing_oracle_scores(pairs))
+    assert np.array_equal(whole_run_scores(_kernel_guessing, None, pairs.copy()), _guessing_oracle_scores(pairs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -660,7 +697,7 @@ def test_guessing_kernel_on_drawn_histories_matches_oracle(alphabet, shape, data
     batches, n = shape
     picks = hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n)
     pairs = np.array(data.draw(hs.lists(picks, min_size=batches, max_size=batches)), dtype=np.uint8)
-    assert np.array_equal(_kernel_guessing(None, pairs.copy(), None), _guessing_oracle_scores(pairs))
+    assert np.array_equal(whole_run_scores(_kernel_guessing, None, pairs.copy()), _guessing_oracle_scores(pairs))
 
 
 @pytest.mark.parametrize("shift", [0, 2 ** 26, 2 ** 29 - 3, 2 ** 40])

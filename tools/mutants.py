@@ -56,6 +56,7 @@ BUDGET_EDGES = "tests/test_enumerator.py::test_each_entry_point_admits_up_to_the
 WIN_RULE_ORACLE = "tests/test_stats.py::test_every_reader_of_the_win_rule_agrees_with_the_oracle"
 STREAM_TEST = "tests/test_stream.py::test_stream_draws_what_numpy_draws"
 REPLAY_TEST = "tests/test_montecarlo.py::test_run_batch_equals_a_replay_on_numpy_generators"
+EVERY_KERNEL_HANDED = "tests/test_montecarlo.py::test_engine_hands_every_kernel_the_pair_counts_of_earlier_tiles"
 
 
 def record(kind: str) -> str:
@@ -213,12 +214,20 @@ MUTANTS = (
     Mutant(
         "counts-withheld-after-the-first-tile",
         "montecarlo.py",
-        "handed = _pair_counts(r0, *counts[0, 1:], before) if r0 and kernel.counted else None",
-        "handed = np.zeros((hi - lo, 4), dtype=np.int64) if r0 and kernel.counted else None",
+        "uniforms, r0, _pair_counts(r0, *counts[0, 1:], before))",
+        "uniforms, r0, np.zeros((hi - lo, 4), dtype=np.int64))",
         (
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
             "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
+            EVERY_KERNEL_HANDED,
         ),
+    ),
+    Mutant(
+        "first-tile-handed-the-unfilled-buffer",
+        "montecarlo.py",
+        "_pair_counts(r0, *counts[0, 1:], before))",
+        "_pair_counts(r0, *counts[0, 1:], before) if r0 else before)",
+        (EVERY_KERNEL_HANDED,),
     ),
     Mutant(
         "model101-in-tile-head-dropped",
@@ -243,8 +252,8 @@ MUTANTS = (
     Mutant(
         "guessing-lanes-capped-127-behind",
         "montecarlo.py",
-        "np.maximum(counts[:, j] - lead, -_LEAD)",
-        "np.maximum(counts[:, j] - lead, 1 - _LEAD)",
+        "np.maximum(counts.T, floor)",
+        "np.maximum(counts.T, floor + 1)",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
             "tests/test_montecarlo.py::test_tile_scored_from_prefix_counts_equals_whole_run",
@@ -263,9 +272,22 @@ MUTANTS = (
     Mutant(
         "guessing-rebased-tie-break-reversed",
         "montecarlo.py",
-        "key += 24 - 8 * j",
-        "key += 8 * j",
-        ("tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",),
+        "np.negative(leaders, out=top)\n    top &= leaders\n",
+        "np.left_shift(1, np.log2(leaders).astype(np.uint32), out=top)\n",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
+            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
+        ),
+    ),
+    Mutant(
+        "guessing-leader-bit-read-at-bit-6",
+        "montecarlo.py",
+        "leaders = np.bitwise_and(lanes, 0x80808080)",
+        "leaders = np.bitwise_and(lanes, 0x40404040)",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
+            "tests/test_montecarlo.py::test_kernel_matches_general_engine",
+        ),
     ),
     Mutant(
         "pair-counts-high-and-low-swapped",
