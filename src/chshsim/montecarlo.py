@@ -9,31 +9,32 @@ order is fixed: the n setting pairs first, then whatever tape the
 strategy needs.
 
 Batches run in chunks, and everything after the draws works on a whole
-chunk at once: a :class:`Tally` of per-pair counts, one row per batch
-(on the kernel path, one popcount per tile of word planes of the pair
-bits and scores), feeds both the aggregation in :func:`estimate` and
-the per-batch CSV text, which :func:`batch_csv_rows` formats once per
-distinct count row of each slice of batches.  For every strategy of
-the CLI catalogue a vectorized scoring kernel reproduces the general
-round-by-round engine exactly; the engine remains the fallback for
-every other strategy and the reference the tests hold the kernels to.
-The kernels seed a whole chunk of batches at once: they compute each
+chunk at once: a :class:`Tally` of per-pair counts, one row per batch,
+feeds both the aggregation in :func:`estimate` and the per-batch CSV
+text, which :func:`batch_csv_rows` formats once per distinct count row
+of each slice of batches.  For every strategy of the CLI catalogue a
+vectorized scoring kernel reproduces the general round-by-round
+engine's counts exactly; the engine remains the fallback for every
+other strategy and the reference the tests hold the kernels to.  The
+kernels seed a whole chunk of batches at once: they compute each
 batch's PCG64 state in numpy, by the hashing of :mod:`chshsim.stream`,
 without building a ``Stream`` per batch.
 
 A kernel chunk is worked a tile at a time: its batches over a range of
-rounds, drawn, scored and tallied before the next tile is drawn, so its
-working arrays are bounded by the tile, not by n.  The chunk's tally is
-the sum of its tiles'.  One function reads every tile's words by their
-positions: it steps a batch that needs at most ``_STEP_WORDS`` raw words
-in numpy, eight words of every batch a call, and draws a longer stream
-natively, from each batch's seed state advanced to the tile's words.
-The engine owns what a tile needs of the rounds before it: the stepped
-streams' lanes, and the pair counts that it hands to every kernel;
-kernels keep nothing.  Stepped chunks run tiles of ``_TILE_ROUNDS``
-rounds, native ones whole batches, or one batch alone in tiles when it
-does not fit the budget.  The draws are bit-identical to the per-batch
-``Stream`` the general engine draws from.
+rounds, drawn, counted and scored before the next tile is drawn, so its
+working arrays are bounded by the tile, not by n.  One function reads
+every tile's words by their positions: it steps a batch that needs at
+most ``_STEP_WORDS`` raw words in numpy, eight words of every batch a
+call, and draws a longer stream natively, from each batch's seed state
+advanced to the tile's words.  The engine counts each tile's (B, 4)
+pair counts once, straight from its pair words, and every kernel
+returns the tile's (B, 4) score counts: the chunk's tally is the sum of
+its tiles'.  The engine owns what a tile needs of the rounds before it:
+the stepped streams' lanes, and the running pair counts that it hands
+to every kernel; kernels keep nothing.  Stepped chunks run tiles of
+``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
+in tiles when it does not fit the budget.  The draws are bit-identical
+to the per-batch ``Stream`` the general engine draws from.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads; of numpy's generators it uses only the PCG64 bit
@@ -44,6 +45,7 @@ where the collective tables are built as arrays.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -381,10 +383,19 @@ def _pairs(words: np.ndarray, count: int) -> np.ndarray:
 
     Numpy's buffered Lemire method never rejects for ranges 4 and 2, so
     a pair is the top two bits of one byte of a uint32 word, low byte
-    first.  The words are viewed as bytes in a little-endian copy, which
-    puts the bytes in that order whatever the host's byte order.
+    first: round i of a uint64 word's eight is its bits 8i + 6 and 8i + 7.
+    The words are viewed as bytes in a little-endian copy, which puts the
+    bytes in that order whatever the host's byte order.
     """
     return (np.ascontiguousarray(words, dtype="<u8").view(np.uint8) >> 6)[:, :count]
+
+
+def _masked(words: np.ndarray, count: int) -> np.ndarray:
+    """The words that hold ``count`` rounds' pair bytes, those past them zeroed in place."""
+    words = words[:, : -(-count // 8)]
+    if count % 8:
+        words[:, -1] &= (1 << 8 * (count % 8)) - 1
+    return words
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -402,9 +413,11 @@ def _fill(bitgen, words: np.ndarray) -> None:
 
 def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = False, uniforms: bool = False):
     """Setting pairs and uniforms of batches lo..hi-1, one row per batch,
-    a tile of ``rounds`` rounds at a time: yields (r0, pairs, uniforms)
-    for rounds r0, r0 + 1, ... of each batch.  ``rounds`` is a multiple
-    of 8, so that a tile's pair bytes start a word, unless it covers n.
+    a tile of ``rounds`` rounds at a time: yields (r0, words, uniforms)
+    for rounds r0, r0 + 1, ... of each batch, the words those that hold
+    the tile's pair bytes (see ``_pairs``), with the bytes past its last
+    round zeroed.  ``rounds`` is a multiple of 8, so that a tile's pair
+    bytes start a word, unless it covers n.
 
     Equal to what ``Stream(seed, i)`` gives batch i: ``integers(0, 4, n,
     uint8)``, then (if ``coins``) an ``integers(0, 2, n, uint8)`` tape,
@@ -429,24 +442,98 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
         r1 = min(r0 + rounds, n)
         tape_count = r1 - r0 if uniforms else 0
         *drawn, states = _read_words(states, r0 // 8, -(-r1 // 8) - r0 // 8, start + r0, tape_count, native)
-        # Taken out of ``drawn`` as they are handed on: no name here holds
-        # the pair words or the uniforms while the caller works on them.
-        pairs = _pairs(drawn.pop(0), r1 - r0)
-        yield r0, pairs, _uniforms(drawn.pop()) if uniforms else None
-        del pairs  # freed before the next tile is drawn
+        words = _masked(drawn.pop(0), r1 - r0)
+        # Taken out of ``drawn`` as it is handed on: no name here holds
+        # the uniforms while the caller works on them.
+        yield r0, words, _uniforms(drawn.pop()) if uniforms else None
+        del words  # freed before the next tile is drawn
 
 
 # --- vectorized scoring kernels -------------------------------------------
 #
-# A kernel maps a (batches, rounds) matrix of pair indices, and the
-# uniforms its strategy draws (as 53-bit integers), to a boolean matrix
-# of round scores.  It receives the strategy, or what its ``prepare``
-# built from the strategy and n once per plan, then the tile's first
-# round r0 and the pair counts of the rounds before the tile, a
-# (batches, 4) int64 array (zeros when r0 is 0); it keeps nothing
-# between tiles.  Kernels are registered per concrete strategy type and
-# must reproduce the general engine bit for bit; the test suite asserts
-# this equivalence.
+# A kernel maps a tile to its (batches, 4) int64 score counts: each
+# batch's rounds of the tile on each pair that met their target.  It
+# receives the strategy, or what its ``prepare`` built from the strategy
+# and n once per plan; the tile's pair words (see ``_tile_draws``) and
+# its width in rounds; the uniforms its strategy draws (as 53-bit
+# integers); the tile's first round r0; and two (batches, 4) int64
+# arrays of pair counts, of the rounds before the tile (zeros when r0 is
+# 0) and of the tile's own, which the engine counts once from the words.
+# It keeps nothing between tiles.  Kernels are registered per concrete
+# strategy type and must reproduce the general engine's counts exactly;
+# the test suite asserts this equivalence.
+
+
+#: The low bit of every byte of a uint64 word.
+_BYTE_BITS = 0x0101010101010101
+
+#: Words whose bytes are summed at once as lanes: a lane then holds at
+#: most 31, and a word's eight lanes together at most 248, within a byte.
+_LANE_WORDS = 31
+
+
+def _pair_counts(every, high, low, both, out: np.ndarray) -> np.ndarray:
+    """The four pairs' counts, written along the last axis of ``out``, from
+    the counts of all rounds and of those whose pair j has its high bit
+    (j & 2), its low bit (j & 1) and both, by inclusion and exclusion."""
+    np.subtract(low, both, out=out[..., 1])
+    np.subtract(high, both, out=out[..., 2])
+    out[..., 3] = both
+    np.add(out[..., 1], high, out=out[..., 0])
+    np.subtract(every, out[..., 0], out=out[..., 0])
+    return out
+
+
+def _byte_sums(bits: np.ndarray) -> np.ndarray:
+    """Per row of (..., m) uint64 words of bytes that are each 0 or 1, the
+    sum of their bytes, m at most ``_LANE_WORDS``: summed as lanes, whose
+    eight lanes one multiply adds into the top byte.  ``einsum`` sums the
+    short rows several times faster than ``np.add.reduce``."""
+    total = np.einsum("...j->...", bits)
+    total *= _BYTE_BITS
+    total >>= 56
+    return total
+
+
+def _word_counts(words: np.ndarray, counted) -> np.ndarray:
+    """The (B, 4) int64 counts, by pair, of rounds whose pair bytes the
+    words hold: of the first ``counted`` rounds, or, if ``counted`` is a
+    tile's score bytes (see ``_score_bytes``), of the rounds that scored.
+    The words' bytes past the rounds are zero.
+
+    A pair j's high bit (j & 2) is bit 7 of its byte, its low bit (j & 1)
+    bit 6.  Each is shifted to the bottom of its byte and masked, and the
+    bytes are summed ``_LANE_WORDS`` words at a time.
+    """
+    scored = isinstance(counted, np.ndarray)
+    if scored:
+        counted = counted.view("<u8")
+    lanes = np.empty((2, len(words), min(words.shape[1], _LANE_WORDS)), dtype=np.uint64)
+    sums = np.zeros((4, len(words)), dtype=np.uint64)  # H, L, H & L, then the rounds counted
+    for a in range(0, words.shape[1], _LANE_WORDS):
+        part = words[:, a : a + _LANE_WORDS]
+        high, low = lanes[:, :, : part.shape[1]]
+        mask = counted[:, a : a + _LANE_WORDS] if scored else _BYTE_BITS
+        np.right_shift(part, 7, out=high)
+        high &= mask
+        np.right_shift(part, 6, out=low)
+        low &= mask
+        sums[:2] += _byte_sums(lanes[:, :, : part.shape[1]])
+        high &= low
+        sums[2] += _byte_sums(high)
+        if scored:
+            sums[3] += _byte_sums(mask)
+    if not scored:
+        sums[3] = counted
+    high, low, both, every = sums.view(np.int64)
+    return _pair_counts(every, high, low, both, np.empty((len(words), 4), dtype=np.int64))
+
+
+def _score_bytes(words: np.ndarray) -> np.ndarray:
+    """Zeroed score bytes for a tile: a byte a round, which a kernel that
+    scores round by round sets to 1 where the round scored, in rows
+    padded like the pair bytes to whole words; ``_word_counts`` counts them."""
+    return np.zeros((len(words), 8 * words.shape[1]), dtype=np.uint8)
 
 
 #: The one pair the constant assignment misses: every round of ConstantPlus,
@@ -454,109 +541,177 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 _MISSED = CONSTANT_PLUS_ASSIGNMENT.hits.index(0)
 
 
-def _kernel_constant(strategy, pairs, uniforms, r0, counts):
-    return pairs != _MISSED
+def _kernel_constant(strategy, words, width, uniforms, r0, counts, tile):
+    scores = tile.copy()
+    scores[:, _MISSED] = 0
+    return scores
 
 
-#: How far behind the leader a pair's count is kept in its byte lane, and
-#: the rounds of a block, after which the lanes are re-based: a lane
-#: starts at 128 at most and is read after at most 127 more rounds, 255.
+#: Rounds of a guessing segment: its count planes start ``_LEAD`` behind
+#: the leader, re-based from exact counts, and a plane reads at most
+#: 128 + 124 = 252 at the segment's last block, within a byte; past it
+#: the planes are read only by their difference from the start, modulo 256.
 _LEAD = 128
 
-#: Rounds whose lanes and keys the guessing kernel works out at once.
-_PASS_ROUNDS = 16
+#: How far behind the leader a pair's gap is told apart: a pair 4 or more
+#: behind before a 4-round block cannot lead before any of its rounds.
+_GAP_CAP = 4
+
+#: Blocks whose table indices, int64, guessing gathers at once.
+_GATHER_BLOCKS = 16
 
 
-def _rebase(counts, lanes, top) -> None:
-    """Fill ``lanes`` with each batch's four pair counts, a byte lane each
-    (pair j in bits 8j..8j+7), counted from ``_LEAD`` behind its leader
-    and capped there, from the exact (B, 4) counts, and ``top`` with the
-    first leader's key, from the lanes.  A pair capped ``_LEAD`` behind
-    cannot catch up within a block: it reads below the leader's lane
-    until the next re-base."""
-    lead = np.maximum(np.maximum(counts[:, 0], counts[:, 1]), np.maximum(counts[:, 2], counts[:, 3]))
-    floor = lead - _LEAD
-    # Byte j of a little-endian word is lane j; the counts are walked a
-    # pair at a time, as the engine's buffer holds them.
-    packed = np.empty((len(lanes), 4), dtype="<u1")
-    np.subtract(np.maximum(counts.T, floor), floor, out=packed.T, casting="unsafe")
-    lanes[...] = packed.view("<u4")[:, 0]
-    # Only a leader's lane reads _LEAD, bit 7 of its byte, so the lowest
-    # such bit is the first leader j's, 1 << 8j + 7, with 8j + 7 bits
-    # below it: the key 32 _LEAD + 24 - 8j is 32 _LEAD + 31 less those.
-    leaders = np.bitwise_and(lanes, 0x80808080)
-    np.negative(leaders, out=top)
-    top &= leaders
-    top -= 1
-    np.subtract(32 * _LEAD + 31, np.bitwise_count(top, out=top), out=top)
+@functools.cache
+def _guessing_tables() -> tuple[np.ndarray, ...]:
+    """Guessing's block tables F[L], L = 0..4: the failures, by pair, of L
+    rounds from a gap state, each pair's in its byte of a little-endian
+    uint32 word, at index state 4^L + pairs.
+
+    A state is the pairs' gaps to the leader's count, each capped at
+    ``_GAP_CAP``, in base 5, pair j's gap the digit of 5^j; the rounds'
+    pairs are in base 4, the first round's the highest digit.  A round
+    fails if its pair is the state's first of least gap (only a state
+    with no zero gap, which a kernel never builds, leads with a nonzero
+    gap).  A round on a pair of zero gap raises the others' gaps, capped;
+    on any other pair it lowers that pair's.  The tables compose this
+    one-round rule L times.  They are built on first use, once a process
+    (about 850 KB), and read only.
+    """
+    states = _GAP_CAP + 1
+    gaps = np.arange(states ** 4)[:, None] // states ** np.arange(4) % states
+    first = gaps.argmin(axis=1)
+    after = np.empty((len(gaps), 4), dtype=np.intp)
+    fails = np.zeros((len(gaps), 4), dtype="<u4")
+    for p in range(4):
+        leads = gaps[:, p] == 0
+        moved = np.where(leads[:, None], np.minimum(gaps + 1, _GAP_CAP), gaps)
+        moved[:, p] = np.where(leads, 0, gaps[:, p] - 1)
+        after[:, p] = moved @ states ** np.arange(4)
+        fails[first == p, p] = 1 << 8 * p
+    tables = [np.zeros(len(gaps), dtype="<u4")]
+    for _ in range(4):
+        # A block's first round, then the rest from the state it leaves.
+        table = tables[-1].reshape(len(gaps), -1)[after]
+        table += fails[:, :, None]
+        tables.append(table.ravel())
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
-def _kernel_guessing(strategy, pairs, uniforms, r0, counts):
-    # A round scores unless its pair is the most measured so far, the
-    # first of tied pairs winning.  Pair j's key is 32 count_j + 24 - 8j,
-    # eight times 4 count_j + 3 - j: a batch's keys differ mod 32, so its
-    # largest key is the canonical target, and a running maximum of the
-    # rounds' own keys tracks it without an argmax.  A pass adds each
-    # round's 1 << 8j to the byte lanes of the round before it, one call
-    # a round, then reads every round's own count out of its lanes at
-    # once, by the shift 8j, with no gather or scatter.  Pairs and scores
-    # are walked round-major, a contiguous row a round.
-    n_batches, width = pairs.shape
-    order = np.ascontiguousarray(pairs.T)
-    scores = np.empty((width, n_batches), dtype=bool)
-    # Row i of a pass: the lanes before its round i, then that round's
-    # key; the leader's key before round i, less 32, then that key; the
-    # round's shift 8j.
-    rounds = min(width, _PASS_ROUNDS)
-    lanes = np.empty((rounds + 1, n_batches), dtype=np.uint32)
-    top = np.empty((rounds + 1, n_batches), dtype=np.uint32)
-    shifts = np.empty((rounds, n_batches), dtype=np.uint32)
-    for b0 in range(0, width, _LEAD):
-        _rebase(counts, lanes[0], top[0])
-        top[0] -= 32
-        start = lanes[0].copy()
-        for p0 in range(b0, min(b0 + _LEAD, width), _PASS_ROUNDS):
-            k = min(_PASS_ROUNDS, width - p0)
-            shift = np.multiply(order[p0 : p0 + k], 8, out=shifts[:k])
-            np.left_shift(1, shift, out=lanes[1 : k + 1])
-            for before, after in zip(lanes[:k], lanes[1 : k + 1]):
-                np.add(before, after, out=after)
-            keys = np.right_shift(lanes[:k], shift, out=lanes[:k])
-            keys &= 255
-            keys <<= 5
-            keys |= 24
-            keys -= shift
-            for before, key, after in zip(top[:k], keys, top[1 : k + 1]):
-                np.maximum(before, key, out=after)
-            top[:k] += 32
-            np.not_equal(keys, top[:k], out=scores[p0 : p0 + k])
-            lanes[0] = lanes[k]
-            top[0] = top[k]
-        if b0 + _LEAD < width:
-            # The block's rounds on each pair, at most 128 a lane, so the
-            # lanes' difference carries into no other lane; byte j of a
-            # little-endian word is lane j.
-            added = (lanes[0] - start).astype("<u4").view(np.uint8).reshape(n_batches, 4)
-            counts = counts + added
+def _kernel_guessing(strategy, words, width, uniforms, r0, counts, tile):
+    # A round fails when its pair is the most measured so far, the first
+    # of tied pairs, but round 1, which plays the constant assignment.
+    # A block is a uint32 word's four rounds: its failures are read from
+    # the table F[4] (F[L] for a last block of L rounds) at its state, its
+    # pairs' gaps to the leader when it starts, and its pairs' index.  The
+    # gaps come at once for every block of a segment of ``_LEAD`` rounds,
+    # from count planes laid out block, pair, batch: the exact counts at
+    # the segment's start, less the leader's and capped at ``_LEAD``,
+    # plus prefix sums of each block's pair counts, one B-wide add a block.
+    # The scores are the tile's pair counts less the failures.
+    tables = _guessing_tables()
+    n_batches = len(words)
+    blocks = -(-width // 4)
+    # A block's index gathers its four pairs, round i's at bits 6 - 2i
+    # and 7 - 2i: one multiply moves the pair bits of the bytes together.
+    index = np.ascontiguousarray(words, dtype="<u8").view("<u4")[:, :blocks] >> 6
+    index &= 0x03030303
+    index *= 0x40100401
+    index >>= 24
+    keys = np.ascontiguousarray(index.astype(np.uint8).T)
+    del index
+    span = min(blocks, _LEAD // 4)
+    planes = np.empty((span + 1, 4, n_batches), dtype=np.uint8)
+    high = np.empty((span, n_batches), dtype=np.uint8)
+    top = np.empty((span, n_batches), dtype=np.uint8)
+    caps = np.full(n_batches, _GAP_CAP, dtype=np.uint8)
+    state = np.empty((span, n_batches), dtype=np.uint16)
+    at = np.empty((min(span, _GATHER_BLOCKS), n_batches), dtype=np.intp)
+    failed = np.empty(at.shape, dtype="<u4")
+    failures = np.zeros((n_batches, 4), dtype=np.int64)
+    for b0 in range(0, blocks, span):
+        k = min(span, blocks - b0)
+        key = keys[b0 : b0 + k]
+        # Each pair's count, raised to the leader's less _LEAD, less that
+        # floor: worked in a contiguous copy, which numpy casts unbuffered.
+        base = counts.T.copy()
+        floor = np.maximum(np.maximum(base[0], base[1]), np.maximum(base[2], base[3]))
+        floor -= _LEAD
+        np.maximum(base, floor, out=base)
+        base -= floor
+        planes[0] = base
+        # Each block's pair counts, from its index's high and low bits.
+        plane = planes[1 : k + 1]
+        both, low = plane[:, 3], top[:k]
+        np.right_shift(key, 1, out=high[:k])
+        high[:k] &= 0x55
+        np.bitwise_and(key, 0x55, out=low)
+        np.bitwise_count(np.bitwise_and(high[:k], low, out=both), out=both)
+        np.bitwise_count(high[:k], out=high[:k])
+        np.bitwise_count(low, out=low)
+        np.subtract(high[:k], both, out=plane[:, 2])
+        np.subtract(low, both, out=plane[:, 1])
+        np.add(high[:k], low, out=plane[:, 0])
+        np.subtract(4, plane[:, 0], out=plane[:, 0])
+        plane[:, 0] += both
+        for i in range(k):
+            planes[i + 1] += planes[i]
+        # The leader's plane, then the state of every block, pair 3's gap first.
+        starts = planes[:k]  # the counts before each block
+        np.maximum(starts[:, 0], starts[:, 1], out=top[:k])
+        np.maximum(top[:k], starts[:, 2], out=top[:k])
+        np.maximum(top[:k], starts[:, 3], out=top[:k])
+        for j in (3, 2, 1, 0):
+            gap = np.subtract(top[:k], starts[:, j], out=high[:k])
+            np.minimum(gap, caps, out=gap)
+            if j == 3:
+                state[:k] = gap
+            else:
+                state[:k] *= _GAP_CAP + 1
+                state[:k] += gap
+        # Each block's failures, at most 4 a pair, summed in byte lanes.
+        full = k - (b0 + k == blocks and width % 4 > 0)
+        lanes = np.zeros(n_batches, dtype="<u4")
+        for g0 in range(0, full, len(at)):
+            g = min(len(at), full - g0)
+            np.left_shift(state[g0 : g0 + g], 8, out=at[:g], dtype=np.intp)
+            at[:g] |= key[g0 : g0 + g]
+            lanes += np.add.reduce(np.take(tables[4], at[:g], out=failed[:g], mode="clip"), axis=0, dtype="<u4")
+        if full < k:
+            rounds = width % 4
+            lanes += tables[rounds][(state[full].astype(np.intp) << 2 * rounds) | key[full] >> 8 - 2 * rounds]
+        failures += lanes.view(np.uint8).reshape(n_batches, 4)
+        if b0 + k < blocks:
+            # The segment's pair counts, at most _LEAD each, by the planes'
+            # difference modulo 256.
+            counts = counts + (planes[k] - planes[0]).T
     if r0 == 0:
-        np.not_equal(order[0], _MISSED, out=scores[0])
-    return scores.T
+        first = (words[:, 0] >> 6 & 3).astype(np.intp)  # round 1's pair
+        failures[:, 0] -= first == 0
+        failures[:, _MISSED] += first == _MISSED
+    return tile - failures
 
 
 #: The round after the pair counts that trigger model101, counted from 0.
 _MODEL_101_ROUND = sum(MODEL_101_TRIGGER_COUNTS)
 
+#: What model101's trigger rule adds to the constant assignment's hits, by pair.
+_TRIGGER_CHANGE = np.array(MODEL_101_TRIGGER_ASSIGNMENT.hits, dtype=np.int64) - np.not_equal(np.arange(4), _MISSED)
 
-def _kernel_model101(strategy, pairs, uniforms, r0, counts):
-    # The tile holding round _MODEL_101_ROUND adds the pair counts of its
-    # rounds before it to those it receives, and plays the trigger rule.
-    scores = pairs != _MISSED
+
+def _kernel_model101(strategy, words, width, uniforms, r0, counts, tile):
+    # The constant assignment's counts, and the tile holding round
+    # _MODEL_101_ROUND adds to the counts it receives those of its rounds
+    # before it, its head, and plays the trigger rule where they match.
+    scores = _kernel_constant(strategy, words, width, uniforms, r0, counts, tile)
     k = _MODEL_101_ROUND - r0  # the trigger round in this tile
-    if 0 <= k < pairs.shape[1]:
-        tallied = [(pairs[:, :k] == j).sum(axis=1) + counts[:, j] for j in range(4)]
-        triggered = np.logical_and.reduce([c == count for c, count in zip(tallied, MODEL_101_TRIGGER_COUNTS)])
-        if triggered.any():
-            scores[triggered, k] = np.take(MODEL_101_TRIGGER_ASSIGNMENT.hits, pairs[triggered, k])
+    if 0 <= k < width:
+        head = _word_counts(_masked(words[:, : -(-k // 8)].copy(), k), k)
+        triggered = np.flatnonzero((counts + head == MODEL_101_TRIGGER_COUNTS).all(axis=1))
+        if len(triggered):
+            pairs = (words[triggered, k // 8] >> 8 * (k % 8) + 6 & 3).astype(np.intp)
+            scores[triggered, pairs] += _TRIGGER_CHANGE[pairs]
     return scores
 
 
@@ -565,9 +720,11 @@ def _kernel_model101(strategy, pairs, uniforms, r0, counts):
 _QUANTUM_CUT = int(QUANTUM_SCORE_PROBABILITY * 2 ** 53)
 
 
-def _kernel_quantum(strategy, pairs, uniforms, r0, counts):
+def _kernel_quantum(strategy, words, width, uniforms, r0, counts, tile):
     # Alice's coin tape comes before the uniforms; scores don't use it.
-    return uniforms < _QUANTUM_CUT
+    scored = _score_bytes(words)
+    np.less(uniforms, _QUANTUM_CUT, out=scored[:, :width])
+    return _word_counts(words, scored)
 
 
 def _stochastic_tables(strategy, n: int | None = None):
@@ -584,33 +741,39 @@ def _stochastic_tables(strategy, n: int | None = None):
     return cuts, table.ravel()
 
 
-def _kernel_stochastic(tables, pairs, uniforms, r0, counts):
+def _kernel_stochastic(tables, words, width, uniforms, r0, counts, tile):
     cuts, table = tables
     picks = np.searchsorted(cuts, uniforms, side="right")
     np.minimum(picks, len(cuts) - 1, out=picks)
     picks *= 4
-    picks += pairs
-    return table[picks]
+    picks += _pairs(words, width)
+    hits = table[picks]
+    del picks
+    scored = _score_bytes(words)
+    scored[:, :width] = hits
+    return _word_counts(words, scored)
 
 
-def _kernel_collective(table, pairs, uniforms, r0, counts):
+def _kernel_collective(table, words, width, uniforms, r0, counts, tile):
     # A batch's row of the table is its pairs read as a base-4 number.
-    return table[pairs @ 4 ** np.arange(pairs.shape[1] - 1, -1, -1)]
+    scored = _score_bytes(words)
+    scored[:, :width] = table[_pairs(words, width) @ 4 ** np.arange(width - 1, -1, -1)]
+    return _word_counts(words, scored)
 
 
 class _Kernel(NamedTuple):
     score: Callable
     coins: bool = False  # the strategy draws an n-coin tape after the pairs
     uniforms: bool = False  # ... and then n uniforms, which it scores with
-    round_bytes: int = 3  # bytes per round alive at once while a tile is drawn, scored and tallied
-    batch_bytes: int = 0  # ... and per batch, taken by the score for a tile beside the counts it is handed
+    round_bytes: int = 1  # bytes per round alive at once while a tile is drawn and scored
+    batch_bytes: int = 0  # ... and per batch, taken by the score for a tile beside what it is handed
     prepare: Callable | None = None  # (strategy, n) -> what ``score`` receives instead
 
 
 _KERNELS = {
     ConstantPlus: _Kernel(_kernel_constant),
-    GuessingModel: _Kernel(_kernel_guessing, batch_bytes=4 * (3 * _PASS_ROUNDS + 2) + 96),
-    Model101: _Kernel(_kernel_model101, batch_bytes=32),
+    GuessingModel: _Kernel(_kernel_guessing, round_bytes=3, batch_bytes=640),
+    Model101: _Kernel(_kernel_model101, round_bytes=2, batch_bytes=32),
     QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
     StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
     CollectiveN2: _Kernel(_kernel_collective, round_bytes=10, batch_bytes=8, prepare=collective_scores),
@@ -627,10 +790,11 @@ _CHUNK_BYTES = 8 << 20
 #: ``collective_scores``, so the collective kernel, which reads whole runs, gets them.
 _TILE_ROUNDS = 128
 
-#: A batch's bytes in its chunk's tally, the pair counts a kernel chunk
-#: hands its kernel included, and in the aggregation's per-batch arrays,
-#: which a general-engine chunk holds alone.  The CSV sink's arrays span
-#: one slice of ``_CSV_SLICE_ROWS`` rows, not the chunk.
+#: A batch's bytes in its chunk's tally: the score and pair counts a
+#: kernel chunk keeps, hands its kernel and gets back for a tile, and the
+#: aggregation's per-batch arrays, which a general-engine chunk holds
+#: alone.  The CSV sink's arrays span one slice of ``_CSV_SLICE_ROWS``
+#: rows, not the chunk.
 _TALLY_ROW_BYTES = 256
 
 #: The peak of a kernel chunk's PCG64 seeding per batch, about 250 B of
@@ -642,6 +806,10 @@ _SEED_ROW_BYTES = 256
 #: of increment besides (native: 32 B of states and increments).
 _STATE_ROW_BYTES = 64
 
+#: A batch's share of ``_word_counts``: two planes of at most
+#: ``_LANE_WORDS`` uint64 words, and its sums and counts.
+_LANE_ROW_BYTES = 16 * _LANE_WORDS + 128
+
 
 def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     """One batch's share of a kernel chunk of n-round batches (n = ``rounds``
@@ -649,31 +817,28 @@ def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     at the chunk's peak, which is either the seeding or a tile.  A tile's
     arrays are counted per round, padded like the pair bytes to whole words.
 
-    The tally's peak is the pair bytes, the scores, and the bool plane
-    they are copied into, 3 B a round; its three packed rows (3/8 B)
-    come after the scores are freed, its seven planes of words (7/8 B,
-    and 56 B a batch at least, under the seeding's share) after the
-    pairs and bool plane.  That is the constant and model101 kernels'
-    peak, and the guessing kernel's, which holds a round-major pair copy
-    beside the pairs and its scores while it loops.  The quantum kernel
-    holds its uniforms (8 B a round), the pair words (1 B) and the pairs
-    while it draws, or the uniforms, pairs and scores while it scores;
-    the mixture its uniforms, its int64 assignment picks, the pairs and
-    the scores; the collective kernel an int64 copy of the pairs beside
-    the pairs and its scores.  The four int64 pair counts of the tiles
-    before, which every kernel receives (32 B a batch), are in the
-    tally's share.  The guessing kernel holds a pass's lanes and top
-    keys, ``_PASS_ROUNDS`` + 1 uint32 rows of each, and its shifts,
-    ``_PASS_ROUNDS`` rows; besides them, 96 B: its own int64 counts in a
-    tile longer than ``_LEAD`` rounds, and while it re-bases the leader's
-    count and its floor, the counts raised to the floor and their bytes.
-    Model101 counts its first rounds' pairs; the collective kernel takes
-    a sequence index.  The streams' share, by the lanes a stepped batch
-    keeps, is counted beside all of these.
+    Every tile holds its pair words, 1 B a round, while ``_word_counts``
+    counts its pairs (``_LANE_ROW_BYTES``) and the kernel scores it; that
+    is the constant kernel's peak.  Model101 counts its trigger tile's
+    head from a copy of its words (1 B a round) and matches it (32 B a
+    batch).  The guessing kernel builds its blocks' indices in a uint32
+    word a block before it keeps them in a byte a block (2.25 B a round
+    with the words), and then holds a segment's buffers, at most 640 B
+    a batch: its count planes (33 x 4 B), three byte planes (96 B), its
+    states (64 B), ``_GATHER_BLOCKS`` int64 indices and uint32 failures
+    (192 B), its failure counts, the exact counts and their re-basing
+    (about 170 B).  Its tables, about 850 KB a process, are outside the
+    budget.  The quantum kernel holds its uniforms (8 B a round), the pair
+    words and its score bytes; the mixture its uniforms, its int64
+    assignment picks, the pair words and pairs; the collective kernel an
+    int64 copy of its pairs beside the words and pairs.  The tally's
+    share holds the (B, 4) counts the engine keeps and hands on, and the
+    streams' share, by the lanes a stepped batch keeps, is counted beside
+    all of these.
     """
     m = _raw_words(rounds if n is None else n, kernel.coins, kernel.uniforms)[1]
     streams = 32 if m > _STEP_WORDS else _STATE_ROW_BYTES * _lane_width(m) + 16
-    tile = streams + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
+    tile = streams + _LANE_ROW_BYTES + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
     return _TALLY_ROW_BYTES + max(_SEED_ROW_BYTES, tile)
 
 
@@ -693,7 +858,8 @@ def _chunk_shape(n: int, kernel: _Kernel) -> tuple[int, int]:
     rows = _CHUNK_BYTES // _row_bytes(n, kernel)
     if rows:
         return rows, n
-    spare = _CHUNK_BYTES - _row_bytes(0, kernel, n)
+    # A lone batch's tile is read beside a ``random_raw`` piece of its words.
+    spare = _CHUNK_BYTES - _row_bytes(0, kernel, n) - 8 * _RAW_PIECE
     return 1, max(8, spare // (8 * kernel.round_bytes) * 8)
 
 
@@ -701,54 +867,17 @@ def _find_kernel(strategy):
     return _KERNELS.get(type(strategy))
 
 
-def _pair_counts(every, high, low, both, out: np.ndarray) -> np.ndarray:
-    """The four pairs' counts, written along the last axis of ``out``, from
-    the counts of all rounds and of those whose pair j has its high bit
-    (j & 2), its low bit (j & 1) and both, by inclusion and exclusion."""
-    np.subtract(low, both, out=out[..., 1])
-    np.subtract(high, both, out=out[..., 2])
-    out[..., 3] = both
-    np.add(out[..., 1], high, out=out[..., 0])
-    np.subtract(every, out[..., 0], out=out[..., 0])
-    return out
-
-
 def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, rounds: int) -> Tally:
     """The tally of batches lo..hi-1, summed over tiles of ``rounds`` rounds."""
-    for r0, pairs, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
+    for r0, words, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
         if r0 == 0:  # once the seeding's peak is over
-            counts = np.zeros((2, 4, hi - lo), dtype=np.int64)  # rounds, scored ones: all, H, L, H & L
-            # The pair counts before each tile, refilled in place, a contiguous column a pair.
-            before = np.empty((4, hi - lo), dtype=np.int64).T
-        scores = kernel.score(scorer, pairs, uniforms, r0, _pair_counts(r0, *counts[0, 1:], before))
-        del uniforms  # the tally needs only pairs and scores
-        # Bit planes, eight rounds a byte, of the score S and a pair's high
-        # and low bits H and L, packed whole from a bool plane with rows
-        # zero-padded to whole bytes (packbits loops over rows), then to words.
-        width = -(-pairs.shape[1] // 8)  # bytes of a packed row
-        words = -(-width // 8)  # uint64 words of a padded row
-        padded = np.zeros((hi - lo, 8 * width), dtype=bool)
-        bits = padded[:, : pairs.shape[1]]
-        bits[...] = scores
-        del scores
-        rows = np.zeros((3, hi - lo, 8 * words), dtype=np.uint8)  # scored, high, low
-        for k, mask in enumerate((0, 2, 1)):  # no view of the rows outlives the tile
-            if mask:  # a pair's high bit, then its low bit
-                np.bitwise_and(pairs, mask, out=bits, casting="unsafe")
-            rows[k, :, :width] = np.packbits(padded).reshape(hi - lo, width)
-        del pairs, padded, bits
-        # Seven planes laid out plane, word, batch: H, L, H & L, S, S & H,
-        # S & L and S & H & L.  One popcount of them all is summed along the
-        # words, a row of every batch at a time, or a lone batch's whole row.
-        planes = np.empty((7, words, hi - lo), dtype=np.uint64)
-        planes[[3, 0, 1]] = rows.view(np.uint64).transpose(0, 2, 1)
-        del rows
-        np.bitwise_and(planes[0], planes[1], out=planes[2])
-        np.bitwise_and(planes[3], planes[:3], out=planes[4:])
-        counts.reshape(8, hi - lo)[1:] += np.bitwise_count(planes).sum(axis=1, dtype=np.int64)
-        del planes
-    counts[0, 0] = n
-    pair_counts, score_counts = _pair_counts(*counts.transpose(1, 0, 2), np.empty((2, hi - lo, 4), dtype=np.int64))
+            score_counts = np.zeros((hi - lo, 4), dtype=np.int64)
+            pair_counts = np.zeros((hi - lo, 4), dtype=np.int64)  # of the tiles before: what a kernel is handed
+        width = min(rounds, n - r0)
+        tile = _word_counts(words, width)
+        score_counts += kernel.score(scorer, words, width, uniforms, r0, pair_counts, tile)
+        pair_counts += tile
+        del words, uniforms  # freed before the next tile is drawn
     return Tally(lo, score_counts, pair_counts)
 
 

@@ -2,8 +2,9 @@
 
 ``simulate`` picks the engine by strategy type alone, so a strategy that
 has a kernel never reaches the round-by-round engine through it; this
-helper runs that engine on a plan directly.  The kernels' side has one
-helper too: a kernel scoring whole batches, from their first round on.
+helper runs that engine on a plan directly.  The kernels' side has
+helpers too: a matrix of pairs laid out as the stream's words, and a
+kernel counting the scores of whole batches, from their first round on.
 """
 
 import numpy as np
@@ -18,7 +19,23 @@ def general_batch_counts(plan):
     return [montecarlo.BatchCounts(b, tuple(scores), tuple(totals)) for b, (scores, totals) in enumerate(counts)]
 
 
-def whole_run_scores(score, scorer, pairs, uniforms=None):
-    """A kernel's round scores of whole batches, one row of ``pairs`` each:
+def pair_words(pairs):
+    """The uint64 words that hold a (batches, rounds) matrix of pair indices
+    as the stream lays them out: round i of a word's eight in the top two
+    bits of its byte i, little-endian, and the bytes past the last round zero."""
+    batches, rounds = pairs.shape
+    data = np.zeros((batches, 8 * -(-rounds // 8)), dtype=np.uint8)
+    data[:, :rounds] = pairs << 6
+    return data.view("<u8").astype(np.uint64)
+
+
+def bincounts(pairs):
+    """Each row's count of every pair, one (batches, 4) int64 row per batch."""
+    return np.array([np.bincount(row, minlength=4) for row in pairs], dtype=np.int64).reshape(len(pairs), 4)
+
+
+def whole_run_counts(score, scorer, pairs, uniforms=None):
+    """A kernel's score counts of whole batches, one row of ``pairs`` each:
     a tile from round 0, handed zero pair counts for the rounds before it."""
-    return score(scorer, pairs, uniforms, 0, np.zeros((len(pairs), 4), dtype=np.int64))
+    zeros = np.zeros((len(pairs), 4), dtype=np.int64)
+    return score(scorer, pair_words(pairs), pairs.shape[1], uniforms, 0, zeros, bincounts(pairs))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from general_engine import general_batch_counts, whole_run_scores
+from general_engine import general_batch_counts, whole_run_counts
 from guessing_last_tie import GuessingLastTie
 from chshsim import enumerator, montecarlo
 from chshsim.bounds import x_mean_bound
@@ -482,10 +482,12 @@ def test_collective_scores_rows_follow_product_order():
 def test_collective_kernel_indexes_the_table_by_base_4_sequence():
     strategy = ThreeRoundCollective()
     pairs = np.array(list(itertools.product(range(4), repeat=3))[::-1], dtype=np.uint8)
-    scores = whole_run_scores(montecarlo._kernel_collective, collective_scores(strategy, 3), pairs)
-    for row, seq in zip(scores.tolist(), pairs.tolist()):
-        rounds = collective_playout(strategy, [ALL_PAIRS[i] for i in seq]).rounds
-        assert row == [bool(oracles.score(r.pair.index, r.a, r.b)) for r in rounds]
+    counts = whole_run_counts(montecarlo._kernel_collective, collective_scores(strategy, 3), pairs)
+    for row, seq in zip(counts.tolist(), pairs.tolist()):
+        scored = [0] * 4
+        for r in collective_playout(strategy, [ALL_PAIRS[i] for i in seq]).rounds:
+            scored[r.pair.index] += oracles.score(r.pair.index, r.a, r.b)
+        assert row == scored
 
 
 def test_collective_kernel_matches_general_engine_at_three_rounds(monkeypatch):

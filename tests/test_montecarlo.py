@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as hs
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from general_engine import general_batch_counts, whole_run_scores
+from general_engine import bincounts, general_batch_counts, pair_words, whole_run_counts
 from guessing_last_tie import GuessingLastTie
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
@@ -163,7 +163,8 @@ def chunk_draws(seed, lo, hi, n, coins=False, uniforms=False, rounds=None):
     rounds (whole batches by default) joined along the rounds."""
     tiles = list(_tile_draws(seed, lo, hi, n, rounds or n, coins, uniforms))
     assert [r0 for r0, _, _ in tiles] == list(range(0, n, rounds or n))
-    pairs = np.concatenate([pairs for _, pairs, _ in tiles], axis=1)
+    widths = [min(rounds or n, n - r0) for r0, _, _ in tiles]
+    pairs = np.concatenate([montecarlo._pairs(words, w) for (_, words, _), w in zip(tiles, widths)], axis=1)
     return pairs, np.concatenate([tape for _, _, tape in tiles], axis=1) if uniforms else None
 
 
@@ -259,9 +260,9 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, til
     tile_draws = montecarlo._tile_draws
 
     def recording_draws(seed, lo, hi, n, rounds, *args):
-        for r0, pairs, uniforms in tile_draws(seed, lo, hi, n, rounds, *args):
-            tiles.append((lo, hi, r0, r0 + pairs.shape[1]))
-            yield r0, pairs, uniforms
+        for r0, words, uniforms in tile_draws(seed, lo, hi, n, rounds, *args):
+            tiles.append((lo, hi, r0, r0 // 8 + words.shape[1]))
+            yield r0, words, uniforms
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_TILE_ROUNDS", tile)
@@ -269,7 +270,7 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, til
         mp.setattr(montecarlo, "_tile_draws", recording_draws)
         fast = list(iter_batch_counts(plan))
     assert tiles == [
-        (lo, min(lo + rows, batches), r0, min(r0 + rounds, n))
+        (lo, min(lo + rows, batches), r0, -(-min(r0 + rounds, n) // 8))
         for lo in range(0, batches, rows)
         for r0 in range(0, n, rounds)
     ]
@@ -383,8 +384,8 @@ def test_tiles_shorter_than_n_must_hold_whole_words_of_pairs(n, rounds):
     with pytest.raises(ValueError, match="multiple of 8 rounds"):
         next(_tile_draws(5, 0, 2, n, rounds))
     for whole in (n, n + 3):
-        ((r0, pairs, _),) = _tile_draws(5, 0, 2, n, whole)
-        assert r0 == 0 and pairs.shape == (2, n)
+        ((r0, words, _),) = _tile_draws(5, 0, 2, n, whole)
+        assert r0 == 0 and words.shape == (2, -(-n // 8))
 
 
 @pytest.mark.parametrize("coins, uniforms", list(itertools.product((False, True), repeat=2)))
@@ -411,14 +412,17 @@ TALLY_NS = (1, 7, 8, 9, 63, 64, 65, 1000, 1025, 1031)
 
 
 def kernel_tally_of_scores(monkeypatch, n, seed, scores):
-    """The kernel path's one-chunk tally when its scores are ``scores``,
-    and the batches' pairs from numpy's own per-batch Generators."""
+    """The kernel path's one-chunk tally when its round scores are
+    ``scores``, counted as the kernels that score round by round count
+    them, and the batches' pairs from numpy's own per-batch Generators."""
     kernel = montecarlo._KERNELS[ConstantPlus]
     _, rounds = _chunk_shape(n, kernel)
 
-    def fixed_scores(scorer, pairs, uniforms, r0, counts):
-        assert pairs.shape == (len(scores), min(n - r0, rounds))
-        return scores[:, r0 : r0 + pairs.shape[1]].copy()
+    def fixed_scores(scorer, words, width, uniforms, r0, counts, tile):
+        assert width == min(n - r0, rounds) and words.shape == (len(scores), -(-width // 8))
+        scored = montecarlo._score_bytes(words)
+        scored[:, :width] = scores[:, r0 : r0 + width]
+        return montecarlo._word_counts(words, scored)
 
     monkeypatch.setitem(montecarlo._KERNELS, ConstantPlus, kernel._replace(score=fixed_scores))
     plan = SimulationPlan(factory=constant_plus, n=n, batches=len(scores), seed=seed)
@@ -427,18 +431,16 @@ def kernel_tally_of_scores(monkeypatch, n, seed, scores):
     return tally, pairs
 
 
-def bincounts(pairs):
-    """Each row's count of every pair, one (batches, 4) int64 row per batch."""
-    return np.array([np.bincount(row, minlength=4) for row in pairs], dtype=np.int64)
+def tallied(pairs, scores):
+    """Each row's count of its scored rounds on every pair, from round scores."""
+    return np.array([np.bincount(row[hit], minlength=4) for row, hit in zip(pairs, scores)], dtype=np.int64)
 
 
 def assert_tally_equals_bincounts(tally, pairs, scores):
     n = pairs.shape[1]
-    pair_counts = bincounts(pairs)
-    score_counts = np.array([np.bincount(row[hit], minlength=4) for row, hit in zip(pairs, scores)])
     assert tally.first == 0
-    assert np.array_equal(tally.pair_counts, pair_counts)
-    assert np.array_equal(tally.score_counts, score_counts)
+    assert np.array_equal(tally.pair_counts, bincounts(pairs))
+    assert np.array_equal(tally.score_counts, tallied(pairs, scores))
     assert (tally.pair_counts.sum(axis=1) == n).all()
     assert (tally.score_counts <= tally.pair_counts).all()
 
@@ -468,11 +470,14 @@ def test_kernel_tally_of_drawn_scores_equals_bincounts(n, batches, seed, data):
 @pytest.mark.parametrize("fill", [True, False, None])
 def test_kernel_tally_of_one_native_batch_in_tiles_equals_bincounts(fill, monkeypatch):
     # A budget that holds no whole batch: the batch runs alone, on native
-    # streams, in tiles of 1000 rounds, not a multiple of 64, the last of 321.
+    # streams, in tiles of 1000 rounds, not a multiple of 64, the last of 321,
+    # each read beside a piece of at most 5 raw words.
     n = 4321
     kernel = montecarlo._KERNELS[ConstantPlus]
     assert montecarlo._raw_words(n, False, False)[1] > montecarlo._STEP_WORDS
-    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _row_bytes(0, kernel) + 3000)
+    monkeypatch.setattr(montecarlo, "_RAW_PIECE", 5)
+    spare = 8 * montecarlo._RAW_PIECE + 1000 * kernel.round_bytes
+    monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _row_bytes(0, kernel, n) + spare)
     assert _chunk_shape(n, kernel) == (1, 1000)
     scores = np.random.default_rng(3).random((1, n)) < 0.75 if fill is None else np.full((1, n), fill)
     tally, pairs = kernel_tally_of_scores(monkeypatch, n, 2 ** 80 + 5, scores)
@@ -530,25 +535,38 @@ def test_kernel_matches_general_engine_past_trigger_length():
     assert list(iter_batch_counts(plan)) == general_batch_counts(plan)
 
 
+def playout_scores(strategy, pairs):
+    """Round scores of each row of a pair matrix, played by the general engine."""
+    plays = [playout(strategy, [ALL_PAIRS[i] for i in row]).rounds for row in pairs.tolist()]
+    return np.array([[bool(round_score(r)) for r in rounds] for rounds in plays], dtype=bool).reshape(pairs.shape)
+
+
+def kernel_counts(score, scorer, pairs, r0, before):
+    """A kernel's score counts of a tile of ``pairs`` from round ``r0``,
+    handed the pair counts ``before`` of the rounds before it."""
+    return score(scorer, pair_words(pairs), pairs.shape[1], None, r0, before, bincounts(pairs))
+
+
 def test_model101_kernel_on_crafted_trigger_history():
     trigger = [0] * 33 + [1] * 33 + [2] * 33 + [3]
     rows = np.array(
         [trigger + [3], trigger + [1], [0] * 101], dtype=np.uint8
     )
-    scores = whole_run_scores(_kernel_model101, Model101(), rows.copy())
-    for row, pairs in zip(scores, rows):
-        t = playout(Model101(), [ALL_PAIRS[i] for i in pairs])
-        assert row.tolist() == [bool(round_score(r)) for r in t.rounds]
+    scores = playout_scores(Model101(), rows)
+    counts = whole_run_counts(_kernel_model101, Model101(), rows)
+    assert np.array_equal(counts, tallied(rows, scores))
     # Triggered batch scores the (A2,B2) finale but not an (A1,B2) finale.
     assert scores[0][100]
     assert not scores[1][100]
+    constant = whole_run_counts(montecarlo._kernel_constant, ConstantPlus(), rows)
+    assert (counts - constant).tolist() == [[0, 0, 0, 1], [0, -1, 0, 0], [0, 0, 0, 0]]
     # The same rows in two tiles, the first ending inside the counted
     # rounds, on the trigger round or after it; the second gets the pair
     # counts of the first.
     for split in (8, 40, 99, 100, 101):
-        first = whole_run_scores(_kernel_model101, Model101(), rows[:, :split].copy())
-        second = _kernel_model101(Model101(), rows[:, split:].copy(), None, split, bincounts(rows[:, :split]))
-        assert np.array_equal(np.concatenate([first, second], axis=1), scores), split
+        first = whole_run_counts(_kernel_model101, Model101(), rows[:, :split])
+        second = kernel_counts(_kernel_model101, Model101(), rows[:, split:], split, bincounts(rows[:, :split]))
+        assert np.array_equal(first + second, counts), split
 
 
 #: A history that triggers model101 on its round 101: 33 rounds on each
@@ -566,7 +584,8 @@ TRIGGER_HISTORY = [0] * 33 + [1] * 33 + [2] * 33 + [3]
 )
 def test_tile_scored_from_prefix_counts_equals_whole_run(name, alphabet, prefix, shape, data):
     # A tile T scored with the pair counts of the rounds P before it
-    # gives the last |T| columns of P + T scored whole.  Rows may open
+    # counts the scores of the last |T| rounds of P + T played whole by
+    # the oracle (guessing) or the general engine (model101).  Rows may open
     # with a shuffled trigger history and a round 101 on (A1,B2) or
     # (A2,B2), where model101's rule and the constant assignment differ,
     # or with a run of one pair over the prefix and at least 128 rounds,
@@ -589,9 +608,9 @@ def test_tile_scored_from_prefix_counts_equals_whole_run(name, alphabet, prefix,
         rows.append((head + tail)[:n])
     pairs = np.array(rows, dtype=np.uint8)
     score = _find_kernel(FACTORIES[name]()).score
-    whole = whole_run_scores(score, None, pairs.copy())
-    counts = bincounts(pairs[:, :prefix])
-    assert np.array_equal(score(None, pairs[:, prefix:].copy(), None, prefix, counts), whole[:, prefix:])
+    whole = _guessing_oracle_scores(pairs) if name == "guessing" else playout_scores(Model101(), pairs)
+    counts = kernel_counts(score, None, pairs[:, prefix:], prefix, bincounts(pairs[:, :prefix]))
+    assert np.array_equal(counts, tallied(pairs[:, prefix:], whole[:, prefix:]))
 
 
 def test_engine_hands_model101_the_pair_counts_of_earlier_tiles(monkeypatch):
@@ -603,11 +622,11 @@ def test_engine_hands_model101_the_pair_counts_of_earlier_tiles(monkeypatch):
 
     def crafted_draws(seed, lo, hi, n, rounds, *args):
         for r0 in range(0, n, rounds):
-            yield r0, rows[lo:hi, r0 : r0 + rounds].copy(), None
+            yield r0, pair_words(rows[lo:hi, r0 : r0 + rounds]), None
 
     monkeypatch.setattr(montecarlo, "_tile_draws", crafted_draws)
     tally = montecarlo._kernel_tally(montecarlo._KERNELS[Model101], Model101(), 120, 0, 0, 3, 8)
-    scores = whole_run_scores(_kernel_model101, Model101(), rows.copy())
+    scores = playout_scores(Model101(), rows)
     assert scores[:, 100].tolist() == [True, False, True]  # the first two triggered
     assert_tally_equals_bincounts(tally, rows, scores)
 
@@ -630,23 +649,25 @@ KERNEL_STRATEGIES = {
 @pytest.mark.parametrize("kind", montecarlo._KERNELS, ids=lambda kind: kind.__name__)
 def test_engine_hands_every_kernel_the_pair_counts_of_earlier_tiles(kind, batches):
     # Every call of every kernel, in 16-round tiles, receives the (B, 4)
-    # int64 counts of its batches' pairs in the rounds before its tile:
-    # zeros on the first tile.
+    # int64 counts of its batches' pairs in the rounds before its tile,
+    # zeros on the first tile, and those of the tile's own rounds.
     strategy, n = KERNEL_STRATEGIES[kind]
     kernel = _find_kernel(strategy)
     scorer = strategy if kernel.prepare is None else kernel.prepare(strategy, n)
     calls = []
 
-    def spy(scorer, pairs, uniforms, r0, counts):
-        calls.append((r0, pairs.copy(), counts.copy()))
-        return kernel.score(scorer, pairs, uniforms, r0, counts)
+    def spy(scorer, words, width, uniforms, r0, counts, tile):
+        calls.append((r0, montecarlo._pairs(words, width), counts.copy(), tile.copy()))
+        return kernel.score(scorer, words, width, uniforms, r0, counts, tile)
 
     montecarlo._kernel_tally(kernel._replace(score=spy), scorer, n, 2 ** 70 + 9, 0, batches, 16)
-    assert [r0 for r0, _, _ in calls] == list(range(0, n, 16))
-    pairs = np.concatenate([tile for _, tile, _ in calls], axis=1)
-    for r0, _, counts in calls:
-        assert counts.shape == (batches, 4) and counts.dtype == np.int64
+    assert [r0 for r0, *_ in calls] == list(range(0, n, 16))
+    pairs = np.concatenate([tile for _, tile, _, _ in calls], axis=1)
+    for r0, tile, counts, own in calls:
+        for handed in (counts, own):
+            assert handed.shape == (batches, 4) and handed.dtype == np.int64
         assert np.array_equal(counts, bincounts(pairs[:, :r0])), r0
+        assert np.array_equal(own, bincounts(tile)), r0
 
 
 def _guessing_oracle_scores(pairs):
@@ -684,7 +705,8 @@ TIE_HEAVY = {
 @pytest.mark.parametrize("rows", TIE_HEAVY.values(), ids=TIE_HEAVY.keys())
 def test_guessing_kernel_on_tie_heavy_histories_matches_oracle(rows):
     pairs = np.array(rows, dtype=np.uint8)
-    assert np.array_equal(whole_run_scores(_kernel_guessing, None, pairs.copy()), _guessing_oracle_scores(pairs))
+    want = tallied(pairs, _guessing_oracle_scores(pairs))
+    assert np.array_equal(whole_run_counts(_kernel_guessing, None, pairs), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -697,21 +719,95 @@ def test_guessing_kernel_on_drawn_histories_matches_oracle(alphabet, shape, data
     batches, n = shape
     picks = hs.lists(hs.sampled_from(alphabet), min_size=n, max_size=n)
     pairs = np.array(data.draw(hs.lists(picks, min_size=batches, max_size=batches)), dtype=np.uint8)
-    assert np.array_equal(whole_run_scores(_kernel_guessing, None, pairs.copy()), _guessing_oracle_scores(pairs))
+    want = tallied(pairs, _guessing_oracle_scores(pairs))
+    assert np.array_equal(whole_run_counts(_kernel_guessing, None, pairs), want)
 
 
 @pytest.mark.parametrize("shift", [0, 2 ** 26, 2 ** 29 - 3, 2 ** 40])
 def test_guessing_kernel_scores_depend_only_on_count_differences(shift):
     # Adding the same count to every pair keeps each batch's target.  The
     # kernel re-bases each batch's counts on its leader's, so no count,
-    # however large, reaches the uint32 lanes or keys: kept whole, a count
-    # of 2^29 - 3 would wrap a key 32 count + 24 - 8j, and 2^40 an int32.
+    # however large, reaches its byte planes: kept whole, a count of
+    # 2^29 - 3 would wrap a uint32 32 count + 24, and 2^40 an int32.
     rng = np.random.default_rng(43)
     pairs = rng.integers(0, 4, (6, 50), dtype=np.uint8)
     counts = rng.integers(0, 5, (6, 4))
-    want = _kernel_guessing(None, pairs.copy(), None, int(counts.sum(axis=1).max()), counts)
-    got = _kernel_guessing(None, pairs.copy(), None, int(counts.sum(axis=1).max()) + 4 * shift, counts + shift)
+    want = kernel_counts(_kernel_guessing, None, pairs, int(counts.sum(axis=1).max()), counts)
+    got = kernel_counts(_kernel_guessing, None, pairs, int(counts.sum(axis=1).max()) + 4 * shift, counts + shift)
     assert np.array_equal(got, want)
+
+
+def block_failures(counts, pairs):
+    """Per-pair failures of rounds of ``pairs`` (one row of rounds each)
+    from pair counts ``counts``, by the most-measured rule played round by
+    round: a round fails when its pair is the first of the most measured."""
+    counts = counts.copy()
+    failures = np.zeros_like(counts)
+    rows = np.arange(len(counts))
+    for column in pairs.T:
+        failures[rows, column] += column == counts.argmax(axis=1)
+        counts[rows, column] += 1
+    return failures
+
+
+def test_guessing_tables_hold_the_per_round_rule_at_every_entry():
+    # Entry state 4^L + pairs of F[L]: a state's gaps to the leader, each
+    # capped at 4, in base 5 (pair j's the digit of 5^j); the pairs in
+    # base 4, the first round's the highest digit; the failures of pair j
+    # in byte j of a little-endian uint32.  Every entry equals the rule
+    # from counts 4 - gap; where a gap is 0, so that some pair leads, a
+    # capped gap gives the same however far behind it is.
+    tables = montecarlo._guessing_tables()
+    for rounds in range(1, 5):
+        table = tables[rounds]
+        assert table.shape == (625 * 4 ** rounds,)
+        state, sequence = np.divmod(np.arange(len(table)), 4 ** rounds)
+        gaps = state[:, None] // 5 ** np.arange(4) % 5
+        pairs = sequence[:, None] // 4 ** np.arange(rounds)[::-1] % 4
+        got = table.astype("<u4").view(np.uint8).reshape(-1, 4)
+        assert np.array_equal(got, block_failures(4 - gaps, pairs)), rounds
+        leads = (gaps == 0).any(axis=1)
+        for deeper in (1, 3, 60):
+            counts = 100 - np.where(gaps == 4, 4 + deeper, gaps)
+            assert np.array_equal(got[leads], block_failures(counts, pairs)[leads]), (rounds, deeper)
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), *range(127, 132), 1021, 1025])
+@pytest.mark.parametrize("name", ["constant-plus", "guessing", "model101"])
+def test_count_kernels_match_general_engine_whole_and_in_tiles(name, n, monkeypatch):
+    # Whole tiles, then stepped streams in 8-round tiles of 2-batch chunks
+    # and native ones (n = 1025) a batch alone, in tiles of 200 rounds.
+    factory = FACTORIES[name]
+    kernel = _find_kernel(factory())
+    plan = SimulationPlan(factory=factory, n=n, batches=5, seed=2 ** 70 + 3, strategy_name=name)
+    want = general_batch_counts(plan)
+    assert list(iter_batch_counts(plan)) == want
+    if montecarlo._raw_words(n, False, False)[1] > montecarlo._STEP_WORDS:
+        monkeypatch.setattr(montecarlo, "_RAW_PIECE", 5)
+        spare = 8 * montecarlo._RAW_PIECE + 200 * kernel.round_bytes
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", _row_bytes(0, kernel, n) + spare)
+        assert _chunk_shape(n, kernel) == (1, 200)
+    else:
+        monkeypatch.setattr(montecarlo, "_TILE_ROUNDS", 8)
+        monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 2 * _row_bytes(min(n, 8), kernel, n))
+        assert _chunk_shape(n, kernel) == (2, min(n, 8))
+    assert list(iter_batch_counts(plan)) == want
+
+
+@pytest.mark.parametrize("rounds", [1, 7, 8, 9, 248, 255, 256, 257, 300])
+def test_word_counts_equal_bincounts(rounds):
+    # Runs of one pair, longest at 300 rounds, fill every byte lane of 31
+    # and more words; drawn rows and random score bytes count alike.
+    rng = np.random.default_rng(rounds)
+    pairs = np.concatenate([np.full((4, rounds), np.arange(4)[:, None]), rng.integers(0, 4, (3, rounds))])
+    pairs = pairs.astype(np.uint8)
+    words = pair_words(pairs)
+    assert np.array_equal(montecarlo._word_counts(words, rounds), bincounts(pairs))
+    scores = rng.random(pairs.shape) < 0.5
+    scores[0] = scores[-1] = True
+    scored = montecarlo._score_bytes(words)
+    scored[:, :rounds] = scores
+    assert np.array_equal(montecarlo._word_counts(words, scored), tallied(pairs, scores))
 
 
 def test_guessing_custom_tie_break_uses_general_path():

@@ -57,6 +57,8 @@ WIN_RULE_ORACLE = "tests/test_stats.py::test_every_reader_of_the_win_rule_agrees
 STREAM_TEST = "tests/test_stream.py::test_stream_draws_what_numpy_draws"
 REPLAY_TEST = "tests/test_montecarlo.py::test_run_batch_equals_a_replay_on_numpy_generators"
 EVERY_KERNEL_HANDED = "tests/test_montecarlo.py::test_engine_hands_every_kernel_the_pair_counts_of_earlier_tiles"
+GUESSING_TABLES = "tests/test_montecarlo.py::test_guessing_tables_hold_the_per_round_rule_at_every_entry"
+COUNT_KERNELS = "tests/test_montecarlo.py::test_count_kernels_match_general_engine_whole_and_in_tiles"
 
 
 def record(kind: str) -> str:
@@ -214,8 +216,8 @@ MUTANTS = (
     Mutant(
         "counts-withheld-after-the-first-tile",
         "montecarlo.py",
-        "uniforms, r0, _pair_counts(r0, *counts[0, 1:], before))",
-        "uniforms, r0, np.zeros((hi - lo, 4), dtype=np.int64))",
+        "uniforms, r0, pair_counts, tile)",
+        "uniforms, r0, np.zeros_like(pair_counts), tile)",
         (
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
             "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
@@ -225,25 +227,26 @@ MUTANTS = (
     Mutant(
         "first-tile-handed-the-unfilled-buffer",
         "montecarlo.py",
-        "_pair_counts(r0, *counts[0, 1:], before))",
-        "_pair_counts(r0, *counts[0, 1:], before) if r0 else before)",
-        (EVERY_KERNEL_HANDED,),
+        "pair_counts = np.zeros((hi - lo, 4), dtype=np.int64)",
+        "pair_counts = np.empty((hi - lo, 4), dtype=np.int64)",
+        (EVERY_KERNEL_HANDED, "tests/test_montecarlo.py::test_kernel_matches_general_engine"),
     ),
     Mutant(
         "model101-in-tile-head-dropped",
         "montecarlo.py",
-        "tallied = [(pairs[:, :k] == j).sum(axis=1)",
-        "tallied = [(pairs[:, :0] == j).sum(axis=1)",
+        "(counts + head == MODEL_101_TRIGGER_COUNTS)",
+        "(counts == MODEL_101_TRIGGER_COUNTS)",
         (
             "tests/test_montecarlo.py::test_model101_kernel_on_crafted_trigger_history",
             "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
         ),
     ),
+    # Guessing's blocks: count planes, gap states and the tables.
     Mutant(
         "guessing-prefix-count-read-one-round-late",
         "montecarlo.py",
-        "keys = np.right_shift(lanes[:k], shift, out=lanes[:k])",
-        "keys = np.right_shift(lanes[1 : k + 1], shift, out=lanes[:k])",
+        "starts = planes[:k]",
+        "starts = planes[1 : k + 1]",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_drawn_histories_matches_oracle",
             "tests/test_montecarlo.py::test_kernel_matches_general_engine",
@@ -252,8 +255,8 @@ MUTANTS = (
     Mutant(
         "guessing-lanes-capped-127-behind",
         "montecarlo.py",
-        "np.maximum(counts.T, floor)",
-        "np.maximum(counts.T, floor + 1)",
+        "        floor -= _LEAD\n",
+        "        floor -= _LEAD - 1\n",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
             "tests/test_montecarlo.py::test_tile_scored_from_prefix_counts_equals_whole_run",
@@ -262,32 +265,59 @@ MUTANTS = (
     Mutant(
         "guessing-counts-not-carried-past-a-block",
         "montecarlo.py",
-        "if b0 + _LEAD < width:",
-        "if b0 + _LEAD < 0:",
+        "if b0 + k < blocks:",
+        "if b0 + k < 0:",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
             "tests/test_montecarlo.py::test_tile_scored_from_prefix_counts_equals_whole_run",
         ),
     ),
     Mutant(
-        "guessing-rebased-tie-break-reversed",
+        "guessing-table-tie-break-to-the-last-leader",
         "montecarlo.py",
-        "np.negative(leaders, out=top)\n    top &= leaders\n",
-        "np.left_shift(1, np.log2(leaders).astype(np.uint32), out=top)\n",
+        "first = gaps.argmin(axis=1)",
+        "first = 3 - gaps[:, ::-1].argmin(axis=1)",
         (
+            GUESSING_TABLES,
             "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
-            "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
         ),
     ),
     Mutant(
-        "guessing-leader-bit-read-at-bit-6",
+        "guessing-leader-plane-misses-pair-3",
         "montecarlo.py",
-        "leaders = np.bitwise_and(lanes, 0x80808080)",
-        "leaders = np.bitwise_and(lanes, 0x40404040)",
+        "np.maximum(top[:k], starts[:, 3], out=top[:k])",
+        "np.maximum(top[:k], starts[:, 2], out=top[:k])",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
             "tests/test_montecarlo.py::test_kernel_matches_general_engine",
         ),
+    ),
+    Mutant(
+        "guessing-gap-capped-at-3",
+        "montecarlo.py",
+        "caps = np.full(n_batches, _GAP_CAP, dtype=np.uint8)",
+        "caps = np.full(n_batches, _GAP_CAP - 1, dtype=np.uint8)",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
+            "tests/test_montecarlo.py::test_kernel_matches_general_engine",
+        ),
+    ),
+    Mutant(
+        "guessing-round-1-correction-dropped",
+        "montecarlo.py",
+        "    if r0 == 0:\n        first = ",
+        "    if r0 < 0:\n        first = ",
+        (
+            "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
+            COUNT_KERNELS,
+        ),
+    ),
+    Mutant(
+        "guessing-partial-block-read-through-f4",
+        "montecarlo.py",
+        "full = k - (b0 + k == blocks and width % 4 > 0)",
+        "full = k",
+        (COUNT_KERNELS, "tests/test_montecarlo.py::test_guessing_kernel_on_drawn_histories_matches_oracle"),
     ),
     Mutant(
         "pair-counts-high-and-low-swapped",
@@ -303,12 +333,26 @@ MUTANTS = (
         "def batch_x_of(record: BatchCounts)",
         ("tests/test_bench_boundaries.py",),
     ),
-    # The tile tally's bit planes.
+    # The tile tally's words: pair bytes, score bytes and their byte lanes.
+    Mutant(
+        "tail-bytes-of-a-partial-word-left-unmasked",
+        "montecarlo.py",
+        "    if count % 8:\n        words[:, -1] &=",
+        "    if count % 8 < 0:\n        words[:, -1] &=",
+        (COUNT_KERNELS, "tests/test_montecarlo.py::test_kernel_matches_general_engine"),
+    ),
+    Mutant(
+        "word-lanes-summed-over-32-words",
+        "montecarlo.py",
+        "_LANE_WORDS = 31",
+        "_LANE_WORDS = 32",
+        ("tests/test_montecarlo.py::test_word_counts_equal_bincounts",),
+    ),
     Mutant(
         "score-padding-left-uninitialised",
         "montecarlo.py",
-        "padded = np.zeros((hi - lo, 8 * width), dtype=bool)",
-        "padded = np.empty((hi - lo, 8 * width), dtype=bool)",
+        "return np.zeros((len(words), 8 * words.shape[1]), dtype=np.uint8)",
+        "return np.empty((len(words), 8 * words.shape[1]), dtype=np.uint8)",
         (
             "tests/test_montecarlo.py::test_kernel_matches_general_engine",
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
@@ -317,15 +361,15 @@ MUTANTS = (
     Mutant(
         "high-and-low-masks-swapped",
         "montecarlo.py",
-        "for k, mask in enumerate((0, 2, 1)):",
-        "for k, mask in enumerate((0, 1, 2)):",
+        "np.right_shift(part, 7, out=high)\n        high &= mask\n        np.right_shift(part, 6, out=low)",
+        "np.right_shift(part, 6, out=high)\n        high &= mask\n        np.right_shift(part, 7, out=low)",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
     ),
     Mutant(
         "all-scores-plane-zeroed",
         "montecarlo.py",
-        "        del rows\n",
-        "        del rows\n        planes[3] = 0\n",
+        "sums[3] += _byte_sums(mask)",
+        "sums[3] += 0 * _byte_sums(mask)",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
     ),
     # The tape base of the memoryless stochastic strategies.
