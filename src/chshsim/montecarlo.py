@@ -26,15 +26,15 @@ working arrays are bounded by the tile, not by n.  One function reads
 every tile's words by their positions: it steps a batch that needs at
 most ``_STEP_WORDS`` raw words in numpy, eight words of every batch a
 call, and draws a longer stream natively, from each batch's seed state
-advanced to the tile's words.  The engine counts each tile's (B, 4)
-pair counts once, straight from its pair words, and every kernel
-returns the tile's (B, 4) score counts: the chunk's tally is the sum of
-its tiles'.  The engine owns what a tile needs of the rounds before it:
-the stepped streams' lanes, and the running pair counts that it hands
-to every kernel; kernels keep nothing.  Stepped chunks run tiles of
-``_TILE_ROUNDS`` rounds, native ones whole batches, or one batch alone
-in tiles when it does not fit the budget.  The draws are bit-identical
-to the per-batch ``Stream`` the general engine draws from.
+advanced to the tile's words.  Every kernel returns the tile's (B, 4)
+score counts and its (B, 4) pair counts, which it counts once: the
+chunk's tally is the sum of its tiles'.  The engine owns what a tile
+needs of the rounds before it: the stepped streams' lanes, and the
+running pair counts that it hands to every kernel; kernels keep
+nothing.  Stepped chunks run tiles of ``_TILE_ROUNDS`` rounds, native
+ones whole batches, or one batch alone in tiles when it does not fit
+the budget.  The draws are bit-identical to the per-batch ``Stream``
+the general engine draws from.
 
 This is the package's numpy layer, the only module that imports numpy
 when it loads; of numpy's generators it uses only the PCG64 bit
@@ -451,14 +451,14 @@ def _tile_draws(seed: int, lo: int, hi: int, n: int, rounds: int, coins: bool = 
 
 # --- vectorized scoring kernels -------------------------------------------
 #
-# A kernel maps a tile to its (batches, 4) int64 score counts: each
-# batch's rounds of the tile on each pair that met their target.  It
-# receives the strategy, or what its ``prepare`` built from the strategy
-# and n once per plan; the tile's pair words (see ``_tile_draws``) and
-# its width in rounds; the uniforms its strategy draws (as 53-bit
-# integers); the tile's first round r0; and two (batches, 4) int64
-# arrays of pair counts, of the rounds before the tile (zeros when r0 is
-# 0) and of the tile's own, which the engine counts once from the words.
+# A kernel is called as score(scorer, words, width, uniforms, r0, counts)
+# and returns a tile's (batches, 4) int64 score counts, each batch's
+# rounds on each pair that met their target, and its pair counts, which
+# it counts once.  It receives the strategy, or what its ``prepare``
+# built from the strategy and n once per plan; the tile's pair words
+# (see ``_tile_draws``) and its width in rounds; the uniforms its
+# strategy draws (as 53-bit integers); the tile's first round r0; and
+# the pair counts of the rounds before the tile (zeros when r0 is 0).
 # It keeps nothing between tiles.  Kernels are registered per concrete
 # strategy type and must reproduce the general engine's counts exactly;
 # the test suite asserts this equivalence.
@@ -484,15 +484,28 @@ def _pair_counts(every, high, low, both, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _byte_sums(bits: np.ndarray) -> np.ndarray:
-    """Per row of (..., m) uint64 words of bytes that are each 0 or 1, the
-    sum of their bytes, m at most ``_LANE_WORDS``: summed as lanes, whose
-    eight lanes one multiply adds into the top byte.  ``einsum`` sums the
-    short rows several times faster than ``np.add.reduce``."""
-    total = np.einsum("...j->...", bits)
-    total *= _BYTE_BITS
-    total >>= 56
-    return total
+def _byte_sums(part: np.ndarray, bits, group: int) -> np.ndarray:
+    """Per row of a slab of words, the sums of their bytes' bit 7, bit 6
+    and both, masked by ``bits`` (bytes of 0 or 1), then of ``bits`` if
+    words: each group of ``group`` words (at most ``_LANE_WORDS``) is
+    summed as lanes, which one multiply adds into the top byte; ``einsum``
+    sums short rows several times faster than ``np.add.reduce``."""
+    planes = np.empty((2, *part.shape), dtype=np.uint64)
+    high, low = planes
+    np.right_shift(part, 7, out=high)
+    high &= bits
+    np.right_shift(part, 6, out=low)
+    low &= bits
+    groups = planes.reshape(2, len(part), -1, group)
+    lanes = np.empty((3 + isinstance(bits, np.ndarray), *groups.shape[1:3]), dtype=np.uint64)
+    np.einsum("...j->...", groups, out=lanes[:2])
+    high &= low
+    np.einsum("...j->...", groups[0], out=lanes[2])
+    if len(lanes) > 3:
+        np.einsum("...j->...", bits.reshape(groups.shape[1:]), out=lanes[3])
+    lanes *= _BYTE_BITS
+    lanes >>= 56
+    return np.einsum("...j->...", lanes)
 
 
 def _word_counts(words: np.ndarray, counted) -> np.ndarray:
@@ -502,31 +515,23 @@ def _word_counts(words: np.ndarray, counted) -> np.ndarray:
     The words' bytes past the rounds are zero.
 
     A pair j's high bit (j & 2) is bit 7 of its byte, its low bit (j & 1)
-    bit 6.  Each is shifted to the bottom of its byte and masked, and the
-    bytes are summed ``_LANE_WORDS`` words at a time.
+    bit 6.  They are summed a slab of words a call, in two planes that
+    hold at most ``_RAW_PIECE`` words together: slabs of whole groups of
+    ``_LANE_WORDS`` words, then one of the words past the last group.
     """
     scored = isinstance(counted, np.ndarray)
-    if scored:
-        counted = counted.view("<u8")
-    lanes = np.empty((2, len(words), min(words.shape[1], _LANE_WORDS)), dtype=np.uint64)
-    sums = np.zeros((4, len(words)), dtype=np.uint64)  # H, L, H & L, then the rounds counted
-    for a in range(0, words.shape[1], _LANE_WORDS):
-        part = words[:, a : a + _LANE_WORDS]
-        high, low = lanes[:, :, : part.shape[1]]
-        mask = counted[:, a : a + _LANE_WORDS] if scored else _BYTE_BITS
-        np.right_shift(part, 7, out=high)
-        high &= mask
-        np.right_shift(part, 6, out=low)
-        low &= mask
-        sums[:2] += _byte_sums(lanes[:, :, : part.shape[1]])
-        high &= low
-        sums[2] += _byte_sums(high)
-        if scored:
-            sums[3] += _byte_sums(mask)
-    if not scored:
-        sums[3] = counted
-    high, low, both, every = sums.view(np.int64)
-    return _pair_counts(every, high, low, both, np.empty((len(words), 4), dtype=np.int64))
+    mask = counted.view("<u8") if scored else _BYTE_BITS
+    rows, width = words.shape
+    whole, cut = width - width % _LANE_WORDS, max(1, _RAW_PIECE // 2 // _LANE_WORDS) * _LANE_WORDS
+    edges = sorted({*range(0, whole, cut), whole, width})  # a slab row's words: whole groups, then the rest
+    sums = np.zeros((3 + scored, rows), dtype=np.uint64)  # H, L, H & L, then the rounds that scored
+    for a, b in zip(edges, edges[1:]):
+        step = max(1, _RAW_PIECE // 2 // (b - a))  # rows a slab
+        for r in range(0, rows, step):
+            bits = mask[r : r + step, a:b] if scored else mask
+            sums[:, r : r + step] += _byte_sums(words[r : r + step, a:b], bits, min(b - a, _LANE_WORDS))
+    high, low, both, *every = sums.view(np.int64)
+    return _pair_counts(every[0] if scored else counted, high, low, both, np.empty((rows, 4), dtype=np.int64))
 
 
 def _score_bytes(words: np.ndarray) -> np.ndarray:
@@ -541,10 +546,11 @@ def _score_bytes(words: np.ndarray) -> np.ndarray:
 _MISSED = CONSTANT_PLUS_ASSIGNMENT.hits.index(0)
 
 
-def _kernel_constant(strategy, words, width, uniforms, r0, counts, tile):
-    scores = tile.copy()
+def _kernel_constant(strategy, words, width, uniforms, r0, counts):
+    pairs = _word_counts(words, width)
+    scores = pairs.copy()
     scores[:, _MISSED] = 0
-    return scores
+    return scores, pairs
 
 
 #: Rounds of a guessing segment: its count planes start ``_LEAD`` behind
@@ -599,7 +605,7 @@ def _guessing_tables() -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _kernel_guessing(strategy, words, width, uniforms, r0, counts, tile):
+def _kernel_guessing(strategy, words, width, uniforms, r0, counts):
     # A round fails when its pair is the most measured so far, the first
     # of tied pairs, but round 1, which plays the constant assignment.
     # A block is a uint32 word's four rounds: its failures are read from
@@ -609,7 +615,8 @@ def _kernel_guessing(strategy, words, width, uniforms, r0, counts, tile):
     # from count planes laid out block, pair, batch: the exact counts at
     # the segment's start, less the leader's and capped at ``_LEAD``,
     # plus prefix sums of each block's pair counts, one B-wide add a block.
-    # The scores are the tile's pair counts less the failures.
+    # The planes' last less first, summed over the segments, less a partial
+    # last block's padding (read as pair 0), are the tile's pair counts.
     tables = _guessing_tables()
     n_batches = len(words)
     blocks = -(-width // 4)
@@ -630,12 +637,13 @@ def _kernel_guessing(strategy, words, width, uniforms, r0, counts, tile):
     at = np.empty((min(span, _GATHER_BLOCKS), n_batches), dtype=np.intp)
     failed = np.empty(at.shape, dtype="<u4")
     failures = np.zeros((n_batches, 4), dtype=np.int64)
+    seen = counts  # the pair counts before the segment
     for b0 in range(0, blocks, span):
         k = min(span, blocks - b0)
         key = keys[b0 : b0 + k]
         # Each pair's count, raised to the leader's less _LEAD, less that
         # floor: worked in a contiguous copy, which numpy casts unbuffered.
-        base = counts.T.copy()
+        base = seen.T.copy()
         floor = np.maximum(np.maximum(base[0], base[1]), np.maximum(base[2], base[3]))
         floor -= _LEAD
         np.maximum(base, floor, out=base)
@@ -650,11 +658,7 @@ def _kernel_guessing(strategy, words, width, uniforms, r0, counts, tile):
         np.bitwise_count(np.bitwise_and(high[:k], low, out=both), out=both)
         np.bitwise_count(high[:k], out=high[:k])
         np.bitwise_count(low, out=low)
-        np.subtract(high[:k], both, out=plane[:, 2])
-        np.subtract(low, both, out=plane[:, 1])
-        np.add(high[:k], low, out=plane[:, 0])
-        np.subtract(4, plane[:, 0], out=plane[:, 0])
-        plane[:, 0] += both
+        _pair_counts(4, high[:k], low, both, plane.transpose(0, 2, 1))
         for i in range(k):
             planes[i + 1] += planes[i]
         # The leader's plane, then the state of every block, pair 3's gap first.
@@ -682,15 +686,14 @@ def _kernel_guessing(strategy, words, width, uniforms, r0, counts, tile):
             rounds = width % 4
             lanes += tables[rounds][(state[full].astype(np.intp) << 2 * rounds) | key[full] >> 8 - 2 * rounds]
         failures += lanes.view(np.uint8).reshape(n_batches, 4)
-        if b0 + k < blocks:
-            # The segment's pair counts, at most _LEAD each, by the planes'
-            # difference modulo 256.
-            counts = counts + (planes[k] - planes[0]).T
+        seen = seen + (planes[k] - planes[0]).T  # at most _LEAD each: exact modulo 256
+    pairs = seen - counts
+    pairs[:, 0] -= 4 * blocks - width
     if r0 == 0:
         first = (words[:, 0] >> 6 & 3).astype(np.intp)  # round 1's pair
         failures[:, 0] -= first == 0
         failures[:, _MISSED] += first == _MISSED
-    return tile - failures
+    return pairs - failures, pairs
 
 
 #: The round after the pair counts that trigger model101, counted from 0.
@@ -700,19 +703,19 @@ _MODEL_101_ROUND = sum(MODEL_101_TRIGGER_COUNTS)
 _TRIGGER_CHANGE = np.array(MODEL_101_TRIGGER_ASSIGNMENT.hits, dtype=np.int64) - np.not_equal(np.arange(4), _MISSED)
 
 
-def _kernel_model101(strategy, words, width, uniforms, r0, counts, tile):
+def _kernel_model101(strategy, words, width, uniforms, r0, counts):
     # The constant assignment's counts, and the tile holding round
     # _MODEL_101_ROUND adds to the counts it receives those of its rounds
     # before it, its head, and plays the trigger rule where they match.
-    scores = _kernel_constant(strategy, words, width, uniforms, r0, counts, tile)
+    scores, pairs = _kernel_constant(strategy, words, width, uniforms, r0, counts)
     k = _MODEL_101_ROUND - r0  # the trigger round in this tile
     if 0 <= k < width:
         head = _word_counts(_masked(words[:, : -(-k // 8)].copy(), k), k)
         triggered = np.flatnonzero((counts + head == MODEL_101_TRIGGER_COUNTS).all(axis=1))
         if len(triggered):
-            pairs = (words[triggered, k // 8] >> 8 * (k % 8) + 6 & 3).astype(np.intp)
-            scores[triggered, pairs] += _TRIGGER_CHANGE[pairs]
-    return scores
+            played = (words[triggered, k // 8] >> 8 * (k % 8) + 6 & 3).astype(np.intp)
+            scores[triggered, played] += _TRIGGER_CHANGE[played]
+    return scores, pairs
 
 
 #: A uniform u = (x >> 11) 2^-53 is below p iff x >> 11 is below p 2^53,
@@ -720,11 +723,11 @@ def _kernel_model101(strategy, words, width, uniforms, r0, counts, tile):
 _QUANTUM_CUT = int(QUANTUM_SCORE_PROBABILITY * 2 ** 53)
 
 
-def _kernel_quantum(strategy, words, width, uniforms, r0, counts, tile):
+def _kernel_quantum(strategy, words, width, uniforms, r0, counts):
     # Alice's coin tape comes before the uniforms; scores don't use it.
     scored = _score_bytes(words)
     np.less(uniforms, _QUANTUM_CUT, out=scored[:, :width])
-    return _word_counts(words, scored)
+    return _word_counts(words, scored), _word_counts(words, width)
 
 
 def _stochastic_tables(strategy, n: int | None = None):
@@ -741,7 +744,7 @@ def _stochastic_tables(strategy, n: int | None = None):
     return cuts, table.ravel()
 
 
-def _kernel_stochastic(tables, words, width, uniforms, r0, counts, tile):
+def _kernel_stochastic(tables, words, width, uniforms, r0, counts):
     cuts, table = tables
     picks = np.searchsorted(cuts, uniforms, side="right")
     np.minimum(picks, len(cuts) - 1, out=picks)
@@ -751,14 +754,14 @@ def _kernel_stochastic(tables, words, width, uniforms, r0, counts, tile):
     del picks
     scored = _score_bytes(words)
     scored[:, :width] = hits
-    return _word_counts(words, scored)
+    return _word_counts(words, scored), _word_counts(words, width)
 
 
-def _kernel_collective(table, words, width, uniforms, r0, counts, tile):
+def _kernel_collective(table, words, width, uniforms, r0, counts):
     # A batch's row of the table is its pairs read as a base-4 number.
     scored = _score_bytes(words)
     scored[:, :width] = table[_pairs(words, width) @ 4 ** np.arange(width - 1, -1, -1)]
-    return _word_counts(words, scored)
+    return _word_counts(words, scored), _word_counts(words, width)
 
 
 class _Kernel(NamedTuple):
@@ -771,12 +774,12 @@ class _Kernel(NamedTuple):
 
 
 _KERNELS = {
-    ConstantPlus: _Kernel(_kernel_constant),
+    ConstantPlus: _Kernel(_kernel_constant, round_bytes=3),
     GuessingModel: _Kernel(_kernel_guessing, round_bytes=3, batch_bytes=640),
-    Model101: _Kernel(_kernel_model101, round_bytes=2, batch_bytes=32),
-    QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=10),
-    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=18, prepare=_stochastic_tables),
-    CollectiveN2: _Kernel(_kernel_collective, round_bytes=10, batch_bytes=8, prepare=collective_scores),
+    Model101: _Kernel(_kernel_model101, round_bytes=4, batch_bytes=32),
+    QuantumSingletSampler: _Kernel(_kernel_quantum, coins=True, uniforms=True, round_bytes=12),
+    StochasticSequential: _Kernel(_kernel_stochastic, uniforms=True, round_bytes=20, prepare=_stochastic_tables),
+    CollectiveN2: _Kernel(_kernel_collective, round_bytes=12, batch_bytes=8, prepare=collective_scores),
 }
 
 #: Bytes of working arrays one chunk may take; it holds at least one
@@ -806,10 +809,6 @@ _SEED_ROW_BYTES = 256
 #: of increment besides (native: 32 B of states and increments).
 _STATE_ROW_BYTES = 64
 
-#: A batch's share of ``_word_counts``: two planes of at most
-#: ``_LANE_WORDS`` uint64 words, and its sums and counts.
-_LANE_ROW_BYTES = 16 * _LANE_WORDS + 128
-
 
 def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     """One batch's share of a kernel chunk of n-round batches (n = ``rounds``
@@ -817,10 +816,12 @@ def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     at the chunk's peak, which is either the seeding or a tile.  A tile's
     arrays are counted per round, padded like the pair bytes to whole words.
 
-    Every tile holds its pair words, 1 B a round, while ``_word_counts``
-    counts its pairs (``_LANE_ROW_BYTES``) and the kernel scores it; that
-    is the constant kernel's peak.  Model101 counts its trigger tile's
-    head from a copy of its words (1 B a round) and matches it (32 B a
+    Every tile holds its pair words, 1 B a round, while the kernel
+    scores it, and every kernel but guessing's counts its pairs with
+    ``_word_counts``: in two uint64 planes, 2 B a round (at most
+    ``_RAW_PIECE`` words together), and sums and counts (128 B).  That is
+    the constant kernel's peak.  Model101 counts its trigger tile's head
+    from a copy of its words (1 B a round) and matches it (32 B a
     batch).  The guessing kernel builds its blocks' indices in a uint32
     word a block before it keeps them in a byte a block (2.25 B a round
     with the words), and then holds a segment's buffers, at most 640 B
@@ -838,7 +839,7 @@ def _row_bytes(rounds: int, kernel: _Kernel, n: int | None = None) -> int:
     """
     m = _raw_words(rounds if n is None else n, kernel.coins, kernel.uniforms)[1]
     streams = 32 if m > _STEP_WORDS else _STATE_ROW_BYTES * _lane_width(m) + 16
-    tile = streams + _LANE_ROW_BYTES + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
+    tile = streams + 128 + kernel.batch_bytes + kernel.round_bytes * 8 * -(-rounds // 8)
     return _TALLY_ROW_BYTES + max(_SEED_ROW_BYTES, tile)
 
 
@@ -852,15 +853,16 @@ def _chunk_shape(n: int, kernel: _Kernel) -> tuple[int, int]:
     for each tile, so their tiles hold whole batches, unless one batch
     alone does not fit: then it runs alone, in the longest tiles that do.
     """
-    if _raw_words(n, kernel.coins, kernel.uniforms)[1] <= _STEP_WORDS:
+    m = _raw_words(n, kernel.coins, kernel.uniforms)[1]
+    if m <= _STEP_WORDS:
         rounds = min(n, _TILE_ROUNDS)
         return max(1, _CHUNK_BYTES // _row_bytes(rounds, kernel, n)), rounds
-    rows = _CHUNK_BYTES // _row_bytes(n, kernel)
-    if rows:
+    # Each batch's words are read beside a ``random_raw`` piece of them.
+    spare = _CHUNK_BYTES - 8 * min(_RAW_PIECE, m)
+    rows = spare // _row_bytes(n, kernel)
+    if rows > 0:
         return rows, n
-    # A lone batch's tile is read beside a ``random_raw`` piece of its words.
-    spare = _CHUNK_BYTES - _row_bytes(0, kernel, n) - 8 * _RAW_PIECE
-    return 1, max(8, spare // (8 * kernel.round_bytes) * 8)
+    return 1, max(8, (spare - _row_bytes(0, kernel, n)) // (8 * kernel.round_bytes) * 8)
 
 
 def _find_kernel(strategy):
@@ -871,14 +873,10 @@ def _kernel_tally(kernel: _Kernel, scorer, n: int, seed: int, lo: int, hi: int, 
     """The tally of batches lo..hi-1, summed over tiles of ``rounds`` rounds."""
     for r0, words, uniforms in _tile_draws(seed, lo, hi, n, rounds, kernel.coins, kernel.uniforms):
         if r0 == 0:  # once the seeding's peak is over
-            score_counts = np.zeros((hi - lo, 4), dtype=np.int64)
-            pair_counts = np.zeros((hi - lo, 4), dtype=np.int64)  # of the tiles before: what a kernel is handed
-        width = min(rounds, n - r0)
-        tile = _word_counts(words, width)
-        score_counts += kernel.score(scorer, words, width, uniforms, r0, pair_counts, tile)
-        pair_counts += tile
+            counts = np.zeros((2, hi - lo, 4), dtype=np.int64)  # score and pair counts of the tiles before
+        counts += kernel.score(scorer, words, min(rounds, n - r0), uniforms, r0, counts[1])
         del words, uniforms  # freed before the next tile is drawn
-    return Tally(lo, score_counts, pair_counts)
+    return Tally(lo, *counts)
 
 
 def _general_tally(strategy, n: int, seed: int, lo: int, hi: int) -> Tally:

@@ -4,7 +4,8 @@
 has a kernel never reaches the round-by-round engine through it; this
 helper runs that engine on a plan directly.  The kernels' side has
 helpers too: a matrix of pairs laid out as the stream's words, and a
-kernel counting the scores of whole batches, from their first round on.
+kernel counting the scores of a tile, or of whole batches from their
+first round on, whose pair counts are held to the tile's.
 """
 
 import numpy as np
@@ -34,8 +35,18 @@ def bincounts(pairs):
     return np.array([np.bincount(row, minlength=4) for row in pairs], dtype=np.int64).reshape(len(pairs), 4)
 
 
+def kernel_counts(score, scorer, pairs, r0, before, uniforms=None):
+    """A kernel's score counts of a tile of ``pairs`` from round ``r0``,
+    handed the pair counts ``before`` of the rounds before it; the pair
+    counts it returns must be the tile's."""
+    scores, tile = score(scorer, pair_words(pairs), pairs.shape[1], uniforms, r0, before)
+    for counts in (scores, tile):
+        assert counts.shape == (len(pairs), 4) and counts.dtype == np.int64
+    assert np.array_equal(tile, bincounts(pairs))
+    return scores
+
+
 def whole_run_counts(score, scorer, pairs, uniforms=None):
     """A kernel's score counts of whole batches, one row of ``pairs`` each:
     a tile from round 0, handed zero pair counts for the rounds before it."""
-    zeros = np.zeros((len(pairs), 4), dtype=np.int64)
-    return score(scorer, pair_words(pairs), pairs.shape[1], uniforms, 0, zeros, bincounts(pairs))
+    return kernel_counts(score, scorer, pairs, 0, np.zeros((len(pairs), 4), dtype=np.int64), uniforms)

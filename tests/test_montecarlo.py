@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as hs
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from general_engine import bincounts, general_batch_counts, pair_words, whole_run_counts
+from general_engine import bincounts, general_batch_counts, kernel_counts, pair_words, whole_run_counts
 from guessing_last_tie import GuessingLastTie
 from chshsim import montecarlo
 from chshsim.core import ALL_PAIRS
@@ -48,6 +48,7 @@ from chshsim.stats import round_score, y_statistic
 from chshsim.strategies import (
     QUANTUM_SCORE_PROBABILITY,
     REGISTRY,
+    CollectiveN2,
     ConstantPlus,
     DeterministicAssignment,
     Model101,
@@ -237,6 +238,13 @@ def test_negative_seed_is_rejected_on_both_engines():
             list(engine(plan))
 
 
+def native_reserve(n, kernel):
+    """What ``_chunk_shape`` sets aside of a native chunk's budget for its
+    ``random_raw`` piece; 0 on stepped streams."""
+    m = montecarlo._raw_words(n, kernel.coins, kernel.uniforms)[1]
+    return 8 * min(montecarlo._RAW_PIECE, m) if m > montecarlo._STEP_WORDS else 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=hs.sampled_from(sorted(FACTORIES)),
@@ -266,7 +274,7 @@ def test_kernel_matches_general_engine_across_chunks(name, n, seed, batches, til
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_TILE_ROUNDS", tile)
-        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(rounds, kernel, n))
+        mp.setattr(montecarlo, "_CHUNK_BYTES", rows * _row_bytes(rounds, kernel, n) + native_reserve(n, kernel))
         mp.setattr(montecarlo, "_tile_draws", recording_draws)
         fast = list(iter_batch_counts(plan))
     assert tiles == [
@@ -299,7 +307,8 @@ def test_tiled_runs_equal_untiled_runs(name, n, monkeypatch):
     plan = SimulationPlan(factory=factory, n=n, batches=7, seed=2 ** 70 + 9, strategy_name=name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_TILE_ROUNDS", 2 ** 40)
-        assert _chunk_shape(n, kernel) == (max(1, montecarlo._CHUNK_BYTES // _row_bytes(n, kernel)), n)
+        budget = montecarlo._CHUNK_BYTES - native_reserve(n, kernel)
+        assert _chunk_shape(n, kernel) == (max(1, budget // _row_bytes(n, kernel)), n)
         whole = run_outputs(plan)
     # 8-round tiles where the streams are stepped in numpy.  Native
     # streams get the budget of one 40-round batch, which holds none of
@@ -418,11 +427,11 @@ def kernel_tally_of_scores(monkeypatch, n, seed, scores):
     kernel = montecarlo._KERNELS[ConstantPlus]
     _, rounds = _chunk_shape(n, kernel)
 
-    def fixed_scores(scorer, words, width, uniforms, r0, counts, tile):
+    def fixed_scores(scorer, words, width, uniforms, r0, counts):
         assert width == min(n - r0, rounds) and words.shape == (len(scores), -(-width // 8))
         scored = montecarlo._score_bytes(words)
         scored[:, :width] = scores[:, r0 : r0 + width]
-        return montecarlo._word_counts(words, scored)
+        return montecarlo._word_counts(words, scored), montecarlo._word_counts(words, width)
 
     monkeypatch.setitem(montecarlo._KERNELS, ConstantPlus, kernel._replace(score=fixed_scores))
     plan = SimulationPlan(factory=constant_plus, n=n, batches=len(scores), seed=seed)
@@ -541,12 +550,6 @@ def playout_scores(strategy, pairs):
     return np.array([[bool(round_score(r)) for r in rounds] for rounds in plays], dtype=bool).reshape(pairs.shape)
 
 
-def kernel_counts(score, scorer, pairs, r0, before):
-    """A kernel's score counts of a tile of ``pairs`` from round ``r0``,
-    handed the pair counts ``before`` of the rounds before it."""
-    return score(scorer, pair_words(pairs), pairs.shape[1], None, r0, before, bincounts(pairs))
-
-
 def test_model101_kernel_on_crafted_trigger_history():
     trigger = [0] * 33 + [1] * 33 + [2] * 33 + [3]
     rows = np.array(
@@ -650,24 +653,30 @@ KERNEL_STRATEGIES = {
 def test_engine_hands_every_kernel_the_pair_counts_of_earlier_tiles(kind, batches):
     # Every call of every kernel, in 16-round tiles, receives the (B, 4)
     # int64 counts of its batches' pairs in the rounds before its tile,
-    # zeros on the first tile, and those of the tile's own rounds.
-    strategy, n = KERNEL_STRATEGIES[kind]
+    # zeros on the first tile, and returns those of the tile's own rounds
+    # beside its score counts.  Three rounds more (but for collective-n2,
+    # which plays 2) leave a last tile of 11 or 15 rounds: a partial word
+    # and a partial block of guessing's.
+    strategy, whole = KERNEL_STRATEGIES[kind]
     kernel = _find_kernel(strategy)
-    scorer = strategy if kernel.prepare is None else kernel.prepare(strategy, n)
-    calls = []
+    for n in (whole,) if kind is CollectiveN2 else (whole, whole + 3):
+        scorer = strategy if kernel.prepare is None else kernel.prepare(strategy, n)
+        calls = []
 
-    def spy(scorer, words, width, uniforms, r0, counts, tile):
-        calls.append((r0, montecarlo._pairs(words, width), counts.copy(), tile.copy()))
-        return kernel.score(scorer, words, width, uniforms, r0, counts, tile)
+        def spy(scorer, words, width, uniforms, r0, counts):
+            handed = counts.copy()
+            scores, own = kernel.score(scorer, words, width, uniforms, r0, counts)
+            calls.append((r0, montecarlo._pairs(words, width), handed, scores, own))
+            return scores, own
 
-    montecarlo._kernel_tally(kernel._replace(score=spy), scorer, n, 2 ** 70 + 9, 0, batches, 16)
-    assert [r0 for r0, *_ in calls] == list(range(0, n, 16))
-    pairs = np.concatenate([tile for _, tile, _, _ in calls], axis=1)
-    for r0, tile, counts, own in calls:
-        for handed in (counts, own):
-            assert handed.shape == (batches, 4) and handed.dtype == np.int64
-        assert np.array_equal(counts, bincounts(pairs[:, :r0])), r0
-        assert np.array_equal(own, bincounts(tile)), r0
+        montecarlo._kernel_tally(kernel._replace(score=spy), scorer, n, 2 ** 70 + 9, 0, batches, 16)
+        assert [r0 for r0, *_ in calls] == list(range(0, n, 16))
+        pairs = np.concatenate([tile for _, tile, *_ in calls], axis=1)
+        for r0, tile, counts, scores, own in calls:
+            for handed in (counts, scores, own):
+                assert handed.shape == (batches, 4) and handed.dtype == np.int64
+            assert np.array_equal(counts, bincounts(pairs[:, :r0])), (n, r0)
+            assert np.array_equal(own, bincounts(tile)), (n, r0)
 
 
 def _guessing_oracle_scores(pairs):
@@ -794,7 +803,18 @@ def test_count_kernels_match_general_engine_whole_and_in_tiles(name, n, monkeypa
     assert list(iter_batch_counts(plan)) == want
 
 
-@pytest.mark.parametrize("rounds", [1, 7, 8, 9, 248, 255, 256, 257, 300])
+#: Words a row of the word count's slabs: two planes of at most _RAW_PIECE words.
+SLAB_WORDS = montecarlo._RAW_PIECE // 2
+
+
+@pytest.mark.parametrize(
+    "rounds",
+    [1, 7, 8, 9, 248, 255, 256, 257, 300]
+    # Rows of 16, 62, a slab less and more one and 196,500 words: a
+    # sim-long tile, two whole groups, and slabs of several groups with
+    # a remainder or a lone word past them.
+    + [8 * words for words in (16, 62, SLAB_WORDS - 1, SLAB_WORDS + 1, 196_500)],
+)
 def test_word_counts_equal_bincounts(rounds):
     # Runs of one pair, longest at 300 rounds, fill every byte lane of 31
     # and more words; drawn rows and random score bytes count alike.
@@ -803,11 +823,57 @@ def test_word_counts_equal_bincounts(rounds):
     pairs = pairs.astype(np.uint8)
     words = pair_words(pairs)
     assert np.array_equal(montecarlo._word_counts(words, rounds), bincounts(pairs))
-    scores = rng.random(pairs.shape) < 0.5
+    scores = np.array([rng.random(rounds) < 0.5 for _ in pairs])  # the draws of one call, a row at a time
     scores[0] = scores[-1] = True
     scored = montecarlo._score_bytes(words)
     scored[:, :rounds] = scores
     assert np.array_equal(montecarlo._word_counts(words, scored), tallied(pairs, scores))
+
+
+@pytest.mark.parametrize("batches, n", [(1, 8 * 196_500), (2000, 1000)])
+@pytest.mark.parametrize("name", ["constant-plus", "quantum"])
+def test_word_counts_reduce_a_slab_of_words_a_call(name, batches, n, monkeypatch):
+    # A tile's word counts reduce their byte lanes a slab of words a call:
+    # a count makes at most two calls per SLAB_WORDS words of the tile and
+    # two more, and the quantum kernel counts twice (scores and pairs).
+    # One long native row of 196,500 words takes 7 calls a count, not one
+    # per 31 words; 2,000 stepped rows of 16 words one a tile, and 2,000
+    # native rows of 125 words 9.
+    factory = FACTORIES[name]
+    kernel = _find_kernel(factory())
+    reductions, tiles = [], []
+    byte_sums = montecarlo._byte_sums
+
+    def counted(*args):
+        reductions.append(1)
+        return byte_sums(*args)
+
+    def spy(scorer, words, width, uniforms, r0, counts):
+        reductions.clear()
+        result = kernel.score(scorer, words, width, uniforms, r0, counts)
+        tiles.append((words.size, len(reductions)))
+        return result
+
+    monkeypatch.setattr(montecarlo, "_byte_sums", counted)
+    _, rounds = _chunk_shape(n, kernel)
+    tally = montecarlo._kernel_tally(kernel._replace(score=spy), factory(), n, 3, 0, batches, rounds)
+    assert (tally.pair_counts.sum(axis=1) == n).all()
+    assert tiles
+    counts = 2 if name == "quantum" else 1
+    for size, calls in tiles:
+        assert 0 < calls <= counts * (2 * size // SLAB_WORDS + 2), size
+
+
+@pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
+@pytest.mark.parametrize("name", ["constant-plus", "quantum"])
+def test_native_chunks_fit_the_budget_beside_their_raw_piece(name, n):
+    # A native chunk's batches, whole or one alone in tiles, are each read
+    # beside a random_raw piece of their words, which the budget holds.
+    kernel = _find_kernel(FACTORIES[name]())
+    m = montecarlo._raw_words(n, kernel.coins, kernel.uniforms)[1]
+    assert m > montecarlo._STEP_WORDS
+    rows, rounds = _chunk_shape(n, kernel)
+    assert rows * _row_bytes(rounds, kernel, n) + 8 * min(montecarlo._RAW_PIECE, m) <= montecarlo._CHUNK_BYTES
 
 
 def test_guessing_custom_tie_break_uses_general_path():

@@ -216,8 +216,8 @@ MUTANTS = (
     Mutant(
         "counts-withheld-after-the-first-tile",
         "montecarlo.py",
-        "uniforms, r0, pair_counts, tile)",
-        "uniforms, r0, np.zeros_like(pair_counts), tile)",
+        "uniforms, r0, counts[1])",
+        "uniforms, r0, np.zeros_like(counts[1]))",
         (
             "tests/test_montecarlo.py::test_tiled_runs_equal_untiled_runs",
             "tests/test_montecarlo.py::test_engine_hands_model101_the_pair_counts_of_earlier_tiles",
@@ -227,8 +227,8 @@ MUTANTS = (
     Mutant(
         "first-tile-handed-the-unfilled-buffer",
         "montecarlo.py",
-        "pair_counts = np.zeros((hi - lo, 4), dtype=np.int64)",
-        "pair_counts = np.empty((hi - lo, 4), dtype=np.int64)",
+        "counts = np.zeros((2, hi - lo, 4), dtype=np.int64)",
+        "counts = np.empty((2, hi - lo, 4), dtype=np.int64)",
         (EVERY_KERNEL_HANDED, "tests/test_montecarlo.py::test_kernel_matches_general_engine"),
     ),
     Mutant(
@@ -265,8 +265,8 @@ MUTANTS = (
     Mutant(
         "guessing-counts-not-carried-past-a-block",
         "montecarlo.py",
-        "if b0 + k < blocks:",
-        "if b0 + k < 0:",
+        "base = seen.T.copy()",
+        "base = counts.T.copy()",
         (
             "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle",
             "tests/test_montecarlo.py::test_tile_scored_from_prefix_counts_equals_whole_run",
@@ -320,6 +320,20 @@ MUTANTS = (
         (COUNT_KERNELS, "tests/test_montecarlo.py::test_guessing_kernel_on_drawn_histories_matches_oracle"),
     ),
     Mutant(
+        "guessing-padding-kept-in-pair-0",
+        "montecarlo.py",
+        "pairs[:, 0] -= 4 * blocks - width",
+        "pairs[:, 0] -= 0 * (4 * blocks - width)",
+        (EVERY_KERNEL_HANDED, "tests/test_montecarlo.py::test_guessing_kernel_on_drawn_histories_matches_oracle"),
+    ),
+    Mutant(
+        "guessing-last-segment-left-out-of-its-pair-counts",
+        "montecarlo.py",
+        "seen = seen + (planes[k] - planes[0]).T",
+        "seen = seen + (planes[k] - planes[0]).T * (b0 + k < blocks)",
+        (EVERY_KERNEL_HANDED, "tests/test_montecarlo.py::test_guessing_kernel_on_tie_heavy_histories_matches_oracle"),
+    ),
+    Mutant(
         "pair-counts-high-and-low-swapped",
         "montecarlo.py",
         "np.subtract(low, both, out=out[..., 1])\n    np.subtract(high, both, out=out[..., 2])",
@@ -361,16 +375,37 @@ MUTANTS = (
     Mutant(
         "high-and-low-masks-swapped",
         "montecarlo.py",
-        "np.right_shift(part, 7, out=high)\n        high &= mask\n        np.right_shift(part, 6, out=low)",
-        "np.right_shift(part, 6, out=high)\n        high &= mask\n        np.right_shift(part, 7, out=low)",
+        "np.right_shift(part, 7, out=high)\n    high &= bits\n    np.right_shift(part, 6, out=low)",
+        "np.right_shift(part, 6, out=high)\n    high &= bits\n    np.right_shift(part, 7, out=low)",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
     ),
     Mutant(
         "all-scores-plane-zeroed",
         "montecarlo.py",
-        "sums[3] += _byte_sums(mask)",
-        "sums[3] += 0 * _byte_sums(mask)",
+        "every[0] if scored else counted",
+        "0 * every[0] if scored else counted",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
+    ),
+    Mutant(
+        "native-chunk-read-piece-not-reserved",
+        "montecarlo.py",
+        "spare = _CHUNK_BYTES - 8 * min(_RAW_PIECE, m)",
+        "spare = _CHUNK_BYTES",
+        ("tests/test_montecarlo.py::test_native_chunks_fit_the_budget_beside_their_raw_piece",),
+    ),
+    Mutant(
+        "slab-last-group-dropped",
+        "montecarlo.py",
+        'return np.einsum("...j->...", lanes)',
+        'return np.einsum("...j->...", lanes[..., :-1])',
+        ("tests/test_montecarlo.py::test_word_counts_equal_bincounts",),
+    ),
+    Mutant(
+        "slab-summed-as-one-group-past-31-words",
+        "montecarlo.py",
+        "bits, min(b - a, _LANE_WORDS))",
+        "bits, b - a)",
+        ("tests/test_montecarlo.py::test_word_counts_equal_bincounts",),
     ),
     # The tape base of the memoryless stochastic strategies.
     Mutant(
