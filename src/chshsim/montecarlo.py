@@ -11,14 +11,15 @@ strategy needs.
 Batches run in chunks, and everything after the draws works on a whole
 chunk at once: a :class:`Tally` of per-pair counts, one row per batch,
 feeds both the aggregation in :func:`estimate` and the per-batch CSV
-text, which :func:`batch_csv_rows` formats once per distinct count row
-of each slice of batches.  For every strategy of the CLI catalogue a
-vectorized scoring kernel reproduces the general round-by-round
-engine's counts exactly; the engine remains the fallback for every
-other strategy and the reference the tests hold the kernels to.  The
-kernels seed a whole chunk of batches at once: they compute each
-batch's PCG64 state in numpy, by the hashing of :mod:`chshsim.stream`,
-without building a ``Stream`` per batch.
+text.  :func:`batch_csv_rows` assembles each slice of that text as one
+byte array: counts and batch numbers as digits in numpy, and each
+distinct float of the slice formatted once.  For every strategy of the
+CLI catalogue a vectorized scoring kernel reproduces the general
+round-by-round engine's counts exactly; the engine remains the
+fallback for every other strategy and the reference the tests hold the
+kernels to.  The kernels seed a whole chunk of batches at once: they
+compute each batch's PCG64 state in numpy, by the hashing of
+:mod:`chshsim.stream`, without building a ``Stream`` per batch.
 
 A kernel chunk is worked a tile at a time: its batches over a range of
 rounds, drawn, counted and scored before the next tile is drawn, so its
@@ -154,19 +155,24 @@ class Tally(NamedTuple):
 
         4k and n are exact float64 values, so the division rounds once.
         """
-        return 4 * self.score_counts.sum(axis=1) / n
+        return 4 * np.einsum("ij->i", self.score_counts) / n
 
     def x(self) -> tuple[np.ndarray, np.ndarray]:
         """Which batches have X_N defined, and X_N of those in batch order.
 
         Each value is the float of the exact rational.  A batch whose
         denominator may reach 2^51 (by a float estimate of it, good to
-        three roundings) is worked out in Python ints.
+        three roundings) is worked out in Python ints.  The pairs are
+        worked a column at a time: numpy reduces rows of four slowly.
         """
-        has_x = self.pair_counts.all(axis=1)
-        scores = self.score_counts[has_x].T
-        totals = self.pair_counts[has_x].T
-        small = np.prod(totals, axis=0, dtype=np.float64) < _FLOAT_EXACT_DEN / 2
+        pairs = self.pair_counts.T
+        has_x = (pairs[0] != 0) & (pairs[1] != 0) & (pairs[2] != 0) & (pairs[3] != 0)
+        scores = self.score_counts.compress(has_x, axis=0).T
+        totals = self.pair_counts.compress(has_x, axis=0).T
+        small = np.multiply(totals[0], totals[1], dtype=np.float64) * totals[2] * totals[3] < _FLOAT_EXACT_DEN / 2
+        if small.all():
+            num, den = x_ratio(scores, totals)
+            return has_x, num / den
         x = np.empty(totals.shape[1])
         num, den = x_ratio(scores[:, small], totals[:, small])
         x[small] = num / den
@@ -178,44 +184,93 @@ class Tally(NamedTuple):
         return has_x, x
 
 
-#: Rows of per-batch CSV text built at once, to bound the Python objects alive.
-_CSV_SLICE_ROWS = 1024
+#: Rows of per-batch CSV text built at once: a 2,000-batch chunk is one
+#: slice.  A slice's text is one byte array, a column a row, of
+#: ``batch,seed,n,`` and at most 210 B after it (two floats' reprs of up
+#: to 23 B and eight counts of up to 19 digits; at n <= 6 about 60 B).  At
+#: its peak a slice holds about three times that array: its row-major copy
+#: and then the kept bytes, their ``bytes`` and their ``str``.  Its digits
+#: come a column at a time, through (rows,) int64 temporaries.
+_CSV_SLICE_ROWS = 4096
 
-#: A batch's CSV line after ``batch,seed,n,``: Y, X defined, X (empty
-#: when undefined), then the four scores and the four totals.
-_CSV_TAIL_X = "%r,1,%r," + ",".join(["%d"] * 8) + "\n"
-_CSV_TAIL_NO_X = "%r,0,," + ",".join(["%d"] * 8) + "\n"
+#: Decimal digits of 0..9999 as ASCII, a row a digit place, thousands
+#: first: place p holds each digit 10^p times in turn.  Built in bytes, as
+#: int64 arithmetic would hold about 1 MB of temporaries at import.
+_DIGITS = np.array([np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8), 10 ** p), 10 ** (3 - p)) for p in (3, 2, 1, 0)])
+_DIGITS.flags.writeable = False
+
+
+def _put_digits(field: np.ndarray, values: np.ndarray) -> None:
+    """Write the non-negative int64 ``values`` in decimal down the columns of
+    ``field``, a (width, rows) byte array as wide as the largest value
+    needs: right-aligned, four places a gather from ``_DIGITS``, and
+    leading zeros as NUL bytes, which the writer drops."""
+    width = len(field)
+    for k, end in enumerate(range(width, 0, -4)):
+        start = max(0, end - 4)
+        group = values // 10 ** (4 * k) % 10_000 if width > 4 else values
+        np.take(_DIGITS[4 - (end - start) :], group, axis=1, out=field[start:end])
+    for place in range(width - 1):
+        field[place] *= values >= 10 ** (width - 1 - place)
+
+
+def _float_texts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A NUL-padded (width, 1 + distinct) byte table whose column 0 is
+    empty and whose later columns are the distinct floats' reprs, and
+    the column of each value."""
+    distinct, at = np.unique(values, return_inverse=True)
+    table = np.array(["", *map(repr, distinct.tolist())], dtype="S")
+    return table.view(np.uint8).reshape(len(table), table.itemsize).T, at + 1
+
+
+def _csv_bytes(part: Tally, n: int, seed_n: np.ndarray) -> np.ndarray:
+    """A slice's CSV text as a (row width, rows) byte array, a column a
+    row, NUL where a field is shorter than its column's widest."""
+    rows = len(part.score_counts)
+    y_text, y_at = _float_texts(part.y(n))
+    has_x, x = part.x()
+    x_text, x_at = _float_texts(x)
+    x_of_row = np.zeros(rows, dtype=np.intp)  # column 0, blank, where X is undefined
+    x_of_row[has_x] = x_at
+    counts = [*part.score_counts.T, *part.pair_counts.T]
+    # Each field is followed by one separator, a comma but the last.
+    widths = [len(str(part.first + rows - 1)), len(seed_n), len(y_text), 1, len(x_text)]
+    maxima = [*part.score_counts.max(axis=0).tolist(), *part.pair_counts.max(axis=0).tolist()]
+    widths += [len(str(value)) for value in maxima]
+    ends = list(itertools.accumulate(width + 1 for width in widths))
+    text = np.empty((ends[-1], rows), dtype=np.uint8)
+    text[[end - 1 for end in ends]] = ord(",")
+    text[-1] = ord("\n")
+    batch, seed_n_field, y_field, defined, x_field, *count_fields = (
+        text[end - 1 - width : end - 1] for width, end in zip(widths, ends)
+    )
+    _put_digits(batch, np.arange(part.first, part.first + rows))
+    seed_n_field[:] = seed_n[:, None]
+    np.take(y_text, y_at, axis=1, out=y_field)
+    _put_digits(defined, has_x.astype(np.intp))
+    np.take(x_text, x_of_row, axis=1, out=x_field)
+    for field, values in zip(count_fields, counts):
+        _put_digits(field, values)
+    return text
 
 
 def batch_csv_rows(tally: Tally, n: int, seed: int) -> Iterator[str]:
     """The tally's per-batch CSV lines, laid out as ``BATCH_CSV_HEADER``
     names them, as text slices of at most ``_CSV_SLICE_ROWS`` lines.
 
-    Everything after ``batch,seed,n,`` depends only on a batch's eight
-    counts, so each slice formats that tail once per distinct count row
-    and reuses it for the equal rows.  The distinct rows go through
-    :meth:`Tally.y` and :meth:`Tally.x` as one tally, so every float is
-    the one the whole tally would give; it is written as its ``repr``.
+    A slice is assembled as one byte array and decoded once.  Batch
+    numbers and counts are written as digits in numpy, each field as
+    wide as its largest value and its leading zeros dropped.  Y and X
+    come from :meth:`Tally.y` and :meth:`Tally.x` of the slice, so every
+    float is the one the whole tally gives; each distinct value is
+    written once, as its ``repr``, and gathered into its rows.
     """
-    prefix = f",{seed},{n},"
+    seed_n = np.frombuffer(f"{seed},{n}".encode(), dtype=np.uint8)
     for lo in range(0, len(tally.score_counts), _CSV_SLICE_ROWS):
-        hi = min(lo + _CSV_SLICE_ROWS, len(tally.score_counts))
-        counts = np.concatenate((tally.score_counts[lo:hi], tally.pair_counts[lo:hi]), axis=1)
-        # Each row as one opaque bytes key: sorting those is far cheaper
-        # than np.unique(axis=0), and unlike a key packed into one integer
-        # it cannot overflow.
-        keys = counts.view(np.dtype((np.void, counts.itemsize * counts.shape[1]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        distinct = counts[first]
-        rows = Tally(0, distinct[:, :4], distinct[:, 4:])
-        has_x, x = rows.x()
-        x_cells = iter(x.tolist())  # X_N of the rows that have it, in row order
-        tails = [
-            _CSV_TAIL_X % (y, next(x_cells), *row) if defined else _CSV_TAIL_NO_X % (y, *row)
-            for y, defined, row in zip(rows.y(n).tolist(), has_x.tolist(), distinct.tolist())
-        ]
-        batches = range(tally.first + lo, tally.first + hi)
-        yield "".join([f"{b}{prefix}{tails[i]}" for b, i in zip(batches, inverse.tolist())])
+        hi = lo + _CSV_SLICE_ROWS
+        part = Tally(tally.first + lo, tally.score_counts[lo:hi], tally.pair_counts[lo:hi])
+        lines = _csv_bytes(part, n, seed_n).T.ravel()
+        yield lines[lines != 0].tobytes().decode("ascii")
 
 
 # --- per-batch streams, a chunk at a time --------------------------------
@@ -485,53 +540,69 @@ def _pair_counts(every, high, low, both, out: np.ndarray) -> np.ndarray:
 
 
 def _byte_sums(part: np.ndarray, bits, group: int) -> np.ndarray:
-    """Per row of a slab of words, the sums of their bytes' bit 7, bit 6
-    and both, masked by ``bits`` (bytes of 0 or 1), then of ``bits`` if
-    words: each group of ``group`` words (at most ``_LANE_WORDS``) is
-    summed as lanes, which one multiply adds into the top byte; ``einsum``
-    sums short rows several times faster than ``np.add.reduce``."""
+    """Per row of a slab of words, the sums of their bytes' bit 7 (H), bit
+    6 (L) and H ^ L; then, if ``bits`` (bytes of 0 or 1) is given, the
+    sums, over the bytes whose bit is set, of H, of H ^ L and of H & ~L,
+    and the sum of ``bits``.  The words are shifted once, into two planes
+    that are masked in place.  Each group of ``group`` words (at most
+    ``_LANE_WORDS``) is summed as lanes, which one multiply adds into the
+    top byte; ``einsum`` sums short rows several times faster than
+    ``np.add.reduce``."""
     planes = np.empty((2, *part.shape), dtype=np.uint64)
     high, low = planes
     np.right_shift(part, 7, out=high)
-    high &= bits
+    high &= _BYTE_BITS
     np.right_shift(part, 6, out=low)
-    low &= bits
+    low &= _BYTE_BITS
     groups = planes.reshape(2, len(part), -1, group)
-    lanes = np.empty((3 + isinstance(bits, np.ndarray), *groups.shape[1:3]), dtype=np.uint64)
+    scored = bits is not None
+    lanes = np.empty((3 + 4 * scored, *groups.shape[1:3]), dtype=np.uint64)
     np.einsum("...j->...", groups, out=lanes[:2])
-    high &= low
-    np.einsum("...j->...", groups[0], out=lanes[2])
-    if len(lanes) > 3:
-        np.einsum("...j->...", bits.reshape(groups.shape[1:]), out=lanes[3])
+    low ^= high
+    np.einsum("...j->...", groups[1], out=lanes[2])
+    if scored:
+        high &= bits
+        low &= bits
+        np.einsum("...j->...", groups, out=lanes[3:5])
+        high &= low
+        np.einsum("...j->...", groups[0], out=lanes[5])
+        np.einsum("...j->...", bits.reshape(groups.shape[1:]), out=lanes[6])
     lanes *= _BYTE_BITS
     lanes >>= 56
     return np.einsum("...j->...", lanes)
 
 
-def _word_counts(words: np.ndarray, counted) -> np.ndarray:
-    """The (B, 4) int64 counts, by pair, of rounds whose pair bytes the
-    words hold: of the first ``counted`` rounds, or, if ``counted`` is a
-    tile's score bytes (see ``_score_bytes``), of the rounds that scored.
-    The words' bytes past the rounds are zero.
+def _word_counts(words: np.ndarray, rounds: int, scored: np.ndarray | None = None):
+    """The (B, 4) int64 counts, by pair, of the first ``rounds`` rounds
+    whose pair bytes the words hold; with ``scored``, a tile's score
+    bytes (see ``_score_bytes``), the counts of the rounds that scored
+    and then those of all rounds, from one pass over the words.  The
+    words' bytes past the rounds are zero.
 
     A pair j's high bit (j & 2) is bit 7 of its byte, its low bit (j & 1)
     bit 6.  They are summed a slab of words a call, in two planes that
     hold at most ``_RAW_PIECE`` words together: slabs of whole groups of
     ``_LANE_WORDS`` words, then one of the words past the last group.
     """
-    scored = isinstance(counted, np.ndarray)
-    mask = counted.view("<u8") if scored else _BYTE_BITS
+    mask = None if scored is None else scored.view("<u8")
     rows, width = words.shape
     whole, cut = width - width % _LANE_WORDS, max(1, _RAW_PIECE // 2 // _LANE_WORDS) * _LANE_WORDS
     edges = sorted({*range(0, whole, cut), whole, width})  # a slab row's words: whole groups, then the rest
-    sums = np.zeros((3 + scored, rows), dtype=np.uint64)  # H, L, H & L, then the rounds that scored
+    sums = np.zeros((3 if mask is None else 7, rows), dtype=np.uint64)
     for a, b in zip(edges, edges[1:]):
         step = max(1, _RAW_PIECE // 2 // (b - a))  # rows a slab
         for r in range(0, rows, step):
-            bits = mask[r : r + step, a:b] if scored else mask
+            bits = None if mask is None else mask[r : r + step, a:b]
             sums[:, r : r + step] += _byte_sums(words[r : r + step, a:b], bits, min(b - a, _LANE_WORDS))
-    high, low, both, *every = sums.view(np.int64)
-    return _pair_counts(every[0] if scored else counted, high, low, both, np.empty((rows, 4), dtype=np.int64))
+    # H & L is counted twice in H + L and never in H ^ L.
+    high, low, either, *scores = sums.view(np.int64)
+    pairs = _pair_counts(rounds, high, low, (high + low - either) >> 1, np.empty((rows, 4), dtype=np.int64))
+    if mask is None:
+        return pairs
+    # Of the scored rounds: H & L is H less H & ~L, and L is H ^ L less H & ~L and plus H & L.
+    high, either, high_only, every = scores
+    both = high - high_only
+    return _pair_counts(every, high, either - high_only + both, both, np.empty((rows, 4), dtype=np.int64)), pairs
 
 
 def _score_bytes(words: np.ndarray) -> np.ndarray:
@@ -727,7 +798,7 @@ def _kernel_quantum(strategy, words, width, uniforms, r0, counts):
     # Alice's coin tape comes before the uniforms; scores don't use it.
     scored = _score_bytes(words)
     np.less(uniforms, _QUANTUM_CUT, out=scored[:, :width])
-    return _word_counts(words, scored), _word_counts(words, width)
+    return _word_counts(words, width, scored)
 
 
 def _stochastic_tables(strategy, n: int | None = None):
@@ -754,14 +825,14 @@ def _kernel_stochastic(tables, words, width, uniforms, r0, counts):
     del picks
     scored = _score_bytes(words)
     scored[:, :width] = hits
-    return _word_counts(words, scored), _word_counts(words, width)
+    return _word_counts(words, width, scored)
 
 
 def _kernel_collective(table, words, width, uniforms, r0, counts):
     # A batch's row of the table is its pairs read as a base-4 number.
     scored = _score_bytes(words)
     scored[:, :width] = table[_pairs(words, width) @ 4 ** np.arange(width - 1, -1, -1)]
-    return _word_counts(words, scored), _word_counts(words, width)
+    return _word_counts(words, width, scored)
 
 
 class _Kernel(NamedTuple):
@@ -797,7 +868,8 @@ _TILE_ROUNDS = 128
 #: kernel chunk keeps, hands its kernel and gets back for a tile, and the
 #: aggregation's per-batch arrays, which a general-engine chunk holds
 #: alone.  The CSV sink's arrays span one slice of ``_CSV_SLICE_ROWS``
-#: rows, not the chunk.
+#: rows, not the chunk: about three copies of its text, each at most
+#: 210 B a row past ``batch,seed,n,``.
 _TALLY_ROW_BYTES = 256
 
 #: The peak of a kernel chunk's PCG64 seeding per batch, about 250 B of

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from general_engine import bincounts, general_batch_counts, kernel_counts, pair_words, whole_run_counts
 from guessing_last_tie import GuessingLastTie
-from chshsim import montecarlo
+from chshsim import cli, montecarlo
 from chshsim.core import ALL_PAIRS
 from chshsim.enumerator import exact_expectations, playout
 from chshsim.montecarlo import (
@@ -431,7 +431,7 @@ def kernel_tally_of_scores(monkeypatch, n, seed, scores):
         assert width == min(n - r0, rounds) and words.shape == (len(scores), -(-width // 8))
         scored = montecarlo._score_bytes(words)
         scored[:, :width] = scores[:, r0 : r0 + width]
-        return montecarlo._word_counts(words, scored), montecarlo._word_counts(words, width)
+        return montecarlo._word_counts(words, width, scored)
 
     monkeypatch.setitem(montecarlo._KERNELS, ConstantPlus, kernel._replace(score=fixed_scores))
     plan = SimulationPlan(factory=constant_plus, n=n, batches=len(scores), seed=seed)
@@ -827,18 +827,20 @@ def test_word_counts_equal_bincounts(rounds):
     scores[0] = scores[-1] = True
     scored = montecarlo._score_bytes(words)
     scored[:, :rounds] = scores
-    assert np.array_equal(montecarlo._word_counts(words, scored), tallied(pairs, scores))
+    score_counts, pair_counts = montecarlo._word_counts(words, rounds, scored)
+    assert np.array_equal(score_counts, tallied(pairs, scores))
+    assert np.array_equal(pair_counts, bincounts(pairs))
 
 
 @pytest.mark.parametrize("batches, n", [(1, 8 * 196_500), (2000, 1000)])
 @pytest.mark.parametrize("name", ["constant-plus", "quantum"])
 def test_word_counts_reduce_a_slab_of_words_a_call(name, batches, n, monkeypatch):
     # A tile's word counts reduce their byte lanes a slab of words a call:
-    # a count makes at most two calls per SLAB_WORDS words of the tile and
-    # two more, and the quantum kernel counts twice (scores and pairs).
-    # One long native row of 196,500 words takes 7 calls a count, not one
-    # per 31 words; 2,000 stepped rows of 16 words one a tile, and 2,000
-    # native rows of 125 words 9.
+    # a kernel makes at most two calls per SLAB_WORDS words of the tile and
+    # two more, and the quantum kernel counts its scores and pairs in the
+    # same pass.  One long native row of 196,500 words takes 7 calls, not
+    # one per 31 words; 2,000 stepped rows of 16 words one a tile, and
+    # 2,000 native rows of 125 words 9.
     factory = FACTORIES[name]
     kernel = _find_kernel(factory())
     reductions, tiles = [], []
@@ -859,9 +861,8 @@ def test_word_counts_reduce_a_slab_of_words_a_call(name, batches, n, monkeypatch
     tally = montecarlo._kernel_tally(kernel._replace(score=spy), factory(), n, 3, 0, batches, rounds)
     assert (tally.pair_counts.sum(axis=1) == n).all()
     assert tiles
-    counts = 2 if name == "quantum" else 1
     for size, calls in tiles:
-        assert 0 < calls <= counts * (2 * size // SLAB_WORDS + 2), size
+        assert 0 < calls <= 2 * size // SLAB_WORDS + 2, size
 
 
 @pytest.mark.parametrize("n", [10 ** 5, 10 ** 6])
@@ -1062,25 +1063,58 @@ BIG_DEN_RUN = (
     ],
     [0],
 )
+# Every column holds one-, two- and three-digit counts in one slice, the
+# widest in a different row for each column.
+MIXED_WIDTH_RUN = (
+    300,
+    "0.1",
+    [
+        ((100, 5, 10, 0), (120, 10, 150, 20)),
+        ((1, 10, 100, 9), (101, 89, 100, 10)),
+        ((10, 100, 1, 10), (10, 150, 40, 100)),
+    ],
+    [0],
+)
+# A slice with no X_N, then one whose rows differ but share X_N = 3/2.
+NO_X_RUN = (6, "0.1", [((1, 0, 0, 0), (6, 0, 0, 0)), ((2, 1, 0, 0), (3, 3, 0, 0)), ((0, 0, 1, 0), (0, 0, 6, 0))], [0])
+SAME_X_RUN = (8, "0.1", [((1, 1, 1, 0), (2,) * 4), ((2, 0, 1, 0), (2,) * 4), ((0, 2, 1, 0), (2,) * 4)], [0])
 
 
 @settings(max_examples=60, deadline=None)
-@given(run=synthetic_runs(), seed=hs.sampled_from((0, 2 ** 80 + 5)))
-@example(run=TIED_RUN, seed=3)
-@example(run=EQUAL_RUN, seed=2 ** 80 + 5)
-@example(run=DISTINCT_RUN, seed=0)
-@example(run=BIG_DEN_RUN, seed=0)
-def test_chunk_csv_rows_equal_batch_csv_row(run, seed):
+@given(run=synthetic_runs(), seed=hs.sampled_from((0, 2 ** 80 + 5)), first=hs.sampled_from((0, 9, 99, 1023)))
+@example(run=TIED_RUN, seed=3, first=0)
+@example(run=EQUAL_RUN, seed=2 ** 80 + 5, first=0)
+@example(run=DISTINCT_RUN, seed=0, first=0)
+@example(run=BIG_DEN_RUN, seed=0, first=0)
+@example(run=BIG_DEN_RUN, seed=2 ** 80 + 5, first=1023)
+@example(run=MIXED_WIDTH_RUN, seed=0, first=99)
+@example(run=NO_X_RUN, seed=2 ** 80 + 5, first=9)
+@example(run=SAME_X_RUN, seed=0, first=1023)
+def test_chunk_csv_rows_equal_batch_csv_row(run, seed, first):
+    # Batches are numbered from ``first``: the slices of three rows from
+    # 9, 99 and 1023 hold 9/10, 99/100 and 1023/1024/1025.
     n, _, batches, starts = run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_CSV_SLICE_ROWS", 3)
         for tally in as_tallies(batches, starts):
             rows = [
-                oracles.batch_csv_row(tally.first + b, seed, n, *batches[tally.first + b])
+                oracles.batch_csv_row(first + tally.first + b, seed, n, *batches[tally.first + b])
                 for b in range(len(tally.score_counts))
             ]
             expected = [csv_text(rows[lo:lo + 3]) for lo in range(0, len(rows), 3)]
-            assert list(batch_csv_rows(tally, n, seed)) == expected
+            assert list(batch_csv_rows(tally._replace(first=first + tally.first), n, seed)) == expected
+
+
+def test_batches_out_equals_the_oracle_past_one_slice(tmp_path):
+    # 4,100 quantum batches are one chunk, written as slices of 4,096 and
+    # 4 rows; the counts come from the general engine.
+    n, batches, seed = 6, montecarlo._CSV_SLICE_ROWS + 4, 2 ** 70 + 11
+    path = tmp_path / "batches.csv"
+    argv = ["simulate", "--strategy", "quantum", "--n", str(n), "--batches", str(batches), "--seed", str(seed)]
+    assert cli.main([*argv, "--out", str(tmp_path / "out.json"), "--batches-out", str(path)]) == 0
+    plan = SimulationPlan(factory=quantum_singlet_sampler, n=n, batches=batches, seed=seed)
+    rows = [oracles.batch_csv_row(b.batch, seed, n, b.score_counts, b.pair_counts) for b in general_batch_counts(plan)]
+    assert path.read_text(encoding="utf-8") == csv_text([BATCH_CSV_HEADER, *rows])
 
 
 @pytest.mark.parametrize(
@@ -1102,8 +1136,9 @@ def test_chunked_run_peaks_within_twice_the_budget(name, n, tmp_path, monkeypatc
     """A run streamed to a CSV file peaks within twice its chunk budget.
 
     The CSV text is built a slice of at most ``_CSV_SLICE_ROWS`` rows at
-    a time, and per slice at most one tail string per row is alive
-    besides the lines, so its Python objects stay bounded by the slice.
+    a time, as one byte array of at most 210 B a row past
+    ``batch,seed,n,``, and a slice holds about three copies of it at
+    once, so the writer's arrays stay bounded by the slice in bytes.
     """
     budget = 2 << 20
     factory = FACTORIES[name]

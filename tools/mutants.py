@@ -59,6 +59,7 @@ REPLAY_TEST = "tests/test_montecarlo.py::test_run_batch_equals_a_replay_on_numpy
 EVERY_KERNEL_HANDED = "tests/test_montecarlo.py::test_engine_hands_every_kernel_the_pair_counts_of_earlier_tiles"
 GUESSING_TABLES = "tests/test_montecarlo.py::test_guessing_tables_hold_the_per_round_rule_at_every_entry"
 COUNT_KERNELS = "tests/test_montecarlo.py::test_count_kernels_match_general_engine_whole_and_in_tiles"
+CSV_ORACLE = "tests/test_montecarlo.py::test_chunk_csv_rows_equal_batch_csv_row"
 
 
 def record(kind: str) -> str:
@@ -375,15 +376,15 @@ MUTANTS = (
     Mutant(
         "high-and-low-masks-swapped",
         "montecarlo.py",
-        "np.right_shift(part, 7, out=high)\n    high &= bits\n    np.right_shift(part, 6, out=low)",
-        "np.right_shift(part, 6, out=high)\n    high &= bits\n    np.right_shift(part, 7, out=low)",
+        "np.right_shift(part, 7, out=high)\n    high &= _BYTE_BITS\n    np.right_shift(part, 6, out=low)",
+        "np.right_shift(part, 6, out=high)\n    high &= _BYTE_BITS\n    np.right_shift(part, 7, out=low)",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
     ),
     Mutant(
         "all-scores-plane-zeroed",
         "montecarlo.py",
-        "every[0] if scored else counted",
-        "0 * every[0] if scored else counted",
+        "return _pair_counts(every, high,",
+        "return _pair_counts(0 * every, high,",
         ("tests/test_montecarlo.py::test_kernel_matches_general_engine",),
     ),
     Mutant(
@@ -406,6 +407,63 @@ MUTANTS = (
         "bits, min(b - a, _LANE_WORDS))",
         "bits, b - a)",
         ("tests/test_montecarlo.py::test_word_counts_equal_bincounts",),
+    ),
+    Mutant(
+        "pair-3-counted-twice-in-one-pass",
+        "montecarlo.py",
+        "(high + low - either) >> 1",
+        "(high + low - either)",
+        ("tests/test_montecarlo.py::test_word_counts_equal_bincounts",),
+    ),
+    Mutant(
+        "scored-low-count-misses-pair-3",
+        "montecarlo.py",
+        "either - high_only + both",
+        "either - high_only",
+        ("tests/test_montecarlo.py::test_word_counts_equal_bincounts",),
+    ),
+    # The per-batch CSV writer and the floats it writes.
+    Mutant(
+        "csv-leading-zeros-kept",
+        "montecarlo.py",
+        "    for place in range(width - 1):\n        field[place] *=",
+        "    for place in range(0):\n        field[place] *=",
+        (CSV_ORACLE,),
+    ),
+    Mutant(
+        "csv-count-width-from-the-next-column",
+        "montecarlo.py",
+        "for value in maxima]",
+        "for value in maxima[1:] + maxima[:1]]",
+        (CSV_ORACLE,),
+    ),
+    Mutant(
+        "csv-x-text-on-undefined-rows",
+        "montecarlo.py",
+        "x_of_row = np.zeros(rows, dtype=np.intp)",
+        "x_of_row = np.ones(rows, dtype=np.intp)",
+        (CSV_ORACLE,),
+    ),
+    Mutant(
+        "csv-last-separator-a-comma",
+        "montecarlo.py",
+        'text[-1] = ord("\\n")',
+        'text[-1] = ord(",")',
+        (CSV_ORACLE,),
+    ),
+    Mutant(
+        "csv-float-table-off-by-one",
+        "montecarlo.py",
+        "np.take(y_text, y_at, axis=1",
+        "np.take(y_text, y_at - 1, axis=1",
+        (CSV_ORACLE,),
+    ),
+    Mutant(
+        "x-float-path-taken-for-big-denominators",
+        "montecarlo.py",
+        "        if small.all():\n",
+        "        if True:\n",
+        (CSV_ORACLE, "tests/test_montecarlo.py::test_estimate_equals_per_batch_fraction_fold"),
     ),
     # The tape base of the memoryless stochastic strategies.
     Mutant(
