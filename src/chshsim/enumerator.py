@@ -564,34 +564,26 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
     4·C(n+3, 4) rounds, one node per (depth, count vector), and catches
     up C(k+3, 3) states at depth k; one whose keys are the same at every
     depth, constant-plus or a memoryless mixture, plays 4n.  It holds at
-    most four states per depth and one key per walked node.
+    most four states per depth and one key per walked node.  It recurses
+    one frame a depth: n up to about 990 at the default recursion limit.
     """
     strategy.begin_playout(n, rng)
     p11, p12, p21, p22 = ALL_PAIRS
     finished: set = set()  # (depth, key) of the nodes walked clean
     rounds: list[Round] = []  # the prefix being walked
 
-    def descend(child, k: int, pair: SettingPair, a, b, key) -> NoSignalingReport | None:
-        """Walk the subtree below child ``pair`` of a depth-k node, which played (a, b).
+    def visit(state, k: int, pair: SettingPair | None = None, a=None, b=None, key=None) -> NoSignalingReport | None:
+        """Walk the depth-k node ``state``, which ``pair`` reached as (a, b), unless its ``key`` is finished.
 
-        A child whose announced ``key`` was walked clean at its depth is
-        skipped unvisited; otherwise its key is recorded once its subtree
-        comes back clean.
+        Its key is recorded once its subtree comes back clean.  The root
+        is reached by no pair and has no key.
         """
         if key is not None:
-            key = (k + 1, key)
+            key = (k, key)
             if key in finished:
                 return None
-        rounds.append(Round(k + 1, pair, int(a), int(b)))
-        report = visit(child, k + 1)
-        if report is not None:
-            return report
-        rounds.pop()
-        if key is not None:
-            finished.add(key)
-        return None
-
-    def visit(state, k: int) -> NoSignalingReport | None:
+        if pair is not None:
+            rounds.append(Round(k, pair, int(a), int(b)))
         view_a, view_b = views(memory_class, rounds, k)
         state._catch_up(view_a)
         deeper = k + 1 < n
@@ -607,20 +599,26 @@ def _walk_prefixes(strategy, memory_class: MemoryClass, n: int, rng) -> NoSignal
             return _signaling_report(n, rounds, k, 0, Side.BOB, a11)
         if b11 != b21:
             return _signaling_report(n, rounds, k, 0, Side.ALICE, b11)
-        if deeper and (report := descend(s11, k, p11, a11, b11, c11)) is not None:
+        if deeper and (report := visit(s11, k + 1, p11, a11, b11, c11)) is not None:
             return report
         # Child 3 is first compared by child 1's Alice toggle, and plays
         # on the node's own state, which no snapshot needs now.
         a22, b22 = _play_round(state, p22, view_a, view_b)
         if b12 != b22:
             return _signaling_report(n, rounds, k, 1, Side.ALICE, b12)
-        if deeper and (report := descend(s12, k, p12, a12, b12, c12)) is not None:
+        if deeper and (report := visit(s12, k + 1, p12, a12, b12, c12)) is not None:
             return report
         if a21 != a22:
             return _signaling_report(n, rounds, k, 2, Side.BOB, a21)
-        if deeper and (report := descend(s21, k, p21, a21, b21, c21)) is not None:
+        if deeper and (report := visit(s21, k + 1, p21, a21, b21, c21)) is not None:
             return report
-        return descend(state, k, p22, a22, b22, c22) if deeper else None
+        if deeper and (report := visit(state, k + 1, p22, a22, b22, c22)) is not None:
+            return report
+        if pair is not None:
+            rounds.pop()
+        if key is not None:
+            finished.add(key)
+        return None
 
     return visit(strategy, 0) or NoSignalingReport(passed=True, sequences_checked=4 ** n)
 

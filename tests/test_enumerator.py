@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import math
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -52,6 +53,7 @@ from chshsim.strategies import (
     model_101,
     quantum_singlet_sampler,
 )
+from chshsim.stream import Stream
 
 P11, P12, P21, P22 = ALL_PAIRS
 
@@ -991,6 +993,25 @@ def test_walk_hands_each_node_the_views_playout_hands_its_round(name, monkeypatc
                 seen.clear()
                 playout(factory(), [ALL_PAIRS[i] for i in node + (0,) * (n - len(node))])
                 assert seen[len(node) - 1] == (node, view_a, view_b), (n, keyed)
+
+
+@pytest.mark.parametrize(
+    "factory, seed",
+    [(constant_plus, None), (lambda: from_stochastic(StochasticLHV.uniform(all_assignments())), 7)],
+    ids=["constant-plus", "uniform-mixture"],
+)
+def test_walk_reaches_depth_600_under_the_default_recursion_limit(factory, seed):
+    # The walk recurses one frame a depth.  Both subjects key every child
+    # by depth, so their walks play 4 rounds a depth.
+    subject = factory()
+    rng = None if seed is None else Stream(seed)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        report = enumerator._walk_prefixes(subject, subject.memory_class, 600, rng)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.passed
 
 
 def test_no_signaling_reports_late_first_violation():
